@@ -37,8 +37,6 @@ from repro.core import DataScalarSystem
 from repro.experiments.config import datascalar_config, timing_bus_config
 from repro.isa.codegen import CompiledExecution
 from repro.isa.interpreter import Interpreter
-from repro.obs.spans import (SpanRecorder, breakdown, recording,
-                             records_as_dicts)
 from repro.workloads import build_program
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent \
@@ -113,29 +111,6 @@ def _frontend_series(program, limit):
     }
 
 
-def _timing_phases(config, program, limit):
-    """Timing-loop phase breakdown from a separate instrumented run.
-
-    Kept apart from the timed runs: an active span recorder swaps the
-    flat ``tick`` for the accumulator-instrumented ``tick_spanned``,
-    which is slower — instrumenting the timed run would corrupt
-    ``optimized_seconds``.  The absolute seconds recorded here are an
-    instrumented run's, but the share gate
-    (``repro.obs.baseline --share-tolerance``) only consumes the
-    *ratios* between phases, which the instrumentation overhead shifts
-    far less than machine variance does.
-    """
-    recorder = SpanRecorder()
-    with recording(recorder):
-        DataScalarSystem(dataclasses.replace(config, engine="codegen")).run(
-            program, limit=limit)
-    return {
-        name: round(entry["wall"], 6)
-        for name, entry in breakdown(
-            records_as_dicts(recorder), root="timing-loop").items()
-    }
-
-
 def test_simperf_speedup(benchmark):
     limit = None if full_run() else QUICK_TIMING_LIMIT
     program = build_program(WORKLOAD)
@@ -181,7 +156,6 @@ def test_simperf_speedup(benchmark):
         "speedup": round(speedup, 3),
         "engine_speedup": round(interpreter_seconds / fast_seconds, 3),
         "frontend": frontend,
-        "timing_phases": _timing_phases(config, program, limit),
     }
     print()
     print(json.dumps(record, indent=2))

@@ -17,7 +17,7 @@ from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..core.dcub import DCUB
 from ..core.node import _PrimaryHandle
-from ..errors import SimulationError
+from ..core.system import drive
 from ..interconnect.bus import Bus
 from ..interconnect.message import Message, MessageKind
 from ..interconnect.queueing import LatencyQueue
@@ -172,12 +172,7 @@ class L2System:
         trace = Interpreter(program).trace(limit=limit)
         pipeline = Pipeline(self.config.node.cpu, memory, trace,
                             icache_line=self.config.node.icache.line_size)
-        cycle = 0
-        while not pipeline.done:
-            if cycle >= self.config.max_cycles:
-                raise SimulationError("L2 system exceeded max_cycles")
-            pipeline.tick(cycle)
-            cycle += 1
+        cycle = drive([pipeline], self.config.max_cycles, what="L2 system")
         memory.validate_final_state()
         return L2Result(
             cycles=cycle,

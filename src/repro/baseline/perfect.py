@@ -7,6 +7,7 @@ fetch is likewise single-cycle.
 
 from __future__ import annotations
 
+from ..core.system import drive
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..params import CPUConfig
@@ -53,58 +54,35 @@ class PerfectSystem:
 
         The checkpoint arguments mirror
         :meth:`repro.core.DataScalarSystem.run` (kind ``"perfect"``)."""
+        from ..checkpoint import state as ckpt_state
         from ..isa.interpreter import Interpreter
         from ..obs import spans
 
-        checkpointing = (checkpoint_every is not None
-                         or checkpoint_sink is not None
-                         or resume_from is not None
-                         or stop_after is not None or warmup)
-        if not checkpointing:
-            trace = Interpreter(program).trace(limit=limit)
-            recorder = spans.active()
-            if recorder is not None:
-                trace = spans.timed_iter(
-                    trace,
-                    recorder.accumulator("frontend", under="timing-loop"))
-            pipeline = Pipeline(self.cpu_config, self.memory, trace)
-            with spans.span("timing-loop"):
-                return pipeline.run(max_cycles)
-
-        from ..checkpoint import state as ckpt_state
-        from ..errors import SimulationError
-        from ..isa.fanout import CountingTrace
-
+        checkpointing = ckpt_state.checkpointing(
+            "perfect", checkpoint_every, checkpoint_sink, resume_from,
+            stop_after, warmup)
+        trace = spans.timed_frontend(Interpreter(program).trace(limit=limit))
+        if checkpointing:
+            trace, = ckpt_state.counted_traces([trace], resume_from, warmup)
         if resume_from is not None:
-            ckpt = resume_from
-            if ckpt.kind != "perfect":
-                raise SimulationError(
-                    f"cannot resume a {ckpt.kind!r} checkpoint on a "
-                    f"perfect system")
-            state = ckpt_state.materialize(ckpt)
+            state = ckpt_state.materialize(resume_from)
             pipeline = state["pipeline"]
-            memory = state["memory"]
-            self.memory = memory
-            cycle = ckpt.cycle
-            trace = CountingTrace(Interpreter(program).trace(limit=limit))
-            with spans.span("frontend-replay"):
-                ckpt_state.advance_trace(trace, ckpt.consumed[0])
+            self.memory = state["memory"]
             pipeline.rebind_trace(trace)
+            cycle = resume_from.cycle
         else:
-            trace = CountingTrace(Interpreter(program).trace(limit=limit))
-            if warmup:
-                with spans.span("warmup"):
-                    ckpt_state.advance_trace(trace, warmup)
             pipeline = Pipeline(self.cpu_config, self.memory, trace)
-            memory = self.memory
             cycle = 0
+        last_tick = [cycle]
+        after_round = None
+        if checkpointing:
+            after_round = ckpt_state.boundary_watcher(
+                "perfect", [pipeline], last_tick, [trace],
+                {"pipeline": pipeline, "memory": self.memory},
+                ckpt_state.pipeline_cut_edges(pipeline),
+                checkpoint_every, checkpoint_sink, stop_after)
         with spans.span("timing-loop"):
-            stop_requested, cycle = ckpt_state.drive_single_pipeline(
-                "perfect", pipeline, cycle, max_cycles,
-                checkpoint_every, checkpoint_sink, stop_after,
-                lambda: {"pipeline": pipeline, "memory": memory},
-                trace,
-                f"program did not finish in {max_cycles} cycles")
-        if stop_requested:
-            return None
-        return pipeline.stats
+            cycle = drive([pipeline], max_cycles, cycle=cycle,
+                          last_tick=last_tick, after_round=after_round,
+                          what="perfect")
+        return None if cycle is None else pipeline.stats

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
-from ..errors import SimulationError
 from ..interconnect.bus import Bus
 from ..interconnect.message import Message, MessageKind
 from ..interconnect.queueing import LatencyQueue
@@ -25,6 +24,7 @@ from ..memory.mainmem import BankedMemory
 from ..params import TraditionalConfig
 from ..core.dcub import DCUB
 from ..core.node import _PrimaryHandle
+from ..core.system import drive
 
 
 class TraditionalMemory(MemoryInterface):
@@ -200,31 +200,23 @@ class TraditionalSystem:
         """Simulate to completion.  The checkpoint arguments mirror
         :meth:`repro.core.DataScalarSystem.run` (kind
         ``"traditional"``)."""
+        from ..checkpoint import state as ckpt_state
         from ..obs import spans
 
         config = self.config
-        checkpointing = (checkpoint_every is not None
-                         or checkpoint_sink is not None
-                         or resume_from is not None
-                         or stop_after is not None or warmup)
+        checkpointing = ckpt_state.checkpointing(
+            "traditional", checkpoint_every, checkpoint_sink, resume_from,
+            stop_after, warmup)
+        trace = spans.timed_frontend(Interpreter(program).trace(limit=limit))
+        if checkpointing:
+            trace, = ckpt_state.counted_traces([trace], resume_from, warmup)
         if resume_from is not None:
-            from ..checkpoint import state as ckpt_state
-
-            ckpt = resume_from
-            if ckpt.kind != "traditional":
-                raise SimulationError(
-                    f"cannot resume a {ckpt.kind!r} checkpoint on a "
-                    f"traditional system")
-            state = ckpt_state.materialize(ckpt)
+            state = ckpt_state.materialize(resume_from)
             pipeline = state["pipeline"]
             memory = state["memory"]
             page_table = state["page_table"]
-            bus = memory.bus
-            cycle = ckpt.cycle
-            trace = self._make_trace(program, limit)
-            with spans.span("frontend-replay"):
-                ckpt_state.advance_trace(trace, ckpt.consumed[0])
             pipeline.rebind_trace(trace)
+            cycle = resume_from.cycle
         else:
             with spans.span("layout"):
                 page_table = traditional_page_table(
@@ -236,51 +228,29 @@ class TraditionalSystem:
                     replicated_pages=replicated_pages,
                     stack_bytes=stack_bytes,
                 )
-            if checkpointing:
-                from ..checkpoint import state as ckpt_state
-
-                trace = self._make_trace(program, limit)
-                if warmup:
-                    with spans.span("warmup"):
-                        ckpt_state.advance_trace(trace, warmup)
-            else:
-                trace = Interpreter(program).trace(limit=limit)
-                recorder = spans.active()
-                if recorder is not None:
-                    trace = spans.timed_iter(
-                        trace,
-                        recorder.accumulator("frontend",
-                                             under="timing-loop"))
             with spans.span("setup"):
-                bus = Bus(config.bus)
-                memory = TraditionalMemory(config, page_table, bus)
+                memory = TraditionalMemory(config, page_table,
+                                           Bus(config.bus))
                 pipeline = Pipeline(config.node.cpu, memory, trace,
                                     icache_line=config.node.icache.line_size)
             cycle = 0
-        stop_requested = False
+        last_tick = [cycle]
+        after_round = None
+        if checkpointing:
+            after_round = ckpt_state.boundary_watcher(
+                "traditional", [pipeline], last_tick, [trace],
+                {"pipeline": pipeline, "memory": memory,
+                 "page_table": page_table},
+                ckpt_state.pipeline_cut_edges(pipeline),
+                checkpoint_every, checkpoint_sink, stop_after)
         with spans.span("timing-loop"):
-            if checkpointing:
-                from ..checkpoint.state import drive_single_pipeline
-
-                stop_requested, cycle = drive_single_pipeline(
-                    "traditional", pipeline, cycle, config.max_cycles,
-                    checkpoint_every, checkpoint_sink, stop_after,
-                    lambda: {"pipeline": pipeline, "memory": memory,
-                             "page_table": page_table},
-                    trace,
-                    f"traditional run exceeded {config.max_cycles} cycles")
-            else:
-                while not pipeline.done:
-                    if cycle >= config.max_cycles:
-                        raise SimulationError(
-                            f"traditional run exceeded {config.max_cycles} "
-                            f"cycles"
-                        )
-                    pipeline.tick(cycle)
-                    cycle += 1
-        if stop_requested:
+            cycle = drive([pipeline], config.max_cycles, cycle=cycle,
+                          last_tick=last_tick, after_round=after_round,
+                          what="traditional")
+        if cycle is None:
             return None
         memory.validate_final_state()
+        bus = memory.bus
         return TraditionalResult(
             cycles=cycle,
             instructions=pipeline.stats.committed,
@@ -292,10 +262,3 @@ class TraditionalSystem:
             bus_payload_bytes=bus.stats.payload_bytes,
             bus_utilization=bus.stats.utilization(cycle),
         )
-
-    @staticmethod
-    def _make_trace(program, limit):
-        """Counted front end for checkpoint-enabled runs."""
-        from ..isa.fanout import CountingTrace
-
-        return CountingTrace(Interpreter(program).trace(limit=limit))

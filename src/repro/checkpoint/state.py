@@ -26,7 +26,7 @@ A :class:`Checkpoint` therefore splits a run into two parts:
   whole tee state).
 
 Edges that must *not* be followed into the snapshot — the live trace
-iterators, the broadcast-delivery closure, span accumulators, tracers —
+iterators, the broadcast-delivery closure, tracers —
 are cut by seeding the deepcopy memo: ``copy.deepcopy`` consults the
 memo *before* type dispatch, so a pre-seeded ``id(obj) -> None`` entry
 excises the edge (even for otherwise-uncopyable objects like
@@ -201,13 +201,11 @@ def pipeline_cut_edges(pipeline):
     """The per-pipeline edges a snapshot must not follow: the live
     trace iterator (a generator or fan-out view), its pre-bound
     ``__next__``, the fan-out pending queue (shared with the tee, which
-    is reconstructed from consumed counts instead), and the
-    observability hooks."""
+    is reconstructed from consumed counts instead), and the tracer."""
     yield pipeline._trace
     yield pipeline._trace_next
     yield pipeline._trace_queue
     yield pipeline._tracer
-    yield pipeline._stage_accs
 
 
 def datascalar_cut_edges(pipelines, nodes):
@@ -221,50 +219,99 @@ def datascalar_cut_edges(pipelines, nodes):
         yield node.broadcaster._deliver
 
 
-def drive_single_pipeline(kind, pipeline, cycle, max_cycles,
-                          checkpoint_every, checkpoint_sink, stop_after,
-                          tree_fn, trace, overflow_msg):
-    """Checkpoint-enabled dense tick loop for the single-pipeline
-    baseline systems (``traditional`` and ``perfect``).
-
-    ``tree_fn()`` builds the state tree to snapshot; ``trace`` is the
-    run's :class:`~repro.isa.fanout.CountingTrace`.  Returns
-    ``(stop_requested, cycle)`` where ``cycle`` is the next cycle to
-    simulate — the same convention the multi-node system uses."""
+def checkpointing(kind: str, checkpoint_every, checkpoint_sink, resume_from,
+                  stop_after, warmup) -> bool:
+    """Whether a run's checkpoint arguments ask for the checkpoint-enabled
+    path; raises :class:`~repro.errors.SimulationError` on a combination
+    that cannot work (``kind`` is the running system's snapshot kind)."""
+    if (checkpoint_every is None and checkpoint_sink is None
+            and resume_from is None and stop_after is None and not warmup):
+        return False
     if checkpoint_every is not None:
         if checkpoint_every < 1:
             raise SimulationError("checkpoint_every must be >= 1")
         if checkpoint_sink is None:
             raise SimulationError(
                 "checkpoint_every requires a checkpoint_sink")
-        next_boundary = ((pipeline.stats.committed // checkpoint_every + 1)
-                         * checkpoint_every)
-    else:
-        next_boundary = None
-    watching = next_boundary is not None or stop_after is not None
-    tick = pipeline.tick
-    while not pipeline.done:
-        if cycle >= max_cycles:
-            raise SimulationError(overflow_msg)
-        tick(cycle)
-        cycle += 1
-        if watching:
-            committed = pipeline.stats.committed
-            while next_boundary is not None and committed >= next_boundary:
-                checkpoint_sink(capture(
-                    kind, cycle, committed, tree_fn(),
-                    cut=pipeline_cut_edges(pipeline),
-                    consumed=[trace.consumed],
-                    meta={"boundary": next_boundary}))
-                next_boundary += checkpoint_every
-            if stop_after is not None and committed >= stop_after:
-                checkpoint_sink(capture(
-                    kind, cycle, committed, tree_fn(),
-                    cut=pipeline_cut_edges(pipeline),
-                    consumed=[trace.consumed],
-                    meta={"boundary": stop_after}))
-                return True, cycle
-    return False, cycle
+    if resume_from is not None:
+        if warmup:
+            raise SimulationError(
+                "warmup cannot be combined with resume_from — the "
+                "checkpoint already fixes the front-end position")
+        if resume_from.kind != kind:
+            raise SimulationError(
+                f"cannot resume a {resume_from.kind!r} checkpoint on a "
+                f"{kind!r} system")
+    return True
+
+
+def counted_traces(traces, resume_from=None, warmup=None) -> list:
+    """Wrap each front-end view in a :class:`~repro.isa.fanout.
+    CountingTrace` and move it to where the timed run starts: the
+    checkpoint's recorded positions, or ``warmup`` records in."""
+    from ..isa.fanout import CountingTrace
+
+    counted = [CountingTrace(trace) for trace in traces]
+    if resume_from is not None:
+        with spans.span("frontend-replay"):
+            for trace, count in zip(counted, resume_from.consumed):
+                advance_trace(trace, count)
+    elif warmup:
+        with spans.span("warmup"):
+            for trace in counted:
+                advance_trace(trace, warmup)
+    return counted
+
+
+def boundary_watcher(kind: str, pipelines, last_tick, traces, tree: dict,
+                     cut, checkpoint_every, checkpoint_sink, stop_after):
+    """The post-round hook of :func:`repro.core.system.drive` for a
+    checkpoint-enabled run, or ``None`` when nothing is to be captured.
+
+    After every tick of a cycle ``c`` it checks the minimum committed
+    count over ``pipelines``; each boundary the round crossed (wide
+    commit rounds can cross several — each nominal boundary gets its own
+    capture, so warm-start lookups by boundary always land) is captured
+    as ``cycle = c + 1``, the next cycle to simulate, and handed to
+    ``checkpoint_sink``.  Reaching ``stop_after`` captures once more and
+    stops the run.  ``last_tick`` is the driver's array: pipelines not
+    ticked at ``c`` have their deferred stall accounting flushed first,
+    so the snapshot is position-complete.  The flush splits a
+    ``note_skipped`` range in two, which is exact because a skipped
+    pipeline's fetch state is frozen between real ticks."""
+    if checkpoint_every is None and stop_after is None:
+        return None
+    next_boundary = None
+    if checkpoint_every is not None:
+        start = min(p.stats.committed for p in pipelines)
+        next_boundary = (start // checkpoint_every + 1) * checkpoint_every
+    cut = tuple(cut)
+
+    def take(cycle: int, committed: int, boundary: int) -> Checkpoint:
+        return capture(kind, cycle, committed, tree, cut=cut,
+                       consumed=[trace.consumed for trace in traces],
+                       meta={"boundary": boundary})
+
+    def after_round(cycle: int) -> bool:
+        nonlocal next_boundary
+        committed = min(p.stats.committed for p in pipelines)
+        stop = stop_after is not None and committed >= stop_after
+        if not stop and (next_boundary is None
+                         or committed < next_boundary):
+            return False
+        nxt = cycle + 1
+        for i, pipeline in enumerate(pipelines):
+            if not pipeline.done and last_tick[i] <= cycle:
+                pipeline.note_skipped(last_tick[i], nxt)
+                last_tick[i] = nxt
+        while next_boundary is not None and committed >= next_boundary:
+            checkpoint_sink(take(nxt, committed, next_boundary))
+            next_boundary += checkpoint_every
+        if stop:
+            checkpoint_sink(take(nxt, committed, stop_after))
+        return stop
+
+    return after_round
 
 
 def advance_trace(trace, count: int) -> None:

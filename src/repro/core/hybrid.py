@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cpu.pipeline import Pipeline
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError
 from ..interconnect.bus import Bus
 from ..interconnect.message import Message, MessageKind
 from ..isa.interpreter import Interpreter
 from ..memory.layout import traditional_page_table
 from ..params import SystemConfig, TraditionalConfig
-from .system import DataScalarSystem
+from .system import DataScalarSystem, drive
 
 
 @dataclass
@@ -161,11 +161,7 @@ class HybridSystem:
         pipeline = Pipeline(node.cpu, memory,
                             Interpreter(program).trace(limit=limit),
                             icache_line=node.icache.line_size)
-        cycle = 0
-        while not pipeline.done:
-            if cycle >= self.config.max_cycles:
-                raise SimulationError("private phase exceeded max_cycles")
-            pipeline.tick(cycle)
-            cycle += 1
+        cycle = drive([pipeline], self.config.max_cycles,
+                      what="private phase")
         memory.validate_final_state()
         return cycle, pipeline.stats.committed

@@ -5,9 +5,10 @@ Mirrors the paper's simulation platform: a multi-context simulator that
 for all contexts before simulating cycle n+1 for any context)".  All
 nodes fetch, execute, and commit the identical dynamic stream (SPSD) at
 their own pace — asynchronous ESP; one shared functional interpreter
-feeds every node through :mod:`repro.isa.fanout`, and provably idle
-cycle ranges are skipped (see :meth:`DataScalarSystem._advance`) without
-altering any reported cycle count or statistic.
+feeds every node through :mod:`repro.isa.fanout`, and each node's
+provably idle cycle ranges are skipped (see :func:`drive`, the one cycle
+scheduler every system runs through) without altering any reported
+cycle count or statistic.
 """
 
 from __future__ import annotations
@@ -146,17 +147,11 @@ class DataScalarSystem:
                     for node_id in range(num_nodes)]
         source = make_trace_source(program, limit=limit,
                                    engine=self.config.engine)
-        recorder = spans.active()
-        if recorder is not None:
-            # The front end is consumed lazily inside the timing loop,
-            # so its wall time is charged to a timing-loop/frontend
-            # accumulator — the number that settles how much of a run
-            # the functional front end actually costs.  Disabled-path
-            # runs never see the wrapper (or its clock reads).
-            source = spans.timed_iter(
-                source, recorder.accumulator("frontend",
-                                             under="timing-loop"))
-        return fan_out(source, num_nodes)
+        # The front end is consumed lazily inside the timing loop, so its
+        # wall time is charged to a timing-loop/frontend accumulator when
+        # a span recorder is active.  Disabled-path runs never see the
+        # wrapper (or its clock reads).
+        return fan_out(spans.timed_frontend(source), num_nodes)
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
             stack_bytes: int = 64 * 1024,
@@ -175,7 +170,7 @@ class DataScalarSystem:
         events from every subsystem — tracing is purely observational,
         so results are bit-identical with it on or off, fast-forward
         included (the tracer's own ``next_event`` bound is folded into
-        :meth:`_advance` exactly like the fault layer's).
+        :func:`drive` exactly like the fault layer's).
 
         Checkpointing (:mod:`repro.checkpoint`):
 
@@ -192,52 +187,35 @@ class DataScalarSystem:
         * ``warmup=W`` skips the first W dynamic records functionally
           before timing starts (SimPoint-style sampling; the timed
           region starts with cold microarchitectural state, so results
-          are *not* comparable to a full run).
+          are *not* comparable to a full run).  A checkpoint already
+          fixes the front-end position, so ``warmup`` with
+          ``resume_from`` is an error.
 
         Checkpoint-enabled runs are bit-identical to plain runs but take
         the iterator-protocol front-end path (and pay a per-round commit
-        scan), so the hot specialized loop is untouched when none of
-        these arguments is given.  Observers and tracers hold references
-        into live simulator objects and cannot be checkpointed.
+        scan).  Observers and tracers hold references into live
+        simulator objects and cannot be checkpointed.
 
         With ``config.result_communication`` set, private regions are
         auto-detected and the run delegates to
         :class:`~repro.core.resultcomm_exec.ResultCommSystem`.
         """
-        if (checkpoint_every is not None or checkpoint_sink is not None
-                or resume_from is not None or stop_after is not None
-                or warmup):
+        from ..checkpoint import state as ckpt_state
+        from .node import DataScalarNode  # local import to avoid cycles
+
+        config = self.config
+        checkpointing = ckpt_state.checkpointing(
+            "datascalar", checkpoint_every, checkpoint_sink, resume_from,
+            stop_after, warmup)
+        if checkpointing:
             if observer is not None or tracer is not None:
                 raise SimulationError(
                     "checkpointing is incompatible with observer/tracer "
                     "hooks — they hold references into live run state")
-            return self._run_checkpointed(
-                program, replicated_pages, limit, stack_bytes,
-                checkpoint_every, checkpoint_sink, resume_from,
-                stop_after, warmup)
-        from .node import DataScalarNode  # local import to avoid cycles
-
-        config = self.config
-        if config.result_communication and type(self) is DataScalarSystem:
-            import dataclasses
-
-            from .resultcomm_exec import ResultCommSystem, \
-                select_exec_regions
-
-            plain = dataclasses.replace(config, result_communication=False)
-            spec = LayoutSpec(
-                num_nodes=config.num_nodes,
-                page_size=config.node.memory.page_size,
-                distribution_block_pages=config.distribution_block_pages,
-                replicate_text=config.replicate_text,
-                replicated_pages=frozenset(replicated_pages),
-                stack_bytes=stack_bytes,
-            )
-            table, _ = build_page_table(program, spec)
-            regions = select_exec_regions(program, table, limit=limit)
-            return ResultCommSystem(plain, regions).run(
-                program, replicated_pages=replicated_pages, limit=limit,
-                stack_bytes=stack_bytes, observer=observer, tracer=tracer)
+            if config.result_communication:
+                raise SimulationError(
+                    "checkpointing does not support result-communication "
+                    "runs")
         spec = LayoutSpec(
             num_nodes=config.num_nodes,
             page_size=config.node.memory.page_size,
@@ -246,15 +224,27 @@ class DataScalarSystem:
             replicated_pages=frozenset(replicated_pages),
             stack_bytes=stack_bytes,
         )
-        with spans.span("layout"):
-            page_table, layout_summary = build_page_table(program, spec)
-        medium = self._make_medium()
+        if config.result_communication and type(self) is DataScalarSystem:
+            import dataclasses
+
+            from .resultcomm_exec import ResultCommSystem, \
+                select_exec_regions
+
+            plain = dataclasses.replace(config, result_communication=False)
+            table, _ = build_page_table(program, spec)
+            regions = select_exec_regions(program, table, limit=limit)
+            return ResultCommSystem(plain, regions).run(
+                program, replicated_pages=replicated_pages, limit=limit,
+                stack_bytes=stack_bytes, observer=observer, tracer=tracer)
+
+        num = config.num_nodes
         nodes: "list[DataScalarNode]" = []
-        # Per-pipeline wake cycles for the selective fast-forward loop
-        # (see :meth:`_run_selective`).  A broadcast delivery is the one
-        # way a peer creates work for an idle node, so the deliver hook
-        # zeroes the target's wake to force a re-tick and a fresh bound.
-        wake = [0] * config.num_nodes
+        # Per-pipeline wake cycles for :func:`drive`.  A broadcast
+        # delivery is the one way a peer creates work for an idle node,
+        # so the deliver hook zeroes the target's wake to force a re-tick
+        # and a fresh bound.  The closure reads ``nodes``/``wake`` at
+        # call time, so a restore may rebind both below.
+        wake = [0] * num
 
         def deliver(src: int, line: int, arrivals) -> None:
             for node in nodes:
@@ -274,215 +264,33 @@ class DataScalarSystem:
                                     node.node_id, src=src, line=line)
                 plain_deliver(src, line, arrivals)
 
-        pipelines = []
+        if resume_from is not None:
+            state = ckpt_state.materialize(resume_from)
+            page_table = state["page_table"]
+            layout_summary = state["layout_summary"]
+            medium = state["medium"]
+        else:
+            with spans.span("layout"):
+                page_table, layout_summary = build_page_table(program, spec)
+            medium = self._make_medium()
         # Trace sources are built *outside* the setup span so the
         # codegen-compile phase (charged inside make_trace_source) and
         # the timing-loop/frontend accumulator stay direct children of
         # the point span rather than nesting under setup.
         traces = self._make_traces(program, limit)
-        with spans.span("setup"):
-            for node_id in range(config.num_nodes):
-                if config.l2 is not None:
-                    from .node_l2 import DataScalarL2Node
-
-                    node = DataScalarL2Node(
-                        node_id, config.node, config.l2, page_table,
-                        medium, deliver, num_peers=config.num_nodes - 1)
-                else:
-                    node = DataScalarNode(
-                        node_id, config.node, page_table, medium,
-                        deliver, num_peers=config.num_nodes - 1)
-                nodes.append(node)
-                pipelines.append(
-                    Pipeline(config.node.cpu, node, traces[node_id],
-                             icache_line=config.node.icache.line_size))
-                if tracer is not None:
-                    pipelines[-1].attach_tracer(tracer, node_id)
-                    node.attach_tracer(tracer)
-            if tracer is not None and hasattr(medium, "attach_tracer"):
-                medium.attach_tracer(tracer)
-
-        # Fault mode arms the BSHR wait tripwire and teaches the
-        # idle-skip scheduler about medium-level recovery timers; with
-        # faults disabled neither hook exists and the loop is untouched.
-        faulted = config.faults is not None
-        extra_event = None
-        if faulted:
-            for node in nodes:
-                node.bshr.arm_timeout(config.faults.wait_deadline)
-            extra_event = self._fault_event_fn(nodes, medium)
-        if tracer is not None:
-            # A sampling tracer bounds idle-skip to its sample cycles;
-            # a plain recording tracer returns None and leaves the skip
-            # targets untouched — either way results stay bit-identical
-            # because skipped and ticked idle cycles are observationally
-            # identical.
-            extra_event = self._chain_events(extra_event,
-                                             getattr(tracer, "next_event",
-                                                     None))
-
-        # Wall-clock attribution for the fault layer's per-cycle work:
-        # only armed when both faults and a span recorder are active, so
-        # the plain hot loop is untouched.
-        recorder = spans.active()
-        fault_acc = None
-        if faulted and recorder is not None:
-            fault_acc = recorder.accumulator("fault-recovery",
-                                             under="timing-loop")
-
-        # Per-stage wall-time attribution for the timing loop: when a
-        # span recorder is active, every pipeline charges its commit /
-        # memory / issue stage time to shared timing-loop accumulators
-        # and the loop drives the staged tick variant.  Without a
-        # recorder the flat fast path runs untouched.
-        stage_accs = None
-        if recorder is not None:
-            stage_accs = (
-                recorder.accumulator("commit", under="timing-loop"),
-                recorder.accumulator("memory", under="timing-loop"),
-                recorder.accumulator("issue", under="timing-loop"),
-            )
-            for pipeline in pipelines:
-                pipeline.attach_stage_accumulators(stage_accs)
-        ticks = [p.tick_spanned if stage_accs is not None else p.tick
-                 for p in pipelines]
-
-        # Dense per-cycle ticking is required whenever an observer wants
-        # to see every cycle; otherwise skip provably idle cycle ranges.
-        fast_forward = config.fast_forward and observer is None
-        cycle = 0
-        with spans.span("timing-loop"):
-            if fast_forward and not faulted and tracer is None:
-                cycle = self._run_selective(pipelines, ticks, wake, config)
-            else:
-                while not all(p.done for p in pipelines):
-                    if cycle >= config.max_cycles:
-                        raise SimulationError(
-                            f"DataScalar run exceeded {config.max_cycles} "
-                            f"cycles"
-                        )
-                    if faulted:
-                        if fault_acc is not None:
-                            tick0 = time.perf_counter()
-                            for node in nodes:
-                                node.bshr.check_timeouts(cycle)
-                            fault_acc.add(time.perf_counter() - tick0)
-                        else:
-                            for node in nodes:
-                                node.bshr.check_timeouts(cycle)
-                    for tick in ticks:
-                        tick(cycle)
-                    if observer is not None:
-                        observer(cycle, pipelines, nodes, medium)
-                    if fast_forward:
-                        cycle = self._advance(cycle, pipelines, config,
-                                              extra_event)
-                    else:
-                        cycle += 1
-
-        with spans.span("analysis"):
-            return self._collect(cycle, pipelines, nodes, medium,
-                                 page_table, layout_summary)
-
-    def _run_checkpointed(self, program, replicated_pages, limit,
-                          stack_bytes, checkpoint_every, checkpoint_sink,
-                          resume_from, stop_after, warmup):
-        """The checkpoint-enabled twin of :meth:`run`.
-
-        Same simulation, same results, two extra abilities: start from a
-        :class:`~repro.checkpoint.Checkpoint` instead of cycle 0, and
-        capture checkpoints at committed-instruction boundaries.  Kept
-        separate so the plain path's specialized loops (queue-fast-path
-        fetch, no per-round commit scans) stay byte-for-byte untouched.
-
-        Capture happens after every tick of a cycle ``c`` and records
-        ``cycle = c + 1`` — the next cycle to simulate.  On the
-        selective (per-pipeline idle-skip) path, pipelines that were not
-        ticked at ``c`` have their deferred stall accounting flushed
-        first, so the snapshot is position-complete; the flush splits a
-        ``note_skipped`` range in two, which is exact because a skipped
-        pipeline's fetch state is frozen between real ticks (every
-        skipped cycle classifies identically no matter when it is
-        replayed).
-        """
-        from .node import DataScalarNode  # local import to avoid cycles
-
-        from ..checkpoint import state as ckpt_state
-        from ..isa.fanout import CountingTrace
-
-        config = self.config
-        if config.result_communication:
-            raise SimulationError(
-                "checkpointing does not support result-communication runs")
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise SimulationError("checkpoint_every must be >= 1")
-            if checkpoint_sink is None:
-                raise SimulationError(
-                    "checkpoint_every requires a checkpoint_sink")
-        num = config.num_nodes
-        faulted = config.faults is not None
-
-        nodes = []
-        wake = [0] * num
-
-        # Same delivery hook as the plain path; defined up front so both
-        # the fresh-build and restore paths close over the *final*
-        # ``nodes``/``wake`` bindings (closures read the enclosing
-        # locals at call time).
-        def deliver(src: int, line: int, arrivals) -> None:
-            for node in nodes:
-                arrival = arrivals[node.node_id]
-                if arrival is not None:
-                    node.bshr.arrival(arrival, line)
-                    wake[node.node_id] = 0
-
+        if checkpointing:
+            traces = ckpt_state.counted_traces(traces, resume_from, warmup)
         if resume_from is not None:
-            ckpt = resume_from
-            if ckpt.kind != "datascalar":
-                raise SimulationError(
-                    f"cannot resume a {ckpt.kind!r} checkpoint on a "
-                    f"DataScalar system")
-            state = ckpt_state.materialize(ckpt)
             pipelines = state["pipelines"]
             nodes = state["nodes"]
-            medium = state["medium"]
-            page_table = state["page_table"]
-            layout_summary = state["layout_summary"]
             wake = state["wake"]
             last_tick = state["last_tick"]
-            cycle = ckpt.cycle
-            # Rebuild the functional front end exactly as a fresh run
-            # would (same engine, same fan-out) and replay it to the
-            # recorded per-node positions; this also reconstructs the
-            # fan-out tee queues record for record.
-            traces = [CountingTrace(t)
-                      for t in self._make_traces(program, limit)]
-            with spans.span("frontend-replay"):
-                for trace, count in zip(traces, ckpt.consumed):
-                    ckpt_state.advance_trace(trace, count)
+            cycle = resume_from.cycle
             for pipeline, trace in zip(pipelines, traces):
                 pipeline.rebind_trace(trace)
             for node in nodes:
                 node.broadcaster.rebind_deliver(deliver)
         else:
-            spec = LayoutSpec(
-                num_nodes=num,
-                page_size=config.node.memory.page_size,
-                distribution_block_pages=config.distribution_block_pages,
-                replicate_text=config.replicate_text,
-                replicated_pages=frozenset(replicated_pages),
-                stack_bytes=stack_bytes,
-            )
-            with spans.span("layout"):
-                page_table, layout_summary = build_page_table(program, spec)
-            medium = self._make_medium()
-            traces = [CountingTrace(t)
-                      for t in self._make_traces(program, limit)]
-            if warmup:
-                with spans.span("warmup"):
-                    for trace in traces:
-                        ckpt_state.advance_trace(trace, warmup)
             pipelines = []
             with spans.span("setup"):
                 for node_id in range(num):
@@ -500,179 +308,51 @@ class DataScalarSystem:
                     pipelines.append(
                         Pipeline(config.node.cpu, node, traces[node_id],
                                  icache_line=config.node.icache.line_size))
+                    if tracer is not None:
+                        pipelines[-1].attach_tracer(tracer, node_id)
+                        node.attach_tracer(tracer)
+                if tracer is not None and hasattr(medium, "attach_tracer"):
+                    medium.attach_tracer(tracer)
             cycle = 0
             last_tick = [0] * num
-            if faulted:
+            if config.faults is not None:
                 for node in nodes:
                     node.bshr.arm_timeout(config.faults.wait_deadline)
 
-        extra_event = None
-        if faulted:
-            extra_event = self._fault_event_fn(nodes, medium)
+        # Fault mode adds the BSHR wait tripwire before every simulated
+        # cycle and folds the medium's recovery timers into the skip
+        # bound; a sampling tracer folds in its sample cycles the same
+        # way.  Skipped and ticked idle cycles are observationally
+        # identical, so neither changes a reported number.
+        external = before_tick = None
+        if config.faults is not None:
+            external = self._fault_event_fn(nodes, medium)
+            before_tick = self._timeout_check(nodes)
+        if tracer is not None:
+            external = self._chain_events(
+                external, getattr(tracer, "next_event", None))
+        after_round = None
+        if observer is not None:
+            def after_round(cycle):
+                observer(cycle, pipelines, nodes, medium)
+        elif checkpointing:
+            after_round = ckpt_state.boundary_watcher(
+                "datascalar", pipelines, last_tick, traces,
+                {"pipelines": pipelines, "nodes": nodes, "medium": medium,
+                 "page_table": page_table, "layout_summary": layout_summary,
+                 "wake": wake, "last_tick": last_tick},
+                ckpt_state.datascalar_cut_edges(pipelines, nodes),
+                checkpoint_every, checkpoint_sink, stop_after)
 
-        recorder = spans.active()
-        fault_acc = None
-        if faulted and recorder is not None:
-            fault_acc = recorder.accumulator("fault-recovery",
-                                             under="timing-loop")
-        stage_accs = None
-        if recorder is not None:
-            stage_accs = (
-                recorder.accumulator("commit", under="timing-loop"),
-                recorder.accumulator("memory", under="timing-loop"),
-                recorder.accumulator("issue", under="timing-loop"),
-            )
-            for pipeline in pipelines:
-                pipeline.attach_stage_accumulators(stage_accs)
-        ticks = [p.tick_spanned if stage_accs is not None else p.tick
-                 for p in pipelines]
-
-        next_boundary = None
-        if checkpoint_every is not None:
-            start_committed = min(p.stats.committed for p in pipelines)
-            next_boundary = ((start_committed // checkpoint_every + 1)
-                             * checkpoint_every)
-
-        def take_checkpoint(cycle_pos: int, boundary: int):
-            tree = {
-                "pipelines": pipelines, "nodes": nodes, "medium": medium,
-                "page_table": page_table, "layout_summary": layout_summary,
-                "wake": list(wake), "last_tick": list(last_tick),
-            }
-            return ckpt_state.capture(
-                "datascalar", cycle_pos,
-                min(p.stats.committed for p in pipelines), tree,
-                cut=ckpt_state.datascalar_cut_edges(pipelines, nodes),
-                consumed=[t.consumed for t in traces],
-                meta={"boundary": boundary})
-
-        def emit_checkpoints(cycle_pos: int, min_committed: int) -> bool:
-            """Deliver every boundary the run just crossed (wide commit
-            rounds can cross several at once — each nominal boundary
-            gets its own capture so warm-start lookups by boundary
-            always land); True = ``stop_after`` reached."""
-            nonlocal next_boundary
-            while next_boundary is not None and min_committed >= next_boundary:
-                checkpoint_sink(take_checkpoint(cycle_pos, next_boundary))
-                next_boundary += checkpoint_every
-            if stop_after is not None and min_committed >= stop_after:
-                checkpoint_sink(take_checkpoint(cycle_pos, stop_after))
-                return True
-            return False
-
-        watching = next_boundary is not None or stop_after is not None
-        max_cycles = config.max_cycles
-        stop_requested = False
         with spans.span("timing-loop"):
-            if config.fast_forward and not faulted:
-                # The selective per-pipeline idle-skip loop
-                # (:meth:`_run_selective`) with a boundary check per
-                # round.
-                running = sum(1 for p in pipelines if not p.done)
-                while running:
-                    if cycle >= max_cycles:
-                        raise SimulationError(
-                            f"DataScalar run exceeded {max_cycles} cycles"
-                        )
-                    for i in range(num):
-                        pipeline = pipelines[i]
-                        if pipeline.done or wake[i] > cycle:
-                            continue
-                        start = last_tick[i]
-                        if start < cycle:
-                            pipeline.note_skipped(start, cycle)
-                        ticks[i](cycle)
-                        last_tick[i] = cycle + 1
-                        if pipeline.done:
-                            running -= 1
-                        else:
-                            wake[i] = pipeline.next_event(cycle)
-                    if watching:
-                        min_committed = min(p.stats.committed
-                                            for p in pipelines)
-                        crossed = (
-                            (next_boundary is not None
-                             and min_committed >= next_boundary)
-                            or (stop_after is not None
-                                and min_committed >= stop_after))
-                        if crossed:
-                            # Flush deferred stall accounting for the
-                            # pipelines that were not ticked this round
-                            # so the snapshot's position is complete.
-                            for i in range(num):
-                                pipeline = pipelines[i]
-                                if not pipeline.done \
-                                        and last_tick[i] <= cycle:
-                                    pipeline.note_skipped(last_tick[i],
-                                                          cycle + 1)
-                                    last_tick[i] = cycle + 1
-                            if emit_checkpoints(cycle + 1, min_committed):
-                                stop_requested = True
-                                break
-                    if not running:
-                        # Match the dense loop's exit value (one advance
-                        # past the finishing tick).
-                        cycle += 1
-                        break
-                    nxt = cycle + 1
-                    target = _INF
-                    for i in range(num):
-                        if pipelines[i].done:
-                            continue
-                        event = wake[i]
-                        if event <= nxt:
-                            target = nxt
-                            break
-                        if event < target:
-                            target = event
-                    if target == _INF:
-                        target = min(p._last_commit_cycle
-                                     + DEADLOCK_CYCLES + 1
-                                     for p in pipelines if not p.done)
-                        for i in range(num):
-                            if not pipelines[i].done and wake[i] > target:
-                                wake[i] = target
-                    if target > max_cycles:
-                        target = max_cycles
-                    if target < nxt:
-                        target = nxt
-                    cycle = int(target)
-            else:
-                # The dense / fault-mode loop.  ``_advance`` replays
-                # stall accounting eagerly at jump time, so positions
-                # are always complete after a tick round — no flush
-                # needed before capture.
-                while not all(p.done for p in pipelines):
-                    if cycle >= max_cycles:
-                        raise SimulationError(
-                            f"DataScalar run exceeded {max_cycles} cycles"
-                        )
-                    if faulted:
-                        if fault_acc is not None:
-                            tick0 = time.perf_counter()
-                            for node in nodes:
-                                node.bshr.check_timeouts(cycle)
-                            fault_acc.add(time.perf_counter() - tick0)
-                        else:
-                            for node in nodes:
-                                node.bshr.check_timeouts(cycle)
-                    for tick in ticks:
-                        tick(cycle)
-                    if watching:
-                        for i in range(num):
-                            last_tick[i] = cycle + 1
-                        min_committed = min(p.stats.committed
-                                            for p in pipelines)
-                        if emit_checkpoints(cycle + 1, min_committed):
-                            stop_requested = True
-                            break
-                    if config.fast_forward:
-                        cycle = self._advance(cycle, pipelines, config,
-                                              extra_event)
-                    else:
-                        cycle += 1
-
-        if stop_requested:
+            # An observer wants to see every cycle: dense ticking.
+            cycle = drive(
+                pipelines, config.max_cycles,
+                dense=not config.fast_forward or observer is not None,
+                wake=wake, last_tick=last_tick, cycle=cycle,
+                external=external, before_tick=before_tick,
+                after_round=after_round)
+        if cycle is None:
             return None
         with spans.span("analysis"):
             return self._collect(cycle, pipelines, nodes, medium,
@@ -682,7 +362,7 @@ class DataScalarSystem:
     def _chain_events(first, second):
         """Combine two optional ``f(now) -> cycle | None`` event bounds
         into their minimum (for folding a tracer's ``next_event`` into
-        the idle-skip scheduler alongside the fault layer's)."""
+        the skip bound alongside the fault layer's)."""
         if second is None:
             return first
         if first is None:
@@ -703,8 +383,8 @@ class DataScalarSystem:
     def _fault_event_fn(nodes, medium):
         """Self-generated event bound for the fault layer: the earliest
         outstanding recovery delivery or armed BSHR wait deadline.  The
-        idle-skip scheduler folds this in so a jump can never cross a
-        scheduled recovery action or overshoot the wait tripwire."""
+        driver folds this in so a jump can never cross a scheduled
+        recovery action or overshoot the wait tripwire."""
         medium_next = getattr(medium, "next_event", None)
 
         def fault_event(now):
@@ -721,137 +401,28 @@ class DataScalarSystem:
         return fault_event
 
     @staticmethod
-    def _run_selective(pipelines, ticks, wake, config) -> int:
-        """Drive the timing loop with *per-pipeline* idle skipping (the
-        plain fast-forward path: no faults, no tracer, no observer).
+    def _timeout_check(nodes):
+        """The fault-mode pre-tick hook: every node's BSHR wait
+        tripwire, its wall time charged to a ``timing-loop/
+        fault-recovery`` accumulator while a span recorder is active."""
+        bshrs = [node.bshr for node in nodes]
 
-        Classic fast-forward (:meth:`_advance`) only skips cycles where
-        *every* node is idle, so one busy node forces all of its idle
-        peers to tick every cycle.  Here each pipeline carries its own
-        wake cycle — the :meth:`Pipeline.next_event` bound computed
-        right after its last tick — and simply is not ticked before it.
-        The quiescence argument is unchanged: ticks before a pipeline's
-        own bound do nothing but stall bookkeeping, and that bookkeeping
-        is replayed exactly by one :meth:`Pipeline.note_skipped` call
-        just before the next real tick (the pipeline's fetch state is
-        frozen in between, so deferred replay classifies every skipped
-        cycle identically).
+        def check(cycle):
+            for bshr in bshrs:
+                bshr.check_timeouts(cycle)
 
-        The one way a peer creates work for an idle pipeline is a
-        broadcast delivery, and deliveries are materialized eagerly (at
-        broadcast time, with absolute arrival cycles): the system's
-        ``deliver`` hook zeroes the target's ``wake`` entry, forcing a
-        re-tick and a fresh bound.  A pipeline with no self-generated
-        event at all (``next_event`` = inf — wedged waiting on a peer)
-        is woken at its deadlock-detection tick once no peer has an
-        earlier event, so protocol hangs still surface as typed errors.
-        """
-        max_cycles = config.max_cycles
-        num = len(pipelines)
-        last_tick = [0] * num  # first cycle not yet stall-accounted
-        running = num
-        cycle = 0
-        while running:
-            if cycle >= max_cycles:
-                raise SimulationError(
-                    f"DataScalar run exceeded {max_cycles} cycles"
-                )
-            for i in range(num):
-                pipeline = pipelines[i]
-                if pipeline.done or wake[i] > cycle:
-                    continue
-                start = last_tick[i]
-                if start < cycle:
-                    pipeline.note_skipped(start, cycle)
-                ticks[i](cycle)
-                last_tick[i] = cycle + 1
-                if pipeline.done:
-                    running -= 1
-                else:
-                    wake[i] = pipeline.next_event(cycle)
-            if not running:
-                # Match the dense loop's exit value: it advances once
-                # more after the tick that finished the last pipeline.
-                return cycle + 1
-            nxt = cycle + 1
-            target = _INF
-            for i in range(num):
-                if pipelines[i].done:
-                    continue
-                event = wake[i]
-                if event <= nxt:
-                    target = nxt
-                    break
-                if event < target:
-                    target = event
-            if target == _INF:
-                # No pipeline has a self-generated event: jump straight
-                # to the earliest deadlock-detector tick and force the
-                # stuck pipelines awake there so the error surfaces.
-                target = min(p._last_commit_cycle + DEADLOCK_CYCLES + 1
-                             for p in pipelines if not p.done)
-                for i in range(num):
-                    if not pipelines[i].done and wake[i] > target:
-                        wake[i] = target
-            if target > max_cycles:
-                target = max_cycles
-            if target < nxt:
-                target = nxt
-            cycle = int(target)
-        return cycle
+        recorder = spans.active()
+        if recorder is None:
+            return check
+        accumulator = recorder.accumulator("fault-recovery",
+                                           under="timing-loop")
 
-    @staticmethod
-    def _advance(cycle: int, pipelines, config, extra_event=None) -> int:
-        """Next cycle to simulate: ``cycle + 1``, or the earliest future
-        event when every pipeline is provably idle until then.
+        def timed_check(cycle):
+            start = time.perf_counter()
+            check(cycle)
+            accumulator.add(time.perf_counter() - start)
 
-        Skipped cycles are observationally idle for every node — no
-        commit, issue, resolve, fetch, or interconnect activity can
-        occur, only per-cycle stall counting, which
-        :meth:`Pipeline.note_skipped` replays exactly.  ``extra_event``
-        (fault mode) contributes pending recovery deliveries and BSHR
-        wait deadlines, so idle-skip never jumps past a scheduled
-        recovery action.
-        """
-        nxt = cycle + 1
-        target = _INF
-        active = False
-        for pipeline in pipelines:
-            if pipeline.done:
-                continue
-            active = True
-            event = pipeline.next_event(cycle)
-            if event <= nxt:
-                return nxt
-            if event < target:
-                target = event
-        if not active:
-            # Everything finished this cycle: the run's cycle count must
-            # not be inflated by extra_event bounds (e.g. a sampling
-            # tracer's next wake-up) that lie past completion.
-            return nxt
-        if extra_event is not None:
-            event = extra_event(cycle)
-            if event is not None:
-                if event <= nxt:
-                    return nxt
-                if event < target:
-                    target = event
-        if target is _INF:
-            # No node has a self-generated event: the dense loop would
-            # spin until a pipeline's deadlock detector fires (or the
-            # cycle budget runs out) — jump straight to that tick so the
-            # same error surfaces at the same cycle.
-            target = min(p._last_commit_cycle + DEADLOCK_CYCLES + 1
-                         for p in pipelines if not p.done)
-        if target > config.max_cycles:
-            target = config.max_cycles
-        if target <= nxt:
-            return nxt
-        target = int(target)
-        for pipeline in pipelines:
-            pipeline.note_skipped(nxt, target)
-        return target
+        return timed_check
 
     def _collect(self, cycles, pipelines, nodes, medium, page_table,
                  layout_summary) -> DataScalarResult:
@@ -903,3 +474,102 @@ class DataScalarSystem:
             layout_summary=layout_summary,
             extra=extra,
         )
+
+
+def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
+          last_tick=None, cycle: int = 0, external=None, before_tick=None,
+          after_round=None, what: str = "DataScalar"):
+    """Tick ``pipelines`` from ``cycle`` until all are done; return the
+    next cycle to simulate (one past the finishing tick), or ``None``
+    when ``after_round`` stopped the run early.
+
+    This is the one cycle scheduler: every system — N DataScalar nodes
+    or a single-core baseline — runs through it.  Each pipeline carries
+    its own wake cycle in ``wake``: the :meth:`Pipeline.next_event`
+    bound computed right after its last tick.  A pipeline is simply not
+    ticked before it.  Ticks before a pipeline's own bound do nothing
+    but stall bookkeeping, and that bookkeeping is replayed exactly by
+    one :meth:`Pipeline.note_skipped` call just before the next real
+    tick (``last_tick`` holds each pipeline's first cycle not yet
+    accounted; its fetch state is frozen in between, so deferred replay
+    classifies every skipped cycle identically).  Nodes thus run at
+    their own pace, as ESP lets them, while every cycle ``n`` is still
+    finished for all nodes before any node starts ``n + 1``.
+
+    The one way a peer creates work for an idle pipeline is a broadcast
+    delivery, and deliveries are materialized eagerly (at broadcast
+    time, with absolute arrival cycles): the owner of ``wake`` zeroes
+    the target's entry, forcing a re-tick and a fresh bound.  A pipeline
+    with no self-generated event at all (``next_event`` = inf — wedged
+    waiting on a peer) is woken at its deadlock-detection tick once no
+    peer has an earlier event, so protocol hangs still surface as typed
+    errors at the cycle dense ticking would raise them.
+
+    ``dense`` sets every wake to ``cycle + 1`` instead, which ticks
+    every pipeline every cycle (observers, ``fast_forward=False``).
+    ``external(cycle)`` is one folded outside bound (``None`` = no
+    event): the driver never jumps past it.  ``before_tick(cycle)`` runs
+    at each simulated cycle before any tick; ``after_round(cycle)``
+    after every tick of it, and stops the run by returning true.
+    """
+    num = len(pipelines)
+    if wake is None:
+        wake = [0] * num
+    if last_tick is None:
+        last_tick = [cycle] * num
+    ticks = [pipeline.tick for pipeline in pipelines]
+    running = sum(1 for pipeline in pipelines if not pipeline.done)
+    while running:
+        if cycle >= max_cycles:
+            raise SimulationError(f"{what} run exceeded {max_cycles} cycles")
+        if before_tick is not None:
+            before_tick(cycle)
+        nxt = cycle + 1
+        for i in range(num):
+            pipeline = pipelines[i]
+            if pipeline.done or wake[i] > cycle:
+                continue
+            start = last_tick[i]
+            if start < cycle:
+                pipeline.note_skipped(start, cycle)
+            ticks[i](cycle)
+            last_tick[i] = nxt
+            if pipeline.done:
+                running -= 1
+            elif dense:
+                wake[i] = nxt
+            else:
+                wake[i] = pipeline.next_event(cycle)
+        if after_round is not None and after_round(cycle):
+            return None
+        if not running:
+            return nxt
+        target = _INF
+        for i in range(num):
+            if pipelines[i].done:
+                continue
+            event = wake[i]
+            if event <= nxt:
+                target = nxt
+                break
+            if event < target:
+                target = event
+        if target == _INF:
+            # No pipeline has a self-generated event: jump straight to
+            # the earliest deadlock-detector tick and force the stuck
+            # pipelines awake there so the error surfaces.
+            target = min(p._last_commit_cycle + DEADLOCK_CYCLES + 1
+                         for p in pipelines if not p.done)
+            for i in range(num):
+                if not pipelines[i].done and wake[i] > target:
+                    wake[i] = target
+        if external is not None and target > nxt:
+            event = external(cycle)
+            if event is not None and event < target:
+                target = event
+        if target > max_cycles:
+            target = max_cycles
+        if target < nxt:
+            target = nxt
+        cycle = int(target)
+    return cycle

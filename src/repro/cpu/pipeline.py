@@ -10,27 +10,18 @@ paper's correspondence protocol likewise excludes speculative broadcasts).
 Per simulated cycle the pipeline commits (in order), issues (oldest-ready
 first), and fetches/dispatches — each up to its configured width.
 
-Two tick implementations share the per-cycle semantics:
-
-* :meth:`Pipeline.tick` is the **fast path**: one flat function with the
-  stage logic inlined, per-cycle attribute lookups hoisted into locals,
-  and the per-config dispatch structures (FU latency/limit tables,
-  widths, the RUU free list) precomputed at construction.  It allocates
-  nothing on the steady-state cycle.
-* :meth:`Pipeline.tick_spanned` is the **staged path**: the same cycle
-  expressed as the classic ``_commit`` / ``_resolve_pending_loads`` /
-  ``_issue`` / ``_fetch`` stage methods, with each stage's wall time
-  charged to a ``timing-loop/commit|memory|issue`` span accumulator.
-  The system loop selects it only while a span recorder is active.
-
-Both orders are identical (commit → resolve → issue → fetch) and both
-must stay bit-identical — the equivalence suite runs every workload
-through each.
+One function, :meth:`Pipeline.tick`, simulates a cycle: the stages are
+inlined in that order (load completion between commit and issue),
+per-cycle attribute lookups are hoisted into
+locals, and the per-config dispatch structures (FU latency/limit
+tables, widths, the RUU free list) are precomputed at construction, so
+it allocates nothing on the steady-state cycle.  Wall time per layer is
+attributed on this shipping tick by profiling (``benchmarks/perf/run.py
+--trace 1``), not by a second, instrumented copy of it.
 """
 
 from __future__ import annotations
 
-import time
 from heapq import heappop as _heappop, heappush as _heappush
 
 from ..errors import SimulationError
@@ -119,10 +110,6 @@ class Pipeline:
         #: Observability hook (``None`` = untraced: zero overhead).
         self._tracer = None
         self._trace_node = 0
-        #: ``(commit, memory, issue)`` span accumulators, set by the
-        #: system loop when phase telemetry is recording; consumed by
-        #: :meth:`tick_spanned` only.
-        self._stage_accs = None
 
     def attach_tracer(self, tracer, node_id: int) -> None:
         """Emit this pipeline's events to ``tracer`` as node ``node_id``.
@@ -131,12 +118,6 @@ class Pipeline:
         reported statistic changes, with fast-forward on or off."""
         self._tracer = tracer
         self._trace_node = node_id
-
-    def attach_stage_accumulators(self, accumulators) -> None:
-        """Charge per-stage wall time to ``(commit, memory, issue)``
-        span accumulators; callers then drive :meth:`tick_spanned`
-        instead of :meth:`tick`.  Purely observational."""
-        self._stage_accs = accumulators
 
     def rebind_trace(self, trace) -> None:
         """Point the fetch stage at a rebuilt front-end iterator
@@ -171,9 +152,7 @@ class Pipeline:
         """Simulate cycle ``now``.  Sets :attr:`done` when the program has
         fully drained through the machine.
 
-        Stage logic is inlined (commit → resolve → issue → fetch) and
-        must mirror the staged methods below exactly — any semantic
-        change lands in both or the equivalence suite fails.
+        Stage logic is inlined: commit → resolve → issue → fetch.
         """
         if self.done:
             return
@@ -420,141 +399,8 @@ class Pipeline:
             )
 
     # ------------------------------------------------------------------
-    # One simulated cycle — the staged/instrumented path.
+    # Stage helpers.
     # ------------------------------------------------------------------
-    def tick_spanned(self, now: int) -> None:
-        """Bit-identical staged variant of :meth:`tick`.
-
-        Charges each stage's wall clock to the ``timing-loop/commit``,
-        ``timing-loop/memory`` (load resolution), and
-        ``timing-loop/issue`` accumulators installed by
-        :meth:`attach_stage_accumulators`.  Fetch — and the functional
-        front end it pulls on — is deliberately left untimed here so the
-        separately-accumulated ``timing-loop/frontend`` record and the
-        root span's ``<self>`` residual stay disjoint from the stage
-        accumulators (the breakdown's children must never sum past the
-        root).
-        """
-        if self.done:
-            return
-        self.stats.cycles = now + 1
-        accumulators = self._stage_accs
-        if accumulators is None:
-            self._commit(now)
-            self._resolve_pending_loads(now)
-            self._issue(now)
-            self._fetch(now)
-        else:
-            commit_acc, memory_acc, issue_acc = accumulators
-            clock = time.perf_counter
-            t0 = clock()
-            self._commit(now)
-            t1 = clock()
-            commit_acc.add(t1 - t0)
-            self._resolve_pending_loads(now)
-            t2 = clock()
-            memory_acc.add(t2 - t1)
-            self._issue(now)
-            issue_acc.add(clock() - t2)
-            self._fetch(now)
-        if self._trace_done and not self.ruu.window:
-            if self.mem.drain(now):
-                self.done = True
-            return
-        if now - self._last_commit_cycle > DEADLOCK_CYCLES:
-            raise SimulationError(
-                f"no commit for {DEADLOCK_CYCLES} cycles at cycle {now}; "
-                f"head={self.ruu.head()!r}"
-            )
-
-    # ------------------------------------------------------------------
-    # Commit stage.
-    # ------------------------------------------------------------------
-    def _commit(self, now: int) -> None:
-        tracer = self._tracer
-        for _ in range(self._commit_width):
-            head = self.ruu.head()
-            if head is None:
-                break
-            if not head.issued:
-                break
-            if head.result_time is None or head.result_time > now:
-                break
-            if tracer is not None:
-                tracer.emit(EventKind.COMMIT, now, self._trace_node,
-                            seq=head.seq, op=head.op_class)
-            if head.is_mem:
-                if not head.private:
-                    self.mem.commit_mem(now, head.addr, head.size,
-                                        head.is_store, head.handle)
-                self.lsq.release_head(head)
-                if head.is_load:
-                    self.stats.loads += 1
-                else:
-                    self.stats.stores += 1
-            self.ruu.pop_head()
-            self.stats.committed += 1
-            self._last_commit_cycle = now
-
-    # ------------------------------------------------------------------
-    # Load completion (memory system may resolve handles asynchronously).
-    # ------------------------------------------------------------------
-    def _resolve_pending_loads(self, now: int) -> None:
-        pending = self._pending_loads
-        if not pending:
-            return
-        # Compact in place: the common no-progress cycle (every handle
-        # still unresolved) must not allocate.
-        kept = 0
-        for entry in pending:
-            ready = entry.handle.ready
-            if ready is None:
-                pending[kept] = entry
-                kept += 1
-            else:
-                self.ruu.resolve(entry, max(ready, entry.issued_at + 1))
-        if kept != len(pending):
-            del pending[kept:]
-
-    # ------------------------------------------------------------------
-    # Issue stage.
-    # ------------------------------------------------------------------
-    def _issue(self, now: int) -> None:
-        issued = 0
-        ruu = self.ruu
-        fus = self.fus
-        batch = ruu.schedulable(now)
-        width = self._issue_width
-        blocked_classes = 0  # FU classes with no free slot left this cycle
-        for position, entry in enumerate(batch):
-            if issued >= width:
-                self._requeue_rest(batch[position:], now)
-                return
-            op_class = entry.op_class
-            class_bit = 1 << op_class
-            if blocked_classes & class_bit:
-                ruu.requeue(entry, now + 1)
-                continue
-            if not fus.try_claim(now, op_class):
-                blocked_classes |= class_bit
-                ruu.requeue(entry, now + 1)
-                continue
-            if entry.is_load:
-                if not self._issue_load(entry, now):
-                    continue
-            elif entry.is_store:
-                self._issue_store(entry, now)
-            else:
-                latency = fus.latency(op_class)
-                entry.issued = True
-                entry.issued_at = now
-                ruu.resolve(entry, now + latency)
-            issued += 1
-
-    def _requeue_rest(self, rest, now: int) -> None:
-        for entry in rest:
-            self.ruu.requeue(entry, now + 1)
-
     def _issue_load(self, entry, now: int) -> bool:
         lsq = self.lsq
         if lsq._stores:
@@ -597,73 +443,6 @@ class Pipeline:
             self._pending_loads.append(entry)
         return True
 
-    def _issue_store(self, entry, now: int) -> None:
-        # The store's value and address are ready; it waits in the LSQ and
-        # writes the cache at commit.  It produces no register result.
-        entry.issued = True
-        entry.issued_at = now
-        self.lsq.note_store_issued()
-        self.ruu.resolve(entry, now + 1)
-
-    # ------------------------------------------------------------------
-    # Fetch/dispatch stage (perfect branch prediction).
-    # ------------------------------------------------------------------
-    def _fetch(self, now: int) -> None:
-        if self._redirect_after is not None:
-            # A mispredicted branch owns fetch until it resolves.
-            resolve = self._redirect_after.result_time
-            if resolve is None or resolve > now:
-                self.stats.fetch_stalls += 1
-                if self._tracer is not None:
-                    self._trace_stall(now, "redirect")
-                return
-            self._fetch_ready = max(
-                self._fetch_ready,
-                resolve + self._mispredict_penalty,
-            )
-            self._redirect_after = None
-        if self._trace_done or now < self._fetch_ready:
-            if not self._trace_done:
-                self.stats.fetch_stalls += 1
-                if self._tracer is not None:
-                    self._trace_stall(now, "fetch")
-            return
-        for _ in range(self._fetch_width):
-            dyn = self._peek_trace()
-            if dyn is None:
-                return
-            if self.ruu.is_full():
-                self.stats.window_stalls += 1
-                if self._tracer is not None:
-                    self._trace_stall(now, "window")
-                return
-            if dyn.op_class in (_LOAD, _STORE) and self.lsq.is_full():
-                self.stats.lsq_stalls += 1
-                if self._tracer is not None:
-                    self._trace_stall(now, "lsq")
-                return
-            line = dyn.pc & self._icache_line_mask
-            if line != self._fetched_line:
-                ready = self.mem.ifetch_line(now, line)
-                self._fetched_line = line
-                if ready > now:
-                    # Miss: the rest of this fetch group waits.
-                    self._fetch_ready = ready
-                    return
-            self._consume_trace()
-            entry = self.ruu.dispatch(dyn, now + 1)
-            if entry.is_mem:
-                self.lsq.insert(entry)
-            if self._predictor is not None and dyn.is_cond_branch:
-                self.stats.branches += 1
-                predicted = self._predictor.predict(dyn.pc)
-                self._predictor.train(dyn.pc, dyn.taken)
-                if predicted != dyn.taken:
-                    # Wrong path until this branch resolves: stop fetch.
-                    self.stats.mispredicts += 1
-                    self._redirect_after = entry
-                    return
-
     def _trace_stall(self, now: int, cause: str, cycles: int = 1) -> None:
         """Emit one fetch-stall episode (callers guard on the tracer).
 
@@ -680,9 +459,6 @@ class Pipeline:
             except StopIteration:
                 self._trace_done = True
         return self._fetch_buffer
-
-    def _consume_trace(self) -> None:
-        self._fetch_buffer = None
 
     # ------------------------------------------------------------------
     # Fast-forward support (idle-cycle skipping).
@@ -788,8 +564,8 @@ class Pipeline:
         The system loop guarantees the range is observationally idle for
         this pipeline (``stop`` is at most :meth:`next_event`), so each
         skipped tick would have incremented exactly the stall counter
-        its frozen fetch state selects — mirroring :meth:`_fetch`'s
-        branch order: redirect, fetch-ready, window, LSQ.
+        its frozen fetch state selects — mirroring the fetch stage's
+        branch order in :meth:`tick`: redirect, fetch-ready, window, LSQ.
         """
         cycles = stop - start
         if cycles <= 0 or self.done:
@@ -820,10 +596,12 @@ class Pipeline:
                 self._trace_stall(start, "lsq", cycles)
 
     # ------------------------------------------------------------------
-    # Whole-program convenience for single-core systems.
+    # Dense reference loop.
     # ------------------------------------------------------------------
     def run(self, max_cycles: int) -> PipelineStats:
-        """Tick until done; returns the stats."""
+        """Tick every cycle until done; returns the stats.  Systems run
+        through :func:`repro.core.system.drive` instead; this plain loop
+        is the dense reference tests compare against."""
         tick = self.tick
         for cycle in range(max_cycles):
             tick(cycle)

@@ -33,9 +33,9 @@ Deliveries — including recovered ones — are materialized as absolute
 future arrival cycles at broadcast time, exactly like the fault-free
 transports, so the push-based fast-forward invariant holds unchanged.
 ``next_event`` additionally exposes the earliest outstanding recovery
-delivery so :meth:`repro.core.system.DataScalarSystem._advance` can
-never skip past a scheduled recovery action even for a subclassed medium
-with genuinely deferred events.
+delivery; the cycle driver (:func:`repro.core.system.drive`) folds it
+into its external bound, so it can never skip past a scheduled recovery
+action even for a subclassed medium with genuinely deferred events.
 """
 
 from __future__ import annotations

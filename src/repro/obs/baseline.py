@@ -37,17 +37,12 @@ import json
 import sys
 from typing import Any
 
-__all__ = ["Check", "compare", "main", "manifest_rate", "manifest_timing_shares"]
+__all__ = ["Check", "compare", "main", "manifest_rate"]
 
 MANIFEST_SCHEMA = "repro-run-manifest/1"
 
 #: Default multiplicative slowdown tolerance (measured <= baseline * t).
 DEFAULT_TOLERANCE = 2.0
-
-#: Timing-loop phases smaller than this share of the loop in the
-#: baseline are skipped — their ratios are clock-resolution noise.
-MIN_PHASE_SHARE = 0.02
-
 
 class Check:
     """One baseline comparison: measured vs. allowed."""
@@ -125,69 +120,6 @@ def manifest_rate(manifest: dict[str, Any]) -> float:
     return _median(rates)
 
 
-def manifest_timing_shares(manifest: dict[str, Any]) -> dict[str, float]:
-    """Each timing-loop phase's share of total timing-loop wall.
-
-    Aggregates the per-point ``timing_phases`` rows (written by runs
-    whose span recorder was active) over executed points.  Shares are
-    dimensionless, which makes them comparable across machines in a way
-    raw seconds never are — a phase whose share balloons has regressed
-    relative to the rest of the loop no matter how fast the host is.
-    """
-    totals: dict[str, float] = {}
-    for point in _executed_points(manifest):
-        phases = point.get("timing_phases")
-        if not phases:
-            continue
-        for name, wall in phases.items():
-            totals[name] = totals.get(name, 0.0) + float(wall)
-    total = sum(totals.values())
-    if total <= 0:
-        return {}
-    return {name: wall / total for name, wall in totals.items()}
-
-
-def _timing_share_checks(
-    manifest: dict[str, Any],
-    baseline_phases: dict[str, Any],
-    tolerance: float,
-    source: str,
-) -> list[Check]:
-    """Per-phase share-of-timing-loop comparisons (both sides must
-    carry a timing-phase breakdown; phases below :data:`MIN_PHASE_SHARE`
-    in the baseline are skipped as noise).
-
-    Share ratios are bounded above by ``1 / base_share`` (a phase
-    cannot exceed 100% of the loop), so the wide cross-machine wall
-    tolerance would make these checks vacuous for dominant phases —
-    callers pass the dedicated ``--share-tolerance`` here instead.
-    """
-    shares = manifest_timing_shares(manifest)
-    if not shares:
-        return []
-    base_total = sum(float(value) for value in baseline_phases.values())
-    if base_total <= 0:
-        return []
-    checks: list[Check] = []
-    for name in sorted(baseline_phases):
-        base_share = float(baseline_phases[name]) / base_total
-        if base_share < MIN_PHASE_SHARE:
-            continue
-        measured = shares.get(name)
-        if measured is None:
-            continue
-        checks.append(
-            Check(
-                f"timing_phase_share[{name}]",
-                base_share,
-                measured,
-                tolerance,
-                f"share of timing-loop wall vs {source}",
-            )
-        )
-    return checks
-
-
 def _require_manifest(document: dict[str, Any], source: str) -> None:
     schema = document.get("schema")
     if schema != MANIFEST_SCHEMA:
@@ -257,7 +189,6 @@ def _compare_to_bench(
     baseline: dict[str, Any],
     tolerance: float,
     source: str,
-    share_tolerance: "float | None" = None,
 ) -> list[Check]:
     rate = manifest_rate(manifest)
     if rate <= 0:
@@ -288,16 +219,6 @@ def _compare_to_bench(
                 f"vs {source} optimized_seconds/limit",
             )
         )
-    baseline_phases = baseline.get("timing_phases")
-    if isinstance(baseline_phases, dict) and baseline_phases:
-        checks.extend(
-            _timing_share_checks(
-                manifest,
-                baseline_phases,
-                tolerance if share_tolerance is None else share_tolerance,
-                source,
-            )
-        )
     return checks
 
 
@@ -306,13 +227,8 @@ def compare(
     baseline: dict[str, Any],
     tolerance: float = DEFAULT_TOLERANCE,
     source: str = "baseline",
-    share_tolerance: "float | None" = None,
 ) -> list[Check]:
     """Every comparable indicator between ``manifest`` and ``baseline``.
-
-    ``share_tolerance`` applies only to the dimensionless
-    ``timing_phase_share`` checks (machine-portable, hence gated much
-    tighter than raw seconds); ``None`` falls back to ``tolerance``.
 
     Returns an empty list when the two documents share no comparable
     indicator (the caller decides whether that is fatal — the CLI
@@ -321,9 +237,7 @@ def compare(
     _require_manifest(manifest, "manifest")
     if baseline.get("schema") == MANIFEST_SCHEMA:
         return _compare_to_manifest(manifest, baseline, tolerance, source)
-    return _compare_to_bench(
-        manifest, baseline, tolerance, source, share_tolerance=share_tolerance
-    )
+    return _compare_to_bench(manifest, baseline, tolerance, source)
 
 
 def _load(path: str) -> dict[str, Any]:
@@ -359,16 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed multiplicative slowdown vs each baseline "
         f"(default {DEFAULT_TOLERANCE})",
     )
-    parser.add_argument(
-        "--share-tolerance",
-        type=float,
-        default=None,
-        metavar="X",
-        help="allowed multiplicative growth of each timing-loop phase's "
-        "share of the loop (dimensionless, machine-portable — use a "
-        "much tighter value than --tolerance; default: same as "
-        "--tolerance)",
-    )
     return parser
 
 
@@ -380,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.tolerance <= 0:
         print("[baseline] --tolerance must be positive", file=sys.stderr)
         return 2
-    if args.share_tolerance is not None and args.share_tolerance <= 0:
-        print("[baseline] --share-tolerance must be positive", file=sys.stderr)
-        return 2
     try:
         manifest = _load(args.manifest)
         checks: list[Check] = []
@@ -392,7 +293,6 @@ def main(argv: list[str] | None = None) -> int:
                 _load(path),
                 tolerance=args.tolerance,
                 source=path,
-                share_tolerance=args.share_tolerance,
             )
             if not found:
                 print(

@@ -254,6 +254,15 @@ def timed_iter(source: Iterable[_T], accumulator: SpanAccumulator) -> Iterator[_
         yield item
 
 
+def timed_frontend(source: Iterable[_T]) -> Iterable[_T]:
+    """``source`` charged to the ``timing-loop/frontend`` accumulator
+    while a recorder is active; ``source`` itself otherwise."""
+    recorder = _active
+    if recorder is None:
+        return source
+    return timed_iter(source, recorder.accumulator("frontend", under="timing-loop"))
+
+
 # ----------------------------------------------------------------------
 # Aggregation and serialization.
 # ----------------------------------------------------------------------

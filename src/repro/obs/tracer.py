@@ -7,9 +7,8 @@ before the instrumentation layer existed (zero overhead when disabled).
 
 A tracer is *passive* — :meth:`Tracer.emit` must not mutate simulator
 state — but it may be *scheduled*: :meth:`Tracer.next_event` is folded
-into the idle-skip scheduler's event accounting exactly like the fault
-layer's recovery timers (see
-:meth:`repro.core.system.DataScalarSystem._advance`), so a tracer that
+into the cycle driver's external bound exactly like the fault layer's
+recovery timers (see :func:`repro.core.system.drive`), so a tracer that
 wants to be woken at specific cycles (e.g. a periodic sampler) can
 request them without forcing dense per-cycle ticking and without
 changing a single reported number.

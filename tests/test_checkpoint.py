@@ -268,3 +268,41 @@ def test_sharded_warm_bit_identical_under_faults(tmp_path):
     assert result_fingerprint(cold) == result_fingerprint(straight)
     assert result_fingerprint(warm) == result_fingerprint(straight)
     assert warm.extra["faults"] == straight.extra["faults"]
+
+
+# ----------------------------------------------------------------------
+# Warm-up: functional fast-forward before timing starts.
+# ----------------------------------------------------------------------
+def _warmup_systems():
+    from repro.baseline.perfect import PerfectSystem
+    from repro.baseline.traditional import TraditionalSystem
+    from repro.experiments.config import traditional_config
+
+    return {
+        "datascalar": (lambda: DataScalarSystem(_config()),
+                       lambda result: result.instructions),
+        "traditional": (lambda: TraditionalSystem(traditional_config(2)),
+                        lambda result: result.instructions),
+        "perfect": (PerfectSystem, lambda stats: stats.committed),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_warmup_systems()))
+def test_warmup_commits_only_the_timed_region(kind):
+    make, committed = _warmup_systems()[kind]
+    program = build_program("compress")
+    result = make().run(program, limit=LIMIT, warmup=300)
+    assert committed(result) == LIMIT - 300
+
+
+@pytest.mark.parametrize("kind", sorted(_warmup_systems()))
+def test_warmup_with_resume_from_is_refused(kind):
+    from repro.errors import SimulationError
+
+    make, _ = _warmup_systems()[kind]
+    program = build_program("compress")
+    saved = []
+    make().run(program, limit=LIMIT, checkpoint_every=700,
+               checkpoint_sink=saved.append)
+    with pytest.raises(SimulationError, match="warmup"):
+        make().run(program, limit=LIMIT, resume_from=saved[0], warmup=300)

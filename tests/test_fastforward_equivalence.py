@@ -324,3 +324,133 @@ def test_checkpoint_restore_baselines_match_straight_through():
         program, limit=LIMIT,
         resume_from=pickle.loads(pickle.dumps(saved[0])))
     assert result_fingerprint(presumed) == result_fingerprint(pstraight)
+
+
+# ----------------------------------------------------------------------
+# The driver rows: every system runs through the one cycle scheduler
+# (repro.core.system.drive).  The single-pipeline systems must match a
+# dense tick-every-cycle loop, fault mode and tracing must not cost a
+# single extra tick, and every system must surface a too-small cycle
+# budget as a typed error.
+# ----------------------------------------------------------------------
+from repro.baseline import l2 as _l2_module
+from repro.baseline import perfect as _perfect_module
+from repro.baseline import traditional as _traditional_module
+from repro.core import hybrid as _hybrid_module
+from repro.cpu.pipeline import Pipeline
+from repro.errors import SimulationError
+
+
+def _dense_drive(pipelines, max_cycles, **_):
+    """The reference scheduler: tick the one pipeline every cycle."""
+    (pipeline,) = pipelines
+    cycle = 0
+    while not pipeline.done:
+        assert cycle < max_cycles
+        pipeline.tick(cycle)
+        cycle += 1
+    return cycle
+
+
+def _run_single_pipeline_systems(program):
+    from repro.baseline.l2 import L2System
+    from repro.baseline.perfect import PerfectSystem
+    from repro.baseline.traditional import TraditionalSystem
+    from repro.core.hybrid import HybridSystem
+    from repro.experiments.config import traditional_config
+    from repro.runner.digest import result_fingerprint
+
+    return result_fingerprint({
+        "traditional": TraditionalSystem(traditional_config(denom=2)).run(
+            program, limit=LIMIT),
+        "perfect": PerfectSystem().run(program, limit=LIMIT),
+        "l2": L2System(traditional_config(denom=4)).run(program,
+                                                        limit=LIMIT),
+        "private": HybridSystem(_config(2, "bus"))._run_private(program,
+                                                                LIMIT),
+    })
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_single_pipeline_systems_match_dense_loop(workload, monkeypatch):
+    program = build_program(workload)
+    driven = _run_single_pipeline_systems(program)
+    for module in (_traditional_module, _perfect_module, _l2_module,
+                   _hybrid_module):
+        monkeypatch.setattr(module, "drive", _dense_drive)
+    dense = _run_single_pipeline_systems(program)
+    assert driven == dense
+
+
+def _count_ticks(monkeypatch, run):
+    calls = []
+    tick = Pipeline.tick
+
+    def counting(self, now):
+        calls.append(now)
+        tick(self, now)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Pipeline, "tick", counting)
+        result = run()
+    return len(calls), result
+
+
+def test_faults_and_tracing_skip_like_a_plain_run(monkeypatch):
+    """Fault mode (with nothing to inject) and an event tracer only fold
+    extra bounds into the one driver: each run ticks exactly as often as
+    the plain run, with identical results."""
+    from repro.obs import EventTracer
+    from repro.params import FaultConfig
+
+    program = build_program("compress")
+    config = _config(4, "bus")
+    silent = dataclasses.replace(config, faults=FaultConfig(seed=3))
+    assert not silent.faults.injects_anything
+    plain_ticks, plain = _count_ticks(
+        monkeypatch,
+        lambda: DataScalarSystem(config).run(program, limit=LIMIT))
+    fault_ticks, faulted = _count_ticks(
+        monkeypatch,
+        lambda: DataScalarSystem(silent).run(program, limit=LIMIT))
+    traced_ticks, traced = _count_ticks(
+        monkeypatch,
+        lambda: DataScalarSystem(config).run(program, limit=LIMIT,
+                                             tracer=EventTracer()))
+    assert fault_ticks == plain_ticks
+    assert traced_ticks == plain_ticks
+    # Skipping is real: far fewer ticks than node-cycles.
+    assert plain_ticks < 4 * plain.cycles
+    assert _snapshot(faulted) == _snapshot(plain)
+    assert _snapshot(traced) == _snapshot(plain)
+
+
+def _budget_runs():
+    from repro.baseline.l2 import L2System
+    from repro.baseline.perfect import PerfectSystem
+    from repro.baseline.traditional import TraditionalSystem
+    from repro.core.hybrid import HybridSystem, ParallelPhase
+    from repro.experiments.config import traditional_config
+
+    small = dataclasses.replace(_config(2, "bus"), max_cycles=50)
+    tsmall = dataclasses.replace(traditional_config(denom=2), max_cycles=50)
+    return {
+        "datascalar": lambda p: DataScalarSystem(small).run(p, limit=LIMIT),
+        "datascalar-dense": lambda p: DataScalarSystem(
+            dataclasses.replace(small, fast_forward=False)).run(
+                p, limit=LIMIT),
+        "traditional": lambda p: TraditionalSystem(tsmall).run(p,
+                                                               limit=LIMIT),
+        "perfect": lambda p: PerfectSystem().run(p, max_cycles=50,
+                                                 limit=LIMIT),
+        "l2": lambda p: L2System(tsmall).run(p, limit=LIMIT),
+        "hybrid": lambda p: HybridSystem(small).run(
+            [ParallelPhase(programs=[p, p])], limit=LIMIT),
+    }
+
+
+@pytest.mark.parametrize("system", sorted(_budget_runs()))
+def test_cycle_budget_overrun_is_a_typed_error(system):
+    program = build_program("compress")
+    with pytest.raises(SimulationError, match="exceeded 50 cycles"):
+        _budget_runs()[system](program)

@@ -3,8 +3,8 @@
 The per-cycle fast path leans on three precomputed/in-place structures
 (the RUU free list, the LSQ unissued-store counter, the FU-class
 arbitration tables) and on :meth:`Pipeline.next_event` being an *exact*
-quiescence bound — the per-pipeline deep-skip scheduler
-(:meth:`DataScalarSystem._run_selective`) simply does not tick a
+quiescence bound — the per-pipeline cycle driver
+(:func:`repro.core.system.drive`) simply does not tick a
 pipeline before its own bound.  These tests pin each structure's
 contract directly, then drive randomized programs to check the bound
 against dense ticking, and finally pin the fault-recovery
