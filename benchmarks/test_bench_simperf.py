@@ -179,90 +179,3 @@ def test_simperf_speedup(benchmark):
     assert frontend["trace"]["speedup"] >= MIN_TRACE_SPEEDUP, (
         f"generated stepper only {frontend['trace']['speedup']:.2f}x "
         f"faster than the interpreter at the trace grain")
-
-
-# ----------------------------------------------------------------------
-# Intra-run sharding: warm-sharded wall-clock vs straight-through
-# (docs/runner.md, "Intra-run sharding and checkpoint caching").
-# ----------------------------------------------------------------------
-#: Long-horizon run for the sharding measurement — inside compress's
-#: ~44k dynamic instructions so every shard boundary is reachable.
-SHARDED_LIMIT = 40_000
-SHARDED_SHARDS = 4
-#: Minimum straight-through / warm-sharded speedup.  Real fan-out
-#: needs real cores: asserted only on machines with >= SHARDED_SHARDS
-#: CPUs (the committed record is ``cpus``-stamped, so a single-core
-#: container produces honest numbers without a vacuous floor) —
-#: the same convention as BENCH_sweep's parallel floor.
-MIN_SHARDED_SPEEDUP = float(os.environ.get("REPRO_MIN_SHARDED_SPEEDUP",
-                                           "2.0"))
-
-
-def test_simperf_sharded(tmp_path):
-    from repro.runner import ResultCache, ShardedRun
-    from repro.runner.digest import result_fingerprint
-
-    config = datascalar_config(
-        num_nodes=NUM_NODES,
-        bus=timing_bus_config(cycles_per_bus_cycle=CYCLES_PER_BUS_CYCLE))
-    program = build_program(WORKLOAD)
-
-    start = time.perf_counter()
-    straight = DataScalarSystem(config).run(program, limit=SHARDED_LIMIT)
-    straight_seconds = time.perf_counter() - start
-
-    cache = ResultCache(tmp_path)
-    sharded = ShardedRun(SHARDED_SHARDS, cache=cache, jobs=SHARDED_SHARDS)
-    start = time.perf_counter()
-    cold = sharded.run(WORKLOAD, limit=SHARDED_LIMIT, config=config)
-    cold_seconds = time.perf_counter() - start
-    assert not sharded.last_warm
-    assert result_fingerprint(cold) == result_fingerprint(straight)
-
-    start = time.perf_counter()
-    warm = sharded.run(WORKLOAD, limit=SHARDED_LIMIT, config=config)
-    warm_seconds = time.perf_counter() - start
-    # The rerun must actually be served from the checkpoint cache...
-    assert sharded.last_warm
-    hits = sharded.registry.counter("runner.checkpoint.hits").value
-    assert hits == len(sharded.last_boundaries) > 0
-    # ...and stitch a bit-identical result.
-    assert result_fingerprint(warm) == result_fingerprint(straight)
-
-    cpus = os.cpu_count() or 1
-    speedup = straight_seconds / warm_seconds
-    record = {
-        "workload": WORKLOAD,
-        "num_nodes": NUM_NODES,
-        "limit": SHARDED_LIMIT,
-        "shards": SHARDED_SHARDS,
-        "cpus": cpus,
-        "cycles": warm.cycles,
-        "instructions": warm.instructions,
-        "straight_seconds": round(straight_seconds, 4),
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "speedup": round(speedup, 3),
-    }
-    print()
-    print(json.dumps({"sharded": record}, indent=2))
-    if os.environ.get("REPRO_WRITE_BENCH", "") == "1":
-        merged = (json.loads(BASELINE_PATH.read_text())
-                  if BASELINE_PATH.exists() else {})
-        merged["sharded"] = record
-        BASELINE_PATH.write_text(json.dumps(merged, indent=2) + "\n")
-        return
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text()).get("sharded")
-        if baseline and baseline["limit"] == SHARDED_LIMIT:
-            # Deterministic numbers must match the committed record.
-            assert baseline["cycles"] == warm.cycles
-            assert baseline["instructions"] == warm.instructions
-    if cpus >= SHARDED_SHARDS:
-        assert speedup >= MIN_SHARDED_SPEEDUP, (
-            f"warm sharded run only {speedup:.2f}x faster than "
-            f"straight-through ({warm_seconds:.3f}s vs "
-            f"{straight_seconds:.3f}s) on {cpus} CPUs")
-    else:
-        print(f"[sharded] {cpus} CPU(s) < {SHARDED_SHARDS}: recording "
-              f"honest numbers, skipping the {MIN_SHARDED_SPEEDUP}x floor")

@@ -46,43 +46,14 @@ class PerfectSystem:
         self.cpu_config = cpu_config or CPUConfig()
         self.memory = PerfectMemory()
 
-    def run(self, program, max_cycles: int = 200_000_000, limit=None,
-            checkpoint_every=None, checkpoint_sink=None,
-            resume_from=None, stop_after=None,
-            warmup=None) -> "PipelineStats | None":
-        """Simulate ``program`` to completion; returns pipeline stats.
-
-        The checkpoint arguments mirror
-        :meth:`repro.core.DataScalarSystem.run` (kind ``"perfect"``)."""
-        from ..checkpoint import state as ckpt_state
+    def run(self, program, max_cycles: int = 200_000_000,
+            limit=None) -> PipelineStats:
+        """Simulate ``program`` to completion; returns pipeline stats."""
         from ..isa.interpreter import Interpreter
         from ..obs import spans
 
-        checkpointing = ckpt_state.checkpointing(
-            "perfect", checkpoint_every, checkpoint_sink, resume_from,
-            stop_after, warmup)
         trace = spans.timed_frontend(Interpreter(program).trace(limit=limit))
-        if checkpointing:
-            trace, = ckpt_state.counted_traces([trace], resume_from, warmup)
-        if resume_from is not None:
-            state = ckpt_state.materialize(resume_from)
-            pipeline = state["pipeline"]
-            self.memory = state["memory"]
-            pipeline.rebind_trace(trace)
-            cycle = resume_from.cycle
-        else:
-            pipeline = Pipeline(self.cpu_config, self.memory, trace)
-            cycle = 0
-        last_tick = [cycle]
-        after_round = None
-        if checkpointing:
-            after_round = ckpt_state.boundary_watcher(
-                "perfect", [pipeline], last_tick, [trace],
-                {"pipeline": pipeline, "memory": self.memory},
-                ckpt_state.pipeline_cut_edges(pipeline),
-                checkpoint_every, checkpoint_sink, stop_after)
+        pipeline = Pipeline(self.cpu_config, self.memory, trace)
         with spans.span("timing-loop"):
-            cycle = drive([pipeline], max_cycles, cycle=cycle,
-                          last_tick=last_tick, after_round=after_round,
-                          what="perfect")
-        return None if cycle is None else pipeline.stats
+            drive([pipeline], max_cycles, what="perfect")
+        return pipeline.stats

@@ -193,62 +193,28 @@ class TraditionalSystem:
         self.config = config or TraditionalConfig()
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
-            stack_bytes: int = 64 * 1024,
-            checkpoint_every=None, checkpoint_sink=None,
-            resume_from=None, stop_after=None,
-            warmup=None) -> "TraditionalResult | None":
-        """Simulate to completion.  The checkpoint arguments mirror
-        :meth:`repro.core.DataScalarSystem.run` (kind
-        ``"traditional"``)."""
-        from ..checkpoint import state as ckpt_state
+            stack_bytes: int = 64 * 1024) -> TraditionalResult:
+        """Simulate to completion."""
         from ..obs import spans
 
         config = self.config
-        checkpointing = ckpt_state.checkpointing(
-            "traditional", checkpoint_every, checkpoint_sink, resume_from,
-            stop_after, warmup)
         trace = spans.timed_frontend(Interpreter(program).trace(limit=limit))
-        if checkpointing:
-            trace, = ckpt_state.counted_traces([trace], resume_from, warmup)
-        if resume_from is not None:
-            state = ckpt_state.materialize(resume_from)
-            pipeline = state["pipeline"]
-            memory = state["memory"]
-            page_table = state["page_table"]
-            pipeline.rebind_trace(trace)
-            cycle = resume_from.cycle
-        else:
-            with spans.span("layout"):
-                page_table = traditional_page_table(
-                    program,
-                    denom=config.onchip_fraction_denom,
-                    page_size=config.node.memory.page_size,
-                    distribution_block_pages=config.distribution_block_pages,
-                    replicate_text=config.replicate_text,
-                    replicated_pages=replicated_pages,
-                    stack_bytes=stack_bytes,
-                )
-            with spans.span("setup"):
-                memory = TraditionalMemory(config, page_table,
-                                           Bus(config.bus))
-                pipeline = Pipeline(config.node.cpu, memory, trace,
-                                    icache_line=config.node.icache.line_size)
-            cycle = 0
-        last_tick = [cycle]
-        after_round = None
-        if checkpointing:
-            after_round = ckpt_state.boundary_watcher(
-                "traditional", [pipeline], last_tick, [trace],
-                {"pipeline": pipeline, "memory": memory,
-                 "page_table": page_table},
-                ckpt_state.pipeline_cut_edges(pipeline),
-                checkpoint_every, checkpoint_sink, stop_after)
+        with spans.span("layout"):
+            page_table = traditional_page_table(
+                program,
+                denom=config.onchip_fraction_denom,
+                page_size=config.node.memory.page_size,
+                distribution_block_pages=config.distribution_block_pages,
+                replicate_text=config.replicate_text,
+                replicated_pages=replicated_pages,
+                stack_bytes=stack_bytes,
+            )
+        with spans.span("setup"):
+            memory = TraditionalMemory(config, page_table, Bus(config.bus))
+            pipeline = Pipeline(config.node.cpu, memory, trace,
+                                icache_line=config.node.icache.line_size)
         with spans.span("timing-loop"):
-            cycle = drive([pipeline], config.max_cycles, cycle=cycle,
-                          last_tick=last_tick, after_round=after_round,
-                          what="traditional")
-        if cycle is None:
-            return None
+            cycle = drive([pipeline], config.max_cycles, what="traditional")
         memory.validate_final_state()
         bus = memory.bus
         return TraditionalResult(

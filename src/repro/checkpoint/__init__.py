@@ -1,19 +1,8 @@
-"""Checkpoint/restore for the timing simulator.
+"""Empty subpackage; it holds no code.
 
-See :mod:`repro.checkpoint.state` for the capture model and
-:class:`repro.runner.sharded.ShardedRun` for the executor that fans a
-single long run's shards across the sweep process pool.
+``benchmarks/perf/layers.py`` still lists this subpackage as a profiling
+layer, and ``benchmarks/perf/test_perf_harness.py`` requires every layer
+to own a source file.  Delete this package in the same change that drops
+the layer from ``layers.py``, the ``per_layer`` list of
+``BENCHMARK.json`` and ``benchmarks/perf/README.md``.
 """
-
-from .state import (CHECKPOINT_VERSION, Checkpoint, advance_trace, capture,
-                    datascalar_cut_edges, materialize, pipeline_cut_edges)
-
-__all__ = [
-    "CHECKPOINT_VERSION",
-    "Checkpoint",
-    "advance_trace",
-    "capture",
-    "datascalar_cut_edges",
-    "materialize",
-    "pipeline_cut_edges",
-]

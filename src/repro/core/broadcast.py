@@ -50,13 +50,6 @@ class Broadcaster:
         """Emit BCAST_SEND events to ``tracer`` as this node."""
         self._tracer = tracer
 
-    def rebind_deliver(self, deliver) -> None:
-        """Point the transmit side at a new delivery hook (checkpoint
-        restore: the hook is a closure over the live node list and wake
-        array, so it is cut from snapshots and rewired here against the
-        materialized clones)."""
-        self._deliver = deliver
-
     def broadcast(self, now: int, line: int, late: bool = False) -> int:
         """Send ``line`` to all other nodes starting at ``now`` (the cycle
         the data are available on-chip).  Returns the last arrival cycle."""

@@ -155,10 +155,7 @@ class DataScalarSystem:
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
             stack_bytes: int = 64 * 1024,
-            observer=None, tracer=None,
-            checkpoint_every=None, checkpoint_sink=None,
-            resume_from=None, stop_after=None,
-            warmup=None) -> "DataScalarResult | None":
+            observer=None, tracer=None) -> DataScalarResult:
         """Simulate ``program`` across all nodes to completion.
 
         ``replicated_pages`` are page numbers to replicate statically in
@@ -172,50 +169,13 @@ class DataScalarSystem:
         included (the tracer's own ``next_event`` bound is folded into
         :func:`drive` exactly like the fault layer's).
 
-        Checkpointing (:mod:`repro.checkpoint`):
-
-        * ``checkpoint_every=K`` captures a :class:`~repro.checkpoint.
-          Checkpoint` each time every node has committed another K
-          instructions and passes it to ``checkpoint_sink(ckpt)``;
-        * ``resume_from`` continues a captured checkpoint instead of
-          starting at cycle 0 (``program``/``limit``/config must match
-          the checkpointed run — the snapshot carries machine state, the
-          front end is rebuilt and replayed to its recorded position);
-        * ``stop_after=C`` ends the run once every node has committed C
-          instructions: the final state goes to ``checkpoint_sink`` and
-          ``run`` returns ``None`` (a partial run has no result);
-        * ``warmup=W`` skips the first W dynamic records functionally
-          before timing starts (SimPoint-style sampling; the timed
-          region starts with cold microarchitectural state, so results
-          are *not* comparable to a full run).  A checkpoint already
-          fixes the front-end position, so ``warmup`` with
-          ``resume_from`` is an error.
-
-        Checkpoint-enabled runs are bit-identical to plain runs but take
-        the iterator-protocol front-end path (and pay a per-round commit
-        scan).  Observers and tracers hold references into live
-        simulator objects and cannot be checkpointed.
-
         With ``config.result_communication`` set, private regions are
         auto-detected and the run delegates to
         :class:`~repro.core.resultcomm_exec.ResultCommSystem`.
         """
-        from ..checkpoint import state as ckpt_state
         from .node import DataScalarNode  # local import to avoid cycles
 
         config = self.config
-        checkpointing = ckpt_state.checkpointing(
-            "datascalar", checkpoint_every, checkpoint_sink, resume_from,
-            stop_after, warmup)
-        if checkpointing:
-            if observer is not None or tracer is not None:
-                raise SimulationError(
-                    "checkpointing is incompatible with observer/tracer "
-                    "hooks — they hold references into live run state")
-            if config.result_communication:
-                raise SimulationError(
-                    "checkpointing does not support result-communication "
-                    "runs")
         spec = LayoutSpec(
             num_nodes=config.num_nodes,
             page_size=config.node.memory.page_size,
@@ -242,8 +202,7 @@ class DataScalarSystem:
         # Per-pipeline wake cycles for :func:`drive`.  A broadcast
         # delivery is the one way a peer creates work for an idle node,
         # so the deliver hook zeroes the target's wake to force a re-tick
-        # and a fresh bound.  The closure reads ``nodes``/``wake`` at
-        # call time, so a restore may rebind both below.
+        # and a fresh bound.
         wake = [0] * num
 
         def deliver(src: int, line: int, arrivals) -> None:
@@ -264,60 +223,36 @@ class DataScalarSystem:
                                     node.node_id, src=src, line=line)
                 plain_deliver(src, line, arrivals)
 
-        if resume_from is not None:
-            state = ckpt_state.materialize(resume_from)
-            page_table = state["page_table"]
-            layout_summary = state["layout_summary"]
-            medium = state["medium"]
-        else:
-            with spans.span("layout"):
-                page_table, layout_summary = build_page_table(program, spec)
-            medium = self._make_medium()
+        with spans.span("layout"):
+            page_table, layout_summary = build_page_table(program, spec)
+        medium = self._make_medium()
         # Trace sources are built *outside* the setup span so the
         # codegen-compile phase (charged inside make_trace_source) and
         # the timing-loop/frontend accumulator stay direct children of
         # the point span rather than nesting under setup.
         traces = self._make_traces(program, limit)
-        if checkpointing:
-            traces = ckpt_state.counted_traces(traces, resume_from, warmup)
-        if resume_from is not None:
-            pipelines = state["pipelines"]
-            nodes = state["nodes"]
-            wake = state["wake"]
-            last_tick = state["last_tick"]
-            cycle = resume_from.cycle
-            for pipeline, trace in zip(pipelines, traces):
-                pipeline.rebind_trace(trace)
-            for node in nodes:
-                node.broadcaster.rebind_deliver(deliver)
-        else:
-            pipelines = []
-            with spans.span("setup"):
-                for node_id in range(num):
-                    if config.l2 is not None:
-                        from .node_l2 import DataScalarL2Node
+        pipelines = []
+        with spans.span("setup"):
+            for node_id in range(num):
+                if config.l2 is not None:
+                    from .node_l2 import DataScalarL2Node
 
-                        node = DataScalarL2Node(
-                            node_id, config.node, config.l2, page_table,
-                            medium, deliver, num_peers=num - 1)
-                    else:
-                        node = DataScalarNode(
-                            node_id, config.node, page_table, medium,
-                            deliver, num_peers=num - 1)
-                    nodes.append(node)
-                    pipelines.append(
-                        Pipeline(config.node.cpu, node, traces[node_id],
-                                 icache_line=config.node.icache.line_size))
-                    if tracer is not None:
-                        pipelines[-1].attach_tracer(tracer, node_id)
-                        node.attach_tracer(tracer)
-                if tracer is not None and hasattr(medium, "attach_tracer"):
-                    medium.attach_tracer(tracer)
-            cycle = 0
-            last_tick = [0] * num
-            if config.faults is not None:
-                for node in nodes:
-                    node.bshr.arm_timeout(config.faults.wait_deadline)
+                    node = DataScalarL2Node(
+                        node_id, config.node, config.l2, page_table,
+                        medium, deliver, num_peers=num - 1)
+                else:
+                    node = DataScalarNode(
+                        node_id, config.node, page_table, medium,
+                        deliver, num_peers=num - 1)
+                nodes.append(node)
+                pipelines.append(
+                    Pipeline(config.node.cpu, node, traces[node_id],
+                             icache_line=config.node.icache.line_size))
+                if tracer is not None:
+                    pipelines[-1].attach_tracer(tracer, node_id)
+                    node.attach_tracer(tracer)
+            if tracer is not None and hasattr(medium, "attach_tracer"):
+                medium.attach_tracer(tracer)
 
         # Fault mode adds the BSHR wait tripwire before every simulated
         # cycle and folds the medium's recovery timers into the skip
@@ -326,6 +261,8 @@ class DataScalarSystem:
         # identical, so neither changes a reported number.
         external = before_tick = None
         if config.faults is not None:
+            for node in nodes:
+                node.bshr.arm_timeout(config.faults.wait_deadline)
             external = self._fault_event_fn(nodes, medium)
             before_tick = self._timeout_check(nodes)
         if tracer is not None:
@@ -335,27 +272,16 @@ class DataScalarSystem:
         if observer is not None:
             def after_round(cycle):
                 observer(cycle, pipelines, nodes, medium)
-        elif checkpointing:
-            after_round = ckpt_state.boundary_watcher(
-                "datascalar", pipelines, last_tick, traces,
-                {"pipelines": pipelines, "nodes": nodes, "medium": medium,
-                 "page_table": page_table, "layout_summary": layout_summary,
-                 "wake": wake, "last_tick": last_tick},
-                ckpt_state.datascalar_cut_edges(pipelines, nodes),
-                checkpoint_every, checkpoint_sink, stop_after)
 
         with spans.span("timing-loop"):
             # An observer wants to see every cycle: dense ticking.
-            cycle = drive(
+            cycles = drive(
                 pipelines, config.max_cycles,
                 dense=not config.fast_forward or observer is not None,
-                wake=wake, last_tick=last_tick, cycle=cycle,
-                external=external, before_tick=before_tick,
+                wake=wake, external=external, before_tick=before_tick,
                 after_round=after_round)
-        if cycle is None:
-            return None
         with spans.span("analysis"):
-            return self._collect(cycle, pipelines, nodes, medium,
+            return self._collect(cycles, pipelines, nodes, medium,
                                  page_table, layout_summary)
 
     @staticmethod
@@ -477,11 +403,10 @@ class DataScalarSystem:
 
 
 def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
-          last_tick=None, cycle: int = 0, external=None, before_tick=None,
-          after_round=None, what: str = "DataScalar"):
-    """Tick ``pipelines`` from ``cycle`` until all are done; return the
-    next cycle to simulate (one past the finishing tick), or ``None``
-    when ``after_round`` stopped the run early.
+          external=None, before_tick=None, after_round=None,
+          what: str = "DataScalar") -> int:
+    """Tick ``pipelines`` from cycle 0 until all are done; return the
+    cycle count (one past the finishing tick).
 
     This is the one cycle scheduler: every system — N DataScalar nodes
     or a single-core baseline — runs through it.  Each pipeline carries
@@ -510,13 +435,13 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
     ``external(cycle)`` is one folded outside bound (``None`` = no
     event): the driver never jumps past it.  ``before_tick(cycle)`` runs
     at each simulated cycle before any tick; ``after_round(cycle)``
-    after every tick of it, and stops the run by returning true.
+    after every tick of it (the observer hook).
     """
     num = len(pipelines)
     if wake is None:
         wake = [0] * num
-    if last_tick is None:
-        last_tick = [cycle] * num
+    last_tick = [0] * num
+    cycle = 0
     ticks = [pipeline.tick for pipeline in pipelines]
     running = sum(1 for pipeline in pipelines if not pipeline.done)
     while running:
@@ -540,8 +465,8 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
                 wake[i] = nxt
             else:
                 wake[i] = pipeline.next_event(cycle)
-        if after_round is not None and after_round(cycle):
-            return None
+        if after_round is not None:
+            after_round(cycle)
         if not running:
             return nxt
         target = _INF

@@ -77,11 +77,6 @@ class LSQ:
                 return True
         return False
 
-    def state_summary(self) -> tuple:
-        """Deterministic occupancy fingerprint for checkpoint summaries."""
-        return (len(self._entries), len(self._stores),
-                self._unissued_stores, self.forwards, self.deferred)
-
     def forwarding_store(self, load):
         """Latest earlier store overlapping ``load``'s access, if any.
 

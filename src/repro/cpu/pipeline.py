@@ -119,15 +119,6 @@ class Pipeline:
         self._tracer = tracer
         self._trace_node = node_id
 
-    def rebind_trace(self, trace) -> None:
-        """Point the fetch stage at a rebuilt front-end iterator
-        (checkpoint restore: snapshots carry the trace *position*, not
-        the live iterator — see :mod:`repro.checkpoint`).  The fetch
-        buffer and exhaustion flag are machine state and stay put."""
-        self._trace = iter(trace)
-        self._trace_next = self._trace.__next__
-        self._trace_queue = getattr(self._trace, "_queue", None)
-
     @staticmethod
     def _build_predictor(kind: str):
         if kind == "perfect":

@@ -215,16 +215,6 @@ class RUU:
         else:
             heapq.heappush(self._ready_heap, (not_before, entry.seq, entry))
 
-    def state_summary(self) -> tuple:
-        """Deterministic occupancy fingerprint for checkpoint summaries.
-
-        Covers the window and both issue queues but not the free list —
-        recycled entries are dead state, invisible to execution."""
-        return (len(self.window), len(self._ready_heap), len(self._stalled),
-                self._stalled_retry, len(self._last_writer),
-                self.window[0].seq if self.window else -1,
-                self.window[-1].seq if self.window else -1)
-
     def next_ready_time(self):
         """Earliest cycle any queued entry could be scheduled, or ``None``
         when nothing is waiting to issue."""

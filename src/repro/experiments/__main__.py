@@ -38,7 +38,6 @@ from .figure7 import format_figure7, run_figure7
 from .figure8 import format_figure8, run_figure8
 from .resilience import DROP_PROBS, format_resilience, run_resilience
 from .scaling import format_scaling, run_scaling
-from .sharded import format_sharded, run_sharded
 from .table1 import format_table1, run_table1
 from .table2 import format_table2, run_table2
 from .table3 import format_table3, run_table3
@@ -75,9 +74,6 @@ EXPERIMENTS = {
                    format_resilience, True),
     "traced-run": (lambda limit, engine: run_traced(limit=limit or 2500),
                    format_traced, False),
-    "sharded-run": (lambda limit, engine: run_sharded(limit=limit,
-                                                      engine=engine),
-                    format_sharded, False),
 }
 
 
@@ -156,28 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fail the sweep if no point completes for "
                              "SECONDS (parallel sweeps: guards against "
                              "hung simulations; default: wait forever)")
-    parser.add_argument("--workload", default="compress",
-                        help="sharded-run only: workload to simulate "
-                             "(default: compress)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="sharded-run only: split the run into N "
-                             "checkpoint-delimited segments; the first "
-                             "(cold) run populates the checkpoint cache "
-                             "serially, reruns resume every shard in "
-                             "parallel and stitch a bit-identical result "
-                             "(default: 4)")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="K",
-                        help="sharded-run only: emit a checkpoint into "
-                             "the result cache every K committed "
-                             "instructions (warm-start population "
-                             "without sharding)")
-    parser.add_argument("--warmup", type=int, default=None, metavar="W",
-                        help="sharded-run only: skip the first W "
-                             "instructions in the fast functional front "
-                             "end before detailed timing (deliberately "
-                             "NOT bit-identical to a full run — caches "
-                             "start cold at instruction W)")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="write a durable sweep journal (fsync'd "
                              "JSONL write-ahead log) at PATH; an "
@@ -195,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_one(name: str, limit, csv_path=None, fault_seed: int = 11,
             drop_prob=None, trace_out=None, metrics_out=None,
-            engine=None, workload="compress", shards=None,
-            checkpoint_every=None, warmup=None) -> str:
+            engine=None) -> str:
     runner, formatter, exportable = EXPERIMENTS[name]
     if name == "resilience":
         probs = DROP_PROBS if drop_prob is None else (0.0, drop_prob)
@@ -205,11 +178,6 @@ def run_one(name: str, limit, csv_path=None, fault_seed: int = 11,
     elif name == "traced-run":
         result = run_traced(limit=limit or 2500, trace_out=trace_out,
                             metrics_out=metrics_out)
-    elif name == "sharded-run":
-        result = run_sharded(workload=workload, limit=limit,
-                             shards=shards,
-                             checkpoint_every=checkpoint_every,
-                             warmup=warmup, engine=engine)
     else:
         result = runner(limit, engine)
     if csv_path:
@@ -332,11 +300,7 @@ def main(argv=None) -> int:
                               drop_prob=args.drop_prob,
                               trace_out=args.trace_out,
                               metrics_out=args.metrics_out,
-                              engine=args.engine,
-                              workload=args.workload,
-                              shards=args.shards,
-                              checkpoint_every=args.checkpoint_every,
-                              warmup=args.warmup))
+                              engine=args.engine))
                 print()
             except SweepInterruptedError as exc:
                 # Graceful cancellation: everything completed so far is

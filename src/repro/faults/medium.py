@@ -223,27 +223,6 @@ class FaultyMedium(BroadcastMedium):
             heapq.heappop(pending)
         return pending[0] if pending else None
 
-    def pending_recoveries(self, horizon: int = 0) -> int:
-        """Recovery deliveries still scheduled at or after ``horizon``.
-
-        The raw heap length is *not* deterministic across runs — already
-        -arrived entries are popped lazily by :meth:`next_event`, and how
-        many stale entries linger depends on the scheduler's exact call
-        pattern — so checkpoint summaries count only the live ones."""
-        return sum(1 for when in self._pending if when >= horizon)
-
-    def state_key(self, horizon: int = 0) -> tuple:
-        """Transport fingerprint: the wrapped medium's key plus the fault
-        layer's sequencing and recovery position."""
-        recovery = self.recovery_stats
-        return self.inner.state_key(horizon) + (
-            "faults", tuple(self._seq),
-            tuple(map(tuple, self._delivered)),
-            self.fault_stats.injected,
-            recovery.recovered, recovery.retransmits,
-            self.pending_recoveries(horizon),
-        )
-
     def validate_final_state(self) -> None:
         """Integrity tripwire: every sequenced broadcast must have been
         delivered (possibly via recovery) to every receiver, and every

@@ -67,13 +67,6 @@ class BroadcastMedium:
         """
         return None
 
-    def state_key(self, horizon: int = 0) -> tuple:
-        """Deterministic transport-state fingerprint for checkpoint
-        summaries.  ``horizon`` is the cycle the snapshot was taken at;
-        media whose deferred state is lazily garbage-collected (the
-        fault layer) use it to count only still-live events."""
-        return (type(self).__name__, self.transactions, self.payload_bytes)
-
 
 class BusMedium(BroadcastMedium):
     """The paper's evaluated transport: one serializing bus."""
@@ -105,10 +98,6 @@ class BusMedium(BroadcastMedium):
 
     def utilization(self, cycles):
         return self.bus.stats.utilization(cycles)
-
-    def state_key(self, horizon: int = 0) -> tuple:
-        return super().state_key(horizon) + (
-            self.bus.next_free(), self.bus.stats.busy_cycles, self._tag)
 
 
 class RingMedium(BroadcastMedium):
@@ -156,9 +145,6 @@ class RingMedium(BroadcastMedium):
     @property
     def payload_bytes(self):
         return self._payload
-
-    def state_key(self, horizon: int = 0) -> tuple:
-        return super().state_key(horizon) + (self._tag,)
 
 
 class OpticalMedium(BroadcastMedium):

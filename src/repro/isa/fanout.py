@@ -115,35 +115,6 @@ class _TraceView:
         return self._fanout._produce_for(self._view_id)
 
 
-class CountingTrace:
-    """Iterator wrapper that counts delivered records.
-
-    Checkpoint-enabled runs wrap every front-end view in one of these so
-    a snapshot can record the exact functional position of each node —
-    the count is all that is needed to rebuild any view (fan-out or
-    single-iterator) by replay on restore.  The wrapper hides the
-    fan-out view's ``_queue``, so ``Pipeline`` falls back from its
-    queue fast path to the plain iterator protocol; that cost is
-    confined to runs that asked for checkpointing.
-    """
-
-    __slots__ = ("_next", "consumed")
-
-    def __init__(self, trace):
-        self._next = iter(trace).__next__
-        self.consumed = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        record = self._next()
-        # Not reached when the source raises StopIteration, so the
-        # count never includes the exhausted probe.
-        self.consumed += 1
-        return record
-
-
 def fan_out(source, num_views: int, capacity: int = DEFAULT_CAPACITY):
     """Convenience: return ``num_views`` iterators over ``source``.
 

@@ -15,23 +15,20 @@ to prove it.  See ``docs/runner.md`` for the full tour.
 """
 
 from .cache import ResultCache, default_cache_dir
-from .digest import (canonicalize, checkpoint_digest, code_version,
-                     point_digest, result_fingerprint)
+from .digest import (canonicalize, code_version, point_digest,
+                     result_fingerprint)
 from .engine import (SweepRunner, get_default_runner, set_default_runner,
                      using_runner)
 from .executors import EXECUTORS, execute_point
 from .journal import JOURNAL_SCHEMA, JournalState, SweepJournal
 from .manifest import RunManifest
 from .point import SweepPoint
-from .sharded import ShardedRun, ShardEnd
 from .telemetry import (PointTelemetry, ProgressLine, TelemetryReader,
                         TelemetryWriter, execute_point_task, worker_tracks)
 
 __all__ = [
     "SweepPoint",
     "SweepRunner",
-    "ShardedRun",
-    "ShardEnd",
     "ResultCache",
     "RunManifest",
     "SweepJournal",
@@ -43,7 +40,6 @@ __all__ = [
     "TelemetryWriter",
     "default_cache_dir",
     "canonicalize",
-    "checkpoint_digest",
     "code_version",
     "point_digest",
     "result_fingerprint",

@@ -52,29 +52,13 @@ class ResultCache:
 
     def __init__(self, root: "str | os.PathLike",
                  code_version: "str | None" = None,
-                 fault_injector=None,
-                 max_bytes: "int | None" = None):
+                 fault_injector=None):
         self.root = pathlib.Path(root)
         #: Stamp mixed into every digest; a different stamp (new code)
         #: addresses a disjoint keyspace, so stale entries can never be
         #: served — they are simply never looked up again.
         self.code_version = (code_version if code_version is not None
                              else current_code_version())
-        #: Disk budget for the whole cache directory; least-recently-
-        #: used entries are evicted after each store to stay under it.
-        #: ``None`` (and unset ``REPRO_CACHE_MAX_BYTES``) = unbounded,
-        #: the historical behavior.  Checkpoint blobs are orders of
-        #: magnitude bigger than result pickles, so warm-start caching
-        #: makes a budget worth setting.
-        if max_bytes is None:
-            env = os.environ.get("REPRO_CACHE_MAX_BYTES", "")
-            if env:
-                try:
-                    max_bytes = int(env)
-                except ValueError:
-                    max_bytes = None
-        self.max_bytes = max_bytes
-        self.evictions = 0
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -121,12 +105,6 @@ class ResultCache:
             except OSError:
                 pass
             return False, None
-        try:
-            # Touch for LRU: eviction orders by mtime, so a hit marks
-            # the entry recently used.
-            os.utime(path)
-        except OSError:
-            pass
         self.hits += 1
         return True, result
 
@@ -169,46 +147,7 @@ class ResultCache:
             except OSError:
                 pass
         self.stores += 1
-        if self.max_bytes is not None:
-            self._prune(path)
         return True
-
-    def _prune(self, keep: pathlib.Path) -> None:
-        """Evict least-recently-used entries until the directory fits
-        ``max_bytes`` again (the just-stored entry is never evicted).
-
-        Deletion is per-file-atomic: a concurrent loader either reads a
-        complete entry or gets ``FileNotFoundError`` (a plain miss) —
-        never a partial file.  An entry that vanishes mid-prune
-        (another sweep's eviction, manual cleanup) is skipped without
-        being counted; any other ``OSError`` likewise only skips that
-        entry, so pruning can never fail a sweep."""
-        entries = []
-        total = 0
-        try:
-            for path in self.root.glob("*/*.pkl"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-                total += stat.st_size
-        except OSError:
-            return
-        if total <= self.max_bytes:
-            return
-        entries.sort(key=lambda item: item[:2])
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if path == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
 
     def _note_store_error(self, exc: OSError) -> None:
         self.store_errors += 1

@@ -138,26 +138,6 @@ def point_digest(point: SweepPoint, code_version: str = "") -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def checkpoint_digest(point: SweepPoint, boundary: int,
-                      code_version: str = "") -> str:
-    """Content address of one checkpoint of ``point``'s simulation at
-    the committed-instruction ``boundary``.
-
-    Same ingredients as :func:`point_digest` — workload, scale, limit,
-    full config, code and codegen stamps — plus the boundary and the
-    snapshot-format stamp (:data:`repro.checkpoint.CHECKPOINT_VERSION`),
-    so warm starts can never resume a checkpoint from different code, a
-    different configuration, or an incompatible snapshot layout."""
-    from ..checkpoint import CHECKPOINT_VERSION
-    from ..isa.codegen import CODEGEN_VERSION
-
-    payload = {"code": code_version, "codegen": CODEGEN_VERSION,
-               "checkpoint": CHECKPOINT_VERSION, "boundary": boundary,
-               "point": point_payload(point)}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @lru_cache(maxsize=1)
 def _computed_code_version() -> str:
     import repro

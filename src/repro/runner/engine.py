@@ -272,9 +272,6 @@ class SweepRunner:
                 errors = registry.counter("runner.cache.store_errors")
                 if self.cache.store_errors > errors.value:
                     errors.inc(self.cache.store_errors - errors.value)
-                evictions = registry.counter("runner.cache.evictions")
-                if self.cache.evictions > evictions.value:
-                    evictions.inc(self.cache.evictions - evictions.value)
         return results
 
     def _collect_telemetry(self, points, digests, pending, cached_indices,

@@ -82,46 +82,6 @@ def _run_datascalar(point: SweepPoint):
                                                        limit=point.limit)
 
 
-@executor("datascalar-shard")
-def _run_datascalar_shard(point: SweepPoint):
-    """One checkpoint-delimited segment of a long DataScalar run
-    (fanned out by :class:`repro.runner.sharded.ShardedRun`; knobs:
-    ``shard``, ``start``, ``stop``, ``start_digest``, ``cache_root``,
-    ``cache_code_version``).
-
-    Resumes the cached checkpoint at ``start`` (shard 0 starts fresh)
-    and either runs to completion (``stop`` is ``None`` — the final
-    shard, whose cumulative result IS the run's result) or stops at the
-    ``stop`` boundary and returns a :class:`~repro.runner.sharded.
-    ShardEnd` for stitch verification."""
-    from ..core.system import DataScalarSystem
-    from .cache import ResultCache
-    from .sharded import ShardEnd
-
-    cache = ResultCache(point.knob("cache_root"),
-                        code_version=point.knob("cache_code_version", ""))
-    resume = None
-    start_digest = point.knob("start_digest")
-    if start_digest is not None:
-        hit, resume = cache.load(point, digest=start_digest)
-        if not hit:
-            raise ReproError(
-                f"shard {point.knob('shard')} start checkpoint vanished "
-                f"from the cache between probe and execution (evicted or "
-                f"deleted concurrently) — rerun to repopulate")
-    system = DataScalarSystem(_engine_config(point))
-    program = _program(point)
-    stop = point.knob("stop")
-    if stop is None:
-        return system.run(program, limit=point.limit, resume_from=resume)
-    captured = []
-    system.run(program, limit=point.limit, resume_from=resume,
-               stop_after=stop, checkpoint_sink=captured.append)
-    end = captured[-1]
-    return ShardEnd(boundary=stop, cycle=end.cycle,
-                    committed=end.committed, summary=end.summary())
-
-
 @executor("traditional")
 def _run_traditional(point: SweepPoint):
     """The matched traditional baseline (``config``:

@@ -10,7 +10,7 @@ def test_every_experiment_registered():
     assert set(EXPERIMENTS) == {
         "figure1", "figure3", "figure7", "figure8",
         "table1", "table2", "table3", "scaling", "resilience",
-        "traced-run", "sharded-run",
+        "traced-run",
     }
 
 
@@ -97,6 +97,18 @@ def test_main_list(capsys):
 def test_main_single_experiment(capsys):
     assert main(["figure1"]) == 0
     assert "Figure 1" in capsys.readouterr().out
+
+
+def test_main_all_no_cache_leaves_the_cache_empty(capsys):
+    """``--no-cache`` holds for every experiment of ``all``: nothing is
+    stored under the default cache directory."""
+    import os
+    import pathlib
+
+    assert main(["all", "--no-cache", "--limit", "500", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    cache_dir = pathlib.Path(os.environ["REPRO_CACHE_DIR"])
+    assert not list(cache_dir.rglob("*.pkl"))
 
 
 def test_main_profile_writes_pstats(tmp_path, capsys):

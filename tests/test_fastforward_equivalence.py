@@ -239,94 +239,6 @@ def test_codegen_tracing_is_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# The checkpoint rows: save at a (seeded-random) committed-instruction
-# boundary -> serialize -> restore in a fresh system -> continue, and
-# the result must be bit-identical to the straight-through run — over
-# engines {interpreter, codegen}, clean and faulty transport, and the
-# fast-forward vs dense schedulers (repro.checkpoint).
-# ----------------------------------------------------------------------
-import pickle
-import random
-
-
-def _fault_config():
-    from repro.params import FaultConfig
-
-    return FaultConfig(seed=17, receiver_drop_prob=1e-2,
-                       corrupt_prob=5e-3, jitter_prob=2e-2,
-                       stall_prob=5e-3)
-
-
-@pytest.mark.parametrize("fast_forward", [True, False],
-                         ids=["fast-forward", "dense"])
-@pytest.mark.parametrize("faulty", [False, True],
-                         ids=["clean", "faulty"])
-@pytest.mark.parametrize("engine", ["interpreter", "codegen"])
-def test_checkpoint_restore_matches_straight_through(engine, faulty,
-                                                     fast_forward):
-    program = build_program("compress")
-    config = dataclasses.replace(_config(4, "bus"), engine=engine,
-                                 fast_forward=fast_forward)
-    if faulty:
-        config = dataclasses.replace(config, faults=_fault_config())
-
-    straight = DataScalarSystem(config).run(program, limit=LIMIT)
-
-    # A seeded-random save point (different per row, stable per run of
-    # the suite) — the restore path must work from *any* boundary, not
-    # just round numbers.
-    rng = random.Random(hash((engine, faulty, fast_forward)) & 0xFFFF)
-    boundary = rng.randrange(200, LIMIT - 200)
-    saved = []
-    checkpointed = DataScalarSystem(config).run(
-        program, limit=LIMIT, checkpoint_every=boundary,
-        checkpoint_sink=saved.append)
-    # Emitting checkpoints must itself be invisible.
-    assert _snapshot(checkpointed) == _snapshot(straight)
-    assert saved and saved[0].committed >= boundary
-
-    # Serialize -> restore in a *fresh* system -> continue.
-    blob = pickle.dumps(saved[0])
-    resumed = DataScalarSystem(config).run(
-        program, limit=LIMIT, resume_from=pickle.loads(blob))
-    assert _snapshot(resumed) == _snapshot(straight)
-    if faulty:
-        assert resumed.extra["faults"] == straight.extra["faults"]
-        assert straight.extra["faults"]["recovery"]["recovered"] > 0
-
-
-def test_checkpoint_restore_baselines_match_straight_through():
-    """The traditional and perfect baselines share the checkpoint
-    protocol (kind-tagged snapshots, CountingTrace replay)."""
-    from repro.baseline.perfect import PerfectSystem
-    from repro.baseline.traditional import TraditionalSystem
-    from repro.experiments.config import traditional_config
-    from repro.runner.digest import result_fingerprint
-
-    program = build_program("compress")
-
-    tconfig = traditional_config(denom=4)
-    straight = TraditionalSystem(tconfig).run(program, limit=LIMIT)
-    saved = []
-    TraditionalSystem(tconfig).run(program, limit=LIMIT,
-                                   checkpoint_every=900,
-                                   checkpoint_sink=saved.append)
-    resumed = TraditionalSystem(tconfig).run(
-        program, limit=LIMIT,
-        resume_from=pickle.loads(pickle.dumps(saved[0])))
-    assert result_fingerprint(resumed) == result_fingerprint(straight)
-
-    pstraight = PerfectSystem().run(program, limit=LIMIT)
-    saved = []
-    PerfectSystem().run(program, limit=LIMIT, checkpoint_every=900,
-                        checkpoint_sink=saved.append)
-    presumed = PerfectSystem().run(
-        program, limit=LIMIT,
-        resume_from=pickle.loads(pickle.dumps(saved[0])))
-    assert result_fingerprint(presumed) == result_fingerprint(pstraight)
-
-
-# ----------------------------------------------------------------------
 # The driver rows: every system runs through the one cycle scheduler
 # (repro.core.system.drive).  The single-pipeline systems must match a
 # dense tick-every-cycle loop, fault mode and tracing must not cost a

@@ -247,6 +247,56 @@ def test_sweep_runs_clean_with_progress_forced_on():
         assert result_fingerprint(a) == result_fingerprint(b)
 
 
+def _point(tag):
+    return SweepPoint.make("esp-schedule", None,
+                           broadcast_latency=tag + 1)
+
+
+def test_progress_eta_excludes_cached_points():
+    line = ProgressLine(total=10, enabled=False)
+    line._start -= 10.0  # pretend 10s have elapsed
+
+    # Position arithmetic (the old fallback): 6 done of which 5 cached
+    # looks like 1 executed / 4 remaining -> eta 40s.
+    fallback = line.render(6, 5, 0)
+    assert "eta 0:40" in fallback
+
+    # True work-unit counts: 1 digest executed, 1 digest remaining
+    # (the other 3 remaining positions are dedup copies) -> eta 10s.
+    informed = line.render(6, 5, 0, executed=1, remaining=1)
+    assert "eta 0:10" in informed
+
+    # Everything so far came from cache/journal: no rate estimate at
+    # all rather than an absurdly optimistic one.
+    replayed = line.render(6, 6, 0, executed=0, remaining=4)
+    assert "eta" not in replayed
+
+
+def test_progress_eta_serial_sweep_uses_digest_counts(tmp_path, capsys):
+    """End to end: a sweep with duplicate points passes unique-digest
+    executed/remaining counts through update()."""
+    seen = []
+
+    class Spy(ProgressLine):
+        def update(self, done, cached, running, slowest=None,
+                   executed=None, remaining=None):
+            seen.append((done, cached, executed, remaining))
+
+    import repro.runner.engine as engine_mod
+    original = engine_mod.ProgressLine
+    engine_mod.ProgressLine = Spy
+    try:
+        runner = SweepRunner(jobs=1,
+                             cache=ResultCache(tmp_path, code_version="t"))
+        runner.run([_point(0), _point(0), _point(1)])
+    finally:
+        engine_mod.ProgressLine = original
+    # Two unique digests executed; the dedup duplicate never counts as
+    # an executed sample.
+    assert seen[-1] == (3, 0, 2, 0)
+    assert (2, 0, 1, 1) in seen
+
+
 # ----------------------------------------------------------------------
 # Error-message satellites: labels and elapsed seconds.
 # ----------------------------------------------------------------------
