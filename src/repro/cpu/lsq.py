@@ -23,7 +23,7 @@ from ..errors import SimulationError
 class LSQ:
     """Memory instructions in program order, for capacity and forwarding."""
 
-    __slots__ = ("capacity", "_entries", "_stores", "forwards", "deferred",
+    __slots__ = ("capacity", "_entries", "_stores", "forwards",
                  "_unissued_stores")
 
     def __init__(self, capacity: int):
@@ -31,7 +31,6 @@ class LSQ:
         self._entries = deque()
         self._stores = deque()  # store entries only, program order
         self.forwards = 0
-        self.deferred = 0
         #: Stores in the queue that have not claimed an issue slot yet.
         #: Maintained by :meth:`insert` / :meth:`note_store_issued`;
         #: lets :meth:`has_unissued_earlier_store` skip its scan when
@@ -95,6 +94,5 @@ class LSQ:
                 if entry.issued:
                     self.forwards += 1
                     return entry, True
-                self.deferred += 1
                 return entry, False
         return None, True

@@ -8,21 +8,22 @@ is the functional path, and no mis-speculated instructions exist (the
 paper's correspondence protocol likewise excludes speculative broadcasts).
 
 Per simulated cycle the pipeline commits (in order), issues (oldest-ready
-first), and fetches/dispatches — each up to its configured width.
+first), and fetches/dispatches — each up to its configured width.  The
+entries an issue pass cannot issue form the next pass's waiting list
+(:meth:`repro.cpu.ruu.RUU.candidates`), oldest first.
 
 One function, :meth:`Pipeline.tick`, simulates a cycle: the stages are
 inlined in that order (load completion between commit and issue),
-per-cycle attribute lookups are hoisted into
-locals, and the per-config dispatch structures (FU latency/limit
-tables, widths, the RUU free list) are precomputed at construction, so
-it allocates nothing on the steady-state cycle.  Wall time per layer is
+per-cycle attribute lookups are hoisted into locals, and the per-config
+dispatch structures (FU latency/limit tables, widths, the RUU free
+list) are precomputed at construction.  Wall time per layer is
 attributed on this shipping tick by profiling (``benchmarks/perf/run.py
 --trace 1``), not by a second, instrumented copy of it.
 """
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heappush as _heappush
 
 from ..errors import SimulationError
 from ..isa.opcodes import OpClass
@@ -103,6 +104,9 @@ class Pipeline:
         self._fetch_ready = 0
         self._fetched_line = None
         self._pending_loads = []
+        #: False when the last issue pass showed its waiting list inert
+        #: (see :meth:`next_event`).
+        self._retry_waiting = False
         self._last_commit_cycle = 0
         self._predictor = self._build_predictor(config.branch_predictor)
         self._redirect_after = None  # branch entry fetch is waiting on
@@ -223,57 +227,27 @@ class Pipeline:
                 del pending[kept:]
 
         # ---- issue stage (oldest-ready first, up to issue_width) ----
-        # Skipping schedulable() when nothing can be ready is safe: on
-        # such cycles it returns [] and at most restamps the
-        # stalled-bucket retry cycle, which only requeue() reads — and
-        # requeues happen solely inside an issue pass, whose own
-        # schedulable() call restamps first.
         heap = ruu._ready_heap
-        stalled = ruu._stalled
-        if stalled:
-            if ruu._stalled_retry <= now or (heap and heap[0][0] <= now):
-                batch = ruu.schedulable(now)
-            else:
-                batch = None
-        elif heap and heap[0][0] <= now:
-            # Inlined RUU.schedulable for the common no-stalled case:
-            # restamp the retry cycle (requeues this pass land in the
-            # bucket), then drain the ready prefix.
-            ruu._stalled_retry = nxt
-            batch = []
-            append = batch.append
-            while heap and heap[0][0] <= now:
-                entry = _heappop(heap)[2]
-                if not entry.issued:
-                    append(entry)
-        else:
-            batch = None
-        if batch:
+        if (heap and heap[0][0] <= now) or ruu._waiting:
+            batch, aged = ruu.candidates(now)
             fus = self.fus
             used = fus.begin_cycle(now)
             limits = fus.limit_table
             latencies = fus.latency_table
-            requeue = ruu.requeue
             width = self._issue_width
             issued = 0
-            blocked = 0  # FU classes with no free slot left this cycle
-            for position, entry in enumerate(batch):
-                if issued >= width:
-                    for rest in batch[position:]:
-                        requeue(rest, nxt)
-                    break
+            waiting = []
+            wait = waiting.append
+            for entry in batch:
                 op_class = entry.op_class
-                class_bit = 1 << op_class
-                if blocked & class_bit:
-                    requeue(entry, nxt)
+                if issued >= width or used[op_class] >= limits[op_class]:
+                    wait(entry)
                     continue
-                if used[op_class] >= limits[op_class]:
-                    blocked |= class_bit
-                    requeue(entry, nxt)
-                    continue
+                # A load that then fails keeps its LOAD slot.
                 used[op_class] += 1
                 if entry.is_load:
                     if not self._issue_load(entry, now):
+                        wait(entry)
                         continue
                 else:
                     entry.issued = True
@@ -296,6 +270,8 @@ class Pipeline:
                                                  dep.seq, dep))
                         entry.dependents = None
                 issued += 1
+            ruu.wait(waiting, aged)
+            self._retry_waiting = issued > 0 or not aged
 
         # ---- fetch/dispatch stage (perfect branch prediction) ----
         redirect = self._redirect_after
@@ -393,18 +369,27 @@ class Pipeline:
     # Stage helpers.
     # ------------------------------------------------------------------
     def _issue_load(self, entry, now: int) -> bool:
+        """Issue the load ``entry`` at ``now``; False when it must wait
+        for an earlier store (the caller keeps it waiting)."""
+        blocker = entry.blocker
+        if blocker is not None:
+            # Until the cached blocker issues, forwarding_store would
+            # return it again.  A blocker younger than the load is a
+            # recycled entry: the store issued and committed.
+            if not blocker.issued and blocker.seq < entry.seq:
+                return False
+            entry.blocker = None
         lsq = self.lsq
         if lsq._stores:
             if (not self._oracle
                     and lsq.has_unissued_earlier_store(entry)):
                 # Conservative disambiguation: wait for every earlier
                 # store address to resolve before going to memory.
-                self.ruu.requeue(entry, now + 1)
                 return False
             store, resolved = lsq.forwarding_store(entry)
             if not resolved:
-                # May not bypass an unissued same-address store; retry.
-                self.ruu.requeue(entry, now + 1)
+                # May not bypass an unissued same-address store.
+                entry.blocker = store
                 return False
             if store is not None:
                 entry.issued = True
@@ -479,6 +464,17 @@ class Pipeline:
         a result due at ``now + 1`` must stay pending so the dense
         commit-before-resolve stage order is preserved (commit may see
         the result only one cycle after the resolving tick).
+
+        The waiting list forces ``now + 1`` only when the last issue
+        pass issued something or took entries out of age order.  A
+        pass in age order that issued nothing held only loads (a
+        non-load whose class has a free slot always issues), each
+        blocked by an unissued store or left without a LOAD slot by
+        blocked older loads.  Every later pass over the same list
+        re-fails the same way until a new entry comes due, and
+        everything that brings one is bounded here anyway: the heap
+        top, pending loads, fetch, and deliveries (which zero the
+        wake).
         """
         if self.done:
             return _INF
@@ -510,12 +506,11 @@ class Pipeline:
                 return nxt
         bound = _INF
         ruu = self.ruu
-        # Inlined RUU.next_ready_time:
+        if self._retry_waiting and ruu._waiting:
+            return nxt
         heap = ruu._ready_heap
-        ready = heap[0][0] if heap else None
-        if ruu._stalled and (ready is None or ruu._stalled_retry < ready):
-            ready = ruu._stalled_retry
-        if ready is not None:
+        if heap:
+            ready = heap[0][0]
             if ready <= nxt:
                 return nxt
             bound = ready

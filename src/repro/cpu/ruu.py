@@ -10,18 +10,20 @@ Entry objects are recycled through a free list: :meth:`RUU.pop_head`
 returns the committed entry to the pool and :meth:`RUU.dispatch` reuses
 it for the next dispatched instruction.  This is safe because a
 committed entry can appear in no other structure — it was issued (so it
-sits in neither the ready heap nor the stalled bucket), resolved (so
+sits in neither the ready heap nor the waiting list), resolved (so
 ``dependents`` is ``None`` and it is not a pending load), and the
 ``_last_writer`` slot that may still name it is dropped at pop time
 (a committed producer's result time is always in the past, so the
-mapping could never again affect a later consumer).
+mapping could never again affect a later consumer).  A load's cached
+``blocker`` may still name a recycled store; the issue stage treats a
+blocker younger than the load as gone.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from heapq import heappush as _heappush
+from heapq import heappop, heappush
+from operator import attrgetter
 
 from ..isa.opcodes import OpClass
 
@@ -29,8 +31,7 @@ _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 
 
-def _entry_seq(entry) -> int:
-    return entry.seq
+_entry_seq = attrgetter("seq")
 
 
 class RUUEntry:
@@ -40,6 +41,7 @@ class RUUEntry:
         "seq", "op_class", "dest", "addr", "size", "dispatched_at",
         "operand_time", "unresolved", "dependents", "issued", "issued_at",
         "result_time", "handle", "is_load", "is_store", "private",
+        "blocker",
     )
 
     def __init__(self, dyn, now: int):
@@ -66,10 +68,8 @@ class RUUEntry:
         self.is_load = op_class == _LOAD
         self.is_store = op_class == _STORE
         self.private = dyn.private
-
-    @property
-    def is_mem(self) -> bool:
-        return self.is_load or self.is_store
+        #: The unissued store this load last found it may not bypass.
+        self.blocker = None
 
     def __repr__(self) -> str:
         return (f"<RUUEntry #{self.seq} {OpClass(self.op_class).name} "
@@ -80,9 +80,11 @@ class RUU:
     """The instruction window with dependence tracking.
 
     Dispatch links each entry to the last writer of each source register;
-    an entry becomes *schedulable* once every producer's result time is
-    known, at which point it enters the ready heap keyed by
+    an entry becomes ready once every producer's result time is known,
+    at which point it enters the ready heap keyed by
     ``(operand_time, seq)`` — oldest-first among equally-ready entries.
+    An issue pass takes the due entries off the heap; those it cannot
+    issue wait, oldest first, for the next pass.
     """
 
     def __init__(self, capacity: int):
@@ -90,10 +92,9 @@ class RUU:
         self.window = deque()
         self._last_writer = {}
         self._ready_heap = []
-        #: Entries that failed to issue this cycle retry next cycle; they
-        #: all share the same key, so a plain list beats heap traffic.
-        self._stalled = []
-        self._stalled_retry = -1
+        #: Ready entries the last issue pass could not issue, oldest
+        #: first (see :meth:`candidates`).
+        self._waiting = []
         #: Committed entries awaiting reuse (see module docstring).
         self._free = []
 
@@ -112,7 +113,8 @@ class RUU:
         if free:
             # Inlined ``RUUEntry._reset`` (the steady-state path runs
             # once per instruction): ``operand_time``/``unresolved`` are
-            # assigned below from the dependence scan.
+            # assigned below from the dependence scan, and ``blocker``
+            # is already ``None`` (a load clears it when it issues).
             entry = free.pop()
             op_class = dyn.op_class
             seq = dyn.seq
@@ -157,7 +159,7 @@ class RUU:
             last_writer[dest] = entry
         self.window.append(entry)
         if unresolved == 0:
-            _heappush(self._ready_heap, (operand_time, seq, entry))
+            heappush(self._ready_heap, (operand_time, seq, entry))
         return entry
 
     def resolve(self, entry: RUUEntry, result_time: int) -> None:
@@ -172,56 +174,42 @@ class RUU:
                 dep.operand_time = result_time
             dep.unresolved -= 1
             if dep.unresolved == 0 and not dep.issued:
-                heapq.heappush(heap, (dep.operand_time, dep.seq, dep))
+                heappush(heap, (dep.operand_time, dep.seq, dep))
         entry.dependents = None
 
-    def schedulable(self, now: int):
-        """Pop every entry whose operands are ready at ``now`` (ordered
-        as the heap would order them: by ready time, then age); callers
-        re-queue entries they cannot issue."""
-        stalled = None
-        if self._stalled and self._stalled_retry <= now:
-            stalled = self._stalled
-            retry = self._stalled_retry
-            self._stalled = []
-        if not self._stalled:
-            # Requeues during this cycle's issue pass land in the bucket.
-            self._stalled_retry = now + 1
+    def candidates(self, now: int):
+        """Take every entry that may issue at ``now``, in issue order.
+
+        Entries whose operands became ready before ``now`` come first,
+        by (ready time, age); then the waiting list and the entries
+        ready exactly at ``now``, merged by age.  The waiting list is
+        emptied: the issue pass rebuilds it from the entries it cannot
+        issue.  Returns ``(batch, aged)``; ``aged`` is True when the
+        whole batch is in age order.
+        """
+        batch = self._waiting
+        self._waiting = []
         heap = self._ready_heap
-        if stalled is not None:
-            if heap and heap[0][0] <= now:
-                merged = [(retry, entry.seq, entry) for entry in stalled]
-                while heap and heap[0][0] <= now:
-                    item = heapq.heappop(heap)
-                    if not item[2].issued:
-                        merged.append(item)
-                merged.sort()
-                return [entry for _, _, entry in merged]
-            stalled.sort(key=_entry_seq)
-            return stalled
-        batch = []
+        if not heap or heap[0][0] > now:
+            return batch, True
+        early = []
+        retried = len(batch)
         while heap and heap[0][0] <= now:
-            _, _, entry = heapq.heappop(heap)
-            if not entry.issued:
-                batch.append(entry)
-        return batch
+            ready, _, entry = heappop(heap)
+            (early if ready < now else batch).append(entry)
+        if retried and len(batch) > retried:
+            batch.sort(key=_entry_seq)
+        if early:
+            return early + batch, False
+        return batch, True
 
-    def requeue(self, entry: RUUEntry, not_before: int) -> None:
-        """Put an un-issuable entry back, retrying at ``not_before``."""
-        if not_before <= entry.operand_time:
-            not_before = entry.operand_time + 1
-        if not_before == self._stalled_retry:
-            self._stalled.append(entry)
-        else:
-            heapq.heappush(self._ready_heap, (not_before, entry.seq, entry))
-
-    def next_ready_time(self):
-        """Earliest cycle any queued entry could be scheduled, or ``None``
-        when nothing is waiting to issue."""
-        ready = self._ready_heap[0][0] if self._ready_heap else None
-        if self._stalled and (ready is None or self._stalled_retry < ready):
-            return self._stalled_retry
-        return ready
+    def wait(self, entries: list, aged: bool) -> None:
+        """Make ``entries`` the waiting list: those an issue pass over a
+        :meth:`candidates` batch could not issue, in batch order, with
+        that batch's ``aged`` flag."""
+        if not aged:
+            entries.sort(key=_entry_seq)
+        self._waiting = entries
 
     def pop_head(self) -> RUUEntry:
         """Remove and return the oldest entry (it must be committable).

@@ -45,16 +45,22 @@ def _dyn(seq, op_class=OpClass.IALU, dest=None, srcs=(), addr=None, size=0):
                     addr, size)
 
 
+def _seqs(candidates):
+    batch, aged = candidates
+    return [entry.seq for entry in batch], aged
+
+
 def test_ruu_dependency_wakeup():
     ruu = RUU(capacity=8)
     producer = ruu.dispatch(_dyn(0, dest=1), now=0)
     consumer = ruu.dispatch(_dyn(1, srcs=(1,)), now=0)
     assert consumer.unresolved == 1
-    assert [e.seq for e in ruu.schedulable(0)] == [0]
+    assert _seqs(ruu.candidates(0)) == ([0], True)
     ruu.resolve(producer, result_time=5)
     assert consumer.unresolved == 0
-    batch = ruu.schedulable(10)
-    assert [e.seq for e in batch] == [1]
+    assert _seqs(ruu.candidates(4)) == ([], True)
+    # Ready at 5, taken at 10: an entry ready before ``now`` is early.
+    assert _seqs(ruu.candidates(10)) == ([1], False)
     assert consumer.operand_time == 5
 
 
@@ -80,7 +86,24 @@ def test_ruu_schedulable_is_oldest_first():
     ruu.dispatch(_dyn(0), 0)
     ruu.dispatch(_dyn(1), 0)
     ruu.dispatch(_dyn(2), 0)
-    assert [e.seq for e in ruu.schedulable(0)] == [0, 1, 2]
+    assert _seqs(ruu.candidates(0)) == ([0, 1, 2], True)
+
+
+def test_ruu_candidates_put_early_entries_first_then_merge_by_age():
+    """Entries ready before ``now`` lead, by (ready time, age); the
+    waiting list and the entries ready exactly at ``now`` follow,
+    merged by age.  The waiting list is rebuilt in age order."""
+    ruu = RUU(capacity=16)
+    for seq in (1, 6):
+        ruu.dispatch(_dyn(seq), now=4)
+    ruu.wait(*ruu.candidates(4))  # the pass at 4 issued neither
+    for seq, ready in ((2, 5), (4, 5), (5, 2), (7, 3)):
+        ruu.dispatch(_dyn(seq), now=ready)
+    batch, aged = ruu.candidates(5)
+    assert _seqs((batch, aged)) == ([5, 7, 1, 2, 4, 6], False)
+    ruu.wait([entry for entry in batch if entry.seq != 2], aged)
+    assert _seqs(ruu.candidates(6)) == ([1, 4, 5, 6, 7], True)
+    assert _seqs(ruu.candidates(7)) == ([], True)
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +259,97 @@ def test_pipeline_counts_loads_and_stores():
     stats = _pipeline(b.build()).run(100_000)
     assert stats.stores == 1
     assert stats.loads == 2
+
+
+def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
+    """A load caches the unissued store it may not bypass.  Once that
+    store has issued and committed and its entry holds a younger,
+    unissued instruction, the cache must not keep the load waiting."""
+    pipe = Pipeline(CPUConfig(), PerfectMemory(), iter(()))
+    ruu, lsq = pipe.ruu, pipe.lsq
+    store = _mem_entry(ruu, 0, OpClass.STORE, 0x100)
+    lsq.insert(store)
+    load = _mem_entry(ruu, 1, OpClass.LOAD, 0x100)
+    lsq.insert(load)
+    assert not pipe._issue_load(load, 1)
+    assert load.blocker is store
+    store.issued = True
+    lsq.note_store_issued()
+    lsq.release_head(store)
+    assert ruu.pop_head() is store
+    assert ruu.dispatch(_dyn(2), 3) is store  # recycled, unissued
+    assert pipe._issue_load(load, 3)
+    assert load.issued and load.blocker is None
+
+
+class _HeldMemory(PerfectMemory):
+    """Loads from ``held`` addresses stay pending until the test
+    completes their handles; every load's issue cycle is recorded."""
+
+    def __init__(self, held):
+        super().__init__()
+        self.held = held
+        self.issued = {}  # addr -> (cycle, handle)
+
+    def load_issue(self, now, addr, size):
+        if addr in self.held:
+            handle = LoadHandle(addr, size, now)
+        else:
+            handle = super().load_issue(now, addr, size)
+        self.issued[addr] = (now, handle)
+        return handle
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_older_load_starved_by_early_entries_retries_next_cycle(dense):
+    """Entries ready before ``now`` issue first, by ready time, so a
+    young blocked load can take the only LOAD slot ahead of an older
+    free one.  That pass issues nothing, but it was not in age order,
+    so its waiting list is not inert: ``next_event`` must still ask for
+    the next cycle, where the older load issues, as under dense
+    ticking."""
+    b = ProgramBuilder()
+    buf = b.alloc_global_words("buf", 64)
+    b.init_word(buf, buf)
+    b.init_word(buf + 4, buf)
+    b.li("r15", buf)
+    b.lw("r6", "r15", 8)    # the store's data: held until cycle 40
+    b.lw("r1", "r15", 0)    # older load's base: held until cycle 10
+    b.lw("r2", "r15", 4)    # younger load's base: held until cycle 10
+    b.sw("r6", "r15", 64)
+    b.lw("r7", "r1", 128)   # older load, free to go to memory
+    b.lw("r8", "r2", 64)    # younger load, behind the unissued store
+    b.halt()
+    mem = _HeldMemory({buf, buf + 4, buf + 8})
+    cpu = CPUConfig(fu_counts=dict(CPUConfig().fu_counts, AGEN=1))
+    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
+
+    def deliver(now):
+        """Complete held loads after cycle ``now``'s tick, as a peer's
+        broadcast would; True when a load completed."""
+        if now == 10:
+            # Both bases are ready in the past by the next tick, the
+            # younger load's first, so at 11 it leads the batch.
+            mem.issued[buf + 4][1].complete(9)
+            mem.issued[buf][1].complete(10)
+            return True
+        if now == 40:
+            mem.issued[buf + 8][1].complete(41)
+            return True
+        return False
+
+    wake = 0
+    for now in range(200):
+        if dense or wake <= now:
+            pipe.tick(now)
+            if pipe.done:
+                break
+            wake = pipe.next_event(now)
+        if deliver(now):
+            wake = now + 1  # a delivery wakes the pipeline
+    assert pipe.done
+    assert mem.issued[buf + 128][0] == 12
+    assert buf + 64 not in mem.issued  # forwarded from the store
 
 
 def test_run_raises_if_out_of_cycles():

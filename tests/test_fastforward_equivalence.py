@@ -19,7 +19,7 @@ from repro.experiments.config import datascalar_config
 from repro.isa.interpreter import Interpreter
 from repro.workloads import build_program
 
-WORKLOADS = ["compress", "mgrid"]
+WORKLOADS = ["compress", "mgrid", "applu"]
 MEDIA = ["bus", "ring", "optical"]
 NODE_COUNTS = [1, 2, 4]
 LIMIT = 2_500

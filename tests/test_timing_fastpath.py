@@ -7,12 +7,15 @@ quiescence bound — the per-pipeline cycle driver
 (:func:`repro.core.system.drive`) simply does not tick a
 pipeline before its own bound.  These tests pin each structure's
 contract directly, then drive randomized programs to check the bound
-against dense ticking, and finally pin the fault-recovery
-(retransmit-backoff) arrival arithmetic that the skip scheduler relies
-on being materialized eagerly.
+against dense ticking, pin the fault-recovery (retransmit-backoff)
+arrival arithmetic that the skip scheduler relies on being
+materialized eagerly, and finally pin whole results of the issue stage
+on core shapes no other test covers.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -23,13 +26,14 @@ from repro.cpu.func_units import FUPool
 from repro.cpu.lsq import LSQ
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.ruu import RUU
-from repro.experiments.config import datascalar_config
+from repro.experiments.config import datascalar_config, timing_bus_config
 from repro.faults.medium import FaultyMedium
 from repro.faults.plan import BroadcastFault
 from repro.interconnect.medium import make_medium
 from repro.isa import Interpreter, ProgramBuilder
 from repro.isa.opcodes import OpClass
 from repro.params import BusConfig, CPUConfig, FaultConfig
+from repro.runner import result_fingerprint
 from repro.workloads import build_program
 
 
@@ -424,7 +428,6 @@ def test_fault_recovery_is_invisible_to_idle_skip():
     loss-heavy run on the slowest bus (long idle stretches, so skipping
     actually matters) must be bit-identical between fast-forward and
     dense ticking, with real recoveries in play."""
-    from repro.experiments.config import timing_bus_config
     from repro.isa.interpreter import Interpreter as _Interp
 
     class _DenseSystem(DataScalarSystem):
@@ -450,3 +453,84 @@ def test_fault_recovery_is_invisible_to_idle_skip():
     assert fast.bus_transactions == dense.bus_transactions
     assert fast.extra["faults"] == dense.extra["faults"]
     assert fast.extra["faults"]["recovery"]["recovered"] > 0
+
+
+# ----------------------------------------------------------------------
+# Golden digests: the issue stage on core shapes pinned nowhere else.
+# ----------------------------------------------------------------------
+
+GOLDEN_LIMIT = 4_000
+
+#: sha256 of each run's ``result_fingerprint`` (sorted-key compact
+#: JSON, as ``benchmarks/perf`` digests an op), keyed by (kernel, core,
+#: nodes, cycles per bus cycle).  The cores cover conservative
+#: disambiguation, mispredict redirect with commit-time broadcasts, and
+#: a narrow core whose issue width and window overflow.
+GOLDEN = {
+    ("applu", "default", 2, 1):
+        "85b7b01c28d40c8ad63ebc96d8c22f1f97e4fb3cd56b1113395412d93bf15112",
+    ("applu", "default", 4, 16):
+        "e7fc91d393bf17ab5441925f4596e34e8fdac4b033c3767b1bdbb36e61761e7e",
+    ("applu", "conservative", 2, 1):
+        "36cb8e9aa66f331932deba1bad914a6e5d3e87396ef50b2d5688280a9b349bd0",
+    ("applu", "conservative", 4, 16):
+        "c1447cc5c97dab805c11c94c440db1e36a08e3148bd57da2ba6ee1a440bd2175",
+    ("applu", "gshare", 2, 1):
+        "690deb647f3e2c96dfeab885fb2a2bad7b14e096234b5aa4632813723a3c15ee",
+    ("applu", "gshare", 4, 16):
+        "e09ff303be243dde87fd61eb5d1a87194cb0afafefcaa54281ad505085da88a0",
+    ("applu", "narrow", 2, 1):
+        "eabc22cee3efeee49488a84cffb745669415a784ca651e3d22f50eb820d3f311",
+    ("applu", "narrow", 4, 16):
+        "f788595abe9f32bbfc496b0700bee2da4046e81502e0649d10544584880d4655",
+    ("mgrid", "default", 2, 1):
+        "531428e5a573379604f7a4d76d2e4db43dc9f64fc41e0553f59c53974343320d",
+    ("mgrid", "default", 4, 16):
+        "f907b93dc60c4df77b8bc2cbcc6748125fd6027e04b9d94b312dfde4730a5935",
+    ("mgrid", "conservative", 2, 1):
+        "783e09dac1df6c575a1b6ca81f197af91759a8df4d508c0b8f17521d48066420",
+    ("mgrid", "conservative", 4, 16):
+        "9784eac61814cb2b299412b5efd810739b916d7cd78cf61a34de71fa633cee0f",
+    ("mgrid", "gshare", 2, 1):
+        "77aba345478925aa1cbddbe309bd079d01b18664a450bcabccd64cd863acc482",
+    ("mgrid", "gshare", 4, 16):
+        "c59dc2f2d6a9a82c21eb97dcbbb7621f8e0f871ad5dcb15d14a3920402e3709a",
+    ("mgrid", "narrow", 2, 1):
+        "6d96bcbc8f2f29d41e23264301c30b6844c1f8ee7644087ed9586a402bea1d8e",
+    ("mgrid", "narrow", 4, 16):
+        "ab6517a8cf8b8024ef98ab28f63c9cce5e1dbff349ea89b66e101d75fc1fbd34",
+}
+
+
+def _golden_config(core, num_nodes, cycles_per_bus_cycle):
+    config = datascalar_config(
+        num_nodes,
+        bus=timing_bus_config(cycles_per_bus_cycle=cycles_per_bus_cycle))
+    node = config.node
+    cpu = node.cpu
+    if core == "conservative":
+        node = dataclasses.replace(node, cpu=dataclasses.replace(
+            cpu, oracle_disambiguation=False))
+    elif core == "gshare":
+        node = dataclasses.replace(
+            node, cpu=dataclasses.replace(cpu, branch_predictor="gshare"),
+            commit_time_broadcasts=True)
+    elif core == "narrow":
+        node = dataclasses.replace(node, cpu=dataclasses.replace(
+            cpu, fetch_width=2, issue_width=2, commit_width=2,
+            ruu_entries=32, lsq_entries=16))
+    else:
+        assert core == "default"
+    return dataclasses.replace(config, node=node)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN),
+                         ids=lambda key: "{}-{}-{}n-bus{}x".format(*key))
+def test_issue_stage_matches_golden_digest(key):
+    kernel, core, num_nodes, cycles_per_bus_cycle = key
+    result = DataScalarSystem(
+        _golden_config(core, num_nodes, cycles_per_bus_cycle)).run(
+            build_program(kernel), limit=GOLDEN_LIMIT)
+    text = json.dumps(result_fingerprint(result), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[key]
