@@ -44,40 +44,16 @@ class RunnerError(ReproError):
     """The sweep engine could not execute a sweep as requested.
 
     Raised for invalid runner parameters, for sweeps where one or more
-    points failed after their retry budget (the first failing point's
-    original exception is chained as ``__cause__``), and as the base of
-    the timeout error below.
+    points failed (the first failing point's original exception is
+    chained as ``__cause__``), for a worker process that died (naming
+    every point in flight), and as the base of the timeout error
+    below.
     """
 
 
 class PointTimeoutError(RunnerError):
     """A sweep stalled: no point made progress within the runner's
     ``timeout`` window, so outstanding work was cancelled."""
-
-
-class PointQuarantinedError(RunnerError):
-    """A sweep point repeatedly killed its worker process.
-
-    Worker loss (an ``os._exit``, an OOM kill, a segfault in an
-    extension) is recovered by rebuilding the pool and resubmitting the
-    points that were in flight; a point that keeps taking workers down
-    with it exhausts its ``worker_death_budget`` and is quarantined —
-    the rest of the sweep drains normally and the quarantined point
-    surfaces as this typed error (chained under :class:`RunnerError`
-    like any other point failure)."""
-
-
-class SweepInterruptedError(RunnerError):
-    """A sweep was cancelled cooperatively (SIGINT/SIGTERM).
-
-    Raised from :meth:`repro.runner.SweepRunner.run` after completed
-    points have been journaled and cached, so a later run over the same
-    journal and cache (``--resume``) re-executes only the remainder."""
-
-
-class JournalError(RunnerError):
-    """A sweep journal could not be opened, parsed, or replayed
-    (unknown schema, not a journal file, unwritable path)."""
 
 
 class FaultError(SimulationError):

@@ -12,26 +12,23 @@ points land in a content-addressed on-disk cache, so a warm re-run of
 ``all`` skips simulation entirely (see docs/runner.md).  ``--jobs 1
 --no-cache`` is exactly the classic serial path.
 
-Long sweeps are crash-safe: ``--journal PATH`` writes a durable
-write-ahead log of sweep progress, SIGINT/SIGTERM stop the sweep
-gracefully (journal flushed, partial ``status: interrupted`` manifest
-written, exit 130; a second signal hard-kills), and ``--resume PATH``
-picks the sweep back up, re-executing only what never finished.  See
-docs/runner.md, "Crash safety, resume, and chaos testing".
+SIGINT or SIGTERM stops a sweep: workers are torn down, a partial
+``status: interrupted`` manifest is written (with ``--report-out``),
+and the exit status is 130.  Every point that completed is already in
+the cache, so rerunning the same command executes only the rest.  See
+docs/runner.md, "Failures and interruption".
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import sys
 import traceback
 
 from ..analysis.export import write_csv
-from ..errors import SweepInterruptedError
-from ..runner import (ResultCache, SweepJournal, SweepRunner,
-                      default_cache_dir, set_default_runner)
+from ..runner import (ResultCache, SweepRunner, default_cache_dir,
+                      set_default_runner)
 from .figure1 import format_figure1, run_figure1
 from .figure3 import format_figure3, run_figure3
 from .figure7 import format_figure7, run_figure7
@@ -77,6 +74,19 @@ EXPERIMENTS = {
 }
 
 
+def _positive(kind):
+    """An argparse ``type`` accepting only values of ``kind`` above 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -88,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--limit", type=int, default=None,
                         help="dynamic-instruction cap per run "
                              "(default: run kernels to completion)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=_positive(int), default=None,
+                        metavar="N",
                         help="worker processes for the sweep runner "
                              "(default: all CPUs; 1 = classic serial "
                              "in-process execution)")
@@ -143,27 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="live sweep progress line on stderr "
                              "(default: auto — on only when stderr is "
                              "a TTY)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="re-execute a failed sweep point up to N "
-                             "times before the sweep reports it "
-                             "(default: 0 — fail on first error)")
-    parser.add_argument("--point-timeout", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--point-timeout", type=_positive(float),
+                        default=None, metavar="SECONDS",
                         help="fail the sweep if no point completes for "
                              "SECONDS (parallel sweeps: guards against "
                              "hung simulations; default: wait forever)")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="write a durable sweep journal (fsync'd "
-                             "JSONL write-ahead log) at PATH; an "
-                             "existing journal there is rotated aside "
-                             "first — use --resume to continue one")
-    parser.add_argument("--resume", default=None, metavar="PATH",
-                        help="resume an interrupted sweep from its "
-                             "journal at PATH: points the journal marks "
-                             "done are replayed from the result cache, "
-                             "only the remainder re-executes (requires "
-                             "the cache; incompatible with --no-cache "
-                             "and --journal)")
     return parser
 
 
@@ -188,67 +183,23 @@ def run_one(name: str, limit, csv_path=None, fault_seed: int = 11,
 
 
 def _build_runner(args) -> SweepRunner:
-    if args.resume and args.journal:
-        raise SystemExit("--resume already appends to the journal at its "
-                         "PATH; drop --journal")
-    if args.resume and args.no_cache:
-        raise SystemExit("--resume replays finished points from the result "
-                         "cache; drop --no-cache")
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    journal = None
-    if args.resume:
-        journal = SweepJournal.resume(args.resume)
-        state = journal.state
-        print(f"[journal] resuming {args.resume}: {len(state.done)} done, "
-              f"{len(state.outstanding())} in flight at interruption, "
-              f"{len(state.failed)} failed, "
-              f"{len(state.quarantined)} quarantined",
-              file=sys.stderr)
-    elif args.journal:
-        journal = SweepJournal.create(args.journal)
-        if journal.rotated:
-            print(f"[journal] rotated existing {args.journal} aside",
-                  file=sys.stderr)
     telemetry = bool(args.report_out or args.sweep_trace_out)
     return SweepRunner(jobs=args.jobs, cache=cache,
                        progress=args.progress, telemetry=telemetry,
-                       timeout=args.point_timeout, retries=args.retries,
-                       journal=journal)
+                       timeout=args.point_timeout)
 
 
-def _install_signal_handlers(runner) -> "dict[int, object]":
-    """First SIGINT/SIGTERM cancels the sweep gracefully (journal and
-    cache keep everything already finished); a second one hard-kills.
-    Returns the handlers that were replaced, for restoration."""
-    state = {"signals": 0}
-
-    def handler(signum, frame):
-        state["signals"] += 1
-        if state["signals"] >= 2:
-            os._exit(128 + signum)
-        runner.request_cancel()
-        print(f"\n[sweep] {signal.Signals(signum).name} received — "
-              f"stopping at the next scheduler round; completed points "
-              f"are journaled (signal again to hard-kill)",
-              file=sys.stderr)
-
-    previous: "dict[int, object]" = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, handler)
-        except ValueError:
-            pass  # not the main thread (embedded callers): no handlers
-    return previous
-
-
-def _restore_signal_handlers(previous: "dict[int, object]") -> None:
-    for signum, old in previous.items():
-        try:
-            signal.signal(signum, old)
-        except ValueError:
-            pass
+def _handle_sigterm(handler):
+    """Install ``handler`` for SIGTERM; returns the one it replaced.
+    Off the main thread (embedded callers) signals cannot be handled,
+    so nothing changes."""
+    try:
+        return signal.signal(signal.SIGTERM, handler)
+    except ValueError:
+        return None
 
 
 def _write_reports(args, sweep_runner, status: str = "complete") -> None:
@@ -288,7 +239,9 @@ def main(argv=None) -> int:
         profiler.enable()
     sweep_runner = _build_runner(args)
     previous = set_default_runner(sweep_runner)
-    saved_signals = _install_signal_handlers(sweep_runner)
+    # SIGTERM stops a sweep exactly like Ctrl-C: a KeyboardInterrupt
+    # that unwinds through the engine (pool and spool torn down).
+    saved_sigterm = _handle_sigterm(signal.default_int_handler)
     failures: "list[tuple[str, BaseException]]" = []
     interrupted = False
     try:
@@ -302,11 +255,13 @@ def main(argv=None) -> int:
                               metrics_out=args.metrics_out,
                               engine=args.engine))
                 print()
-            except SweepInterruptedError as exc:
-                # Graceful cancellation: everything completed so far is
-                # journaled and cached; report, then exit 130 below.
+            except KeyboardInterrupt:
+                # Everything completed so far is cached; report, then
+                # exit 130 below.
                 interrupted = True
-                print(f"[interrupted] {name}: {exc}", file=sys.stderr)
+                print(f"[interrupted] {name}: rerun the same command "
+                      f"to execute only the points not yet cached",
+                      file=sys.stderr)
                 break
             except Exception as exc:
                 # Under `all`, one broken experiment must not take the
@@ -318,10 +273,9 @@ def main(argv=None) -> int:
                 print(f"[failed] {name}: {exc}", file=sys.stderr)
                 print()
     finally:
-        _restore_signal_handlers(saved_signals)
+        if saved_sigterm is not None:
+            _handle_sigterm(saved_sigterm)
         set_default_runner(previous)
-        if sweep_runner.journal is not None:
-            sweep_runner.journal.close()
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(args.profile)
@@ -332,11 +286,6 @@ def main(argv=None) -> int:
     _write_reports(args, sweep_runner,
                    status="interrupted" if interrupted else "complete")
     if interrupted:
-        journal_path = args.resume or args.journal
-        if journal_path:
-            print(f"[sweep] resume with: python -m repro.experiments "
-                  f"{args.experiment} --resume {journal_path}",
-                  file=sys.stderr)
         return 130
     if failures:
         failed = ", ".join(name for name, _ in failures)

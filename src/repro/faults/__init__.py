@@ -11,29 +11,18 @@ recovery") for the full discipline.
 
 Configuration lives in :class:`repro.params.FaultConfig`; set
 ``SystemConfig.faults`` to arm the layer.
-
-One layer up, :mod:`repro.faults.chaos` applies the same discipline to
-the *sweep-runner process layer*: a seeded :class:`ChaosPlan` injects
-worker deaths, delays, transient I/O errors, and simulated disk-full
-into sweep execution (``SweepRunner(chaos=ChaosConfig(...))``), with
-the matching invariant — sufficient recovery budget means bit-identical
-results, exceeded budget means a typed error, never a hang.
 """
 
 from ..params import FaultConfig
-from .chaos import ChaosConfig, ChaosPlan, PointChaos
 from .medium import FaultyMedium
 from .plan import BroadcastFault, FaultPlan
 from .stats import FaultStats, RecoveryStats
 
 __all__ = [
     "BroadcastFault",
-    "ChaosConfig",
-    "ChaosPlan",
     "FaultConfig",
     "FaultPlan",
     "FaultStats",
     "FaultyMedium",
-    "PointChaos",
     "RecoveryStats",
 ]

@@ -7,11 +7,12 @@ content digest is already in a :class:`ResultCache`.  Results always
 come back in point order and are bit-identical across ``jobs=1``,
 ``jobs=N``, and cache-hit paths.
 
-The engine is crash-safe: a :class:`SweepJournal` write-ahead log makes
-sweeps resumable after any interruption, worker deaths are recovered by
-pool rebuild (with quarantine for points that keep killing workers),
-and :mod:`repro.faults.chaos` injects those failures deterministically
-to prove it.  See ``docs/runner.md`` for the full tour.
+Every failure is a typed error, never a hang: a dead worker raises a
+:class:`~repro.errors.RunnerError` naming the points in flight, and a
+stalled sweep a :class:`~repro.errors.PointTimeoutError`.  Each point
+is cached the moment it completes, so rerunning an interrupted sweep
+over the same cache executes only what is missing.  See
+``docs/runner.md`` for the full tour.
 """
 
 from .cache import ResultCache, default_cache_dir
@@ -20,7 +21,6 @@ from .digest import (canonicalize, code_version, point_digest,
 from .engine import (SweepRunner, get_default_runner, set_default_runner,
                      using_runner)
 from .executors import EXECUTORS, execute_point
-from .journal import JOURNAL_SCHEMA, JournalState, SweepJournal
 from .manifest import RunManifest
 from .point import SweepPoint
 from .telemetry import (PointTelemetry, ProgressLine, TelemetryReader,
@@ -31,9 +31,6 @@ __all__ = [
     "SweepRunner",
     "ResultCache",
     "RunManifest",
-    "SweepJournal",
-    "JournalState",
-    "JOURNAL_SCHEMA",
     "PointTelemetry",
     "ProgressLine",
     "TelemetryReader",

@@ -21,10 +21,11 @@ read-only filesystem) disables further stores for the rest of this
 cache's lifetime — one warning line on stderr, a ``store_errors``
 count the engine surfaces as ``runner.cache.store_errors`` — instead
 of failing the sweep point whose *simulation already succeeded*.
-Loads keep working; a degraded cache can only miss, never lie.  The
-``fault_injector`` hook lets the chaos harness
-(:class:`repro.faults.chaos.ChaosPlan`) drive that degrade path with
-injected ``ENOSPC`` faults.
+Loads keep working; a degraded cache can only miss, never lie.
+
+Because every completed point is stored before the sweep moves on, the
+cache is also the resume: rerunning an interrupted sweep serves the
+finished points from here and executes only the rest.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ class ResultCache:
     """Digest-keyed store of completed sweep-point results."""
 
     def __init__(self, root: "str | os.PathLike",
-                 code_version: "str | None" = None,
-                 fault_injector=None):
+                 code_version: "str | None" = None):
         self.root = pathlib.Path(root)
         #: Stamp mixed into every digest; a different stamp (new code)
         #: addresses a disjoint keyspace, so stale entries can never be
@@ -66,11 +66,6 @@ class ResultCache:
         #: ``OSError``-failed stores; the first one disables the rest.
         self.store_errors = 0
         self.store_disabled = False
-        #: Chaos hook: ``callable(op, digest)`` invoked inside
-        #: :meth:`store`'s hardened region; raising ``OSError`` from it
-        #: exercises the real degrade path (see
-        #: :meth:`repro.faults.chaos.ChaosPlan.fs_injector`).
-        self.fault_injector = fault_injector
 
     def digest_for(self, point: SweepPoint) -> str:
         return point_digest(point, self.code_version)
@@ -125,8 +120,6 @@ class ResultCache:
         path = self._path(digest)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            if self.fault_injector is not None:
-                self.fault_injector("store", digest)
             path.parent.mkdir(parents=True, exist_ok=True)
             entry = {
                 "digest": digest,

@@ -66,9 +66,9 @@ class RunManifest:
         self.jobs = jobs
         self.wall_seconds = wall_seconds
         #: ``"complete"`` for a sweep that ran to the end,
-        #: ``"interrupted"`` for a partial manifest written after a
-        #: graceful cancellation (the rows present are still final —
-        #: every one was cached and journaled before the stop).
+        #: ``"interrupted"`` for a partial manifest written after
+        #: SIGINT/SIGTERM (the rows present are still final — every
+        #: executed one was cached before the stop).
         self.status = status
         #: One row per sweep position, in sweep order.
         self.points = points
@@ -81,9 +81,9 @@ class RunManifest:
     def from_runner(cls, runner, status: str = "complete") -> "RunManifest":
         """Snapshot everything ``runner`` has executed so far.
 
-        ``status="interrupted"`` marks the partial manifest a cancelled
-        sweep writes on its way out — the rows are whatever completed
-        (all of it durable in cache and journal) before the stop.
+        ``status="interrupted"`` marks the partial manifest an
+        interrupted sweep writes on its way out — the rows are whatever
+        completed (and was cached) before the stop.
         """
         rows = [cls._point_row(point) for point in runner.point_telemetry]
         wall = float(runner.registry.gauge("runner.wall_seconds").value)

@@ -138,8 +138,7 @@ def close_writers() -> None:
 
 
 def execute_point_task(point: SweepPoint, spool_dir: "str | None" = None,
-                       collect_spans: bool = False,
-                       chaos=None, digest: str = "", attempt: int = 0):
+                       collect_spans: bool = False):
     """The engine's worker task: run one point, measure it, spool
     progress records, and return ``(result, payload)``.
 
@@ -148,32 +147,12 @@ def execute_point_task(point: SweepPoint, spool_dir: "str | None" = None,
     in-band through the future so the authoritative record never
     depends on spool polling.  Exceptions propagate unchanged after an
     ``error`` record is spooled.
-
-    ``chaos`` (a :class:`repro.faults.chaos.ChaosConfig`) arms
-    process-level fault injection for this attempt: the worker may be
-    delayed, raise a transient ``OSError``, or ``os._exit`` mid-point,
-    all decided deterministically from ``(chaos.seed, digest,
-    attempt)`` so the schedule never depends on which worker runs what
-    when.  Injections are spooled as ``chaos`` records before they
-    land (best-effort, like all spool traffic).
     """
     label = point.label or point.kind
     writer = _writer_for(spool_dir)
     if writer is not None:
         writer.write({"event": "start", "label": label,
-                      "pid": os.getpid(), "t": time.time(),
-                      "attempt": attempt})
-    if chaos is not None:
-        from ..faults.chaos import ChaosPlan
-
-        def spool_chaos(kind: str, decision) -> None:
-            if writer is not None:
-                writer.write({"event": "chaos", "kind": kind,
-                              "label": label, "pid": os.getpid(),
-                              "t": time.time(), "attempt": attempt})
-
-        ChaosPlan(chaos).apply_worker_faults(digest, attempt,
-                                             notify=spool_chaos)
+                      "pid": os.getpid(), "t": time.time()})
     recorder = SpanRecorder() if collect_spans else None
     t0 = time.perf_counter()
     c0 = time.process_time()
@@ -217,7 +196,7 @@ class TelemetryReader:
     One handle per spool file is held open across polls (cheaper than
     reopening at the poll cadence, and immune to a writer recreating
     the path); :meth:`close` releases them all — the engine calls it on
-    every exit path, including timeout aborts and cancellation, so a
+    every exit path, including timeout aborts and interruption, so a
     dead sweep never leaks descriptors onto ``worker-*.jsonl`` files
     the spool cleanup is about to delete.
     """
@@ -317,10 +296,11 @@ class ProgressLine:
 
         ``executed``/``remaining`` are the *actually executed* and
         *still to execute* work-unit counts the ETA rate is built from.
-        The engine passes unique-digest counts, so cache hits,
-        journal-replayed points, and deduped duplicate positions — all
-        of which complete in ~zero time — never contaminate the
-        per-point rate estimate.  Without them the line falls back to
+        The engine passes unique-digest counts, so cache hits and
+        deduped duplicate positions — both of which complete in ~zero
+        time — never contaminate the per-point rate estimate.  A rerun
+        over an interrupted sweep's cache therefore estimates from the
+        points it actually executes.  Without them the line falls back to
         position arithmetic (``done - cached`` / ``total - done``),
         which over-counts when any position was served for free.
         """

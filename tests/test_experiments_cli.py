@@ -123,31 +123,57 @@ def test_main_profile_writes_pstats(tmp_path, capsys):
 
 
 def test_parser_accepts_robustness_flags():
-    args = build_parser().parse_args(
-        ["figure7", "--retries", "2", "--point-timeout", "30",
-         "--journal", "/tmp/j.journal"])
-    assert args.retries == 2
+    args = build_parser().parse_args(["figure7", "--point-timeout", "30"])
     assert args.point_timeout == pytest.approx(30.0)
-    assert args.journal == "/tmp/j.journal"
-    assert build_parser().parse_args(
-        ["figure7", "--resume", "x.journal"]).resume == "x.journal"
 
 
-def test_resume_conflicts_are_rejected(tmp_path):
-    with pytest.raises(SystemExit, match="no-cache"):
-        main(["figure1", "--resume", str(tmp_path / "j"), "--no-cache"])
-    with pytest.raises(SystemExit, match="journal"):
-        main(["figure1", "--resume", str(tmp_path / "j"),
-              "--journal", str(tmp_path / "j2")])
+@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-1"],
+                                   ["--point-timeout", "0"],
+                                   ["--point-timeout", "-1"]])
+def test_parser_rejects_out_of_range_runner_input(flags, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["figure1", *flags])
+    assert info.value.code == 2
+    assert "must be > 0" in capsys.readouterr().err
 
 
-def test_main_journal_and_resume_roundtrip(tmp_path, capsys):
-    journal = tmp_path / "sweep.journal"
+def test_sigterm_mid_sweep_exits_130_with_partial_manifest(tmp_path):
+    """SIGTERM stops a parallel sweep like Ctrl-C: exit 130, a partial
+    ``status: interrupted`` manifest, and no spool left behind."""
+    import json
+    import os
+    import pathlib
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import repro
+
     cache = tmp_path / "cache"
-    assert main(["figure1", "--journal", str(journal),
-                 "--cache-dir", str(cache)]) == 0
-    capsys.readouterr()
-    assert journal.exists()
-    assert main(["figure1", "--resume", str(journal),
-                 "--cache-dir", str(cache)]) == 0
-    assert "resuming" in capsys.readouterr().err
+    report = tmp_path / "run.json"
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments", "figure7",
+         "--limit", "20000", "--jobs", "2", "--cache-dir", str(cache),
+         "--report-out", str(report)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        deadline = time.monotonic() + 120.0
+        while not list(cache.rglob("*.pkl")):
+            assert sweep.poll() is None, "sweep ended before the signal"
+            assert time.monotonic() < deadline, "no point completed"
+            time.sleep(0.02)
+        sweep.send_signal(signal.SIGTERM)
+        _, err = sweep.communicate(timeout=60)
+    finally:
+        if sweep.poll() is None:
+            sweep.kill()
+    assert sweep.returncode == 130, err
+    assert "[interrupted] figure7" in err
+    manifest = json.loads(report.read_text())
+    assert manifest["status"] == "interrupted"
+    assert len(manifest["points"]) >= 1
+    assert not list(tmp_path.glob("repro-sweep-spool-*"))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 
+import repro.runner.cache as cache_module
 from repro.experiments.config import datascalar_config
 from repro.runner import ResultCache, SweepPoint, SweepRunner, \
     default_cache_dir, result_fingerprint
@@ -117,3 +119,24 @@ def test_cache_is_shareable_across_runners(tmp_path):
     cached = SweepRunner(jobs=1, cache=second).run([_point()])[0]
     assert result_fingerprint(cached) == result_fingerprint(result)
     assert second.hits == 1 and second.stores == 0
+
+
+def test_cache_oserror_degrades_cache_not_results(tmp_path, monkeypatch):
+    """A store that fails with ``OSError`` turns stores off for the rest
+    of the run; every point still returns its bit-identical result."""
+    points = [_point(), _point(limit=LIMIT + 1)]
+    baseline = SweepRunner(jobs=1).run(points)
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cache_module.os, "replace", disk_full)
+    cache = ResultCache(tmp_path, code_version="v")
+    runner = SweepRunner(jobs=1, cache=cache)
+    results = runner.run(points)
+    for a, b in zip(baseline, results):
+        assert result_fingerprint(a) == result_fingerprint(b)
+    assert cache.store_disabled
+    assert cache.store_errors == 1
+    assert runner.registry.counter("runner.cache.store_errors").value == 1
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]

@@ -1,6 +1,17 @@
-"""The sweep engine: ordering, bit-identity, dedup, failures, metrics."""
+"""The sweep engine: ordering, bit-identity, dedup, failures, metrics,
+and "a typed error, never a hang" on worker death, stalls and
+interruption."""
 
 from __future__ import annotations
+
+import glob
+import os
+import pathlib
+import signal
+import tempfile
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -11,9 +22,46 @@ from repro.runner import (ResultCache, SweepPoint, SweepRunner,
                           execute_point, get_default_runner,
                           result_fingerprint, set_default_runner,
                           using_runner)
-from repro.runner.executors import EXECUTORS
+from repro.runner.executors import executor
 
 LIMIT = 1500
+
+
+# Registered at import time so fork-based pool workers inherit them.
+@executor("engine-probe")
+def _run_probe(point):
+    return {"tripled": point.knob("x", 0) * 3}
+
+
+@executor("engine-exit")
+def _run_exit(point):
+    os._exit(86)
+
+
+@executor("engine-hang")
+def _run_hang(point):
+    time.sleep(30.0)
+    return "never"
+
+
+@executor("engine-held")
+def _run_held(point):
+    """Blocks until the ``release`` file exists (at most 30 s)."""
+    release = pathlib.Path(point.knob("release"))
+    deadline = time.monotonic() + 30.0
+    while not release.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return {"tripled": point.knob("x", 0) * 3}
+
+
+def _probes(n):
+    return [SweepPoint.make("engine-probe", label=f"alive-{i}", x=i)
+            for i in range(n)]
+
+
+def _spool_dirs():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(),
+                                      "repro-sweep-spool-*")))
 
 
 def _mixed_points():
@@ -36,8 +84,15 @@ def test_unknown_kind_is_a_typed_error():
 
 
 def test_invalid_jobs_rejected():
-    with pytest.raises(RunnerError):
-        SweepRunner(jobs=-2)
+    for jobs in (-2, -1, 0):
+        with pytest.raises(RunnerError, match="jobs must be >= 1"):
+            SweepRunner(jobs=jobs)
+
+
+def test_invalid_timeout_rejected():
+    for timeout in (0, -1.0):
+        with pytest.raises(RunnerError, match="timeout must be > 0"):
+            SweepRunner(timeout=timeout)
 
 
 def test_results_come_back_in_point_order():
@@ -98,40 +153,6 @@ def test_parallel_failure_is_deterministic_and_chained():
     assert isinstance(excinfo.value.__cause__, ReproError)
 
 
-def _flaky(point):
-    """Fails on the first attempt per process, then succeeds."""
-    counts = _flaky.__dict__.setdefault("counts", {"n": 0})
-    counts["n"] += 1
-    if counts["n"] == 1:
-        raise ValueError("transient")
-    return "ok"
-
-
-def test_serial_retry_recovers():
-    EXECUTORS["flaky"] = _flaky
-    try:
-        _flaky.__dict__.pop("counts", None)
-        runner = SweepRunner(jobs=1, retries=1)
-        assert runner.run([SweepPoint.make("flaky")]) == ["ok"]
-        assert runner.registry.counter("runner.points.retried").value == 1
-        assert runner.registry.counter("runner.points.failed").value == 0
-    finally:
-        EXECUTORS.pop("flaky", None)
-
-
-def test_serial_retries_exhaust():
-    EXECUTORS["alwaysbad"] = lambda point: (_ for _ in ()).throw(
-        ValueError("permanent"))
-    try:
-        runner = SweepRunner(jobs=1, retries=2)
-        with pytest.raises(ValueError, match="permanent"):
-            runner.run([SweepPoint.make("alwaysbad")])
-        assert runner.registry.counter("runner.points.retried").value == 2
-        assert runner.registry.counter("runner.points.failed").value == 1
-    finally:
-        EXECUTORS.pop("alwaysbad", None)
-
-
 def test_metrics_surface_through_registry(tmp_path):
     points = _mixed_points()
     cache = ResultCache(tmp_path, code_version="v")
@@ -171,3 +192,73 @@ def test_default_runner_roundtrip():
 def test_timeout_error_type_exists():
     assert issubclass(PointTimeoutError, RunnerError)
     assert issubclass(RunnerError, ReproError)
+
+
+# ----------------------------------------------------------------------
+# A typed error, never a hang.
+# ----------------------------------------------------------------------
+def test_worker_death_leaves_no_spool_files():
+    """A worker that dies mid-point raises exactly one RunnerError that
+    names the point, and the spool is cleaned up."""
+    before = _spool_dirs()
+    points = _probes(3)
+    points.insert(1, SweepPoint.make("engine-exit", label="killer"))
+    runner = SweepRunner(jobs=2, telemetry=True)
+    with pytest.raises(RunnerError, match="worker process died.*killer") \
+            as info:
+        runner.run(points)
+    assert type(info.value) is RunnerError
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert _spool_dirs() == before
+
+
+def test_timeout_abort_leaves_no_spool_files():
+    before = _spool_dirs()
+    runner = SweepRunner(jobs=2, timeout=0.3, telemetry=True)
+    with pytest.raises(PointTimeoutError, match="hung"):
+        runner.run([SweepPoint.make("engine-hang", label="hung")])
+    assert _spool_dirs() == before
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rerun_after_interrupt_executes_only_what_the_cache_lacks(
+        tmp_path, jobs):
+    """Ctrl-C partway through a sweep, then a plain rerun on the same
+    cache: only the uncached points execute, bit-identically."""
+    release = tmp_path / "release"
+    points = _probes(2) + [
+        SweepPoint.make("engine-held", label=f"held-{i}", x=i,
+                        release=str(release))
+        for i in range(2, 6)]
+    cache = ResultCache(tmp_path / "cache", code_version="v")
+    main_thread = threading.get_ident()
+
+    def interrupt_once_two_are_cached():
+        # The held points cannot finish before ``release`` exists, so
+        # exactly the two probes are in the cache when SIGINT lands.
+        deadline = time.monotonic() + 30.0
+        while (len(list(cache.root.rglob("*.pkl"))) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        signal.pthread_kill(main_thread, signal.SIGINT)
+
+    before = _spool_dirs()
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    watcher = threading.Thread(target=interrupt_once_two_are_cached)
+    try:
+        watcher.start()
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(jobs=jobs, cache=cache, telemetry=True).run(points)
+    finally:
+        watcher.join(timeout=60.0)
+        signal.signal(signal.SIGINT, previous)
+    assert not watcher.is_alive()
+    assert _spool_dirs() == before
+
+    release.touch()
+    rerun = SweepRunner(jobs=jobs, cache=cache)
+    results = rerun.run(points)
+    assert rerun.registry.counter("runner.cache.hit").value == 2
+    assert rerun.registry.counter("runner.points.executed").value == 4
+    for a, b in zip(results, SweepRunner(jobs=1).run(points)):
+        assert result_fingerprint(a) == result_fingerprint(b)

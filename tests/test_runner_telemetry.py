@@ -266,7 +266,7 @@ def test_progress_eta_excludes_cached_points():
     informed = line.render(6, 5, 0, executed=1, remaining=1)
     assert "eta 0:10" in informed
 
-    # Everything so far came from cache/journal: no rate estimate at
+    # Everything so far came from the cache: no rate estimate at
     # all rather than an absurdly optimistic one.
     replayed = line.render(6, 6, 0, executed=0, remaining=4)
     assert "eta" not in replayed
@@ -304,7 +304,7 @@ def test_runner_error_includes_label_and_elapsed():
     points = [SweepPoint.make("telemetry-bogus", label="bad-apple")]
     runner = SweepRunner(jobs=2)
     with pytest.raises(RunnerError, match=r"bad-apple.*failed after "
-                                          r"\d+\.\d+s.*1 attempt") as info:
+                                          r"\d+\.\d+s") as info:
         runner.run(points)
     assert isinstance(info.value.__cause__, ReproError)
 
