@@ -209,72 +209,3 @@ def test_ablation_cost_effectiveness(benchmark):
     ))
     assert costup < 2.0  # adding a processor far from doubles system cost
 
-
-def test_ablation_iram_vs_l2_organization(benchmark):
-    """Paper Section 4.3 dismisses comparing against a traditional chip
-    whose on-chip memory is an L2 cache ('an unfair comparison'); this
-    ablation measures that alternative."""
-    from repro.baseline import L2System, TraditionalSystem
-    from repro.experiments import timing_node_config, traditional_config
-    from repro.params import CacheConfig
-
-    node = timing_node_config()
-    config = traditional_config(2, node=node)
-    l2_config = CacheConfig(size_bytes=32 * 1024, assoc=4, line_size=32,
-                            write_policy="writeback", write_allocate=True)
-    program = build_program("vortex")
-
-    def run():
-        ds = _run_ds(program, num_nodes=2, node=node, limit=LIMIT)
-        plain = TraditionalSystem(config).run(program, limit=LIMIT)
-        l2 = L2System(config, l2_config=l2_config).run(program, limit=LIMIT)
-        return ds, plain, l2
-
-    ds, plain, l2 = run_once(benchmark, run)
-    print()
-    print(format_table(
-        ["organization", "IPC", "bus transactions"],
-        [["DataScalar (2 IRAMs)", round(ds.ipc, 3), ds.bus_transactions],
-         ["traditional (1/2 on-chip main memory)", round(plain.ipc, 3),
-          plain.bus_transactions],
-         ["traditional (on-chip memory as L2)", round(l2.ipc, 3),
-          l2.bus_transactions]],
-        title="Ablation: what to do with on-chip capacity (vortex)",
-    ))
-    assert ds.ipc > 0 and plain.ipc > 0 and l2.ipc > 0
-
-
-def test_ablation_l2_dynamic_replication(benchmark):
-    """Footnote 4: dynamic replication at a unified L2 instead of the L1
-    — a bigger replication pool trades an extra on-chip level per miss
-    for fewer broadcasts on re-referenced data."""
-    import dataclasses
-
-    from repro.params import CacheConfig
-
-    node = timing_node_config(dcache_bytes=2048)
-    base = datascalar_config(2, node=node)
-    l2_config = dataclasses.replace(
-        base, l2=CacheConfig(size_bytes=32 * 1024, assoc=4, line_size=32,
-                             write_policy="writeback", write_allocate=True))
-    program = build_program("li")  # small hot heap: heavy reuse
-
-    def run():
-        l1_only = DataScalarSystem(base).run(program, limit=30_000)
-        with_l2 = DataScalarSystem(l2_config).run(program, limit=30_000)
-        return l1_only, with_l2
-
-    l1_only, with_l2 = run_once(benchmark, run)
-    print()
-    print(format_table(
-        ["replication level", "broadcasts", "IPC"],
-        [["L1 only (paper)",
-          sum(n.broadcasts_sent for n in l1_only.nodes),
-          round(l1_only.ipc, 3)],
-         ["unified L2 (footnote 4)",
-          sum(n.broadcasts_sent for n in with_l2.nodes),
-          round(with_l2.ipc, 3)]],
-        title="Ablation: dynamic-replication level (li, 2 nodes)",
-    ))
-    assert (sum(n.broadcasts_sent for n in with_l2.nodes)
-            <= sum(n.broadcasts_sent for n in l1_only.nodes))

@@ -1,6 +1,6 @@
 """Benchmarks for the extension features beyond the paper's figures:
 technology scenarios, hybrid SPSD/SPMD, datathread-aware placement, and
-the branch-prediction survey behind the perfect-BP assumption.
+the broadcast transports.
 """
 
 from conftest import run_once
@@ -15,7 +15,6 @@ from repro.core import (
     plan_placement,
     round_robin_placement,
 )
-from repro.cpu import survey_predictors
 from repro.experiments import datascalar_config, run_scenarios, \
     timing_node_config
 from repro.isa import Interpreter, ProgramBuilder
@@ -111,31 +110,6 @@ def test_extension_datathread_placement(benchmark):
     ))
     assert smart.cut_weight <= naive.cut_weight
     assert smart_report.mean_length >= naive_report.mean_length
-
-
-def test_extension_branch_prediction_survey(benchmark):
-    """What the perfect-branch-prediction assumption papers over."""
-    def run():
-        out = {}
-        for name in ("go", "compress", "tomcatv"):
-            out[name] = survey_predictors(build_program(name), limit=30_000)
-        return out
-
-    surveys = run_once(benchmark, run)
-    print()
-    rows = []
-    for name, reports in surveys.items():
-        for report in reports:
-            rows.append([name, report.predictor, report.branches,
-                         f"{report.accuracy:.1%}"])
-    print(format_table(
-        ["workload", "predictor", "branches", "accuracy"],
-        rows,
-        title="Extension: branch-predictor survey (perfect-BP assumption)",
-    ))
-    for reports in surveys.values():
-        learned = max(r.accuracy for r in reports)
-        assert learned > 0.6
 
 
 def test_extension_broadcast_medium_comparison(benchmark):

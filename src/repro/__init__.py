@@ -5,8 +5,8 @@ Public API tour:
 
 * :mod:`repro.isa` — the simulated RISC ISA, builder DSL, assembler, and
   functional interpreter.
-* :mod:`repro.memory` — caches, MSHRs, banked memory, page tables, and
-  the replicated/communicated address-space layout.
+* :mod:`repro.memory` — caches, banked memory, page tables, and the
+  replicated/communicated address-space layout.
 * :mod:`repro.interconnect` — the global broadcast bus, a ring, queues.
 * :mod:`repro.cpu` — the 8-wide out-of-order core (RUU, LSQ, FUs).
 * :mod:`repro.core` — the DataScalar execution model: asynchronous ESP,

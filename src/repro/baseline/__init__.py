@@ -1,14 +1,10 @@
 """Baseline systems: the traditional IRAM + off-chip memory machine and
 the perfect-data-cache upper bound."""
 
-from .l2 import L2Memory, L2Result, L2System
 from .perfect import PerfectMemory, PerfectSystem
 from .traditional import TraditionalMemory, TraditionalResult, TraditionalSystem
 
 __all__ = [
-    "L2Memory",
-    "L2Result",
-    "L2System",
     "PerfectMemory",
     "PerfectSystem",
     "TraditionalMemory",

@@ -51,13 +51,6 @@ class TraditionalMemory(MemoryInterface):
         )
         self.ni_queue = LatencyQueue(config.bus.interface_latency, name="ni")
         self.dcub = DCUB(name="dcub-trad")
-        if node.tlb_entries:
-            from ..memory.tlb import TLB
-
-            self.dtlb = TLB(node.tlb_entries, walker=self.onchip_mem,
-                            name="dtlb")
-        else:
-            self.dtlb = None
         self.requests = 0
         self.onchip_fills = 0
         self.writethroughs_offchip = 0
@@ -70,9 +63,6 @@ class TraditionalMemory(MemoryInterface):
     # Issue side.
     # ------------------------------------------------------------------
     def load_issue(self, now: int, addr: int, size: int) -> LoadHandle:
-        if self.dtlb is not None:
-            now = self.dtlb.access(now, addr,
-                                   self.config.node.memory.page_size)
         line = self.dcache.line_addr(addr)
         hit_latency = self.config.node.dcache.hit_latency
         if self.dcache.lookup(addr):

@@ -64,22 +64,13 @@ class DataScalarNode(MemoryInterface):
         )
         self.bshr = BSHRFile(config.bshr, name=f"bshr{node_id}")
         self.dcub = DCUB(name=f"dcub{node_id}")
-        if config.tlb_entries:
-            from ..memory.tlb import TLB
-
-            # TLB misses walk the locked page table in local memory.
-            self.dtlb = TLB(config.tlb_entries, walker=self.local_mem,
-                            name=f"dtlb{node_id}")
-        else:
-            self.dtlb = None
         self.tracker = CorrespondenceTracker()
         self.broadcaster = Broadcaster(
             node_id, medium, config.broadcast_queue_latency,
             config.dcache.line_size, deliver, num_peers=num_peers,
         )
-        # Hot-path constants (load_issue runs once per load issue).
+        # Hot-path constant (load_issue runs once per load issue).
         self._d_hit_latency = config.dcache.hit_latency
-        self._page_size = config.memory.page_size
         #: Loads that bypassed the cache but still update it at commit.
         self.remote_loads = 0
         self.local_loads = 0
@@ -101,8 +92,6 @@ class DataScalarNode(MemoryInterface):
     # Issue side.
     # ------------------------------------------------------------------
     def load_issue(self, now: int, addr: int, size: int) -> LoadHandle:
-        if self.dtlb is not None:
-            now = self.dtlb.access(now, addr, self._page_size)
         line = self.dcache.line_addr(addr)
         hit_latency = self._d_hit_latency
         if self.dcache.lookup(addr):

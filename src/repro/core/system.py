@@ -234,16 +234,9 @@ class DataScalarSystem:
         pipelines = []
         with spans.span("setup"):
             for node_id in range(num):
-                if config.l2 is not None:
-                    from .node_l2 import DataScalarL2Node
-
-                    node = DataScalarL2Node(
-                        node_id, config.node, config.l2, page_table,
-                        medium, deliver, num_peers=num - 1)
-                else:
-                    node = DataScalarNode(
-                        node_id, config.node, page_table, medium,
-                        deliver, num_peers=num - 1)
+                node = DataScalarNode(
+                    node_id, config.node, page_table, medium, deliver,
+                    num_peers=num - 1)
                 nodes.append(node)
                 pipelines.append(
                     Pipeline(config.node.cpu, node, traces[node_id],
@@ -385,11 +378,6 @@ class DataScalarSystem:
             # detected fault repaired) or the run is not trustworthy.
             medium.validate_final_state()
             extra["faults"] = medium.snapshot()
-        l2_hits = sum(getattr(node, "l2_hits", 0) for node in nodes)
-        l2_misses = sum(getattr(node, "l2_misses", 0) for node in nodes)
-        if l2_hits or l2_misses:
-            extra["l2_hits"] = l2_hits
-            extra["l2_misses"] = l2_misses
         return DataScalarResult(
             cycles=cycles,
             instructions=committed.pop(),

@@ -5,10 +5,7 @@ from .branch import (
     BimodalPredictor,
     BranchPredictor,
     GSharePredictor,
-    PredictionReport,
     StaticTakenPredictor,
-    measure_predictor,
-    survey_predictors,
 )
 from .func_units import FUPool
 from .interface import LoadHandle, MemoryInterface
@@ -20,10 +17,7 @@ __all__ = [
     "BimodalPredictor",
     "BranchPredictor",
     "GSharePredictor",
-    "PredictionReport",
     "StaticTakenPredictor",
-    "measure_predictor",
-    "survey_predictors",
     "FUPool",
     "LoadHandle",
     "MemoryInterface",

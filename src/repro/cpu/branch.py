@@ -1,22 +1,17 @@
-"""Branch predictors, and measurement of the perfect-prediction assumption.
+"""Branch predictors: the substrate of the perfect-prediction assumption.
 
 The paper assumes perfect branch prediction ("modern branch predictors
 are already quite accurate ... we have no way of knowing what prediction
 techniques will be prevalent in future processors") and notes the
 correspondence protocol does not yet support speculative broadcasts.
 This module supplies the substrate that assumption replaces: static,
-bimodal, and gshare predictors plus a driver that measures how accurate
-each is on a workload's actual branch stream — quantifying how much the
-perfect-prediction simplification gives away.
+bimodal, and gshare predictors, selected by
+``CPUConfig.branch_predictor``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ConfigError
-from ..isa.opcodes import CONDITIONAL_BRANCHES
-from ..isa.program import Program
 
 
 class BranchPredictor:
@@ -96,60 +91,3 @@ class GSharePredictor(BranchPredictor):
         mask = (1 << self.history_bits) - 1
         self._history = ((self._history << 1) | int(taken)) & mask
 
-
-@dataclass
-class PredictionReport:
-    """Accuracy of one predictor on one branch stream."""
-
-    predictor: str
-    branches: int
-    correct: int
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.branches if self.branches else 1.0
-
-    @property
-    def mispredictions(self) -> int:
-        return self.branches - self.correct
-
-
-def measure_predictor(program: Program, predictor: BranchPredictor,
-                      limit=None, name=None) -> PredictionReport:
-    """Replay ``program``'s conditional-branch stream through
-    ``predictor`` and report its accuracy."""
-    from ..isa.interpreter import Interpreter
-    from ..memory.address import INSTRUCTION_BYTES, TEXT_BASE
-
-    interp = Interpreter(program)
-    instructions = program.instructions
-    branches = 0
-    correct = 0
-    previous_index = None
-    previous_pc = 0
-    for index in interp.indices(limit):
-        if previous_index is not None:
-            instr = instructions[previous_index]
-            if instr.op in CONDITIONAL_BRANCHES:
-                taken = index != previous_index + 1
-                branches += 1
-                if predictor.predict(previous_pc) == taken:
-                    correct += 1
-                predictor.train(previous_pc, taken)
-        previous_index = index
-        previous_pc = TEXT_BASE + index * INSTRUCTION_BYTES
-    return PredictionReport(
-        predictor=name or type(predictor).__name__,
-        branches=branches,
-        correct=correct,
-    )
-
-
-def survey_predictors(program: Program, limit=None):
-    """Run the standard predictor set over one program."""
-    return [
-        measure_predictor(program, StaticTakenPredictor(), limit,
-                          "static-taken"),
-        measure_predictor(program, BimodalPredictor(), limit, "bimodal-2k"),
-        measure_predictor(program, GSharePredictor(), limit, "gshare-4k"),
-    ]

@@ -32,9 +32,11 @@ class LSQ:
         self._stores = deque()  # store entries only, program order
         self.forwards = 0
         #: Stores in the queue that have not claimed an issue slot yet.
-        #: Maintained by :meth:`insert` / :meth:`note_store_issued`;
-        #: lets :meth:`has_unissued_earlier_store` skip its scan when
-        #: every queued store has already issued (the steady state).
+        #: :meth:`insert` counts a store in; the issue stage of
+        #: :meth:`repro.cpu.pipeline.Pipeline.tick` counts it out when
+        #: the store issues.  Lets :meth:`has_unissued_earlier_store`
+        #: skip its scan when every queued store has already issued (the
+        #: steady state).
         self._unissued_stores = 0
 
     def __len__(self) -> int:
@@ -50,10 +52,6 @@ class LSQ:
         if entry.is_store:
             self._stores.append(entry)
             self._unissued_stores += 1
-
-    def note_store_issued(self) -> None:
-        """Record that one queued store moved to the issued state."""
-        self._unissued_stores -= 1
 
     def release_head(self, entry) -> None:
         """Remove ``entry``, which must be the oldest memory instruction."""

@@ -188,7 +188,7 @@ class Pipeline:
                                            True, head.handle)
                             lsq.release_head(head)
                             stats.stores += 1
-                        # Inlined RUU.pop_head (head recycling):
+                        # Retire the head onto the free list (see ruu.py):
                         popleft()
                         dest = head.dest
                         if dest is not None \

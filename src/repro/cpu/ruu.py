@@ -6,17 +6,19 @@ Entries wake dependents when their result-ready cycle becomes known
 (at issue for fixed-latency operations; when the memory system resolves
 the handle for loads).
 
-Entry objects are recycled through a free list: :meth:`RUU.pop_head`
-returns the committed entry to the pool and :meth:`RUU.dispatch` reuses
-it for the next dispatched instruction.  This is safe because a
-committed entry can appear in no other structure — it was issued (so it
-sits in neither the ready heap nor the waiting list), resolved (so
-``dependents`` is ``None`` and it is not a pending load), and the
-``_last_writer`` slot that may still name it is dropped at pop time
-(a committed producer's result time is always in the past, so the
-mapping could never again affect a later consumer).  A load's cached
-``blocker`` may still name a recycled store; the issue stage treats a
-blocker younger than the load as gone.
+Entry objects are recycled through a free list.  The commit stage of
+:meth:`repro.cpu.pipeline.Pipeline.tick` pops the head off ``window``,
+drops the ``_last_writer`` slot that still names it and, while
+``_free`` holds fewer than ``capacity`` entries, appends it there;
+:meth:`RUU.dispatch` reuses it for the next instruction.  This is safe
+because a committed entry can appear in no other structure — it was
+issued (so it sits in neither the ready heap nor the waiting list) and
+resolved (so ``dependents`` is ``None`` and it is not a pending load).
+Dropping its ``_last_writer`` slot changes nothing: a committed
+producer's result time is in the past, so it could never again raise a
+later consumer's operand time.  A load's cached ``blocker`` may still
+name a recycled store; the issue stage treats a blocker younger than
+the load as gone.
 """
 
 from __future__ import annotations
@@ -210,24 +212,3 @@ class RUU:
         if not aged:
             entries.sort(key=_entry_seq)
         self._waiting = entries
-
-    def pop_head(self) -> RUUEntry:
-        """Remove and return the oldest entry (it must be committable).
-
-        The entry is recycled onto the free list; its fields stay valid
-        until the next :meth:`dispatch` reuses it.  Dropping the
-        ``_last_writer`` mapping here is behavior-neutral: a committed
-        producer's ``result_time`` is at most the commit cycle, so it
-        can never raise a later consumer's operand time above the
-        dispatch default, and it can never again register a dependent.
-        """
-        entry = self.window.popleft()
-        dest = entry.dest
-        if dest is not None:
-            last_writer = self._last_writer
-            if last_writer.get(dest) is entry:
-                del last_writer[dest]
-        free = self._free
-        if len(free) < self.capacity:
-            free.append(entry)
-        return entry

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["all", "list"],
                         help="which experiment to run")
-    parser.add_argument("--limit", type=int, default=None,
+    parser.add_argument("--limit", type=_positive(int), default=None,
                         help="dynamic-instruction cap per run "
                              "(default: run kernels to completion)")
     parser.add_argument("--jobs", type=_positive(int), default=None,

@@ -9,7 +9,7 @@ from .medium import (
     make_medium,
 )
 from .message import Message, MessageKind
-from .queueing import BoundedQueue, LatencyQueue
+from .queueing import LatencyQueue
 from .ring import Ring
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "make_medium",
     "Message",
     "MessageKind",
-    "BoundedQueue",
     "LatencyQueue",
     "Ring",
 ]

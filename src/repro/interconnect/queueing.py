@@ -42,28 +42,3 @@ class LatencyQueue:
         self.items = 0
         self.total_delay = 0
 
-
-class BoundedQueue(LatencyQueue):
-    """A :class:`LatencyQueue` that also tracks occupancy high-water mark.
-
-    Occupancy is approximated from enqueue/drain times; the DataScalar
-    receive path uses it to flag BSHR-style queue pressure.
-    """
-
-    def __init__(self, latency: int, capacity: int, name: str = "queue"):
-        super().__init__(latency, name)
-        if capacity < 1:
-            raise ConfigError("queue capacity must be >= 1")
-        self.capacity = capacity
-        self._in_flight: "list[int]" = []
-        self.high_water = 0
-        self.overflows = 0
-
-    def enqueue(self, now: int) -> int:
-        self._in_flight = [t for t in self._in_flight if t > now]
-        if len(self._in_flight) >= self.capacity:
-            self.overflows += 1
-        out = super().enqueue(now)
-        self._in_flight.append(out)
-        self.high_water = max(self.high_water, len(self._in_flight))
-        return out

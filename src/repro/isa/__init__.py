@@ -8,7 +8,6 @@ from .instruction import Instruction
 from .interpreter import ExecResult, Interpreter, run_program
 from .opcodes import OpClass, Opcode
 from .program import Program
-from .tracefile import load_trace, save_trace
 from .trace import IFETCH, READ, WRITE, DynInstr, MemRef
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "OpClass",
     "Opcode",
     "Program",
-    "load_trace",
-    "save_trace",
     "DynInstr",
     "MemRef",
     "IFETCH",

@@ -461,12 +461,6 @@ class Interpreter:
             pass
         return self.result()
 
-    def indices(self, limit=None):
-        """Drive execution, yielding the static instruction index of each
-        retired instruction — the cheapest dynamic-path stream (used by
-        the branch-prediction survey)."""
-        return self._indices(limit)
-
     def _indices(self, limit=None):
         """Drive execution, yielding the index of each retired instruction."""
         limit = self.max_instructions if limit is None else limit

@@ -1,4 +1,4 @@
-"""Memory-system substrates: caches, MSHRs, main memory, paging, layout."""
+"""Memory-system substrates: caches, main memory, paging, layout."""
 
 from .address import (
     GLOBAL_BASE,
@@ -22,7 +22,6 @@ from .layout import (
     traditional_page_table,
 )
 from .mainmem import BankedMemory
-from .mshr import MSHREntry, MSHRFile
 from .page_table import PTE, PageTable
 from .profile import PageProfile, profile_program
 
@@ -47,8 +46,6 @@ __all__ = [
     "choose_block_size",
     "traditional_page_table",
     "BankedMemory",
-    "MSHREntry",
-    "MSHRFile",
     "PTE",
     "PageTable",
     "PageProfile",

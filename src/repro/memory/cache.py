@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import MemoryError_
 from ..params import CacheConfig
 
 
@@ -122,26 +121,6 @@ class Cache:
     # ------------------------------------------------------------------
     # Mutating primitives (commit-time state updates).
     # ------------------------------------------------------------------
-    def touch(self, addr: int) -> None:
-        """Move the line containing ``addr`` to MRU; it must be resident."""
-        line = self.line_addr(addr)
-        ways = self._sets[self._set_index(line)]
-        for position, entry in enumerate(ways):
-            if entry[0] == line:
-                ways.append(ways.pop(position))
-                return
-        raise MemoryError_(f"{self.name}: touch of non-resident line {line:#x}")
-
-    def mark_dirty(self, addr: int) -> None:
-        """Set the dirty bit on a resident line."""
-        line = self.line_addr(addr)
-        ways = self._sets[self._set_index(line)]
-        for entry in ways:
-            if entry[0] == line:
-                entry[1] = True
-                return
-        raise MemoryError_(f"{self.name}: dirty-mark of non-resident {line:#x}")
-
     def insert(self, addr: int, dirty: bool = False):
         """Allocate the line containing ``addr`` at MRU.
 
@@ -163,22 +142,6 @@ class Cache:
         ways.append([line, dirty])
         return victim
 
-    def invalidate(self, addr: int) -> bool:
-        """Drop the line containing ``addr``; returns True if it was dirty."""
-        line = self.line_addr(addr)
-        ways = self._sets[self._set_index(line)]
-        for position, entry in enumerate(ways):
-            if entry[0] == line:
-                ways.pop(position)
-                return entry[1]
-        return False
-
-    def flush(self) -> "list[int]":
-        """Empty the cache; returns line addresses that were dirty."""
-        dirty = [e[0] for ways in self._sets for e in ways if e[1]]
-        self._sets = [[] for _ in range(self._num_sets)]
-        return dirty
-
     # ------------------------------------------------------------------
     # Combined canonical access (commit order).
     # ------------------------------------------------------------------
@@ -189,9 +152,7 @@ class Cache:
         off: identical call sequences leave identical cache states.
 
         One scan of the set serves residency, LRU refresh, and
-        dirty-marking together (the split ``lookup``/``touch``/
-        ``mark_dirty``/``insert`` primitives each rescan; this is the
-        commit hot path).
+        dirty-marking together (this is the commit hot path).
         """
         stats = self.stats
         config = self.config

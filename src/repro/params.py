@@ -307,17 +307,12 @@ class NodeConfig:
     #: ... allow them to proceed only when they were determined to be
     #: correct") — required when running with a real branch predictor.
     commit_time_broadcasts: bool = False
-    #: Data-TLB entries; 0 disables translation modeling (the default —
-    #: the paper's single-level locked page table makes walks one local
-    #: memory access, charged on TLB misses when enabled).
-    tlb_entries: int = 0
 
     def __post_init__(self) -> None:
         _require(
             self.broadcast_queue_latency >= 0,
             "broadcast_queue_latency must be >= 0",
         )
-        _require(self.tlb_entries >= 0, "tlb_entries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -345,10 +340,6 @@ class SystemConfig:
     #: ``"ring"`` (SCI-style), or ``"optical"`` (free-space, contention-
     #: free) — Section 4.4's candidates.
     interconnect: str = "bus"
-    #: Optional unified L2 per node: dynamic replication moves to the
-    #: second level (the paper's footnote 4 alternative).  ``None``
-    #: keeps the paper's L1-only scheme.
-    l2: "CacheConfig | None" = None
     #: Optional unreliable-broadcast injection (:class:`FaultConfig`).
     #: ``None`` (the default) leaves the transport perfect and the
     #: simulator bit-identical to a build without the fault layer.

@@ -6,22 +6,8 @@ from repro.cpu import (
     BimodalPredictor,
     GSharePredictor,
     StaticTakenPredictor,
-    measure_predictor,
-    survey_predictors,
 )
 from repro.errors import ConfigError
-from repro.isa import ProgramBuilder
-from repro.workloads import build_program
-
-
-def _loop_program(iterations=100):
-    b = ProgramBuilder()
-    b.li("r1", 0)
-    b.li("r2", iterations)
-    with b.while_cond("lt", "r1", "r2"):
-        b.addi("r1", "r1", 1)
-    b.halt()
-    return b.build()
 
 
 def test_static_taken_predictor():
@@ -75,29 +61,3 @@ def test_predictor_validation(cls, kwargs):
     with pytest.raises(ConfigError):
         cls(**kwargs)
 
-
-def test_measure_predictor_on_tight_loop():
-    """A counted loop's branch is taken N-1 times then falls through;
-    every predictor should be nearly perfect."""
-    program = _loop_program(200)
-    report = measure_predictor(program, BimodalPredictor(), name="bimodal")
-    assert report.predictor == "bimodal"
-    assert report.branches == 201  # 200 iterations + the exit test
-    assert report.accuracy > 0.95
-
-
-def test_survey_orders_sensibly_on_real_kernel():
-    """On branchy integer code, learned predictors beat static-taken —
-    quantifying what the paper's perfect-prediction assumption covers."""
-    program = build_program("go")
-    reports = {r.predictor: r for r in survey_predictors(program,
-                                                         limit=20000)}
-    assert reports["bimodal-2k"].accuracy >= reports["static-taken"].accuracy
-    assert reports["bimodal-2k"].branches == reports["gshare-4k"].branches
-    assert all(0.0 <= r.accuracy <= 1.0 for r in reports.values())
-    assert reports["bimodal-2k"].accuracy > 0.6
-
-
-def test_mispredictions_complement_correct():
-    report = measure_predictor(_loop_program(50), StaticTakenPredictor())
-    assert report.correct + report.mispredictions == report.branches

@@ -261,27 +261,6 @@ def test_pipeline_counts_loads_and_stores():
     assert stats.loads == 2
 
 
-def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
-    """A load caches the unissued store it may not bypass.  Once that
-    store has issued and committed and its entry holds a younger,
-    unissued instruction, the cache must not keep the load waiting."""
-    pipe = Pipeline(CPUConfig(), PerfectMemory(), iter(()))
-    ruu, lsq = pipe.ruu, pipe.lsq
-    store = _mem_entry(ruu, 0, OpClass.STORE, 0x100)
-    lsq.insert(store)
-    load = _mem_entry(ruu, 1, OpClass.LOAD, 0x100)
-    lsq.insert(load)
-    assert not pipe._issue_load(load, 1)
-    assert load.blocker is store
-    store.issued = True
-    lsq.note_store_issued()
-    lsq.release_head(store)
-    assert ruu.pop_head() is store
-    assert ruu.dispatch(_dyn(2), 3) is store  # recycled, unissued
-    assert pipe._issue_load(load, 3)
-    assert load.issued and load.blocker is None
-
-
 class _HeldMemory(PerfectMemory):
     """Loads from ``held`` addresses stay pending until the test
     completes their handles; every load's issue cycle is recorded."""
@@ -298,6 +277,53 @@ class _HeldMemory(PerfectMemory):
             handle = super().load_issue(now, addr, size)
         self.issued[addr] = (now, handle)
         return handle
+
+
+def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
+    """A load caches the unissued store it may not bypass.  Once that
+    store has issued and committed and its entry holds a younger,
+    unissued instruction, the cache must not keep the load waiting.
+
+    One issue slot per cycle keeps the load from looking at its blocker
+    between the store's issue and its commit: the store takes the slot
+    at cycle 20, and at 21 an entry whose operand was ready at 20 leads
+    the batch.  At 21 the store commits and fetch reuses its entry."""
+    b = ProgramBuilder()
+    buf = b.alloc_global_words("buf", 64)
+    b.li("r15", buf)
+    b.lw("r6", "r15", 8)      # the store's data: held until cycle 20
+    b.sw("r6", "r15", 0)
+    b.lw("r7", "r15", 0)      # the load: waits behind the store
+    b.lw("r9", "r15", 12)     # held; its consumer leads the batch at 21
+    b.add("r10", "r9", "r9")
+    b.addi("r11", "r0", 1)    # fills the slot the li frees
+    b.addi("r12", "r0", 2)    # dispatched into the store's entry
+    b.halt()
+    mem = _HeldMemory({buf + 8, buf + 12})
+    cpu = CPUConfig(issue_width=1, ruu_entries=7, lsq_entries=4)
+    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
+    pipe.tick(0)
+    store = next(e for e in pipe.ruu.window if e.is_store)
+    load = next(e for e in pipe.ruu.window if e.is_load and e.addr == buf)
+    for now in range(1, 21):
+        if now == 20:
+            mem.issued[buf + 8][1].complete(20)
+        pipe.tick(now)
+    assert load.blocker is store and store.issued
+    mem.issued[buf + 12][1].complete(20)
+    pipe.tick(21)
+    assert load.blocker is store  # the load did not look at it
+    # The store committed and fetch reused its entry, still unissued.
+    assert store in pipe.ruu.window
+    assert store.seq > load.seq and not store.issued
+    pipe.tick(22)
+    assert load.issued and load.blocker is None
+    assert mem.issued[buf][0] == 22
+    for now in range(23, 200):
+        pipe.tick(now)
+        if pipe.done:
+            break
+    assert pipe.done
 
 
 @pytest.mark.parametrize("dense", [False, True])

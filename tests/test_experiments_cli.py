@@ -129,7 +129,8 @@ def test_parser_accepts_robustness_flags():
 
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-1"],
                                    ["--point-timeout", "0"],
-                                   ["--point-timeout", "-1"]])
+                                   ["--point-timeout", "-1"],
+                                   ["--limit", "0"], ["--limit", "-5"]])
 def test_parser_rejects_out_of_range_runner_input(flags, capsys):
     with pytest.raises(SystemExit) as info:
         main(["figure1", *flags])

@@ -245,7 +245,6 @@ def test_codegen_tracing_is_bit_identical():
 # single extra tick, and every system must surface a too-small cycle
 # budget as a typed error.
 # ----------------------------------------------------------------------
-from repro.baseline import l2 as _l2_module
 from repro.baseline import perfect as _perfect_module
 from repro.baseline import traditional as _traditional_module
 from repro.core import hybrid as _hybrid_module
@@ -265,7 +264,6 @@ def _dense_drive(pipelines, max_cycles, **_):
 
 
 def _run_single_pipeline_systems(program):
-    from repro.baseline.l2 import L2System
     from repro.baseline.perfect import PerfectSystem
     from repro.baseline.traditional import TraditionalSystem
     from repro.core.hybrid import HybridSystem
@@ -276,8 +274,6 @@ def _run_single_pipeline_systems(program):
         "traditional": TraditionalSystem(traditional_config(denom=2)).run(
             program, limit=LIMIT),
         "perfect": PerfectSystem().run(program, limit=LIMIT),
-        "l2": L2System(traditional_config(denom=4)).run(program,
-                                                        limit=LIMIT),
         "private": HybridSystem(_config(2, "bus"))._run_private(program,
                                                                 LIMIT),
     })
@@ -287,8 +283,7 @@ def _run_single_pipeline_systems(program):
 def test_single_pipeline_systems_match_dense_loop(workload, monkeypatch):
     program = build_program(workload)
     driven = _run_single_pipeline_systems(program)
-    for module in (_traditional_module, _perfect_module, _l2_module,
-                   _hybrid_module):
+    for module in (_traditional_module, _perfect_module, _hybrid_module):
         monkeypatch.setattr(module, "drive", _dense_drive)
     dense = _run_single_pipeline_systems(program)
     assert driven == dense
@@ -338,7 +333,6 @@ def test_faults_and_tracing_skip_like_a_plain_run(monkeypatch):
 
 
 def _budget_runs():
-    from repro.baseline.l2 import L2System
     from repro.baseline.perfect import PerfectSystem
     from repro.baseline.traditional import TraditionalSystem
     from repro.core.hybrid import HybridSystem, ParallelPhase
@@ -355,7 +349,6 @@ def _budget_runs():
                                                                limit=LIMIT),
         "perfect": lambda p: PerfectSystem().run(p, max_cycles=50,
                                                  limit=LIMIT),
-        "l2": lambda p: L2System(tsmall).run(p, limit=LIMIT),
         "hybrid": lambda p: HybridSystem(small).run(
             [ParallelPhase(programs=[p, p])], limit=LIMIT),
     }

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.interconnect import (
-    BoundedQueue,
     Bus,
     LatencyQueue,
     Message,
@@ -130,20 +129,6 @@ def test_latency_queue_validation_and_reset():
     q.enqueue(0)
     q.reset()
     assert q.items == 0 and q.mean_delay() == 0.0
-
-
-def test_bounded_queue_tracks_high_water_and_overflow():
-    q = BoundedQueue(latency=5, capacity=2)
-    q.enqueue(0)
-    q.enqueue(0)
-    assert q.high_water == 2
-    q.enqueue(0)  # third while two are still in flight
-    assert q.overflows == 1
-
-
-def test_bounded_queue_capacity_validation():
-    with pytest.raises(ConfigError):
-        BoundedQueue(latency=0, capacity=0)
 
 
 # ----------------------------------------------------------------------

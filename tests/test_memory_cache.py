@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError, MemoryError_
+from repro.errors import ConfigError
 from repro.memory import Cache
 from repro.params import CacheConfig
 
@@ -89,16 +89,6 @@ def test_writethrough_never_creates_dirty_lines():
     assert cache.stats.writethroughs == 2
 
 
-def test_touch_nonresident_raises():
-    with pytest.raises(MemoryError_):
-        _cache().touch(0x100)
-
-
-def test_mark_dirty_nonresident_raises():
-    with pytest.raises(MemoryError_):
-        _cache().mark_dirty(0x100)
-
-
 def test_insert_existing_line_ors_dirty_and_refreshes():
     cache = _cache(size=64, assoc=2, line=32)
     cache.insert(0x0)
@@ -107,23 +97,6 @@ def test_insert_existing_line_ors_dirty_and_refreshes():
     victim = cache.insert(0x80)
     assert victim == (0x40, False)
     assert 0x0 in cache.dirty_lines()
-
-
-def test_invalidate_returns_dirty_state():
-    cache = _cache()
-    cache.insert(0x100, dirty=True)
-    assert cache.invalidate(0x100) is True
-    assert cache.invalidate(0x100) is False  # already gone
-    assert not cache.lookup(0x100)
-
-
-def test_flush_reports_dirty_lines_and_empties():
-    cache = _cache()
-    cache.insert(0x100, dirty=True)
-    cache.insert(0x200, dirty=False)
-    dirty = cache.flush()
-    assert dirty == [0x100]
-    assert not cache.lookup(0x100) and not cache.lookup(0x200)
 
 
 def test_resident_lines_snapshot():

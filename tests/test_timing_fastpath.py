@@ -6,7 +6,8 @@ arbitration tables) and on :meth:`Pipeline.next_event` being an *exact*
 quiescence bound — the per-pipeline cycle driver
 (:func:`repro.core.system.drive`) simply does not tick a
 pipeline before its own bound.  These tests pin each structure's
-contract directly, then drive randomized programs to check the bound
+contract as the shipping ``Pipeline.tick`` keeps it (or, for the FU
+tables, directly), then drive randomized programs to check the bound
 against dense ticking, pin the fault-recovery (retransmit-backoff)
 arrival arithmetic that the skip scheduler relies on being
 materialized eagerly, and finally pin whole results of the issue stage
@@ -23,9 +24,8 @@ import pytest
 from repro.baseline.perfect import PerfectMemory
 from repro.core import DataScalarSystem
 from repro.cpu.func_units import FUPool
-from repro.cpu.lsq import LSQ
 from repro.cpu.pipeline import Pipeline
-from repro.cpu.ruu import RUU
+from repro.cpu.ruu import RUUEntry
 from repro.experiments.config import datascalar_config, timing_bus_config
 from repro.faults.medium import FaultyMedium
 from repro.faults.plan import BroadcastFault
@@ -38,143 +38,228 @@ from repro.workloads import build_program
 
 
 # ----------------------------------------------------------------------
-# Helpers: tiny dynamic instructions for driving RUU/LSQ directly.
+# Helpers: random programs and machine shapes.
 # ----------------------------------------------------------------------
 
-class _Dyn:
-    """Minimal stand-in for a traced dynamic instruction."""
+_OPS = ["addi", "add", "mul", "lw", "sw"]
 
-    def __init__(self, seq, op_class=OpClass.IALU, dest=None, srcs=(),
-                 addr=0, size=4, private=False):
-        self.seq = seq
-        self.op_class = int(op_class)
-        self.dest = dest
-        self.srcs = srcs
-        self.addr = addr
-        self.size = size
-        self.private = private
+
+def _random_program(rng):
+    builder = ProgramBuilder()
+    base = builder.alloc_global("buf", 256)
+    builder.li("r15", base)
+    for _ in range(rng.randrange(3, 40)):
+        op = rng.choice(_OPS)
+        reg = f"r{rng.randrange(1, 13)}"
+        if op == "addi":
+            builder.addi(reg, reg, 1)
+        elif op == "add":
+            builder.add(reg, reg, "r15")
+        elif op == "mul":
+            builder.mul(reg, reg, reg)
+        elif op == "lw":
+            builder.lw(reg, "r15", rng.randrange(0, 32) * 4)
+        else:
+            builder.sw(reg, "r15", rng.randrange(0, 32) * 4)
+    builder.halt()
+    return builder.build()
+
+
+def _random_cpu(rng):
+    return CPUConfig(
+        fetch_width=rng.choice([1, 2, 4]),
+        issue_width=rng.choice([1, 2, 4]),
+        commit_width=rng.choice([1, 2, 4]),
+        ruu_entries=rng.choice([8, 16, 32]),
+        lsq_entries=rng.choice([4, 8]),
+    )
 
 
 # ----------------------------------------------------------------------
-# RUU free list.
+# RUU free list and LSQ unissued-store counter, as Pipeline.tick keeps
+# them: its commit stage recycles entries and its issue stage counts
+# stores out.
 # ----------------------------------------------------------------------
+
+def _store_load_program(rounds=16):
+    """Stores whose data waits on a multiply, each followed by a load of
+    the same word and one of another word: stores sit unissued while
+    younger loads look for them."""
+    builder = ProgramBuilder()
+    base = builder.alloc_global("buf", 256)
+    builder.li("r15", base)
+    builder.li("r1", 3)
+    for i in range(rounds):
+        builder.mul("r1", "r1", "r1")
+        builder.sw("r1", "r15", 4 * (i % 4))
+        builder.lw("r2", "r15", 4 * (i % 4))
+        builder.lw("r3", "r15", 128 + 4 * (i % 8))
+        builder.add("r4", "r2", "r3")
+    builder.halt()
+    return builder.build()
+
+
+def _pipeline(program, cpu):
+    return Pipeline(cpu, PerfectMemory(), Interpreter(program).trace())
+
+
+def _tick_to_done(pipeline, after_tick=None, max_cycles=50_000):
+    """Dense-tick to completion, calling ``after_tick(pipeline)`` after
+    every tick; returns the cycle count."""
+    now = 0
+    while not pipeline.done:
+        assert now < max_cycles, "bounded program failed to finish"
+        pipeline.tick(now)
+        if after_tick is not None:
+            after_tick(pipeline)
+        now += 1
+    return now
+
+
+def _watch_dispatch(ruu, watch):
+    """Call ``watch(entry, dyn, now, recycled)`` after every dispatch
+    that ``Pipeline.tick`` makes into ``ruu``."""
+    dispatch = ruu.dispatch
+
+    def watching(dyn, now):
+        reuse = ruu._free[-1] if ruu._free else None
+        entry = dispatch(dyn, now)
+        watch(entry, dyn, now, entry is reuse)
+        return entry
+
+    ruu.dispatch = watching
+
+
+def _check_free_list(pipeline):
+    ruu = pipeline.ruu
+    free = ruu._free
+    window = {id(entry) for entry in ruu.window}
+    assert len(free) <= ruu.capacity
+    assert len({id(entry) for entry in free}) == len(free)
+    assert not any(id(entry) in window for entry in free)
+
+
+def _check_store_counter(pipeline):
+    lsq = pipeline.lsq
+    stores = lsq._stores
+    assert lsq._unissued_stores == sum(1 for s in stores if not s.issued)
+    for probe in lsq._entries:
+        if probe.is_load:
+            brute = any(not s.issued and s.seq < probe.seq for s in stores)
+            assert lsq.has_unissued_earlier_store(probe) == brute
+
 
 def test_ruu_free_list_recycles_committed_entries():
-    ruu = RUU(capacity=4)
-    first = ruu.dispatch(_Dyn(0, dest="r1"), now=0)
-    ruu.resolve(first, 1)
-    popped = ruu.pop_head()
-    assert popped is first
-    # The recycled object must be indistinguishable from a fresh one.
-    again = ruu.dispatch(_Dyn(7, op_class=OpClass.LOAD, dest="r2",
-                              addr=128), now=5)
-    assert again is first  # same object, recycled through the free list
-    assert again.seq == 7 and again.is_load and not again.is_store
-    assert again.dispatched_at == 5 and again.operand_time == 5
-    assert again.issued is False and again.issued_at == -1
-    assert again.result_time is None and again.dependents is None
-    assert again.handle is None and again.unresolved == 0
+    """Committed entries come back out of dispatch indistinguishable
+    from fresh ones, apart from the dependence wiring (checked below),
+    and a run never holds more entry objects than the window has
+    slots."""
+    cpu = CPUConfig(ruu_entries=8, lsq_entries=4)
+    pipeline = _pipeline(_store_load_program(), cpu)
+    objects = {}
+    recycled = []
+
+    def watch(entry, dyn, now, reused):
+        objects[id(entry)] = entry
+        if not reused:
+            return
+        recycled.append(entry)
+        fresh = RUUEntry(dyn, now)
+        for slot in RUUEntry.__slots__:
+            if slot not in ("operand_time", "unresolved"):
+                assert getattr(entry, slot) == getattr(fresh, slot), slot
+
+    _watch_dispatch(pipeline.ruu, watch)
+    _tick_to_done(pipeline)
+    assert len(objects) <= cpu.ruu_entries
+    assert len(recycled) == pipeline.stats.committed - len(objects)
+
+
+class _NoRecycling(list):
+    """A free list that keeps nothing: every dispatch allocates."""
+
+    def append(self, entry):
+        pass
+
+
+def _timeline(recycle):
+    """Per instruction: dispatch cycle, operand time and unresolved
+    producers at dispatch, then issue and result cycles."""
+    cpu = CPUConfig(issue_width=2, ruu_entries=8, lsq_entries=4,
+                    oracle_disambiguation=False)
+    pipeline = _pipeline(_store_load_program(), cpu)
+    if not recycle:
+        pipeline.ruu._free = _NoRecycling()
+    timeline = {}
+
+    def watch(entry, dyn, now, reused):
+        timeline[entry.seq] = [now, entry.operand_time, entry.unresolved,
+                               None, None]
+
+    def after_tick(pipeline):
+        for entry in pipeline.ruu.window:
+            timeline[entry.seq][3:] = [entry.issued_at, entry.result_time]
+
+    _watch_dispatch(pipeline.ruu, watch)
+    cycles = _tick_to_done(pipeline, after_tick)
+    return cycles, timeline
 
 
 def test_ruu_free_list_reuse_preserves_dependence_wiring():
-    ruu = RUU(capacity=4)
-    producer = ruu.dispatch(_Dyn(0, dest="r1"), now=0)
-    ruu.resolve(producer, 3)
-    assert ruu.pop_head() is producer
-    # Recycle the object as a new in-flight producer: the stale
-    # dependents/result_time from its first life must not leak into the
-    # wiring of its second.
-    fresh = ruu.dispatch(_Dyn(1, dest="r2"), now=4)
-    assert fresh is producer  # recycled through the free list
-    consumer = ruu.dispatch(_Dyn(2, dest="r3", srcs=("r2",)), now=4)
-    assert consumer.unresolved == 1
-    assert fresh.dependents == [consumer]
-    ruu.resolve(fresh, 9)
-    assert consumer.unresolved == 0
-    assert consumer.operand_time == 9
+    """An entry's first life must not leak into its second: every
+    instruction's dependence wiring and issue and result cycles match a
+    run whose free list never recycles."""
+    cycles, timeline = _timeline(recycle=True)
+    assert any(unresolved for _, _, unresolved, _, _ in timeline.values())
+    assert (cycles, timeline) == _timeline(recycle=False)
 
 
 def test_ruu_free_list_is_bounded_by_capacity():
-    ruu = RUU(capacity=2)
-    for seq in range(8):
-        ruu.dispatch(_Dyn(seq), now=seq)
-        ruu.resolve(ruu.head(), seq)
-        ruu.pop_head()
-    assert len(ruu._free) <= ruu.capacity
+    for ruu_entries in (1, 2, 4, 16):
+        cpu = CPUConfig(ruu_entries=ruu_entries,
+                        lsq_entries=max(1, ruu_entries // 2))
+        pipeline = _pipeline(_store_load_program(), cpu)
+        _tick_to_done(pipeline, _check_free_list)
+        assert pipeline.ruu._free
 
-
-# ----------------------------------------------------------------------
-# LSQ unissued-store counter.
-# ----------------------------------------------------------------------
 
 def test_lsq_unissued_store_counter_tracks_lifecycle():
-    ruu = RUU(capacity=1024)
-    lsq = LSQ(capacity=8)
-    store0 = _make_entry(ruu, 0, OpClass.STORE, addr=0)
-    load1 = _make_entry(ruu, 1, OpClass.LOAD, addr=64)
-    store2 = _make_entry(ruu, 2, OpClass.STORE, addr=8)
-    for entry in (store0, load1, store2):
-        lsq.insert(entry)
-    assert lsq._unissued_stores == 2
-    assert lsq.has_unissued_earlier_store(load1)
+    """Under conservative disambiguation the counter must equal the
+    unissued stores in the queue after every tick, and the earlier-store
+    check must agree with a scan, including for a load whose only
+    unissued stores are younger than it."""
+    cpu = CPUConfig(ruu_entries=16, lsq_entries=8,
+                    oracle_disambiguation=False)
+    pipeline = _pipeline(_store_load_program(), cpu)
+    seen = {"blocked": 0, "younger_only": 0}
 
-    store0.issued = True
-    lsq.note_store_issued()
-    assert lsq._unissued_stores == 1
-    # The remaining unissued store (seq 2) is *younger* than the load,
-    # so the O(1) counter alone must not force a stall.
-    assert not lsq.has_unissued_earlier_store(load1)
+    def after_tick(pipeline):
+        _check_store_counter(pipeline)
+        lsq = pipeline.lsq
+        for load in lsq._entries:
+            if not load.is_load:
+                continue
+            if lsq.has_unissued_earlier_store(load):
+                seen["blocked"] += 1
+            elif lsq._unissued_stores:
+                seen["younger_only"] += 1
 
-    store2.issued = True
-    lsq.note_store_issued()
-    assert lsq._unissued_stores == 0
-    # Steady state: the check short-circuits without scanning.
-    assert not lsq.has_unissued_earlier_store(load1)
-
-    lsq.release_head(store0)
-    lsq.release_head(load1)
-    lsq.release_head(store2)
-    assert len(lsq) == 0 and lsq._unissued_stores == 0
+    _tick_to_done(pipeline, after_tick)
+    assert seen["blocked"] and seen["younger_only"]
+    assert len(pipeline.lsq) == 0 and pipeline.lsq._unissued_stores == 0
 
 
 def test_lsq_counter_matches_brute_force_scan_under_random_traffic():
-    rng = random.Random(42)
-    ruu = RUU(capacity=4096)
-    lsq = LSQ(capacity=16)
-    live = []
-    seq = 0
-    for _ in range(400):
-        action = rng.random()
-        if action < 0.45 and not lsq.is_full():
-            kind = OpClass.STORE if rng.random() < 0.5 else OpClass.LOAD
-            entry = _make_entry(ruu, seq, kind,
-                                addr=rng.randrange(0, 256, 4))
-            lsq.insert(entry)
-            live.append(entry)
-            seq += 1
-        elif action < 0.75:
-            unissued = [e for e in live if e.is_store and not e.issued]
-            if unissued:
-                choice = rng.choice(unissued)
-                choice.issued = True
-                lsq.note_store_issued()
-        elif live:
-            head = live.pop(0)
-            if head.is_store and not head.issued:
-                head.issued = True
-                lsq.note_store_issued()
-            lsq.release_head(head)
-        expected = sum(1 for e in live if e.is_store and not e.issued)
-        assert lsq._unissued_stores == expected
-        for probe in live:
-            if probe.is_load:
-                brute = any(e.is_store and not e.issued
-                            and e.seq < probe.seq for e in live)
-                assert lsq.has_unissued_earlier_store(probe) == brute
+    def after_tick(pipeline):
+        _check_free_list(pipeline)
+        _check_store_counter(pipeline)
 
-
-def _make_entry(ruu, seq, op_class, addr):
-    return ruu.dispatch(_Dyn(seq, op_class=op_class, addr=addr), now=0)
+    for seed in range(120):
+        rng = random.Random(seed)
+        program = _random_program(rng)
+        cpu = dataclasses.replace(_random_cpu(rng),
+                                  oracle_disambiguation=seed % 2 == 0)
+        _tick_to_done(_pipeline(program, cpu), after_tick)
 
 
 # ----------------------------------------------------------------------
@@ -215,40 +300,6 @@ def test_fu_try_claim_enforces_per_class_per_cycle_limits():
 # ----------------------------------------------------------------------
 # next_event vs dense ticking (the deep-skip quiescence bound).
 # ----------------------------------------------------------------------
-
-_OPS = ["addi", "add", "mul", "lw", "sw"]
-
-
-def _random_program(rng):
-    builder = ProgramBuilder()
-    base = builder.alloc_global("buf", 256)
-    builder.li("r15", base)
-    for _ in range(rng.randrange(3, 40)):
-        op = rng.choice(_OPS)
-        reg = f"r{rng.randrange(1, 13)}"
-        if op == "addi":
-            builder.addi(reg, reg, 1)
-        elif op == "add":
-            builder.add(reg, reg, "r15")
-        elif op == "mul":
-            builder.mul(reg, reg, reg)
-        elif op == "lw":
-            builder.lw(reg, "r15", rng.randrange(0, 32) * 4)
-        else:
-            builder.sw(reg, "r15", rng.randrange(0, 32) * 4)
-    builder.halt()
-    return builder.build()
-
-
-def _random_cpu(rng):
-    return CPUConfig(
-        fetch_width=rng.choice([1, 2, 4]),
-        issue_width=rng.choice([1, 2, 4]),
-        commit_width=rng.choice([1, 2, 4]),
-        ruu_entries=rng.choice([8, 16, 32]),
-        lsq_entries=rng.choice([4, 8]),
-    )
-
 
 def _observable(pipeline):
     """Everything ``next_event`` promises stays frozen before the bound:

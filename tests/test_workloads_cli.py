@@ -1,0 +1,30 @@
+"""Tests for the workloads CLI."""
+
+import pytest
+
+from repro.errors import ReproError
+from repro.workloads.__main__ import main as workloads_main
+
+
+def test_cli_list(capsys):
+    assert workloads_main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert "compress" in out and "tomcatv" in out and "[fp]" in out
+
+
+def test_cli_run(capsys):
+    assert workloads_main(["run", "go", "--limit", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert "go (scale 1)" in out
+    assert "instructions" in out
+
+
+def test_cli_disasm(capsys):
+    assert workloads_main(["disasm", "li"]) == 0
+    out = capsys.readouterr().out
+    assert "lw" in out and "halt" in out
+
+
+def test_cli_unknown_workload():
+    with pytest.raises(ReproError):
+        workloads_main(["run", "crysis"])
