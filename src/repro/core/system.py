@@ -22,6 +22,7 @@ from ..interconnect.medium import make_medium
 from ..isa.codegen import make_trace_source
 from ..isa.fanout import fan_out
 from ..isa.interpreter import Interpreter
+from ..isa.trace import annotate
 from ..memory.layout import LayoutSpec, build_page_table
 from ..obs import spans
 from ..obs.events import EventKind
@@ -129,29 +130,32 @@ class DataScalarSystem:
                                   config.bus)
         return medium
 
-    def _make_traces(self, program, limit) -> "list":
-        """One dynamic stream per node.
+    def _make_traces(self, program, limit) -> "tuple[list, bool]":
+        """One dynamic stream per node, and whether its records are
+        already annotated (:func:`repro.isa.annotate`).
 
-        SPSD nodes consume the identical stream, so the default runs a
-        single functional front end and fans its records out to all
-        nodes (O(I) interpretation instead of O(N·I)).  The front end —
+        SPSD nodes consume the identical stream, so the default runs and
+        annotates a single functional front end and fans its records out
+        to all nodes (O(I) work instead of O(N·I)).  The front end —
         predecoded-closure interpreter or program-specialized generated
         code (:mod:`repro.isa.codegen`) — is chosen by
         ``config.engine``; both are bit-identical.  Subclasses that
         override :meth:`_make_trace` (asymmetric per-node streams, e.g.
-        result communication) keep one interpreter per node.
+        result communication) keep one interpreter per node, and each
+        node's pipeline annotates its own stream.
         """
         num_nodes = self.config.num_nodes
         if type(self)._make_trace is not DataScalarSystem._make_trace:
             return [self._make_trace(program, node_id, limit)
-                    for node_id in range(num_nodes)]
+                    for node_id in range(num_nodes)], False
         source = make_trace_source(program, limit=limit,
                                    engine=self.config.engine)
         # The front end is consumed lazily inside the timing loop, so its
         # wall time is charged to a timing-loop/frontend accumulator when
         # a span recorder is active.  Disabled-path runs never see the
         # wrapper (or its clock reads).
-        return fan_out(spans.timed_frontend(source), num_nodes)
+        return fan_out(spans.timed_frontend(annotate(source)),
+                       num_nodes), True
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
             stack_bytes: int = 64 * 1024,
@@ -230,7 +234,7 @@ class DataScalarSystem:
         # codegen-compile phase (charged inside make_trace_source) and
         # the timing-loop/frontend accumulator stay direct children of
         # the point span rather than nesting under setup.
-        traces = self._make_traces(program, limit)
+        traces, annotated = self._make_traces(program, limit)
         pipelines = []
         with spans.span("setup"):
             for node_id in range(num):
@@ -240,7 +244,8 @@ class DataScalarSystem:
                 nodes.append(node)
                 pipelines.append(
                     Pipeline(config.node.cpu, node, traces[node_id],
-                             icache_line=config.node.icache.line_size))
+                             icache_line=config.node.icache.line_size,
+                             annotated=annotated))
                 if tracer is not None:
                     pipelines[-1].attach_tracer(tracer, node_id)
                     node.attach_tracer(tracer)

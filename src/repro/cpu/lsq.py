@@ -6,91 +6,36 @@ are sent from this queue to the cache at issue time, while stores are sent
 to the cache at commit time.  Loads can be serviced in a single cycle by
 stores to the same address that are ahead in the queue."
 
-The queue keeps a running count of unissued stores so the
-conservative-disambiguation check is O(1) in the common all-issued
-state, and the forwarding scan walks the store deque in place (newest
-first, early exit at the load's own age) without building candidate
-lists.
+The queue's memory instructions are the RUU window's, so it keeps no
+entries of its own: :func:`repro.isa.annotate` names each load's
+forwarding store, found in the RUU ring (:mod:`repro.cpu.ruu`), which
+the conservative-disambiguation check also walks.  What is left are two
+counts that :meth:`repro.cpu.pipeline.Pipeline.tick` keeps: occupancy,
+for the fetch stage's capacity gate, and unissued stores, which let the
+conservative check skip its walk in the common all-issued state.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from ..errors import SimulationError
-
 
 class LSQ:
-    """Memory instructions in program order, for capacity and forwarding."""
+    """Counts of the window's memory instructions."""
 
-    __slots__ = ("capacity", "_entries", "_stores", "forwards",
-                 "_unissued_stores")
+    __slots__ = ("capacity", "occupancy", "unissued_stores", "forwards")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._entries = deque()
-        self._stores = deque()  # store entries only, program order
+        #: Memory instructions in the window: dispatch counts one in,
+        #: commit counts it out.
+        self.occupancy = 0
+        #: Stores in the window that have not claimed an issue slot:
+        #: dispatch counts one in, the issue stage counts it out.
+        self.unissued_stores = 0
+        #: Loads serviced by an in-queue store.
         self.forwards = 0
-        #: Stores in the queue that have not claimed an issue slot yet.
-        #: :meth:`insert` counts a store in; the issue stage of
-        #: :meth:`repro.cpu.pipeline.Pipeline.tick` counts it out when
-        #: the store issues.  Lets :meth:`has_unissued_earlier_store`
-        #: skip its scan when every queued store has already issued (the
-        #: steady state).
-        self._unissued_stores = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.occupancy
 
     def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    def insert(self, entry) -> None:
-        if len(self._entries) >= self.capacity:
-            raise SimulationError("LSQ overflow — check dispatch gating")
-        self._entries.append(entry)
-        if entry.is_store:
-            self._stores.append(entry)
-            self._unissued_stores += 1
-
-    def release_head(self, entry) -> None:
-        """Remove ``entry``, which must be the oldest memory instruction."""
-        if not self._entries or self._entries[0] is not entry:
-            raise SimulationError("LSQ released out of order")
-        self._entries.popleft()
-        if entry.is_store:
-            self._stores.popleft()
-
-    def has_unissued_earlier_store(self, load) -> bool:
-        """True when any store older than ``load`` has not issued yet —
-        the conservative-disambiguation stall condition."""
-        if not self._unissued_stores:
-            return False
-        seq = load.seq
-        for entry in self._stores:
-            if entry.seq >= seq:
-                break
-            if not entry.issued:
-                return True
-        return False
-
-    def forwarding_store(self, load):
-        """Latest earlier store overlapping ``load``'s access, if any.
-
-        Returns ``(store_entry, resolved)``: ``resolved`` is False when the
-        store exists but has not issued yet, in which case the load must
-        wait (it may not bypass a store to the same address).
-        """
-        lo = load.addr
-        hi = lo + load.size
-        seq = load.seq
-        for entry in reversed(self._stores):
-            if entry.seq >= seq:
-                continue
-            addr = entry.addr
-            if addr < hi and lo < addr + entry.size:
-                if entry.issued:
-                    self.forwards += 1
-                    return entry, True
-                return entry, False
-        return None, True
+        return self.occupancy >= self.capacity

@@ -15,8 +15,8 @@ entries an issue pass cannot issue form the next pass's waiting list
 One function, :meth:`Pipeline.tick`, simulates a cycle: the stages are
 inlined in that order (load completion between commit and issue),
 per-cycle attribute lookups are hoisted into locals, and the per-config
-dispatch structures (FU latency/limit tables, widths, the RUU free
-list) are precomputed at construction.  Wall time per layer is
+dispatch structures (FU latency/limit tables, widths, the RUU ring) are
+precomputed at construction.  Wall time per layer is
 attributed on this shipping tick by profiling (``benchmarks/perf/run.py
 --trace 1``), not by a second, instrumented copy of it.
 """
@@ -27,6 +27,7 @@ from heapq import heappush as _heappush
 
 from ..errors import SimulationError
 from ..isa.opcodes import OpClass
+from ..isa.trace import annotate
 from ..obs.events import EventKind
 from ..params import CPUConfig
 from .func_units import FUPool
@@ -70,13 +71,15 @@ class PipelineStats:
 
 
 class Pipeline:
-    """One out-of-order core bound to a memory system and a trace."""
+    """One out-of-order core bound to a memory system and a trace, which
+    it annotates (:func:`repro.isa.annotate`) unless ``annotated`` says
+    a shared stream already was."""
 
     def __init__(self, config: CPUConfig, mem: MemoryInterface, trace,
-                 icache_line: int = 32):
+                 icache_line: int = 32, annotated: bool = False):
         self.config = config
         self.mem = mem
-        self._trace = iter(trace)
+        self._trace = iter(trace if annotated else annotate(trace))
         self._trace_next = self._trace.__next__
         # Fan-out views expose their buffered-record deque; pulling from
         # it directly skips a call layer on the fetch fast path.  Any
@@ -169,9 +172,7 @@ class Pipeline:
                     width = self._commit_width
                     commit_mem = self._commit_mem
                     popleft = window.popleft
-                    last_writer = ruu._last_writer
-                    free = ruu._free
-                    free_cap = ruu.capacity
+                    released = 0
                     while True:
                         if tracer is not None:
                             tracer.emit(_COMMIT_EVENT, now, self._trace_node,
@@ -180,22 +181,16 @@ class Pipeline:
                             if not head.private:
                                 commit_mem(now, head.addr, head.size,
                                            False, head.handle)
-                            lsq.release_head(head)
+                            released += 1
                             stats.loads += 1
                         elif head.is_store:
                             if not head.private:
                                 commit_mem(now, head.addr, head.size,
                                            True, head.handle)
-                            lsq.release_head(head)
+                            released += 1
                             stats.stores += 1
-                        # Retire the head onto the free list (see ruu.py):
+                        # The head's ring slot is free for reuse (ruu.py).
                         popleft()
-                        dest = head.dest
-                        if dest is not None \
-                                and last_writer.get(dest) is head:
-                            del last_writer[dest]
-                        if len(free) < free_cap:
-                            free.append(head)
                         committed += 1
                         if committed >= width or not window:
                             break
@@ -206,6 +201,7 @@ class Pipeline:
                         if result_time is None or result_time > now:
                             break
                     stats.committed += committed
+                    lsq.occupancy -= released
                     self._last_commit_cycle = now
 
         # ---- load completion (memory system resolves asynchronously) ----
@@ -253,7 +249,7 @@ class Pipeline:
                     entry.issued = True
                     entry.issued_at = now
                     if entry.is_store:
-                        lsq._unissued_stores -= 1
+                        lsq.unissued_stores -= 1
                         when = nxt
                     else:
                         when = now + latencies[op_class]
@@ -301,7 +297,7 @@ class Pipeline:
                 trace_queue = self._trace_queue
                 dispatch = ruu.dispatch
                 window_cap = ruu.capacity
-                lsq_entries = lsq._entries
+                lsq_used = lsq.occupancy
                 lsq_cap = lsq.capacity
                 line_mask = self._icache_line_mask
                 fetched_line = self._fetched_line
@@ -325,7 +321,11 @@ class Pipeline:
                         break
                     op_class = dyn.op_class
                     is_mem = op_class == _LOAD or op_class == _STORE
-                    if is_mem and len(lsq_entries) >= lsq_cap:
+                    if is_mem and lsq_used >= lsq_cap:
+                        if lsq_used > lsq_cap:
+                            raise SimulationError(
+                                f"LSQ overflow: {lsq_used} entries in "
+                                f"{lsq_cap} — check dispatch gating")
                         stats.lsq_stalls += 1
                         if tracer is not None:
                             self._trace_stall(now, "lsq")
@@ -341,7 +341,9 @@ class Pipeline:
                     buffer = None
                     entry = dispatch(dyn, nxt)
                     if is_mem:
-                        lsq.insert(entry)
+                        lsq_used += 1
+                        if op_class == _STORE:
+                            lsq.unissued_stores += 1
                     if predictor is not None and dyn.is_cond_branch:
                         stats.branches += 1
                         predicted = predictor.predict(dyn.pc)
@@ -352,6 +354,7 @@ class Pipeline:
                             stats.mispredicts += 1
                             self._redirect_after = entry
                             break
+                lsq.occupancy = lsq_used
                 self._fetched_line = fetched_line
                 self._fetch_buffer = buffer
 
@@ -371,36 +374,31 @@ class Pipeline:
     def _issue_load(self, entry, now: int) -> bool:
         """Issue the load ``entry`` at ``now``; False when it must wait
         for an earlier store (the caller keeps it waiting)."""
-        blocker = entry.blocker
-        if blocker is not None:
-            # Until the cached blocker issues, forwarding_store would
-            # return it again.  A blocker younger than the load is a
-            # recycled entry: the store issued and committed.
-            if not blocker.issued and blocker.seq < entry.seq:
-                return False
-            entry.blocker = None
-        lsq = self.lsq
-        if lsq._stores:
-            if (not self._oracle
-                    and lsq.has_unissued_earlier_store(entry)):
-                # Conservative disambiguation: wait for every earlier
-                # store address to resolve before going to memory.
-                return False
-            store, resolved = lsq.forwarding_store(entry)
-            if not resolved:
+        ruu = self.ruu
+        store = None
+        fwd = entry.fwd
+        if fwd >= ruu.window[0].seq:
+            # The youngest earlier overlapping store is in flight.
+            store = ruu.ring[fwd & ruu.mask]
+            if not store.issued:
                 # May not bypass an unissued same-address store.
-                entry.blocker = store
                 return False
-            if store is not None:
-                entry.issued = True
-                entry.issued_at = now
-                handle = _ForwardedHandle(entry.addr, entry.size, now)
-                entry.handle = handle
-                when = store.issued_at + 1
-                if when <= now:
-                    when = now + 1
-                self.ruu.resolve(entry, when)
-                return True
+        if (not self._oracle and self.lsq.unissued_stores
+                and ruu.unissued_store_before(entry.seq)):
+            # Conservative disambiguation: wait for every earlier store
+            # address to resolve before going to memory.
+            return False
+        if store is not None:
+            self.lsq.forwards += 1
+            entry.issued = True
+            entry.issued_at = now
+            handle = _ForwardedHandle(entry.addr, entry.size, now)
+            entry.handle = handle
+            when = store.issued_at + 1
+            if when <= now:
+                when = now + 1
+            ruu.resolve(entry, when)
+            return True
         entry.issued = True
         entry.issued_at = now
         if entry.private:
@@ -414,7 +412,7 @@ class Pipeline:
             when = now + 1
             if ready > when:
                 when = ready
-            self.ruu.resolve(entry, when)
+            ruu.resolve(entry, when)
         else:
             self._pending_loads.append(entry)
         return True

@@ -6,19 +6,17 @@ Entries wake dependents when their result-ready cycle becomes known
 (at issue for fixed-latency operations; when the memory system resolves
 the handle for loads).
 
-Entry objects are recycled through a free list.  The commit stage of
-:meth:`repro.cpu.pipeline.Pipeline.tick` pops the head off ``window``,
-drops the ``_last_writer`` slot that still names it and, while
-``_free`` holds fewer than ``capacity`` entries, appends it there;
-:meth:`RUU.dispatch` reuses it for the next instruction.  This is safe
-because a committed entry can appear in no other structure — it was
-issued (so it sits in neither the ready heap nor the waiting list) and
-resolved (so ``dependents`` is ``None`` and it is not a pending load).
-Dropping its ``_last_writer`` slot changes nothing: a committed
-producer's result time is in the past, so it could never again raise a
-later consumer's operand time.  A load's cached ``blocker`` may still
-name a recycled store; the issue stage treats a blocker younger than
-the load as gone.
+Entries live in a ring of ``2**k >= capacity`` slots indexed by
+``seq & mask``.  Records arrive annotated (:func:`repro.isa.annotate`)
+with the seqs of their producers and, for a load, of its forwarding
+store, and a stream's seqs run 0, 1, 2, ...; so a named instruction is
+in flight exactly when its seq is at least the window head's, and then
+it is the entry in its slot.  One older than the head has committed,
+and its result time is past.  :meth:`RUU.dispatch` reuses the committed
+entry in the new seq's slot: a committed entry is in no other
+structure — it was issued (so it sits in neither the ready heap nor the
+waiting list) and resolved (so ``dependents`` is ``None`` and it is not
+a pending load).
 """
 
 from __future__ import annotations
@@ -40,26 +38,19 @@ class RUUEntry:
     """One in-flight instruction."""
 
     __slots__ = (
-        "seq", "op_class", "dest", "addr", "size", "dispatched_at",
-        "operand_time", "unresolved", "dependents", "issued", "issued_at",
-        "result_time", "handle", "is_load", "is_store", "private",
-        "blocker",
+        "seq", "op_class", "addr", "size", "fwd", "operand_time",
+        "unresolved", "dependents", "issued", "issued_at", "result_time",
+        "handle", "is_load", "is_store", "private",
     )
 
     def __init__(self, dyn, now: int):
-        self._reset(dyn, now)
-
-    def _reset(self, dyn, now: int) -> None:
-        """(Re)initialize for ``dyn`` — shared by construction and
-        free-list reuse, so a recycled entry is indistinguishable from a
-        fresh one."""
         op_class = dyn.op_class
         self.seq = dyn.seq
         self.op_class = op_class
-        self.dest = dyn.dest
         self.addr = dyn.addr
         self.size = dyn.size
-        self.dispatched_at = now
+        #: Seq of the youngest earlier store overlapping this load, or -1.
+        self.fwd = dyn.fwd
         self.operand_time = now
         self.unresolved = 0
         self.dependents = None
@@ -70,8 +61,6 @@ class RUUEntry:
         self.is_load = op_class == _LOAD
         self.is_store = op_class == _STORE
         self.private = dyn.private
-        #: The unissued store this load last found it may not bypass.
-        self.blocker = None
 
     def __repr__(self) -> str:
         return (f"<RUUEntry #{self.seq} {OpClass(self.op_class).name} "
@@ -81,9 +70,9 @@ class RUUEntry:
 class RUU:
     """The instruction window with dependence tracking.
 
-    Dispatch links each entry to the last writer of each source register;
-    an entry becomes ready once every producer's result time is known,
-    at which point it enters the ready heap keyed by
+    Dispatch links each entry to the in-flight producers its record
+    names; an entry becomes ready once every producer's result time is
+    known, at which point it enters the ready heap keyed by
     ``(operand_time, seq)`` — oldest-first among equally-ready entries.
     An issue pass takes the due entries off the heap; those it cannot
     issue wait, oldest first, for the next pass.
@@ -91,14 +80,16 @@ class RUU:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
+        #: In-flight entries, oldest first.
         self.window = deque()
-        self._last_writer = {}
+        size = 1 << (capacity - 1).bit_length()
+        #: Entries by ``seq & mask`` (see module docstring).
+        self.ring = [None] * size
+        self.mask = size - 1
         self._ready_heap = []
         #: Ready entries the last issue pass could not issue, oldest
         #: first (see :meth:`candidates`).
         self._waiting = []
-        #: Committed entries awaiting reuse (see module docstring).
-        self._free = []
 
     def __len__(self) -> int:
         return len(self.window)
@@ -110,23 +101,23 @@ class RUU:
         return self.window[0] if self.window else None
 
     def dispatch(self, dyn, now: int) -> RUUEntry:
-        """Insert a traced instruction, wiring register dependencies."""
-        free = self._free
-        if free:
-            # Inlined ``RUUEntry._reset`` (the steady-state path runs
-            # once per instruction): ``operand_time``/``unresolved`` are
-            # assigned below from the dependence scan, and ``blocker``
-            # is already ``None`` (a load clears it when it issues).
-            entry = free.pop()
+        """Insert an annotated record, wiring its register dependences."""
+        seq = dyn.seq
+        ring = self.ring
+        slot = seq & self.mask
+        entry = ring[slot]
+        if entry is None:
+            entry = ring[slot] = RUUEntry(dyn, now)
+        else:
+            # Reset as ``RUUEntry.__init__`` would: ``operand_time`` and
+            # ``unresolved`` are assigned below, and ``dependents`` is
+            # already ``None`` (see module docstring).
             op_class = dyn.op_class
-            seq = dyn.seq
             entry.seq = seq
             entry.op_class = op_class
-            dest = entry.dest = dyn.dest
             entry.addr = dyn.addr
             entry.size = dyn.size
-            entry.dispatched_at = now
-            entry.dependents = None
+            entry.fwd = dyn.fwd
             entry.issued = False
             entry.issued_at = -1
             entry.result_time = None
@@ -134,17 +125,15 @@ class RUU:
             entry.is_load = op_class == _LOAD
             entry.is_store = op_class == _STORE
             entry.private = dyn.private
-        else:
-            entry = RUUEntry(dyn, now)
-            seq = entry.seq
-            dest = entry.dest
-        last_writer = self._last_writer
+        window = self.window
+        head = window[0].seq if window else seq
+        mask = self.mask
         unresolved = 0
         operand_time = now
-        for src in dyn.srcs:
-            producer = last_writer.get(src)
-            if producer is None:
-                continue
+        for producer_seq in dyn.deps:
+            if producer_seq < head:
+                continue  # committed
+            producer = ring[producer_seq & mask]
             result_time = producer.result_time
             if result_time is not None:
                 if result_time > operand_time:
@@ -157,12 +146,17 @@ class RUU:
                     producer.dependents.append(entry)
         entry.operand_time = operand_time
         entry.unresolved = unresolved
-        if dest is not None:
-            last_writer[dest] = entry
-        self.window.append(entry)
+        window.append(entry)
         if unresolved == 0:
             heappush(self._ready_heap, (operand_time, seq, entry))
         return entry
+
+    def unissued_store_before(self, seq: int) -> bool:
+        """True when an in-flight store older than ``seq`` has not issued
+        (the conservative-disambiguation stall condition)."""
+        ring, mask = self.ring, self.mask
+        older = (ring[s & mask] for s in range(self.window[0].seq, seq))
+        return any(entry.is_store and not entry.issued for entry in older)
 
     def resolve(self, entry: RUUEntry, result_time: int) -> None:
         """Set ``entry``'s result time and wake its dependents."""

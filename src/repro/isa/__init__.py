@@ -8,7 +8,7 @@ from .instruction import Instruction
 from .interpreter import ExecResult, Interpreter, run_program
 from .opcodes import OpClass, Opcode
 from .program import Program
-from .trace import IFETCH, READ, WRITE, DynInstr, MemRef
+from .trace import IFETCH, READ, WRITE, DynInstr, MemRef, annotate
 
 __all__ = [
     "Assembler",
@@ -27,6 +27,7 @@ __all__ = [
     "Program",
     "DynInstr",
     "MemRef",
+    "annotate",
     "IFETCH",
     "READ",
     "WRITE",

@@ -8,9 +8,11 @@ one functional interpreter per node interprets the same program N times.
 interpretation cost from O(N·I) to O(I).
 
 The views are plain iterators, so they drop into ``Pipeline`` unchanged.
-Records are shared by reference: the timing models treat ``DynInstr`` as
-immutable (systems that rewrite per-node streams — result communication
-— keep their own interpreters via the ``_make_trace`` hook instead).
+Records are shared by reference and never looked into here: a system
+annotates the source once (:func:`repro.isa.annotate`) before the tee,
+and the timing models treat the records as immutable (systems that
+rewrite per-node streams — result communication — keep their own
+interpreters via the ``_make_trace`` hook instead).
 
 Each view owns a private pending queue (the ``itertools.tee`` shape):
 the view that runs ahead pulls a record from the source and appends it

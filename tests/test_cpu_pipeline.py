@@ -5,13 +5,12 @@ import pytest
 from repro.baseline.perfect import PerfectMemory, PerfectSystem
 from repro.cpu.func_units import FUPool
 from repro.cpu.interface import LoadHandle
-from repro.cpu.lsq import LSQ
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.ruu import RUU
 from repro.errors import SimulationError
 from repro.isa import Interpreter, ProgramBuilder
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import DynInstr
+from repro.isa.trace import DynInstr, annotate
 from repro.params import CPUConfig
 
 
@@ -45,6 +44,20 @@ def _dyn(seq, op_class=OpClass.IALU, dest=None, srcs=(), addr=None, size=0):
                     addr, size)
 
 
+def _annotated(*records):
+    """``records`` as dispatch sees them: annotated in stream order."""
+    return list(annotate(records))
+
+
+def _unwired(seq):
+    """A record with no producers, annotated by hand so that tests can
+    dispatch seqs out of stream order."""
+    dyn = _dyn(seq)
+    dyn.deps = ()
+    dyn.fwd = -1
+    return dyn
+
+
 def _seqs(candidates):
     batch, aged = candidates
     return [entry.seq for entry in batch], aged
@@ -52,8 +65,10 @@ def _seqs(candidates):
 
 def test_ruu_dependency_wakeup():
     ruu = RUU(capacity=8)
-    producer = ruu.dispatch(_dyn(0, dest=1), now=0)
-    consumer = ruu.dispatch(_dyn(1, srcs=(1,)), now=0)
+    first, second = _annotated(_dyn(0, dest=1), _dyn(1, srcs=(1,)))
+    assert second.deps == [0]
+    producer = ruu.dispatch(first, now=0)
+    consumer = ruu.dispatch(second, now=0)
     assert consumer.unresolved == 1
     assert _seqs(ruu.candidates(0)) == ([0], True)
     ruu.resolve(producer, result_time=5)
@@ -66,26 +81,27 @@ def test_ruu_dependency_wakeup():
 
 def test_ruu_known_producer_time_used_at_dispatch():
     ruu = RUU(capacity=8)
-    producer = ruu.dispatch(_dyn(0, dest=1), now=0)
+    first, second = _annotated(_dyn(0, dest=1), _dyn(1, srcs=(1,)))
+    producer = ruu.dispatch(first, now=0)
     ruu.resolve(producer, result_time=7)
-    consumer = ruu.dispatch(_dyn(1, srcs=(1,)), now=1)
+    consumer = ruu.dispatch(second, now=1)
     assert consumer.unresolved == 0
     assert consumer.operand_time == 7
 
 
 def test_ruu_capacity():
     ruu = RUU(capacity=2)
-    ruu.dispatch(_dyn(0), 0)
+    first, second = _annotated(_dyn(0), _dyn(1))
+    ruu.dispatch(first, 0)
     assert not ruu.is_full()
-    ruu.dispatch(_dyn(1), 0)
+    ruu.dispatch(second, 0)
     assert ruu.is_full()
 
 
 def test_ruu_schedulable_is_oldest_first():
     ruu = RUU(capacity=8)
-    ruu.dispatch(_dyn(0), 0)
-    ruu.dispatch(_dyn(1), 0)
-    ruu.dispatch(_dyn(2), 0)
+    for dyn in _annotated(_dyn(0), _dyn(1), _dyn(2)):
+        ruu.dispatch(dyn, 0)
     assert _seqs(ruu.candidates(0)) == ([0, 1, 2], True)
 
 
@@ -95,10 +111,10 @@ def test_ruu_candidates_put_early_entries_first_then_merge_by_age():
     merged by age.  The waiting list is rebuilt in age order."""
     ruu = RUU(capacity=16)
     for seq in (1, 6):
-        ruu.dispatch(_dyn(seq), now=4)
+        ruu.dispatch(_unwired(seq), now=4)
     ruu.wait(*ruu.candidates(4))  # the pass at 4 issued neither
     for seq, ready in ((2, 5), (4, 5), (5, 2), (7, 3)):
-        ruu.dispatch(_dyn(seq), now=ready)
+        ruu.dispatch(_unwired(seq), now=ready)
     batch, aged = ruu.candidates(5)
     assert _seqs((batch, aged)) == ([5, 7, 1, 2, 4, 6], False)
     ruu.wait([entry for entry in batch if entry.seq != 2], aged)
@@ -107,64 +123,123 @@ def test_ruu_candidates_put_early_entries_first_then_merge_by_age():
 
 
 # ----------------------------------------------------------------------
-# LSQ mechanics.
+# LSQ mechanics, as Pipeline.tick runs them: a load's forwarding store
+# is named on its record and found in the RUU ring.
 # ----------------------------------------------------------------------
-def _mem_entry(ruu, seq, op_class, addr, size=4):
-    return ruu.dispatch(_dyn(seq, op_class=op_class, addr=addr, size=size), 0)
+class _HeldMemory(PerfectMemory):
+    """Loads from ``held`` addresses stay pending until the test
+    completes their handles; every load's issue cycle is recorded."""
+
+    def __init__(self, held=()):
+        super().__init__()
+        self.held = set(held)
+        self.issued = {}  # addr -> (cycle, handle)
+
+    def load_issue(self, now, addr, size):
+        if addr in self.held:
+            handle = LoadHandle(addr, size, now)
+        else:
+            handle = super().load_issue(now, addr, size)
+        self.issued[addr] = (now, handle)
+        return handle
+
+
+def _store_then_load(store, load, data_held=False, cpu=None):
+    """A pipeline over: the store's data (a load of ``buf + 64``, held
+    when ``data_held``), ``store(b, buf)``, then ``load(b, buf)``.
+    Returns the pipeline, its memory, ``buf`` and, after the first
+    tick, the store's and the load's RUU entries."""
+    b = ProgramBuilder()
+    buf = b.alloc_global_words("buf", 64)
+    b.li("r15", buf)
+    b.lw("r6", "r15", 64)
+    store(b, buf)
+    load(b, buf)
+    b.halt()
+    mem = _HeldMemory({buf + 64} if data_held else ())
+    pipe = Pipeline(cpu or CPUConfig(), mem, Interpreter(b.build()).trace())
+    pipe.tick(0)
+    entries = pipe.ruu.window
+    store_entry = next(e for e in entries if e.is_store)
+    load_entry = next(e for e in entries if e.is_load and e.seq > 2)
+    return pipe, mem, buf, store_entry, load_entry
+
+
+def _finish(pipe, start, stop=500):
+    for now in range(start, stop):
+        pipe.tick(now)
+        if pipe.done:
+            return
+    raise AssertionError("bounded program failed to finish")
 
 
 def test_lsq_forwarding_from_issued_store():
-    ruu, lsq = RUU(64), LSQ(16)
-    store = _mem_entry(ruu, 0, OpClass.STORE, 0x100)
-    lsq.insert(store)
-    store.issued = True
-    store.issued_at = 3
-    load = _mem_entry(ruu, 1, OpClass.LOAD, 0x100)
-    lsq.insert(load)
-    found, resolved = lsq.forwarding_store(load)
-    assert found is store and resolved
-    assert lsq.forwards == 1
+    pipe, mem, buf, store, load = _store_then_load(
+        lambda b, buf: b.sw("r6", "r15", 0),
+        lambda b, buf: b.lw("r7", "r15", 0))
+    assert load.fwd == store.seq
+    _finish(pipe, 1)
+    assert load.handle.forwarded
+    assert load.result_time == max(store.issued_at, load.issued_at) + 1
+    assert buf not in mem.issued
+    assert pipe.lsq.forwards == 1
 
 
 def test_lsq_blocks_on_unissued_same_address_store():
-    ruu, lsq = RUU(64), LSQ(16)
-    store = _mem_entry(ruu, 0, OpClass.STORE, 0x100)
-    lsq.insert(store)
-    load = _mem_entry(ruu, 1, OpClass.LOAD, 0x100)
-    lsq.insert(load)
-    found, resolved = lsq.forwarding_store(load)
-    assert found is store and not resolved
+    pipe, mem, buf, store, load = _store_then_load(
+        lambda b, buf: b.sw("r6", "r15", 0),
+        lambda b, buf: b.lw("r7", "r15", 0), data_held=True)
+    for now in range(1, 30):
+        pipe.tick(now)
+    assert not store.issued and not load.issued
+    mem.issued[buf + 64][1].complete(30)
+    _finish(pipe, 30)
+    assert load.issued_at >= store.issued_at >= 30
+    assert load.handle.forwarded and buf not in mem.issued
 
 
 def test_lsq_different_address_does_not_forward():
-    ruu, lsq = RUU(64), LSQ(16)
-    store = _mem_entry(ruu, 0, OpClass.STORE, 0x200)
-    lsq.insert(store)
-    load = _mem_entry(ruu, 1, OpClass.LOAD, 0x100)
-    lsq.insert(load)
-    found, _ = lsq.forwarding_store(load)
-    assert found is None
+    pipe, mem, buf, store, load = _store_then_load(
+        lambda b, buf: b.sw("r6", "r15", 128),
+        lambda b, buf: b.lw("r7", "r15", 0), data_held=True)
+    assert load.fwd == -1
+    for now in range(1, 30):
+        pipe.tick(now)
+    # The unissued store does not hold back a load of another word.
+    assert not store.issued and load.issued
+    assert mem.issued[buf][0] == load.issued_at
+    mem.issued[buf + 64][1].complete(30)
+    _finish(pipe, 30)
+    assert pipe.lsq.forwards == 0
 
 
 def test_lsq_partial_overlap_detected():
-    ruu, lsq = RUU(64), LSQ(16)
-    store = _mem_entry(ruu, 0, OpClass.STORE, 0x100, size=8)
-    lsq.insert(store)
-    store.issued = True
-    load = _mem_entry(ruu, 1, OpClass.LOAD, 0x104, size=4)
-    lsq.insert(load)
-    found, _ = lsq.forwarding_store(load)
-    assert found is store
+    pipe, mem, buf, store, load = _store_then_load(
+        lambda b, buf: b.sd("f1", "r15", 0),
+        lambda b, buf: b.lw("r7", "r15", 4))
+    assert load.fwd == store.seq
+    _finish(pipe, 1)
+    assert load.handle.forwarded and buf + 4 not in mem.issued
 
 
-def test_lsq_release_out_of_order_rejected():
-    ruu, lsq = RUU(64), LSQ(16)
-    a = _mem_entry(ruu, 0, OpClass.STORE, 0x100)
-    b = _mem_entry(ruu, 1, OpClass.LOAD, 0x200)
-    lsq.insert(a)
-    lsq.insert(b)
-    with pytest.raises(SimulationError):
-        lsq.release_head(b)
+def test_lsq_overflow_is_a_simulation_error():
+    """The fetch stage never dispatches a memory instruction into a
+    full queue; a queue found holding more than its capacity (dispatch
+    that went around the gate) is a typed error, not a silent stall."""
+    b = ProgramBuilder()
+    buf = b.alloc_global_words("buf", 64)
+    b.li("r15", buf)
+    for i in range(8):
+        b.lw(f"r{1 + i}", "r15", 4 * i)
+    b.halt()
+    mem = _HeldMemory({buf + 4 * i for i in range(8)})
+    cpu = CPUConfig(ruu_entries=16, lsq_entries=4)
+    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
+    pipe.tick(0)
+    assert len(pipe.lsq) == 4 and pipe.lsq.is_full()
+    pipe.lsq.capacity = 2
+    with pytest.raises(SimulationError, match="LSQ overflow"):
+        pipe.tick(1)
 
 
 # ----------------------------------------------------------------------
@@ -261,33 +336,16 @@ def test_pipeline_counts_loads_and_stores():
     assert stats.loads == 2
 
 
-class _HeldMemory(PerfectMemory):
-    """Loads from ``held`` addresses stay pending until the test
-    completes their handles; every load's issue cycle is recorded."""
-
-    def __init__(self, held):
-        super().__init__()
-        self.held = held
-        self.issued = {}  # addr -> (cycle, handle)
-
-    def load_issue(self, now, addr, size):
-        if addr in self.held:
-            handle = LoadHandle(addr, size, now)
-        else:
-            handle = super().load_issue(now, addr, size)
-        self.issued[addr] = (now, handle)
-        return handle
-
-
 def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
-    """A load caches the unissued store it may not bypass.  Once that
-    store has issued and committed and its entry holds a younger,
-    unissued instruction, the cache must not keep the load waiting.
+    """A load waits while the store it may not bypass is unissued.  Once
+    that store has issued and committed, the load's ``fwd`` is older
+    than the window head, so nothing holds the load back: it goes to
+    memory on its next pass.
 
-    One issue slot per cycle keeps the load from looking at its blocker
+    One issue slot per cycle keeps the load from looking at the store
     between the store's issue and its commit: the store takes the slot
     at cycle 20, and at 21 an entry whose operand was ready at 20 leads
-    the batch.  At 21 the store commits and fetch reuses its entry."""
+    the batch.  At 21 the store commits, and at 22 the load issues."""
     b = ProgramBuilder()
     buf = b.alloc_global_words("buf", 64)
     b.li("r15", buf)
@@ -297,7 +355,7 @@ def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
     b.lw("r9", "r15", 12)     # held; its consumer leads the batch at 21
     b.add("r10", "r9", "r9")
     b.addi("r11", "r0", 1)    # fills the slot the li frees
-    b.addi("r12", "r0", 2)    # dispatched into the store's entry
+    b.addi("r12", "r0", 2)
     b.halt()
     mem = _HeldMemory({buf + 8, buf + 12})
     cpu = CPUConfig(issue_width=1, ruu_entries=7, lsq_entries=4)
@@ -305,25 +363,21 @@ def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
     pipe.tick(0)
     store = next(e for e in pipe.ruu.window if e.is_store)
     load = next(e for e in pipe.ruu.window if e.is_load and e.addr == buf)
+    store_seq = store.seq
+    assert load.fwd == store_seq
     for now in range(1, 21):
         if now == 20:
             mem.issued[buf + 8][1].complete(20)
         pipe.tick(now)
-    assert load.blocker is store and store.issued
+    assert store.issued and not load.issued
     mem.issued[buf + 12][1].complete(20)
     pipe.tick(21)
-    assert load.blocker is store  # the load did not look at it
-    # The store committed and fetch reused its entry, still unissued.
-    assert store in pipe.ruu.window
-    assert store.seq > load.seq and not store.issued
+    assert not load.issued  # the load did not look at the store
+    assert pipe.ruu.window[0].seq > store_seq  # the store committed
     pipe.tick(22)
-    assert load.issued and load.blocker is None
+    assert load.issued and not load.handle.forwarded
     assert mem.issued[buf][0] == 22
-    for now in range(23, 200):
-        pipe.tick(now)
-        if pipe.done:
-            break
-    assert pipe.done
+    _finish(pipe, 23, 200)
 
 
 @pytest.mark.parametrize("dense", [False, True])

@@ -1,8 +1,8 @@
 """The specialized timing loop: hot-path structures and skip bounds.
 
 The per-cycle fast path leans on three precomputed/in-place structures
-(the RUU free list, the LSQ unissued-store counter, the FU-class
-arbitration tables) and on :meth:`Pipeline.next_event` being an *exact*
+(the RUU ring, the LSQ occupancy and unissued-store counters, the
+FU-class arbitration tables) and on :meth:`Pipeline.next_event` being an *exact*
 quiescence bound — the per-pipeline cycle driver
 (:func:`repro.core.system.drive`) simply does not tick a
 pipeline before its own bound.  These tests pin each structure's
@@ -76,9 +76,9 @@ def _random_cpu(rng):
 
 
 # ----------------------------------------------------------------------
-# RUU free list and LSQ unissued-store counter, as Pipeline.tick keeps
-# them: its commit stage recycles entries and its issue stage counts
-# stores out.
+# RUU ring and LSQ counters, as Pipeline.tick keeps them: dispatch reuses
+# a committed entry's ring slot, the issue stage counts stores out, and
+# commit counts memory instructions out.
 # ----------------------------------------------------------------------
 
 def _store_load_program(rounds=16):
@@ -116,44 +116,85 @@ def _tick_to_done(pipeline, after_tick=None, max_cycles=50_000):
     return now
 
 
-def _watch_dispatch(ruu, watch):
-    """Call ``watch(entry, dyn, now, recycled)`` after every dispatch
-    that ``Pipeline.tick`` makes into ``ruu``."""
+def _watch_dispatch(ruu, watch, recycle=True):
+    """Call ``watch(entry, dyn, now, reused)`` after every dispatch that
+    ``Pipeline.tick`` makes into ``ruu``, having first checked that
+    every in-flight producer the record names is the entry in its ring
+    slot.  With ``recycle`` False, the committed entry in the new seq's
+    slot is dropped first, so every dispatch allocates."""
     dispatch = ruu.dispatch
 
     def watching(dyn, now):
-        reuse = ruu._free[-1] if ruu._free else None
+        ring, mask = ruu.ring, ruu.mask
+        head = ruu.window[0].seq if ruu.window else dyn.seq
+        for producer in dyn.deps:
+            if producer >= head:
+                assert ring[producer & mask].seq == producer
+        slot = dyn.seq & mask
+        if not recycle:
+            ring[slot] = None
+        previous = ring[slot]
+        assert previous is None or previous.seq < head
         entry = dispatch(dyn, now)
-        watch(entry, dyn, now, entry is reuse)
+        watch(entry, dyn, now, entry is previous)
         return entry
 
     ruu.dispatch = watching
 
 
-def _check_free_list(pipeline):
+def _check_ring(pipeline):
+    """Every in-flight entry sits in its seq's slot, the window fits the
+    ring, and each unissued load's forwarding store, if in flight, is
+    the store in its slot."""
     ruu = pipeline.ruu
-    free = ruu._free
-    window = {id(entry) for entry in ruu.window}
-    assert len(free) <= ruu.capacity
-    assert len({id(entry) for entry in free}) == len(free)
-    assert not any(id(entry) in window for entry in free)
+    window = list(ruu.window)
+    assert len(window) <= ruu.capacity <= len(ruu.ring)
+    assert len(ruu.ring) & (len(ruu.ring) - 1) == 0
+    for offset, entry in enumerate(window):
+        assert entry.seq == window[0].seq + offset
+        assert ruu.ring[entry.seq & ruu.mask] is entry
+    for load in window:
+        if load.is_load and not load.issued and load.fwd >= window[0].seq:
+            store = ruu.ring[load.fwd & ruu.mask]
+            assert store.is_store and store.seq == load.fwd
+
+
+def _youngest_overlapping_store(window, load):
+    """The deleted ``LSQ.forwarding_store`` scan: the youngest in-flight
+    store older than ``load`` that overlaps any of its bytes."""
+    for entry in reversed(window):
+        if entry.is_store and entry.seq < load.seq \
+                and entry.addr < load.addr + load.size \
+                and load.addr < entry.addr + entry.size:
+            return entry
+    return None
 
 
 def _check_store_counter(pipeline):
-    lsq = pipeline.lsq
-    stores = lsq._stores
-    assert lsq._unissued_stores == sum(1 for s in stores if not s.issued)
-    for probe in lsq._entries:
+    """The LSQ counters and the ring walk against a scan of the window."""
+    ruu, lsq = pipeline.ruu, pipeline.lsq
+    window = list(ruu.window)
+    stores = [entry for entry in window if entry.is_store]
+    assert lsq.occupancy == sum(1 for entry in window
+                                if entry.is_load or entry.is_store)
+    assert lsq.occupancy <= lsq.capacity
+    assert lsq.unissued_stores == sum(1 for s in stores if not s.issued)
+    for probe in window:
         if probe.is_load:
             brute = any(not s.issued and s.seq < probe.seq for s in stores)
-            assert lsq.has_unissued_earlier_store(probe) == brute
+            assert ruu.unissued_store_before(probe.seq) == brute
+            store = _youngest_overlapping_store(window, probe)
+            if store is None:
+                assert probe.fwd < window[0].seq
+            else:
+                assert probe.fwd == store.seq
 
 
 def test_ruu_free_list_recycles_committed_entries():
-    """Committed entries come back out of dispatch indistinguishable
-    from fresh ones, apart from the dependence wiring (checked below),
-    and a run never holds more entry objects than the window has
-    slots."""
+    """Dispatch reuses the committed entry in the new seq's ring slot:
+    a reused entry comes back out of dispatch indistinguishable from a
+    fresh one, apart from the dependence wiring (checked below), and a
+    run never holds more entry objects than the ring has slots."""
     cpu = CPUConfig(ruu_entries=8, lsq_entries=4)
     pipeline = _pipeline(_store_load_program(), cpu)
     objects = {}
@@ -171,15 +212,9 @@ def test_ruu_free_list_recycles_committed_entries():
 
     _watch_dispatch(pipeline.ruu, watch)
     _tick_to_done(pipeline)
-    assert len(objects) <= cpu.ruu_entries
+    assert len(pipeline.ruu.ring) == cpu.ruu_entries
+    assert len(objects) <= len(pipeline.ruu.ring)
     assert len(recycled) == pipeline.stats.committed - len(objects)
-
-
-class _NoRecycling(list):
-    """A free list that keeps nothing: every dispatch allocates."""
-
-    def append(self, entry):
-        pass
 
 
 def _timeline(recycle):
@@ -188,8 +223,6 @@ def _timeline(recycle):
     cpu = CPUConfig(issue_width=2, ruu_entries=8, lsq_entries=4,
                     oracle_disambiguation=False)
     pipeline = _pipeline(_store_load_program(), cpu)
-    if not recycle:
-        pipeline.ruu._free = _NoRecycling()
     timeline = {}
 
     def watch(entry, dyn, now, reused):
@@ -197,37 +230,47 @@ def _timeline(recycle):
                                None, None]
 
     def after_tick(pipeline):
+        _check_ring(pipeline)
         for entry in pipeline.ruu.window:
             timeline[entry.seq][3:] = [entry.issued_at, entry.result_time]
 
-    _watch_dispatch(pipeline.ruu, watch)
+    _watch_dispatch(pipeline.ruu, watch, recycle)
     cycles = _tick_to_done(pipeline, after_tick)
     return cycles, timeline
 
 
 def test_ruu_free_list_reuse_preserves_dependence_wiring():
-    """An entry's first life must not leak into its second: every
-    instruction's dependence wiring and issue and result cycles match a
-    run whose free list never recycles."""
+    """An entry's first life must not leak into its second, and a
+    reused slot is never read as a live producer or forwarding store:
+    every instruction's dependence wiring and issue and result cycles
+    match a run whose ring never reuses an entry."""
     cycles, timeline = _timeline(recycle=True)
     assert any(unresolved for _, _, unresolved, _, _ in timeline.values())
     assert (cycles, timeline) == _timeline(recycle=False)
 
 
 def test_ruu_free_list_is_bounded_by_capacity():
-    for ruu_entries in (1, 2, 4, 16):
+    """The ring has the fewest power-of-two slots that hold the window,
+    every in-flight entry sits in its seq's slot, and windows that wrap
+    the ring many times reuse its entries."""
+    for ruu_entries in (1, 2, 3, 4, 12, 16):
         cpu = CPUConfig(ruu_entries=ruu_entries,
                         lsq_entries=max(1, ruu_entries // 2))
         pipeline = _pipeline(_store_load_program(), cpu)
-        _tick_to_done(pipeline, _check_free_list)
-        assert pipeline.ruu._free
+        objects = set()
+        _watch_dispatch(pipeline.ruu,
+                        lambda entry, *_: objects.add(id(entry)))
+        _tick_to_done(pipeline, _check_ring)
+        size = len(pipeline.ruu.ring)
+        assert size >= ruu_entries > size // 2
+        assert len(objects) <= size < pipeline.stats.committed
 
 
 def test_lsq_unissued_store_counter_tracks_lifecycle():
-    """Under conservative disambiguation the counter must equal the
-    unissued stores in the queue after every tick, and the earlier-store
-    check must agree with a scan, including for a load whose only
-    unissued stores are younger than it."""
+    """Under conservative disambiguation the counters must equal a scan
+    of the window after every tick, and the earlier-store walk must
+    agree with a scan, including for a load whose only unissued stores
+    are younger than it."""
     cpu = CPUConfig(ruu_entries=16, lsq_entries=8,
                     oracle_disambiguation=False)
     pipeline = _pipeline(_store_load_program(), cpu)
@@ -235,23 +278,23 @@ def test_lsq_unissued_store_counter_tracks_lifecycle():
 
     def after_tick(pipeline):
         _check_store_counter(pipeline)
-        lsq = pipeline.lsq
-        for load in lsq._entries:
+        ruu, lsq = pipeline.ruu, pipeline.lsq
+        for load in ruu.window:
             if not load.is_load:
                 continue
-            if lsq.has_unissued_earlier_store(load):
+            if ruu.unissued_store_before(load.seq):
                 seen["blocked"] += 1
-            elif lsq._unissued_stores:
+            elif lsq.unissued_stores:
                 seen["younger_only"] += 1
 
     _tick_to_done(pipeline, after_tick)
     assert seen["blocked"] and seen["younger_only"]
-    assert len(pipeline.lsq) == 0 and pipeline.lsq._unissued_stores == 0
+    assert len(pipeline.lsq) == 0 and pipeline.lsq.unissued_stores == 0
 
 
 def test_lsq_counter_matches_brute_force_scan_under_random_traffic():
     def after_tick(pipeline):
-        _check_free_list(pipeline)
+        _check_ring(pipeline)
         _check_store_counter(pipeline)
 
     for seed in range(120):
