@@ -87,24 +87,22 @@ class TrafficReport:
 
 def measure_esp_traffic(program, cache_config: CacheConfig = TABLE1_CACHE,
                         limit=None, include_ifetch: bool = False,
-                        tag_bytes: int = 8,
-                        engine: str = "auto") -> TrafficReport:
+                        tag_bytes: int = 8) -> TrafficReport:
     """Run ``program`` through the measurement cache and account traffic.
 
     Matches the paper's methodology: an execution-driven run filtered by
     a level-one data cache; requests and write-backs are the traffic ESP
     removes.  Set ``include_ifetch`` to also filter instruction fetches
     through the same cache (the paper measures the data cache only).
-    ``engine`` selects the functional front end
-    (:func:`repro.isa.codegen.make_execution`); the default ``"auto"``
-    uses generated code where supported — the data-only reference
+    The functional front end is :func:`repro.isa.codegen.make_execution`'s
+    pick: generated code where supported — the data-only reference
     stream is exactly where specialization pays, since a generated
     stepper skips non-memory instructions without yielding at all.
     """
     from ..isa.codegen import make_execution
 
     cache = Cache(cache_config, name="table1")
-    interp = make_execution(program, engine=engine)
+    interp = make_execution(program)
     misses = 0
     writebacks = 0
     accesses = 0

@@ -136,10 +136,10 @@ class DataScalarSystem:
 
         SPSD nodes consume the identical stream, so the default runs and
         annotates a single functional front end and fans its records out
-        to all nodes (O(I) work instead of O(N·I)).  The front end —
-        predecoded-closure interpreter or program-specialized generated
-        code (:mod:`repro.isa.codegen`) — is chosen by
-        ``config.engine``; both are bit-identical.  Subclasses that
+        to all nodes (O(I) work instead of O(N·I)).  The front end is
+        program-specialized generated code (:mod:`repro.isa.codegen`)
+        whenever the program supports it and the predecoded-closure
+        interpreter otherwise; both are bit-identical.  Subclasses that
         override :meth:`_make_trace` (asymmetric per-node streams, e.g.
         result communication) keep one interpreter per node, and each
         node's pipeline annotates its own stream.
@@ -148,8 +148,7 @@ class DataScalarSystem:
         if type(self)._make_trace is not DataScalarSystem._make_trace:
             return [self._make_trace(program, node_id, limit)
                     for node_id in range(num_nodes)], False
-        source = make_trace_source(program, limit=limit,
-                                   engine=self.config.engine)
+        source = make_trace_source(program, limit=limit)
         # The front end is consumed lazily inside the timing loop, so its
         # wall time is charged to a timing-loop/frontend accumulator when
         # a span recorder is active.  Disabled-path runs never see the

@@ -40,36 +40,23 @@ from .table2 import format_table2, run_table2
 from .table3 import format_table3, run_table3
 from .traced import format_traced, run_traced
 
-#: name -> (runner(limit, engine), formatter, exportable-rows?).
-#: ``engine`` is the ``--engine`` functional-front-end override; the
-#: analytic/trace experiments that never build a DataScalar system
-#: (figure1, table2, resilience, traced-run) simply ignore it.
+#: name -> (runner(limit), formatter, exportable-rows?).
 EXPERIMENTS = {
-    "scaling": (lambda limit, engine: run_scaling(limit=limit,
-                                                  engine=engine),
-                format_scaling, True),
-    "figure1": (lambda limit, engine: run_figure1(), format_figure1,
+    "scaling": (lambda limit: run_scaling(limit=limit), format_scaling,
+                True),
+    "figure1": (lambda limit: run_figure1(), format_figure1, False),
+    "figure3": (lambda limit: run_figure3(limit=limit), format_figure3,
                 False),
-    "figure3": (lambda limit, engine: run_figure3(limit=limit,
-                                                  engine=engine),
-                format_figure3, False),
-    "table1": (lambda limit, engine: run_table1(limit=limit,
-                                                engine=engine),
-               format_table1, True),
-    "table2": (lambda limit, engine: run_table2(limit=limit),
-               format_table2, True),
-    "table3": (lambda limit, engine: run_table3(limit=limit,
-                                                engine=engine),
-               format_table3, True),
-    "figure7": (lambda limit, engine: run_figure7(limit=limit,
-                                                  engine=engine),
-                format_figure7, True),
-    "figure8": (lambda limit, engine: run_figure8(limit=limit,
-                                                  engine=engine),
-                format_figure8, False),
-    "resilience": (lambda limit, engine: run_resilience(limit=limit or 2500),
+    "table1": (lambda limit: run_table1(limit=limit), format_table1, True),
+    "table2": (lambda limit: run_table2(limit=limit), format_table2, True),
+    "table3": (lambda limit: run_table3(limit=limit), format_table3, True),
+    "figure7": (lambda limit: run_figure7(limit=limit), format_figure7,
+                True),
+    "figure8": (lambda limit: run_figure8(limit=limit), format_figure8,
+                False),
+    "resilience": (lambda limit: run_resilience(limit=limit or 2500),
                    format_resilience, True),
-    "traced-run": (lambda limit, engine: run_traced(limit=limit or 2500),
+    "traced-run": (lambda limit: run_traced(limit=limit or 2500),
                    format_traced, False),
 }
 
@@ -79,7 +66,7 @@ def _positive(kind):
 
     def parse(text: str):
         value = kind(text)
-        if value <= 0:
+        if not value > 0:  # also rejects NaN
             raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
         return value
 
@@ -103,13 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the sweep runner "
                              "(default: all CPUs; 1 = classic serial "
                              "in-process execution)")
-    parser.add_argument("--engine", default=None,
-                        choices=("interpreter", "codegen"),
-                        help="functional front end for the simulated "
-                             "points (default: each config's own choice, "
-                             "normally auto = codegen with interpreter "
-                             "fallback); rides on SweepPoint.knobs so "
-                             "both engines cache as distinct results")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the content-addressed result cache "
                              "(every point re-simulates)")
@@ -143,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a run manifest (JSON: environment, "
                              "code version, per-point wall/CPU/phase "
                              "breakdown, cache state, metrics snapshot) "
-                             "after the sweep; gate it with "
-                             "python -m repro.obs.baseline")
+                             "after the sweep")
     parser.add_argument("--sweep-trace-out", default=None, metavar="PATH",
                         help="write every executed point's phase spans as "
                              "one Chrome trace_event JSON with a track per "
@@ -163,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_one(name: str, limit, csv_path=None, fault_seed: int = 11,
-            drop_prob=None, trace_out=None, metrics_out=None,
-            engine=None) -> str:
+            drop_prob=None, trace_out=None, metrics_out=None) -> str:
     runner, formatter, exportable = EXPERIMENTS[name]
     if name == "resilience":
         probs = DROP_PROBS if drop_prob is None else (0.0, drop_prob)
@@ -174,7 +152,7 @@ def run_one(name: str, limit, csv_path=None, fault_seed: int = 11,
         result = run_traced(limit=limit or 2500, trace_out=trace_out,
                             metrics_out=metrics_out)
     else:
-        result = runner(limit, engine)
+        result = runner(limit)
     if csv_path:
         if not exportable:
             raise SystemExit(f"{name} does not produce exportable rows")
@@ -240,7 +218,7 @@ def main(argv=None) -> int:
     sweep_runner = _build_runner(args)
     previous = set_default_runner(sweep_runner)
     # SIGTERM stops a sweep exactly like Ctrl-C: a KeyboardInterrupt
-    # that unwinds through the engine (pool and spool torn down).
+    # that unwinds through the engine (pool torn down).
     saved_sigterm = _handle_sigterm(signal.default_int_handler)
     failures: "list[tuple[str, BaseException]]" = []
     interrupted = False
@@ -252,8 +230,7 @@ def main(argv=None) -> int:
                               fault_seed=args.fault_seed,
                               drop_prob=args.drop_prob,
                               trace_out=args.trace_out,
-                              metrics_out=args.metrics_out,
-                              engine=args.engine))
+                              metrics_out=args.metrics_out))
                 print()
             except KeyboardInterrupt:
                 # Everything completed so far is cached; report, then

@@ -92,15 +92,13 @@ def _chain_program(hops: int = 64, words_per_page: int = PAGE // 4):
 
 
 def run_figure3(num_nodes: int = 4, hops: int = 64,
-                limit=None, runner=None, engine=None) -> Figure3Result:
+                limit=None, runner=None) -> Figure3Result:
     """Regenerate Figure 3: the analytic 2-vs-8 counts for the paper's
     exact example, plus a timing run of the pointer-chase microbenchmark
-    on matched systems.  ``engine`` rides as a knob on the DataScalar
-    point only (the traditional config has no front-end choice)."""
+    on matched systems."""
     from ..runner import SweepPoint, get_default_runner
 
     runner = runner or get_default_runner()
-    engine_knobs = {} if engine is None else {"engine": engine}
     # The paper's example: x1..x3 on chip 0, x4 on chip 1; the requesting
     # traditional chip holds none of them.
     paper_chain = [0, 0, 0, 1]
@@ -110,7 +108,7 @@ def run_figure3(num_nodes: int = 4, hops: int = 64,
     ds_result, trad_result = runner.run([
         SweepPoint.make("figure3", limit=limit, hops=hops,
                         config=datascalar_config(num_nodes, node=node),
-                        label=f"figure3/ds{num_nodes}", **engine_knobs),
+                        label=f"figure3/ds{num_nodes}"),
         SweepPoint.make("figure3", limit=limit, hops=hops,
                         config=traditional_config(num_nodes, node=node),
                         label=f"figure3/trad{num_nodes}"),

@@ -48,16 +48,11 @@ class Figure7Row:
 
 
 def benchmark_points(name: str, scale: int = 1, limit=None,
-                     node=None, bus=None, node_counts=(2, 4), engine=None):
+                     node=None, bus=None, node_counts=(2, 4)):
     """The five sweep points of one Figure 7 benchmark, in the fixed
-    chunk order [perfect, ds(a), trad(a), ds(b), trad(b)].
-
-    ``engine`` (``"interpreter"``/``"codegen"``) rides as a knob on the
-    DataScalar points so sweeps can A/B the functional front ends;
-    ``None`` leaves the config's own (``"auto"``) selection."""
+    chunk order [perfect, ds(a), trad(a), ds(b), trad(b)]."""
     from ..runner import SweepPoint
 
-    engine_knobs = {} if engine is None else {"engine": engine}
     node = node or timing_node_config()
     points = [SweepPoint.make("perfect", name, scale=scale, limit=limit,
                               config=node.cpu, label=f"{name}/perfect")]
@@ -65,7 +60,7 @@ def benchmark_points(name: str, scale: int = 1, limit=None,
         points.append(SweepPoint.make(
             "datascalar", name, scale=scale, limit=limit,
             config=datascalar_config(count, node=node, bus=bus),
-            label=f"{name}/ds{count}", **engine_knobs,
+            label=f"{name}/ds{count}",
         ))
         points.append(SweepPoint.make(
             "traditional", name, scale=scale, limit=limit,
@@ -92,8 +87,7 @@ def row_from_chunk(name: str, chunk) -> Figure7Row:
 
 
 def run_benchmark(name: str, scale: int = 1, limit=None,
-                  node=None, bus=None, node_counts=(2, 4), runner=None,
-                  engine=None):
+                  node=None, bus=None, node_counts=(2, 4), runner=None):
     """Simulate one benchmark on all five systems; returns a
     :class:`Figure7Row`."""
     from ..runner import get_default_runner
@@ -101,13 +95,12 @@ def run_benchmark(name: str, scale: int = 1, limit=None,
     runner = runner or get_default_runner()
     results = runner.run(benchmark_points(name, scale=scale, limit=limit,
                                           node=node, bus=bus,
-                                          node_counts=node_counts,
-                                          engine=engine))
+                                          node_counts=node_counts))
     return row_from_chunk(name, results)
 
 
 def run_figure7(benchmarks=None, scale: int = 1, limit=None,
-                node=None, bus=None, runner=None, engine=None):
+                node=None, bus=None, runner=None):
     """Regenerate Figure 7's bars for every timing benchmark (one
     runner batch across all of them)."""
     from ..runner import get_default_runner
@@ -117,7 +110,7 @@ def run_figure7(benchmarks=None, scale: int = 1, limit=None,
     points = []
     for name in names:
         points.extend(benchmark_points(name, scale=scale, limit=limit,
-                                       node=node, bus=bus, engine=engine))
+                                       node=node, bus=bus))
     results = runner.run(points)
     return [row_from_chunk(name, results[i * _CHUNK:(i + 1) * _CHUNK])
             for i, name in enumerate(names)]

@@ -84,7 +84,7 @@ def _point_from_row(benchmark, parameter, value, row) -> Figure8Point:
     )
 
 
-def _sweep(cells, scale, limit, runner, engine=None):
+def _sweep(cells, scale, limit, runner):
     """Execute (benchmark, parameter, value) cells as one runner batch
     and yield one :class:`Figure8Point` per cell."""
     from ..runner import get_default_runner
@@ -94,7 +94,7 @@ def _sweep(cells, scale, limit, runner, engine=None):
     for benchmark, parameter, value in cells:
         node, bus = _configure(parameter, value)
         points.extend(benchmark_points(benchmark, scale=scale, limit=limit,
-                                       node=node, bus=bus, engine=engine))
+                                       node=node, bus=bus))
     chunk = len(points) // len(cells) if cells else 1
     results = runner.run(points)
     for index, (benchmark, parameter, value) in enumerate(cells):
@@ -104,18 +104,18 @@ def _sweep(cells, scale, limit, runner, engine=None):
 
 
 def run_panel(benchmark: str, parameter: str, values=None, scale: int = 1,
-              limit=None, runner=None, engine=None) -> Figure8Panel:
+              limit=None, runner=None) -> Figure8Panel:
     """Sweep one parameter for one benchmark."""
     cells = [(benchmark, parameter, value)
              for value in values or PARAMETERS[parameter]]
     panel = Figure8Panel(benchmark=benchmark, parameter=parameter)
-    panel.points.extend(_sweep(cells, scale, limit, runner, engine=engine))
+    panel.points.extend(_sweep(cells, scale, limit, runner))
     return panel
 
 
 def run_figure8(benchmarks=FIGURE8_BENCHMARKS, parameters=None,
                 scale: int = 1, limit=None, values_per_parameter=None,
-                runner=None, engine=None):
+                runner=None):
     """Regenerate every panel of Figure 8 (all panels' simulations fan
     out as one runner batch)."""
     cells = []
@@ -127,7 +127,7 @@ def run_figure8(benchmarks=FIGURE8_BENCHMARKS, parameters=None,
             for value in values or PARAMETERS[parameter]:
                 cells.append((benchmark, parameter, value))
     panels = {}
-    for point in _sweep(cells, scale, limit, runner, engine=engine):
+    for point in _sweep(cells, scale, limit, runner):
         key = (point.benchmark, point.parameter)
         if key not in panels:
             panels[key] = Figure8Panel(benchmark=point.benchmark,

@@ -41,15 +41,13 @@ class ScalingPoint:
 
 def run_scaling(benchmark: str = "compress", node_counts=NODE_COUNTS,
                 scale: int = 1, limit=None, node=None, bus=None,
-                interconnect: str = "bus", runner=None, engine=None):
-    """Sweep ``node_counts`` for one benchmark.  ``engine`` rides as a
-    knob on the DataScalar points (``--engine`` A/B switch)."""
+                interconnect: str = "bus", runner=None):
+    """Sweep ``node_counts`` for one benchmark."""
     import dataclasses
 
     from ..runner import SweepPoint, get_default_runner
 
     runner = runner or get_default_runner()
-    engine_knobs = {} if engine is None else {"engine": engine}
     node = node or timing_node_config()
     sweep = []
     for count in node_counts:
@@ -58,8 +56,7 @@ def run_scaling(benchmark: str = "compress", node_counts=NODE_COUNTS,
             interconnect=interconnect)
         sweep.append(SweepPoint.make(
             "datascalar", benchmark, scale=scale, limit=limit,
-            config=ds_config, label=f"scaling/{benchmark}/ds{count}",
-            **engine_knobs))
+            config=ds_config, label=f"scaling/{benchmark}/ds{count}"))
         sweep.append(SweepPoint.make(
             "traditional", benchmark, scale=scale, limit=limit,
             config=traditional_config(count, node=node, bus=bus),

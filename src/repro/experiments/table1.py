@@ -35,20 +35,16 @@ class Table1Row:
 
 
 def run_table1(benchmarks=None, scale: int = 1, limit=None,
-               cache_config: CacheConfig = SCALED_CACHE, runner=None,
-               engine=None):
+               cache_config: CacheConfig = SCALED_CACHE, runner=None):
     """Regenerate Table 1.  Pass ``cache_config=TABLE1_CACHE`` and a
-    larger ``scale`` for the paper's exact cache configuration.
-    ``engine`` selects the functional front end per point."""
+    larger ``scale`` for the paper's exact cache configuration."""
     from ..runner import SweepPoint, get_default_runner
 
     runner = runner or get_default_runner()
-    engine_knobs = {} if engine is None else {"engine": engine}
     names = list(benchmarks or TABLE_BENCHMARKS)
     reports = runner.run([
         SweepPoint.make("esp-traffic", name, scale=scale, limit=limit,
-                        config=cache_config, label=f"table1/{name}",
-                        **engine_knobs)
+                        config=cache_config, label=f"table1/{name}")
         for name in names
     ])
     return [

@@ -42,19 +42,17 @@ def row_from_result(name: str, result) -> Table3Row:
 
 
 def run_table3(benchmarks=None, scale: int = 1, limit=None,
-               num_nodes: int = 2, node=None, runner=None, engine=None):
-    """Regenerate Table 3 from fresh two-node runs.  ``engine`` rides as
-    a knob on the points (``--engine`` A/B switch)."""
+               num_nodes: int = 2, node=None, runner=None):
+    """Regenerate Table 3 from fresh two-node runs."""
     from ..runner import SweepPoint, get_default_runner
 
     runner = runner or get_default_runner()
-    engine_knobs = {} if engine is None else {"engine": engine}
     node = node or timing_node_config()
     names = list(benchmarks or TIMING_BENCHMARKS)
     results = runner.run([
         SweepPoint.make("datascalar", name, scale=scale, limit=limit,
                         config=datascalar_config(num_nodes, node=node),
-                        label=f"table3/{name}", **engine_knobs)
+                        label=f"table3/{name}")
         for name in names
     ])
     return [row_from_result(name, result)

@@ -37,7 +37,7 @@ one observable difference from the interpreter's live shared state.)
 
 Programs containing ``JR`` (indirect jumps) are not specialized:
 :func:`repro.isa.codegen.supports` reports them unsupported and
-``engine="auto"`` keeps them on the interpreter.
+:func:`repro.isa.codegen.make_execution` keeps them on the interpreter.
 """
 
 from __future__ import annotations

@@ -10,13 +10,12 @@ configurations specializes it once per process and grain.
 :class:`CompiledExecution` is the drop-in replacement for
 :class:`~repro.isa.interpreter.Interpreter`: same constructor shape,
 same architectural state attributes, same ``trace``/``run``/
-``mem_refs``/``result`` surface, bit-identical behavior.  Engine
-selection lives in :func:`resolve_engine` /
-:func:`make_trace_source`: ``"interpreter"`` and ``"codegen"`` force a
-front end (the latter raising :class:`UnsupportedProgramError` when the
-program cannot be specialized), ``"auto"`` prefers generated code and
-falls back to the interpreter for unsupported programs (indirect
-jumps, or text larger than :data:`MAX_CODEGEN_INSTRUCTIONS`).
+``mem_refs``/``result`` surface, bit-identical behavior.
+:func:`make_execution` picks the front end from the program alone:
+generated code whenever :func:`supports` accepts it, the interpreter
+otherwise (indirect jumps, or text larger than
+:data:`MAX_CODEGEN_INSTRUCTIONS`).  Tests that need an interpreter-fed
+run monkeypatch :func:`supports`.
 
 ``CODEGEN_VERSION`` stamps the emitter's output format; it is folded
 into every sweep-point digest (:mod:`repro.runner.digest`) so cached
@@ -43,13 +42,9 @@ from .spec import CodegenSpec, UnsupportedProgramError
 CODEGEN_VERSION = "1"
 
 #: Programs with more static instructions than this are left to the
-#: interpreter under ``engine="auto"`` (compile time and module size
-#: grow linearly with program text; every bundled workload is far
-#: below the cap).
+#: interpreter (compile time and module size grow linearly with program
+#: text; every bundled workload is far below the cap).
 MAX_CODEGEN_INSTRUCTIONS = 20_000
-
-#: The engine knob's accepted values (``SystemConfig.engine``).
-ENGINES = ("auto", "interpreter", "codegen")
 
 
 def program_digest(program) -> str:
@@ -77,8 +72,8 @@ def program_digest(program) -> str:
 
 
 def supports(program) -> bool:
-    """Can ``program`` be specialized?  (Fallback predicate for
-    ``engine="auto"``.)"""
+    """Can ``program`` be specialized?  (:func:`make_execution`'s
+    fallback predicate.)"""
     instrs = program.instructions
     if len(instrs) > MAX_CODEGEN_INSTRUCTIONS:
         return False
@@ -217,35 +212,18 @@ class CompiledExecution:
 
 
 # ----------------------------------------------------------------------
-# Engine selection.
+# Front-end selection.
 # ----------------------------------------------------------------------
-def resolve_engine(engine: str, program) -> str:
-    """Pick the concrete front end for ``program`` under ``engine``."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "interpreter":
-        return "interpreter"
-    if engine == "codegen":
-        if not supports(program):
-            raise UnsupportedProgramError(
-                f"engine='codegen' requested but {program.name!r} cannot "
-                f"be specialized (indirect jumps, or more than "
-                f"{MAX_CODEGEN_INSTRUCTIONS} instructions); use "
-                f"engine='auto' to fall back to the interpreter")
-        return "codegen"
-    return "codegen" if supports(program) else "interpreter"
-
-
-def make_execution(program, engine: str = "auto",
-                   max_instructions: int = 100_000_000):
-    """Build the selected functional front end for ``program``."""
-    if resolve_engine(engine, program) == "codegen":
+def make_execution(program, max_instructions: int = 100_000_000):
+    """The functional front end for ``program``: generated code when
+    :func:`supports` accepts it, the interpreter otherwise."""
+    if supports(program):
         return CompiledExecution(program, max_instructions=max_instructions)
     return Interpreter(program, max_instructions=max_instructions)
 
 
-def make_trace_source(program, limit=None, engine: str = "auto"):
+def make_trace_source(program, limit=None):
     """Drop-in trace source for :class:`repro.isa.fanout.TraceFanout`:
     exactly ``Interpreter(program).trace(limit=limit)``, from whichever
-    front end ``engine`` selects."""
-    return make_execution(program, engine).trace(limit=limit)
+    front end :func:`make_execution` picks."""
+    return make_execution(program).trace(limit=limit)

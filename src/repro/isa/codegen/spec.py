@@ -29,7 +29,9 @@ GRAINS = ("trace", "run", "memrefs")
 class UnsupportedProgramError(ReproError):
     """The program cannot be specialized (size cap or indirect jumps).
 
-    Raised by ``engine="codegen"``; ``engine="auto"`` falls back to the
+    Raised when :class:`~repro.isa.codegen.CompiledExecution` or the
+    emitter is handed such a program directly;
+    :func:`~repro.isa.codegen.make_execution` falls back to the
     interpreter instead.
     """
 

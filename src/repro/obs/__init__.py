@@ -14,11 +14,10 @@ This package is the simulator's instrumentation layer:
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto) and
   JSONL exporters;
 * :mod:`repro.obs.spans` — hierarchical wall/CPU phase spans (the
-  per-point phase breakdown behind sweep telemetry and run manifests);
-  and
-* :mod:`repro.obs.baseline` — the perf-regression gate
-  (``python -m repro.obs.baseline manifest.json --against
-  BENCH_sweep.json``).
+  per-point phase breakdown behind sweep telemetry and run manifests).
+
+The simulator's own speed is measured in one place,
+``benchmarks/perf/run.py``, not here.
 
 Entry points: ``DataScalarSystem.run(..., tracer=EventTracer())`` and
 ``python -m repro.experiments traced-run --trace-out trace.json

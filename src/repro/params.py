@@ -344,20 +344,9 @@ class SystemConfig:
     #: ``None`` (the default) leaves the transport perfect and the
     #: simulator bit-identical to a build without the fault layer.
     faults: "FaultConfig | None" = None
-    #: Functional front end feeding the shared trace fan-out:
-    #: ``"interpreter"`` (predecoded closures), ``"codegen"``
-    #: (program-specialized generated Python,
-    #: :mod:`repro.isa.codegen`), or ``"auto"`` — codegen whenever the
-    #: program is supported, interpreter otherwise.  Results are
-    #: bit-identical either way; only wall clock changes.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         _require(self.num_nodes >= 1, "num_nodes must be >= 1")
-        _require(
-            self.engine in ("auto", "interpreter", "codegen"),
-            "engine must be auto/interpreter/codegen",
-        )
         _require(
             self.distribution_block_pages >= 1,
             "distribution_block_pages must be >= 1",

@@ -5,7 +5,9 @@ by a :class:`SweepRunner`, which fans points out over a process pool
 (``jobs>1``), dedups identical points, and short-circuits points whose
 content digest is already in a :class:`ResultCache`.  Results always
 come back in point order and are bit-identical across ``jobs=1``,
-``jobs=N``, and cache-hit paths.
+``jobs=N``, and cache-hit paths.  Every executed point runs through one
+task function, :func:`execute_point_task` — in process at ``jobs=1``,
+in a pool worker otherwise.
 
 Every failure is a typed error, never a hang: a dead worker raises a
 :class:`~repro.errors.RunnerError` naming the points in flight, and a
@@ -23,8 +25,8 @@ from .engine import (SweepRunner, get_default_runner, set_default_runner,
 from .executors import EXECUTORS, execute_point
 from .manifest import RunManifest
 from .point import SweepPoint
-from .telemetry import (PointTelemetry, ProgressLine, TelemetryReader,
-                        TelemetryWriter, execute_point_task, worker_tracks)
+from .telemetry import (PointTelemetry, ProgressLine, execute_point_task,
+                        worker_tracks)
 
 __all__ = [
     "SweepPoint",
@@ -33,8 +35,6 @@ __all__ = [
     "RunManifest",
     "PointTelemetry",
     "ProgressLine",
-    "TelemetryReader",
-    "TelemetryWriter",
     "default_cache_dir",
     "canonicalize",
     "code_version",

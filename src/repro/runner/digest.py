@@ -13,19 +13,15 @@ code, run on this exact configuration, produced this result".
 pinning a cache across cosmetic edits, and for tests that exercise
 invalidation).
 
-Two further ingredients keep interpreter-run and codegen-run results
-from ever aliasing one cache slot:
-
-* the *engine choice* is digest-visible by construction — it rides in
-  ``SystemConfig.engine`` (a canonicalized dataclass field) and/or an
-  ``engine`` knob on the point;
-* the *generated-code template version*
-  (:data:`repro.isa.codegen.CODEGEN_VERSION`) is folded into every
-  point digest unconditionally.  The computed code-version stamp
-  already hashes the emitter's source like any other ``repro`` file,
-  but a pinned ``REPRO_CODE_VERSION`` would bypass that — the explicit
-  stamp means codegen template changes invalidate cached results even
-  under a pinned code version.
+The *generated-code template version*
+(:data:`repro.isa.codegen.CODEGEN_VERSION`) is folded into every point
+digest unconditionally.  The computed code-version stamp already hashes
+the emitter's source like any other ``repro`` file, but a pinned
+``REPRO_CODE_VERSION`` would bypass that — the explicit stamp means
+codegen template changes invalidate cached results even under a pinned
+code version.  The front end itself is not a point input: it is chosen
+from the program (:func:`repro.isa.codegen.make_execution`), and both
+choices are bit-identical.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ SweepPoint` and returns results **in point order**, regardless of
 completion order, worker count, or cache state — the invariant every
 experiment driver leans on.  Three paths produce the same bits:
 
-* ``jobs=1`` — today's in-process path, exactly: each point's executor
-  is called directly, in order, and exceptions propagate unchanged;
-* ``jobs>1`` — points fan out over a ``ProcessPoolExecutor``; the sweep
-  drains, then the *first failing point by sweep order* is re-raised
-  (deterministic, not completion-order-dependent);
+* ``jobs=1`` — the in-process path: each point runs through
+  :func:`~repro.runner.telemetry.execute_point_task`, in order, and
+  exceptions propagate unchanged;
+* ``jobs>1`` — the same task fans out over a ``ProcessPoolExecutor``;
+  the sweep drains, then the *first failing point by sweep order* is
+  re-raised (deterministic, not completion-order-dependent);
 * cache hits — points whose digest is already in the
   :class:`~repro.runner.cache.ResultCache` skip execution entirely.
 
@@ -30,29 +31,21 @@ from __future__ import annotations
 
 import contextlib
 import os
-import shutil
 import signal
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from ..errors import PointTimeoutError, RunnerError
-from ..obs import spans
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
 from .digest import point_digest
-from .executors import execute_point
 from .point import SweepPoint
-from .telemetry import (PointTelemetry, ProgressLine, TelemetryReader,
-                        execute_point_task)
+from .telemetry import PointTelemetry, ProgressLine, execute_point_task
 
 __all__ = ["SweepRunner", "get_default_runner", "set_default_runner",
            "using_runner"]
-
-#: Seconds between spool polls while the live progress line is on.
-PROGRESS_POLL_SECONDS = 0.2
 
 
 def _init_worker() -> None:
@@ -96,7 +89,7 @@ class SweepRunner:
                  telemetry: bool = False):
         if jobs is not None and jobs < 1:
             raise RunnerError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
+        if timeout is not None and not timeout > 0:  # also rejects NaN
             raise RunnerError(f"timeout must be > 0 seconds, got {timeout}")
         self.jobs = int(jobs) if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache
@@ -247,31 +240,21 @@ class SweepRunner:
     def _run_serial(self, points, pending, start, payloads,
                     progress, cached) -> "dict[str, object]":
         """In-process execution, in sweep order, failing fast with the
-        point's own exception (``recording(None)`` is a no-op scope
-        when telemetry is off)."""
+        point's own exception."""
         executed: "dict[str, object]" = {}
         done_positions = cached
         slowest: "tuple[str, float] | None" = None
         for digest, slots in pending.items():
             point = points[slots[0]]
-            recorder = spans.SpanRecorder() if self.telemetry else None
-            tick = time.perf_counter()
-            ctick = time.process_time()
             try:
-                with spans.recording(recorder):
-                    value = execute_point(point)
+                value, payload = execute_point_task(point, self.telemetry)
             except Exception:
                 self.registry.counter("runner.points.failed").inc()
                 raise
-            seconds = time.perf_counter() - tick
+            payload["worker"] = None  # in process: the "serial" track
+            seconds = payload["wall"]
             executed[digest] = value
-            payloads[digest] = {
-                "label": point.label or point.kind,
-                "wall": seconds,
-                "cpu": time.process_time() - ctick,
-                "worker": None,
-                "spans": spans.records_as_dicts(recorder),
-            }
+            payloads[digest] = payload
             self._record_done(point, digest, value, seconds, start)
             done_positions += len(slots)
             if slowest is None or seconds > slowest[1]:
@@ -289,14 +272,9 @@ class SweepRunner:
 
         Submission is windowed (at most ``jobs`` digests in flight), so
         when a worker death breaks the pool the error names a small,
-        exact set of suspects.
-
-        Workers spool start/done/error records into a per-worker JSONL
-        file (when telemetry or the progress line is on); the parent
-        polls it between scheduler rounds to keep the progress line
-        live while futures are still in flight.  Authoritative results
-        and span payloads travel in-band through the futures, so spool
-        polling can never change what the sweep returns.
+        exact set of suspects.  Results and span payloads travel
+        in-band through the futures, and the progress line is redrawn
+        as they complete.
         """
         registry = self.registry
         order = {digest: slots[0] for digest, slots in pending.items()}
@@ -304,16 +282,6 @@ class SweepRunner:
         failures: "dict[str, BaseException]" = {}
         failed_after: "dict[str, float]" = {}
         workers = min(self.jobs, len(pending))
-        use_spool = self.telemetry or progress.enabled
-        spool_dir = (tempfile.mkdtemp(prefix="repro-sweep-spool-")
-                     if use_spool else None)
-        reader = TelemetryReader(spool_dir) if spool_dir else None
-        # The point timeout is declared on elapsed time since the last
-        # completion; sub-timeout wakeups only poll the spool.
-        bounds = [self.timeout] if self.timeout is not None else []
-        if progress.enabled:
-            bounds.append(PROGRESS_POLL_SECONDS)
-        wait_timeout = min(bounds, default=None)
         slowest: "tuple[str, float] | None" = None
         submitted: "dict[str, float]" = {}
         #: Digests awaiting submission, in sweep order.
@@ -323,8 +291,6 @@ class SweepRunner:
                                    initializer=_init_worker)
 
         def show_progress() -> None:
-            if reader is not None:
-                reader.poll()  # advance offsets; display only
             done_positions = cached + sum(
                 len(pending[digest]) for digest in executed)
             progress.update(done_positions, cached, len(futures), slowest,
@@ -358,21 +324,19 @@ class SweepRunner:
                     digest = queue.popleft()
                     submitted[digest] = time.perf_counter()
                     futures[pool.submit(execute_point_task,
-                                        points[order[digest]], spool_dir,
+                                        points[order[digest]],
                                         self.telemetry)] = digest
-                done, _ = wait(futures, timeout=wait_timeout,
+                done, _ = wait(futures, timeout=self.timeout,
                                return_when=FIRST_COMPLETED)
                 now = time.perf_counter()
                 if not done:
-                    if (self.timeout is not None
-                            and now - last_completion >= self.timeout):
+                    if now - last_completion >= self.timeout:
                         raise PointTimeoutError(
                             f"no sweep point completed within "
                             f"{self.timeout}s ({len(futures) + len(queue)} "
                             f"outstanding; in flight by sweep order: "
                             f"{self._describe(points, order, futures, submitted)})"
                         )
-                    show_progress()
                     continue
                 last_completion = now
                 broken = None
@@ -394,10 +358,6 @@ class SweepRunner:
             ) from exc
         finally:
             self._abort_pool(pool)
-            if reader is not None:
-                reader.close()
-            if spool_dir is not None:
-                shutil.rmtree(spool_dir, ignore_errors=True)
         if failures:
             digest = min(failures, key=order.__getitem__)
             point = points[order[digest]]

@@ -1,11 +1,11 @@
 """Executor registry: how each kind of sweep point actually runs.
 
-:func:`execute_point` is the single entry point the engine calls — in
-process at ``jobs=1``, and as the picklable task function shipped to
-``ProcessPoolExecutor`` workers at ``jobs>1``.  Executors are pure
-functions of their point: same point, same result, whichever process
-runs it — the property the bit-identity tests pin down and the content
-cache relies on.
+:func:`execute_point` is the single entry point every point runs
+through, via :func:`repro.runner.telemetry.execute_point_task` — in
+process at ``jobs=1``, and in ``ProcessPoolExecutor`` workers at
+``jobs>1``.  Executors are pure functions of their point: same point,
+same result, whichever process runs it — the property the bit-identity
+tests pin down and the content cache relies on.
 
 Experiment modules are imported lazily inside each executor so the
 runner package stays importable on its own (``repro.experiments``
@@ -57,29 +57,15 @@ def _program(point: SweepPoint):
     return build_program(point.workload, point.scale)
 
 
-def _engine_config(point: SweepPoint):
-    """The point's :class:`~repro.params.SystemConfig`, with an
-    ``engine`` knob (the ``--engine`` CLI flag / sweep A-B switch)
-    folded in.  The knob is digest-visible either way — as a knob and,
-    once folded, as a config field."""
-    engine = point.knob("engine")
-    if engine is None:
-        return point.config
-    import dataclasses
-
-    return dataclasses.replace(point.config, engine=engine)
-
-
 @executor("datascalar")
 def _run_datascalar(point: SweepPoint):
     """A full DataScalar timing run (``config``:
     :class:`~repro.params.SystemConfig` — fault injection included when
-    the config carries a :class:`~repro.params.FaultConfig`; knob
-    ``engine`` overrides the config's functional front end)."""
+    the config carries a :class:`~repro.params.FaultConfig`)."""
     from ..core.system import DataScalarSystem
 
-    return DataScalarSystem(_engine_config(point)).run(_program(point),
-                                                       limit=point.limit)
+    return DataScalarSystem(point.config).run(_program(point),
+                                              limit=point.limit)
 
 
 @executor("traditional")
@@ -105,13 +91,11 @@ def _run_perfect(point: SweepPoint):
 @executor("esp-traffic")
 def _run_esp_traffic(point: SweepPoint):
     """Table 1's trace-level traffic filter (``config``: the
-    measurement :class:`~repro.params.CacheConfig`; knob ``engine``
-    selects the functional front end)."""
+    measurement :class:`~repro.params.CacheConfig`)."""
     from ..analysis.traffic import measure_esp_traffic
 
     return measure_esp_traffic(_program(point), cache_config=point.config,
-                               limit=point.limit,
-                               engine=point.knob("engine", "auto"))
+                               limit=point.limit)
 
 
 @executor("datathread")
@@ -133,8 +117,7 @@ def _run_datathread(point: SweepPoint):
 @executor("figure3")
 def _run_figure3(point: SweepPoint):
     """Figure 3's pointer-chase microbenchmark on either system —
-    dispatched on the config's type (knobs: ``hops``; ``engine`` for
-    the DataScalar side)."""
+    dispatched on the config's type (knob: ``hops``)."""
     from ..baseline.traditional import TraditionalSystem
     from ..core.system import DataScalarSystem
     from ..experiments.figure3 import _chain_program
@@ -144,7 +127,7 @@ def _run_figure3(point: SweepPoint):
     if isinstance(point.config, TraditionalConfig):
         system = TraditionalSystem(point.config)
     else:
-        system = DataScalarSystem(_engine_config(point))
+        system = DataScalarSystem(point.config)
     return system.run(program, limit=point.limit)
 
 

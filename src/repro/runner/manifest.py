@@ -6,12 +6,13 @@ under, one row per sweep position (digest, cache state, wall/CPU
 seconds, worker, per-point phase breakdown from
 :mod:`repro.obs.spans`), and the runner's full
 :class:`~repro.obs.metrics.MetricsRegistry` snapshot.  It serializes
-to a single JSON document stamped ``repro-run-manifest/1``, which is
-exactly what the perf-regression gate (:mod:`repro.obs.baseline`)
-consumes::
+to a single JSON document stamped ``repro-run-manifest/1``::
 
     python -m repro.experiments figure7 --jobs 4 --report-out run.json
-    python -m repro.obs.baseline run.json --against BENCH_sweep.json
+
+A manifest explains where one sweep's wall clock went; it is not a
+speed gate.  The simulator's speed is measured by
+``benchmarks/perf/run.py`` (see ``benchmarks/perf/README.md``).
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class RunManifest:
             return cls.from_dict(json.load(handle))
 
     # ------------------------------------------------------------------
-    # Convenience accessors (reports, tests, the baseline gate).
+    # Convenience accessors (reports, tests).
     # ------------------------------------------------------------------
     def executed_points(self) -> "list[dict]":
         """Rows that actually ran a simulation in this sweep (not

@@ -6,11 +6,8 @@ source is a pure function of its inputs (deterministic, memoized), every
 run mode is bit-identical to the interpreter — records, architectural
 state, error messages, limit semantics — for every bundled workload, and
 the fallback/selection rules behave exactly as documented.  The runner's
-digests must also see the engine choice so both front ends cache as
-distinct results.
+digests must also see the generated-code template version.
 """
-
-import dataclasses
 
 import pytest
 
@@ -21,7 +18,8 @@ from repro.isa.codegen import (CODEGEN_VERSION, CodegenSpec,
                                clear_codegen_cache, compile_program,
                                emit_source, make_execution,
                                make_trace_source, program_digest,
-                               resolve_engine, supports)
+                               supports)
+from repro.isa.codegen import engine as codegen_engine
 from repro.isa.interpreter import Interpreter
 from repro.workloads import WORKLOADS, build_program
 
@@ -196,26 +194,15 @@ def test_supports_rejects_indirect_jumps():
     assert supports(build_program("compress"))
 
 
-def test_resolve_engine_rules():
+def test_make_execution_picks_front_end(monkeypatch):
     ok = build_program("compress")
-    jr = _jr_program()
-    assert resolve_engine("auto", ok) == "codegen"
-    assert resolve_engine("auto", jr) == "interpreter"  # silent fallback
-    assert resolve_engine("interpreter", ok) == "interpreter"
-    assert resolve_engine("codegen", ok) == "codegen"
-    with pytest.raises(UnsupportedProgramError):
-        resolve_engine("codegen", jr)  # explicit request must not fall back
-    with pytest.raises(ValueError):
-        resolve_engine("jit", ok)
-
-
-def test_make_execution_picks_front_end():
-    ok = build_program("compress")
-    assert isinstance(make_execution(ok, "auto"), CompiledExecution)
-    assert isinstance(make_execution(ok, "interpreter"), Interpreter)
-    assert isinstance(make_execution(_jr_program(), "auto"), Interpreter)
+    assert isinstance(make_execution(ok), CompiledExecution)
+    assert isinstance(make_execution(_jr_program()), Interpreter)
     with pytest.raises(UnsupportedProgramError):
         CompiledExecution(_jr_program())
+    # How tests force an interpreter-fed run.
+    monkeypatch.setattr(codegen_engine, "supports", lambda program: False)
+    assert isinstance(make_execution(ok), Interpreter)
 
 
 def test_trace_source_is_drop_in():
@@ -225,26 +212,8 @@ def test_trace_source_is_drop_in():
 
 
 # ----------------------------------------------------------------------
-# The runner must tell the engines apart.
+# The runner must see generated-code template changes.
 # ----------------------------------------------------------------------
-def test_point_digest_sees_engine_choice():
-    from repro.experiments.config import datascalar_config
-    from repro.runner import SweepPoint
-    from repro.runner.digest import point_digest
-
-    config = datascalar_config(2)
-    base = SweepPoint.make("datascalar", "compress", limit=100,
-                           config=config)
-    knobbed = SweepPoint.make("datascalar", "compress", limit=100,
-                              config=config, engine="codegen")
-    fielded = SweepPoint.make(
-        "datascalar", "compress", limit=100,
-        config=dataclasses.replace(config, engine="codegen"))
-    digests = {point_digest(base), point_digest(knobbed),
-               point_digest(fielded)}
-    assert len(digests) == 3
-
-
 def test_point_digest_sees_codegen_version(monkeypatch):
     from repro.experiments.config import datascalar_config
     from repro.isa import codegen

@@ -52,7 +52,7 @@ def _run(name):
                               drop_probs=DROP_PROBS)
     if name == "traced-run":
         return run_traced(limit=LIMIT)
-    return EXPERIMENTS[name][0](LIMIT, None)
+    return EXPERIMENTS[name][0](LIMIT)
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

@@ -7,7 +7,10 @@ change a single reported number: these tests run the same workload with
 ``fast_forward`` on and off — the off runs also forced back onto
 per-node interpreters, reproducing the original dense scheduler exactly
 — across every interconnect medium and node count, and compare full
-result snapshots.
+result snapshots.  The same holds for the generated-code front end
+against the interpreter.  Finally, the scheduler's work on five
+benchmark-shaped runs (calls of ``Pipeline.tick``, ``next_event`` and
+``note_skipped``) is pinned exactly.
 """
 
 import dataclasses
@@ -16,6 +19,8 @@ import pytest
 
 from repro.core import DataScalarSystem
 from repro.experiments.config import datascalar_config
+from repro.isa.codegen import engine as codegen_engine
+from repro.isa.codegen import supports
 from repro.isa.interpreter import Interpreter
 from repro.workloads import build_program
 
@@ -170,24 +175,31 @@ def test_fast_forward_flag_disables_skipping():
 
 
 # ----------------------------------------------------------------------
-# The codegen rows: the generated-code front end (engine="codegen",
-# repro.isa.codegen) must be exactly as invisible as fast-forward —
-# against the interpreter, the dense scheduler, faults, and tracing.
+# The codegen rows: the generated-code front end (repro.isa.codegen),
+# which every run of these workloads uses, must be exactly as invisible
+# as fast-forward — against the interpreter, the dense scheduler,
+# faults, and tracing.  The interpreter-fed side is forced by making
+# ``supports`` reject every program.
 # ----------------------------------------------------------------------
-def _engine(config, engine):
-    return dataclasses.replace(config, engine=engine)
+def _generated(program, config, **kwargs):
+    assert supports(program)  # the default front end is generated code
+    return DataScalarSystem(config).run(program, limit=LIMIT, **kwargs)
+
+
+def _interpreted(monkeypatch, program, config):
+    with monkeypatch.context() as patch:
+        patch.setattr(codegen_engine, "supports", lambda program: False)
+        return DataScalarSystem(config).run(program, limit=LIMIT)
 
 
 @pytest.mark.parametrize("num_nodes", NODE_COUNTS)
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_codegen_matches_interpreter(workload, num_nodes):
+def test_codegen_matches_interpreter(workload, num_nodes, monkeypatch):
     """Same fast-forwarded system, only the front end differs."""
     program = build_program(workload)
     config = _config(num_nodes, "bus")
-    generated = DataScalarSystem(
-        _engine(config, "codegen")).run(program, limit=LIMIT)
-    interpreted = DataScalarSystem(
-        _engine(config, "interpreter")).run(program, limit=LIMIT)
+    generated = _generated(program, config)
+    interpreted = _interpreted(monkeypatch, program, config)
     assert _snapshot(generated) == _snapshot(interpreted)
 
 
@@ -197,17 +209,16 @@ def test_codegen_matches_dense(workload):
     interpreters: the two optimization layers compose invisibly."""
     program = build_program(workload)
     config = _config(2, "bus")
-    generated = DataScalarSystem(
-        _engine(config, "codegen")).run(program, limit=LIMIT)
+    generated = _generated(program, config)
     dense = _DenseSystem(
         dataclasses.replace(config, fast_forward=False)).run(
             program, limit=LIMIT)
     assert _snapshot(generated) == _snapshot(dense)
 
 
-def test_codegen_matches_interpreter_under_faults():
-    """The faulty row: the engine choice must not perturb the seeded
-    fault schedule or the recovery ledger."""
+def test_codegen_matches_interpreter_under_faults(monkeypatch):
+    """The faulty row: the front end must not perturb the seeded fault
+    schedule or the recovery ledger."""
     from repro.params import FaultConfig
 
     program = build_program("compress")
@@ -215,26 +226,22 @@ def test_codegen_matches_interpreter_under_faults():
                          corrupt_prob=5e-3, jitter_prob=2e-2,
                          stall_prob=5e-3)
     config = dataclasses.replace(_config(4, "bus"), faults=faults)
-    generated = DataScalarSystem(
-        _engine(config, "codegen")).run(program, limit=LIMIT)
-    interpreted = DataScalarSystem(
-        _engine(config, "interpreter")).run(program, limit=LIMIT)
+    generated = _generated(program, config)
+    interpreted = _interpreted(monkeypatch, program, config)
     assert _snapshot(generated) == _snapshot(interpreted)
     assert generated.extra["faults"] == interpreted.extra["faults"]
     assert generated.extra["faults"]["recovery"]["recovered"] > 0
 
 
-def test_codegen_tracing_is_bit_identical():
+def test_codegen_tracing_is_bit_identical(monkeypatch):
     """The traced row: tracing a codegen-fed run reports exactly the
     untraced interpreter-fed numbers."""
     from repro.obs import EventTracer
 
     program = build_program("mgrid")
     config = _config(2, "bus")
-    traced = DataScalarSystem(_engine(config, "codegen")).run(
-        program, limit=LIMIT, tracer=EventTracer())
-    plain = DataScalarSystem(_engine(config, "interpreter")).run(
-        program, limit=LIMIT)
+    traced = _generated(program, config, tracer=EventTracer())
+    plain = _interpreted(monkeypatch, program, config)
     assert _snapshot(traced) == _snapshot(plain)
 
 
@@ -290,17 +297,25 @@ def test_single_pipeline_systems_match_dense_loop(workload, monkeypatch):
 
 
 def _count_ticks(monkeypatch, run):
-    calls = []
-    tick = Pipeline.tick
+    """``run()`` with the scheduler's work counted: calls of
+    ``Pipeline.tick``, ``Pipeline.next_event`` and
+    ``Pipeline.note_skipped``.  Returns ``(counts, result)``."""
+    counts = dict.fromkeys(("tick", "next_event", "note_skipped"), 0)
 
-    def counting(self, now):
-        calls.append(now)
-        tick(self, now)
+    def counting(name):
+        method = getattr(Pipeline, name)
+
+        def counted(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+
+        return counted
 
     with monkeypatch.context() as patch:
-        patch.setattr(Pipeline, "tick", counting)
+        for name in counts:
+            patch.setattr(Pipeline, name, counting(name))
         result = run()
-    return len(calls), result
+    return counts, result
 
 
 def test_faults_and_tracing_skip_like_a_plain_run(monkeypatch):
@@ -314,22 +329,73 @@ def test_faults_and_tracing_skip_like_a_plain_run(monkeypatch):
     config = _config(4, "bus")
     silent = dataclasses.replace(config, faults=FaultConfig(seed=3))
     assert not silent.faults.injects_anything
-    plain_ticks, plain = _count_ticks(
+    plain_counts, plain = _count_ticks(
         monkeypatch,
         lambda: DataScalarSystem(config).run(program, limit=LIMIT))
-    fault_ticks, faulted = _count_ticks(
+    fault_counts, faulted = _count_ticks(
         monkeypatch,
         lambda: DataScalarSystem(silent).run(program, limit=LIMIT))
-    traced_ticks, traced = _count_ticks(
+    traced_counts, traced = _count_ticks(
         monkeypatch,
         lambda: DataScalarSystem(config).run(program, limit=LIMIT,
                                              tracer=EventTracer()))
-    assert fault_ticks == plain_ticks
-    assert traced_ticks == plain_ticks
+    assert fault_counts == plain_counts
+    assert traced_counts == plain_counts
     # Skipping is real: far fewer ticks than node-cycles.
-    assert plain_ticks < 4 * plain.cycles
+    assert plain_counts["tick"] < 4 * plain.cycles
     assert _snapshot(faulted) == _snapshot(plain)
     assert _snapshot(traced) == _snapshot(plain)
+
+
+# The scheduler's exact work on five runs shaped like the workloads of
+# benchmarks/perf (membound, compute, issue-churn, faulty) plus a
+# traditional baseline, at limit 16,000: (cycles, tick, next_event,
+# note_skipped).  The counts are exact for a given input on any host,
+# so a change that makes the scheduler tick more (or skip less) fails
+# here instead of in a noisy timing floor.  A change that alters them
+# on purpose re-records them at its parent and says so.
+EXACT_LIMIT = 16_000
+EXACT_FAULTS = {"drop_prob": 0.02, "receiver_drop_prob": 0.02,
+                "corrupt_prob": 0.01, "jitter_prob": 0.05}
+EXACT_COUNTS = {
+    "membound": (139_432, 35_005, 35_001, 7_579),
+    "compute": (2_801, 5_194, 5_192, 171),
+    "issue-churn": (67_150, 46_091, 46_087, 5_280),
+    "faulty": (15_695, 26_796, 26_792, 3_625),
+    "traditional": (55_328, 8_191, 8_190, 1_628),
+}
+
+
+def _exact_run(name):
+    from repro.baseline.traditional import TraditionalSystem
+    from repro.experiments.config import (timing_bus_config,
+                                          traditional_config)
+    from repro.params import FaultConfig
+
+    def machine(num_nodes, bus_divisor, **changes):
+        config = datascalar_config(num_nodes, bus=timing_bus_config(
+            cycles_per_bus_cycle=bus_divisor))
+        return DataScalarSystem(dataclasses.replace(config, **changes))
+
+    kernel, system = {
+        "membound": ("compress", lambda: machine(4, 16)),
+        "compute": ("mgrid", lambda: machine(2, 1)),
+        "issue-churn": ("applu", lambda: machine(4, 16)),
+        "faulty": ("compress", lambda: machine(
+            4, 4, interconnect="ring",
+            faults=FaultConfig(seed=0, **EXACT_FAULTS))),
+        "traditional": ("compress",
+                        lambda: TraditionalSystem(traditional_config(4))),
+    }[name]
+    program = build_program(kernel)
+    return lambda: system().run(program, limit=EXACT_LIMIT)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COUNTS))
+def test_scheduler_work_is_exact(name, monkeypatch):
+    counts, result = _count_ticks(monkeypatch, _exact_run(name))
+    assert (result.cycles, counts["tick"], counts["next_event"],
+            counts["note_skipped"]) == EXACT_COUNTS[name]
 
 
 def _budget_runs():

@@ -4,11 +4,10 @@ interruption."""
 
 from __future__ import annotations
 
-import glob
+import multiprocessing
 import os
 import pathlib
 import signal
-import tempfile
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -59,9 +58,15 @@ def _probes(n):
             for i in range(n)]
 
 
-def _spool_dirs():
-    return set(glob.glob(os.path.join(tempfile.gettempdir(),
-                                      "repro-sweep-spool-*")))
+def _workers_reaped(before, wait=10.0):
+    """True once no child process started after ``before`` (a set of
+    ``multiprocessing.active_children()``) is still alive."""
+    deadline = time.monotonic() + wait
+    while set(multiprocessing.active_children()) - before:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 def _mixed_points():
@@ -90,7 +95,7 @@ def test_invalid_jobs_rejected():
 
 
 def test_invalid_timeout_rejected():
-    for timeout in (0, -1.0):
+    for timeout in (0, -1.0, float("nan")):
         with pytest.raises(RunnerError, match="timeout must be > 0"):
             SweepRunner(timeout=timeout)
 
@@ -197,10 +202,10 @@ def test_timeout_error_type_exists():
 # ----------------------------------------------------------------------
 # A typed error, never a hang.
 # ----------------------------------------------------------------------
-def test_worker_death_leaves_no_spool_files():
+def test_worker_death_leaves_no_worker_process():
     """A worker that dies mid-point raises exactly one RunnerError that
-    names the point, and the spool is cleaned up."""
-    before = _spool_dirs()
+    names the point, and the pool's other workers are torn down."""
+    before = set(multiprocessing.active_children())
     points = _probes(3)
     points.insert(1, SweepPoint.make("engine-exit", label="killer"))
     runner = SweepRunner(jobs=2, telemetry=True)
@@ -209,15 +214,15 @@ def test_worker_death_leaves_no_spool_files():
         runner.run(points)
     assert type(info.value) is RunnerError
     assert isinstance(info.value.__cause__, BrokenProcessPool)
-    assert _spool_dirs() == before
+    assert _workers_reaped(before)
 
 
-def test_timeout_abort_leaves_no_spool_files():
-    before = _spool_dirs()
+def test_timeout_abort_leaves_no_worker_process():
+    before = set(multiprocessing.active_children())
     runner = SweepRunner(jobs=2, timeout=0.3, telemetry=True)
     with pytest.raises(PointTimeoutError, match="hung"):
         runner.run([SweepPoint.make("engine-hang", label="hung")])
-    assert _spool_dirs() == before
+    assert _workers_reaped(before)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -242,7 +247,7 @@ def test_rerun_after_interrupt_executes_only_what_the_cache_lacks(
             time.sleep(0.01)
         signal.pthread_kill(main_thread, signal.SIGINT)
 
-    before = _spool_dirs()
+    before = set(multiprocessing.active_children())
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     watcher = threading.Thread(target=interrupt_once_two_are_cached)
     try:
@@ -253,7 +258,7 @@ def test_rerun_after_interrupt_executes_only_what_the_cache_lacks(
         watcher.join(timeout=60.0)
         signal.signal(signal.SIGINT, previous)
     assert not watcher.is_alive()
-    assert _spool_dirs() == before
+    assert _workers_reaped(before)
 
     release.touch()
     rerun = SweepRunner(jobs=jobs, cache=cache)

@@ -85,7 +85,7 @@ def test_cli_jobs_flag_parallel(tmp_path, capsys):
 def test_cli_all_continues_past_failures(monkeypatch, capsys):
     import repro.experiments.__main__ as cli
 
-    def boom(limit, engine):
+    def boom(limit):
         raise RuntimeError("injected failure")
 
     monkeypatch.setitem(cli.EXPERIMENTS, "figure3",
@@ -102,7 +102,7 @@ def test_cli_all_continues_past_failures(monkeypatch, capsys):
 def test_cli_single_experiment_failure_still_raises(monkeypatch):
     import repro.experiments.__main__ as cli
 
-    def boom(limit, engine):
+    def boom(limit):
         raise RuntimeError("injected failure")
 
     monkeypatch.setitem(cli.EXPERIMENTS, "figure3",

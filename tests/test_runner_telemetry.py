@@ -1,5 +1,5 @@
-"""Sweep telemetry: worker spools, point records, manifests, progress,
-and the error-message satellites."""
+"""Sweep telemetry: point records, manifests, progress, and the
+error-message satellites."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from repro.errors import PointTimeoutError, ReproError, RunnerError
 from repro.experiments.config import datascalar_config, timing_node_config, \
     traditional_config
 from repro.runner import (ProgressLine, ResultCache, RunManifest,
-                          SweepPoint, SweepRunner, TelemetryReader,
-                          TelemetryWriter, result_fingerprint,
+                          SweepPoint, SweepRunner, result_fingerprint,
                           worker_tracks)
 from repro.runner.executors import executor
 
@@ -172,36 +171,6 @@ def test_report_out_cli_writes_manifest(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Spool transport.
-# ----------------------------------------------------------------------
-def test_spool_reader_consumes_only_complete_lines(tmp_path):
-    spool = tmp_path / "spool"
-    spool.mkdir()
-    reader = TelemetryReader(str(spool))
-    assert reader.poll() == []
-    path = spool / "worker-1.jsonl"
-    with open(path, "w") as handle:
-        handle.write(json.dumps({"event": "start", "label": "a"}) + "\n")
-        handle.write('{"event": "done", "lab')  # torn write
-    records = reader.poll()
-    assert [record["event"] for record in records] == ["start"]
-    with open(path, "a") as handle:
-        handle.write('el": "a"}\n')
-    records = reader.poll()
-    assert [record["event"] for record in records] == ["done"]
-    assert reader.poll() == []  # offsets advanced; nothing re-read
-
-
-def test_spool_writer_round_trips(tmp_path):
-    writer = TelemetryWriter(str(tmp_path))
-    writer.write({"event": "start", "label": "x"})
-    writer.write({"event": "done", "label": "x", "wall": 0.5})
-    reader = TelemetryReader(str(tmp_path))
-    events = [record["event"] for record in reader.poll()]
-    assert events == ["start", "done"]
-
-
-# ----------------------------------------------------------------------
 # Progress line.
 # ----------------------------------------------------------------------
 def test_progress_line_renders_counts_and_slowest():
@@ -318,9 +287,8 @@ def test_timeout_error_includes_label_and_elapsed():
 
 
 def test_timeout_with_progress_polling_preserves_semantics():
-    # The live progress line makes the engine wait in sub-timeout
-    # slices; a hung point must still time out (on elapsed time since
-    # the last completion), not spin forever.
+    # With the live progress line on, a hung point must still time out
+    # (on elapsed time since the last completion), not spin forever.
     points = [SweepPoint.make("sleepy", label="slow-poke", seconds=30.0)]
     runner = SweepRunner(jobs=2, timeout=0.3, progress=True)
     tick = time.perf_counter()
