@@ -138,29 +138,3 @@ def test_extension_broadcast_medium_comparison(benchmark):
         title="Extension: broadcast medium (wave5, 4 nodes)",
     ))
     assert results["optical"].ipc >= results["bus"].ipc
-
-
-def test_extension_result_communication_executed(benchmark):
-    """Section 5.1 executed in the timing simulator: private regions run
-    only at their owner; one mailbox broadcast carries the result."""
-    from repro.core.resultcomm_exec import run_with_result_communication
-
-    program = build_program("gcc")
-    config = datascalar_config(2, node=timing_node_config())
-
-    def run():
-        return run_with_result_communication(program, config, min_loads=6,
-                                             limit=LIMIT)
-
-    base, optimized, regions = run_once(benchmark, run)
-    b_base = sum(n.broadcasts_sent for n in base.nodes)
-    b_opt = sum(n.broadcasts_sent for n in optimized.nodes)
-    print()
-    print(format_table(
-        ["mode", "cycles", "broadcasts"],
-        [["plain ESP", base.cycles, b_base],
-         [f"result comm ({len(regions)} regions)", optimized.cycles,
-          b_opt]],
-        title="Extension: executed result communication (gcc, 2 nodes)",
-    ))
-    assert b_opt < b_base

@@ -10,6 +10,7 @@ from __future__ import annotations
 from ..core.system import drive
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
+from ..isa.codegen import make_trace_source
 from ..params import CPUConfig
 
 
@@ -49,11 +50,10 @@ class PerfectSystem:
     def run(self, program, max_cycles: int = 200_000_000,
             limit=None) -> PipelineStats:
         """Simulate ``program`` to completion; returns pipeline stats."""
-        from ..isa.interpreter import Interpreter
         from ..obs import spans
 
-        trace = spans.timed_frontend(Interpreter(program).trace(limit=limit))
-        pipeline = Pipeline(self.cpu_config, self.memory, trace)
+        pipeline = Pipeline(self.cpu_config, self.memory,
+                            make_trace_source(program, limit=limit))
         with spans.span("timing-loop"):
             drive([pipeline], max_cycles, what="perfect")
         return pipeline.stats

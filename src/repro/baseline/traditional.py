@@ -17,7 +17,7 @@ from ..cpu.pipeline import Pipeline, PipelineStats
 from ..interconnect.bus import Bus
 from ..interconnect.message import Message, MessageKind
 from ..interconnect.queueing import LatencyQueue
-from ..isa.interpreter import Interpreter
+from ..isa.codegen import make_trace_source
 from ..memory.cache import Cache
 from ..memory.layout import traditional_page_table
 from ..memory.mainmem import BankedMemory
@@ -188,7 +188,7 @@ class TraditionalSystem:
         from ..obs import spans
 
         config = self.config
-        trace = spans.timed_frontend(Interpreter(program).trace(limit=limit))
+        trace = make_trace_source(program, limit=limit)
         with spans.span("layout"):
             page_table = traditional_page_table(
                 program,

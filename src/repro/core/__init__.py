@@ -26,12 +26,6 @@ from .resultcomm import (
     ResultCommReport,
     ResultCommunicationAnalyzer,
 )
-from .resultcomm_exec import (
-    ExecRegion,
-    ResultCommSystem,
-    run_with_result_communication,
-    select_exec_regions,
-)
 from .system import DataScalarResult, DataScalarSystem, NodeResult
 
 __all__ = [
@@ -64,10 +58,6 @@ __all__ = [
     "PrivateRegion",
     "ResultCommReport",
     "ResultCommunicationAnalyzer",
-    "ExecRegion",
-    "ResultCommSystem",
-    "run_with_result_communication",
-    "select_exec_regions",
     "DataScalarResult",
     "DataScalarSystem",
     "NodeResult",

@@ -22,14 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cpu.pipeline import Pipeline
 from ..errors import ConfigError
 from ..interconnect.bus import Bus
 from ..interconnect.message import Message, MessageKind
-from ..isa.interpreter import Interpreter
-from ..memory.layout import traditional_page_table
 from ..params import SystemConfig, TraditionalConfig
-from .system import DataScalarSystem, drive
+from .system import DataScalarSystem
 
 
 @dataclass
@@ -144,24 +141,12 @@ class HybridSystem:
 
     def _run_private(self, program, limit):
         """One node running privately: all pages local (SPMD mode keeps
-        each node's partition in its own memory)."""
-        from ..baseline.traditional import TraditionalMemory  # avoid cycle
+        each node's partition in its own memory); returns its cycles and
+        committed instructions."""
+        from ..baseline.traditional import TraditionalSystem  # avoid cycle
 
-        node = self.config.node
-        trad_config = TraditionalConfig(
-            node=node, bus=self.config.bus, onchip_fraction_denom=1,
-            replicate_text=True,
-        )
-        page_table = traditional_page_table(
-            program, denom=1, page_size=node.memory.page_size,
-            replicate_text=True,
-        )
-        bus = Bus(self.config.bus)  # private; never used when all is local
-        memory = TraditionalMemory(trad_config, page_table, bus)
-        pipeline = Pipeline(node.cpu, memory,
-                            Interpreter(program).trace(limit=limit),
-                            icache_line=node.icache.line_size)
-        cycle = drive([pipeline], self.config.max_cycles,
-                      what="private phase")
-        memory.validate_final_state()
-        return cycle, pipeline.stats.committed
+        config = self.config
+        result = TraditionalSystem(TraditionalConfig(
+            node=config.node, bus=config.bus, onchip_fraction_denom=1,
+            max_cycles=config.max_cycles)).run(program, limit=limit)
+        return result.cycles, result.instructions

@@ -128,18 +128,6 @@ class DataScalarNode(MemoryInterface):
             self.bshr.load(now, line, handle)
         return handle
 
-    def private_load_issue(self, now: int, addr: int,
-                           size: int) -> LoadHandle:
-        """Section 5.1 private load: local memory, no protocol activity.
-
-        Private loads exist only at the region's owner (other nodes skip
-        the region), so they must not touch the correspondence-managed
-        cache state — otherwise caches would diverge."""
-        handle = LoadHandle(addr, size, now)
-        handle.complete(self.local_mem.access(now, addr))
-        self.local_loads += 1
-        return handle
-
     # ------------------------------------------------------------------
     # Commit side: canonical cache update + correspondence settlement.
     # ------------------------------------------------------------------

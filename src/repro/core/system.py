@@ -4,7 +4,7 @@ Mirrors the paper's simulation platform: a multi-context simulator that
 "switches contexts after executing each cycle (i.e., it simulates cycle n
 for all contexts before simulating cycle n+1 for any context)".  All
 nodes fetch, execute, and commit the identical dynamic stream (SPSD) at
-their own pace — asynchronous ESP; one shared functional interpreter
+their own pace — asynchronous ESP; one shared functional front end
 feeds every node through :mod:`repro.isa.fanout`, and each node's
 provably idle cycle ranges are skipped (see :func:`drive`, the one cycle
 scheduler every system runs through) without altering any reported
@@ -21,8 +21,6 @@ from ..errors import ProtocolError, SimulationError
 from ..interconnect.medium import make_medium
 from ..isa.codegen import make_trace_source
 from ..isa.fanout import fan_out
-from ..isa.interpreter import Interpreter
-from ..isa.trace import annotate
 from ..memory.layout import LayoutSpec, build_page_table
 from ..obs import spans
 from ..obs.events import EventKind
@@ -105,16 +103,8 @@ class DataScalarResult:
 class DataScalarSystem:
     """N IRAM nodes on one global broadcast bus (Figure 6(b))."""
 
-    #: Subclasses running asymmetric per-node streams (e.g. result
-    #: communication) relax the commit-count equality check.
-    require_equal_commits = True
-
     def __init__(self, config: SystemConfig = None):
         self.config = config or SystemConfig()
-
-    def _make_trace(self, program, node_id: int, limit):
-        """Build node ``node_id``'s dynamic stream (hook for subclasses)."""
-        return Interpreter(program).trace(limit=limit)
 
     def _make_medium(self):
         """Build the broadcast transport, wrapped for fault injection
@@ -130,31 +120,13 @@ class DataScalarSystem:
                                   config.bus)
         return medium
 
-    def _make_traces(self, program, limit) -> "tuple[list, bool]":
-        """One dynamic stream per node, and whether its records are
-        already annotated (:func:`repro.isa.annotate`).
-
-        SPSD nodes consume the identical stream, so the default runs and
-        annotates a single functional front end and fans its records out
-        to all nodes (O(I) work instead of O(N·I)).  The front end is
-        program-specialized generated code (:mod:`repro.isa.codegen`)
-        whenever the program supports it and the predecoded-closure
-        interpreter otherwise; both are bit-identical.  Subclasses that
-        override :meth:`_make_trace` (asymmetric per-node streams, e.g.
-        result communication) keep one interpreter per node, and each
-        node's pipeline annotates its own stream.
-        """
-        num_nodes = self.config.num_nodes
-        if type(self)._make_trace is not DataScalarSystem._make_trace:
-            return [self._make_trace(program, node_id, limit)
-                    for node_id in range(num_nodes)], False
-        source = make_trace_source(program, limit=limit)
-        # The front end is consumed lazily inside the timing loop, so its
-        # wall time is charged to a timing-loop/frontend accumulator when
-        # a span recorder is active.  Disabled-path runs never see the
-        # wrapper (or its clock reads).
-        return fan_out(spans.timed_frontend(annotate(source)),
-                       num_nodes), True
+    def _make_traces(self, program, limit) -> list:
+        """One annotated record stream per node: SPSD nodes consume the
+        identical stream, so one :func:`~repro.isa.codegen.make_trace_source`
+        is fanned out to all of them (O(I) work instead of O(N·I)).  Tests
+        override this method to substitute a per-node reference."""
+        return fan_out(make_trace_source(program, limit=limit),
+                       self.config.num_nodes)
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
             stack_bytes: int = 64 * 1024,
@@ -172,9 +144,8 @@ class DataScalarSystem:
         included (the tracer's own ``next_event`` bound is folded into
         :func:`drive` exactly like the fault layer's).
 
-        With ``config.result_communication`` set, private regions are
-        auto-detected and the run delegates to
-        :class:`~repro.core.resultcomm_exec.ResultCommSystem`.
+        Every node consumes the same record stream (:meth:`_make_traces`)
+        and must commit the same number of instructions.
         """
         from .node import DataScalarNode  # local import to avoid cycles
 
@@ -187,19 +158,6 @@ class DataScalarSystem:
             replicated_pages=frozenset(replicated_pages),
             stack_bytes=stack_bytes,
         )
-        if config.result_communication and type(self) is DataScalarSystem:
-            import dataclasses
-
-            from .resultcomm_exec import ResultCommSystem, \
-                select_exec_regions
-
-            plain = dataclasses.replace(config, result_communication=False)
-            table, _ = build_page_table(program, spec)
-            regions = select_exec_regions(program, table, limit=limit)
-            return ResultCommSystem(plain, regions).run(
-                program, replicated_pages=replicated_pages, limit=limit,
-                stack_bytes=stack_bytes, observer=observer, tracer=tracer)
-
         num = config.num_nodes
         nodes: "list[DataScalarNode]" = []
         # Per-pipeline wake cycles for :func:`drive`.  A broadcast
@@ -233,7 +191,7 @@ class DataScalarSystem:
         # codegen-compile phase (charged inside make_trace_source) and
         # the timing-loop/frontend accumulator stay direct children of
         # the point span rather than nesting under setup.
-        traces, annotated = self._make_traces(program, limit)
+        traces = self._make_traces(program, limit)
         pipelines = []
         with spans.span("setup"):
             for node_id in range(num):
@@ -243,8 +201,7 @@ class DataScalarSystem:
                 nodes.append(node)
                 pipelines.append(
                     Pipeline(config.node.cpu, node, traces[node_id],
-                             icache_line=config.node.icache.line_size,
-                             annotated=annotated))
+                             icache_line=config.node.icache.line_size))
                 if tracer is not None:
                     pipelines[-1].attach_tracer(tracer, node_id)
                     node.attach_tracer(tracer)
@@ -350,11 +307,10 @@ class DataScalarSystem:
     def _collect(self, cycles, pipelines, nodes, medium, page_table,
                  layout_summary) -> DataScalarResult:
         committed = {p.stats.committed for p in pipelines}
-        if self.require_equal_commits and len(committed) != 1:
+        if len(committed) != 1:
             raise ProtocolError(
                 f"nodes committed different instruction counts: {committed}"
             )
-        committed = {max(committed)}
         for node in nodes:
             node.validate_final_state()
         node_results = []

@@ -47,20 +47,14 @@ class MemoryInterface:
 
     Implementations provide issue-time load timing, commit-time canonical
     cache updates (the correspondence discipline of paper Section 4.1),
-    and instruction-fetch timing.
+    and instruction-fetch timing.  Every load the pipeline does not
+    forward from an earlier store reaches :meth:`load_issue`, and every
+    load and store reaches :meth:`commit_mem`, in program order.
     """
 
     def load_issue(self, now: int, addr: int, size: int) -> LoadHandle:
         """Begin a data load at cycle ``now``; returns its handle."""
         raise NotImplementedError
-
-    def private_load_issue(self, now: int, addr: int,
-                           size: int) -> LoadHandle:
-        """A result-communication private load (paper Section 5.1): it
-        reads local memory directly, bypassing the shared-cache
-        discipline — no broadcast, no cache fill, no commit-time access.
-        Default: treat like a normal load (single-node systems)."""
-        return self.load_issue(now, addr, size)
 
     def commit_mem(self, now: int, addr: int, size: int, is_store: bool,
                    handle) -> None:

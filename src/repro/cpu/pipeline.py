@@ -3,7 +3,7 @@
 An 8-wide (configurable) machine with a unified RUU window, a load/store
 queue half its size, pipelined functional units, and perfect branch
 prediction (paper Section 4.2).  The pipeline consumes the functional
-interpreter's dynamic trace — under perfect prediction the committed path
+front end's dynamic trace — under perfect prediction the committed path
 is the functional path, and no mis-speculated instructions exist (the
 paper's correspondence protocol likewise excludes speculative broadcasts).
 
@@ -27,7 +27,6 @@ from heapq import heappush as _heappush
 
 from ..errors import SimulationError
 from ..isa.opcodes import OpClass
-from ..isa.trace import annotate
 from ..obs.events import EventKind
 from ..params import CPUConfig
 from .func_units import FUPool
@@ -71,15 +70,15 @@ class PipelineStats:
 
 
 class Pipeline:
-    """One out-of-order core bound to a memory system and a trace, which
-    it annotates (:func:`repro.isa.annotate`) unless ``annotated`` says
-    a shared stream already was."""
+    """One out-of-order core bound to a memory system and an annotated
+    record stream (:func:`repro.isa.codegen.make_trace_source`, or any
+    stream passed through :func:`repro.isa.annotate`)."""
 
     def __init__(self, config: CPUConfig, mem: MemoryInterface, trace,
-                 icache_line: int = 32, annotated: bool = False):
+                 icache_line: int = 32):
         self.config = config
         self.mem = mem
-        self._trace = iter(trace if annotated else annotate(trace))
+        self._trace = iter(trace)
         self._trace_next = self._trace.__next__
         # Fan-out views expose their buffered-record deque; pulling from
         # it directly skips a call layer on the fetch fast path.  Any
@@ -178,15 +177,13 @@ class Pipeline:
                             tracer.emit(_COMMIT_EVENT, now, self._trace_node,
                                         seq=head.seq, op=head.op_class)
                         if head.is_load:
-                            if not head.private:
-                                commit_mem(now, head.addr, head.size,
-                                           False, head.handle)
+                            commit_mem(now, head.addr, head.size, False,
+                                       head.handle)
                             released += 1
                             stats.loads += 1
                         elif head.is_store:
-                            if not head.private:
-                                commit_mem(now, head.addr, head.size,
-                                           True, head.handle)
+                            commit_mem(now, head.addr, head.size, True,
+                                       head.handle)
                             released += 1
                             stats.stores += 1
                         # The head's ring slot is free for reuse (ruu.py).
@@ -401,11 +398,7 @@ class Pipeline:
             return True
         entry.issued = True
         entry.issued_at = now
-        if entry.private:
-            handle = self.mem.private_load_issue(now, entry.addr,
-                                                 entry.size)
-        else:
-            handle = self.mem.load_issue(now, entry.addr, entry.size)
+        handle = self.mem.load_issue(now, entry.addr, entry.size)
         entry.handle = handle
         ready = handle.ready
         if ready is not None:

@@ -40,7 +40,7 @@ class RUUEntry:
     __slots__ = (
         "seq", "op_class", "addr", "size", "fwd", "operand_time",
         "unresolved", "dependents", "issued", "issued_at", "result_time",
-        "handle", "is_load", "is_store", "private",
+        "handle", "is_load", "is_store",
     )
 
     def __init__(self, dyn, now: int):
@@ -60,7 +60,6 @@ class RUUEntry:
         self.handle = None
         self.is_load = op_class == _LOAD
         self.is_store = op_class == _STORE
-        self.private = dyn.private
 
     def __repr__(self) -> str:
         return (f"<RUUEntry #{self.seq} {OpClass(self.op_class).name} "
@@ -124,7 +123,6 @@ class RUU:
             entry.handle = None
             entry.is_load = op_class == _LOAD
             entry.is_store = op_class == _STORE
-            entry.private = dyn.private
         window = self.window
         head = window[0].seq if window else seq
         mask = self.mask

@@ -74,6 +74,14 @@ def _positive(kind):
     return parse
 
 
+def _probability(text: str) -> float:
+    """An argparse ``type`` accepting only floats in [0, 1]."""
+    value = float(text)
+    if not (0 <= value <= 1):  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fault-injection RNG seed for the resilience "
                              "experiment (same seed => identical fault "
                              "schedule and result)")
-    parser.add_argument("--drop-prob", type=float, default=None,
+    parser.add_argument("--drop-prob", type=_probability, default=None,
                         metavar="P",
                         help="run the resilience experiment at this single "
                              "per-receiver drop probability instead of the "

@@ -29,12 +29,12 @@ from __future__ import annotations
 import hashlib
 
 from ...memory.address import STACK_TOP
-from ...obs.spans import span
+from ...obs.spans import span, timed_frontend
 from ..interpreter import (ExecResult, Interpreter, _to_signed, _trunc_div,
                            _trunc_rem)
 from ..opcodes import Opcode
 from ..registers import NUM_REGS, SP
-from ..trace import IFETCH, READ, WRITE, DynInstr, MemRef
+from ..trace import IFETCH, READ, WRITE, DynInstr, MemRef, annotate
 from .emit import emit_source
 from .spec import CodegenSpec, UnsupportedProgramError
 
@@ -223,7 +223,8 @@ def make_execution(program, max_instructions: int = 100_000_000):
 
 
 def make_trace_source(program, limit=None):
-    """Drop-in trace source for :class:`repro.isa.fanout.TraceFanout`:
-    exactly ``Interpreter(program).trace(limit=limit)``, from whichever
-    front end :func:`make_execution` picks."""
-    return make_execution(program).trace(limit=limit)
+    """The record stream every timing model consumes: exactly
+    ``annotate(Interpreter(program).trace(limit=limit))``, from whichever
+    front end :func:`make_execution` picks, its lazy consumption charged
+    to ``timing-loop/frontend`` while a span recorder is active."""
+    return timed_frontend(annotate(make_execution(program).trace(limit=limit)))

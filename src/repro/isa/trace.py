@@ -30,9 +30,7 @@ class DynInstr:
     ``taken`` is meaningful for conditional branches only: whether the
     branch left the fall-through path (used by the optional realistic
     branch-prediction mode; the default perfect-prediction mode never
-    reads it).  ``private`` marks loads inside a result-communication
-    region (paper Section 5.1): they bypass the shared-cache discipline
-    entirely — no broadcast, no canonical cache update.
+    reads it).
 
     ``deps`` and ``fwd`` stay ``None`` until :func:`annotate` sets them,
     so an unannotated record fails at dispatch rather than running
@@ -40,10 +38,10 @@ class DynInstr:
     """
 
     __slots__ = ("seq", "pc", "op_class", "dest", "srcs", "addr", "size",
-                 "taken", "is_cond_branch", "private", "deps", "fwd")
+                 "taken", "is_cond_branch", "deps", "fwd")
 
     def __init__(self, seq, pc, op_class, dest, srcs, addr=None, size=0,
-                 taken=False, is_cond_branch=False, private=False):
+                 taken=False, is_cond_branch=False):
         self.seq = seq
         self.pc = pc
         self.op_class = op_class
@@ -53,7 +51,6 @@ class DynInstr:
         self.size = size
         self.taken = taken
         self.is_cond_branch = is_cond_branch
-        self.private = private
         self.deps = None
         self.fwd = None
 

@@ -334,8 +334,6 @@ class SystemConfig:
     #: clock).  Dense per-cycle ticking is used regardless whenever an
     #: ``observer`` is installed.  Disable to force dense ticking.
     fast_forward: bool = True
-    #: Enable the Section 5.1 result-communication extension.
-    result_communication: bool = False
     #: Broadcast transport: ``"bus"`` (the paper's evaluated transport),
     #: ``"ring"`` (SCI-style), or ``"optical"`` (free-space, contention-
     #: free) — Section 4.4's candidates.

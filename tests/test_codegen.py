@@ -21,6 +21,7 @@ from repro.isa.codegen import (CODEGEN_VERSION, CodegenSpec,
                                supports)
 from repro.isa.codegen import engine as codegen_engine
 from repro.isa.interpreter import Interpreter
+from repro.isa.trace import annotate
 from repro.workloads import WORKLOADS, build_program
 
 ALL_WORKLOADS = sorted(WORKLOADS)
@@ -206,9 +207,39 @@ def test_make_execution_picks_front_end(monkeypatch):
 
 
 def test_trace_source_is_drop_in():
+    """The one stream every timing model consumes: the interpreter's
+    records, annotated (so ``deps`` and ``fwd`` are compared too)."""
     program = build_program("go")
     assert (_records(make_trace_source(program, limit=200))
-            == _records(Interpreter(program).trace(limit=200)))
+            == _records(annotate(Interpreter(program).trace(limit=200))))
+
+
+def test_every_timing_model_runs_on_generated_code(monkeypatch):
+    """Figure 7's five points (perfect, DataScalar at 2 and 4 nodes,
+    traditional with 1/2 and 1/4 on-chip) each take their stream from
+    generated code, and forcing the interpreter changes no number."""
+    from repro.experiments.figure7 import run_benchmark
+    from repro.runner import SweepRunner, result_fingerprint
+
+    calls = []
+    trace = CompiledExecution.trace
+
+    def counted(self, limit=None):
+        calls.append(limit)
+        return trace(self, limit=limit)
+
+    monkeypatch.setattr(CompiledExecution, "trace", counted)
+
+    def row():
+        return result_fingerprint(run_benchmark(
+            "compress", limit=2000, runner=SweepRunner(jobs=1)))
+
+    generated = row()
+    assert calls == [2000] * 5
+    calls.clear()
+    monkeypatch.setattr(codegen_engine, "supports", lambda program: False)
+    assert row() == generated
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

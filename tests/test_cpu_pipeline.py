@@ -15,7 +15,7 @@ from repro.params import CPUConfig
 
 
 def _pipeline(program, cpu=None, mem=None):
-    trace = Interpreter(program).trace()
+    trace = annotate(Interpreter(program).trace())
     return Pipeline(cpu or CPUConfig(), mem or PerfectMemory(), trace)
 
 
@@ -157,7 +157,8 @@ def _store_then_load(store, load, data_held=False, cpu=None):
     load(b, buf)
     b.halt()
     mem = _HeldMemory({buf + 64} if data_held else ())
-    pipe = Pipeline(cpu or CPUConfig(), mem, Interpreter(b.build()).trace())
+    pipe = Pipeline(cpu or CPUConfig(), mem,
+                    annotate(Interpreter(b.build()).trace()))
     pipe.tick(0)
     entries = pipe.ruu.window
     store_entry = next(e for e in entries if e.is_store)
@@ -234,7 +235,7 @@ def test_lsq_overflow_is_a_simulation_error():
     b.halt()
     mem = _HeldMemory({buf + 4 * i for i in range(8)})
     cpu = CPUConfig(ruu_entries=16, lsq_entries=4)
-    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
+    pipe = Pipeline(cpu, mem, annotate(Interpreter(b.build()).trace()))
     pipe.tick(0)
     assert len(pipe.lsq) == 4 and pipe.lsq.is_full()
     pipe.lsq.capacity = 2
@@ -301,7 +302,7 @@ def test_load_dependent_chain_waits_for_memory():
     b.add("r3", "r2", "r1")
     b.halt()
     stats = Pipeline(CPUConfig(), Slow(),
-                     Interpreter(b.build()).trace()).run(100_000)
+                     annotate(Interpreter(b.build()).trace())).run(100_000)
     assert stats.cycles >= 50
 
 
@@ -319,7 +320,7 @@ def test_store_then_load_forwards_quickly():
             raise AssertionError("load should have been forwarded")
 
     stats = Pipeline(CPUConfig(), NeverLoad(),
-                     Interpreter(b.build()).trace()).run(100_000)
+                     annotate(Interpreter(b.build()).trace())).run(100_000)
     assert stats.loads == 1
 
 
@@ -359,7 +360,7 @@ def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
     b.halt()
     mem = _HeldMemory({buf + 8, buf + 12})
     cpu = CPUConfig(issue_width=1, ruu_entries=7, lsq_entries=4)
-    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
+    pipe = Pipeline(cpu, mem, annotate(Interpreter(b.build()).trace()))
     pipe.tick(0)
     store = next(e for e in pipe.ruu.window if e.is_store)
     load = next(e for e in pipe.ruu.window if e.is_load and e.addr == buf)
@@ -402,7 +403,7 @@ def test_older_load_starved_by_early_entries_retries_next_cycle(dense):
     b.halt()
     mem = _HeldMemory({buf, buf + 4, buf + 8})
     cpu = CPUConfig(fu_counts=dict(CPUConfig().fu_counts, AGEN=1))
-    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
+    pipe = Pipeline(cpu, mem, annotate(Interpreter(b.build()).trace()))
 
     def deliver(now):
         """Complete held loads after cycle ``now``'s tick, as a peer's

@@ -125,6 +125,9 @@ def test_main_profile_writes_pstats(tmp_path, capsys):
 def test_parser_accepts_robustness_flags():
     args = build_parser().parse_args(["figure7", "--point-timeout", "30"])
     assert args.point_timeout == pytest.approx(30.0)
+    for value in ("0", "0.25", "1"):
+        args = build_parser().parse_args(["resilience", "--drop-prob", value])
+        assert args.drop_prob == float(value)
 
 
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-1"],
@@ -137,6 +140,14 @@ def test_parser_rejects_out_of_range_runner_input(flags, capsys):
         main(["figure1", *flags])
     assert info.value.code == 2
     assert "must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
+def test_parser_rejects_out_of_range_drop_prob(value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["figure1", "--drop-prob", value])
+    assert info.value.code == 2
+    assert "must be in [0, 1]" in capsys.readouterr().err
 
 
 def test_sigterm_mid_sweep_exits_130_with_partial_manifest(tmp_path):

@@ -22,6 +22,7 @@ from repro.experiments.config import datascalar_config
 from repro.isa.codegen import engine as codegen_engine
 from repro.isa.codegen import supports
 from repro.isa.interpreter import Interpreter
+from repro.isa.trace import annotate
 from repro.workloads import build_program
 
 WORKLOADS = ["compress", "mgrid", "applu"]
@@ -31,12 +32,26 @@ LIMIT = 2_500
 
 
 class _DenseSystem(DataScalarSystem):
-    """The pre-optimization scheduler: one interpreter per node (the
-    ``_make_trace`` override disables the shared-trace fan-out) and, via
-    ``fast_forward=False`` in its config, dense per-cycle ticking."""
+    """The pre-optimization scheduler: one interpreter per node (this
+    ``_make_traces`` override replaces the shared, generated-code
+    fan-out) and, via ``fast_forward=False`` in its config, dense
+    per-cycle ticking.  ``calls`` counts the override's runs, so a test
+    can assert that its reference really was the per-node one."""
 
-    def _make_trace(self, program, node_id, limit):
-        return Interpreter(program).trace(limit=limit)
+    calls = 0
+
+    def _make_traces(self, program, limit):
+        self.calls += 1
+        return [annotate(Interpreter(program).trace(limit=limit))
+                for _ in range(self.config.num_nodes)]
+
+
+def _dense(config, program):
+    """The per-node, densely ticked reference run of ``program``."""
+    system = _DenseSystem(dataclasses.replace(config, fast_forward=False))
+    result = system.run(program, limit=LIMIT)
+    assert system.calls == 1, "the per-node reference did not run"
+    return result
 
 
 def _snapshot(result):
@@ -74,9 +89,7 @@ def test_fast_forward_matches_dense(workload, num_nodes, interconnect):
     fast_cfg = _config(num_nodes, interconnect)
     assert fast_cfg.fast_forward  # the default path under test
     fast = DataScalarSystem(fast_cfg).run(program, limit=LIMIT)
-
-    dense_cfg = dataclasses.replace(fast_cfg, fast_forward=False)
-    dense = _DenseSystem(dense_cfg).run(program, limit=LIMIT)
+    dense = _dense(fast_cfg, program)
 
     assert _snapshot(fast) == _snapshot(dense)
 
@@ -109,9 +122,7 @@ def test_fast_forward_matches_dense_under_faults(interconnect):
     fast_cfg = dataclasses.replace(_config(4, interconnect), faults=faults)
     assert fast_cfg.fast_forward
     fast = DataScalarSystem(fast_cfg).run(program, limit=LIMIT)
-
-    dense_cfg = dataclasses.replace(fast_cfg, fast_forward=False)
-    dense = _DenseSystem(dense_cfg).run(program, limit=LIMIT)
+    dense = _dense(fast_cfg, program)
 
     assert _snapshot(fast) == _snapshot(dense)
     assert fast.extra["faults"] == dense.extra["faults"]
@@ -210,9 +221,7 @@ def test_codegen_matches_dense(workload):
     program = build_program(workload)
     config = _config(2, "bus")
     generated = _generated(program, config)
-    dense = _DenseSystem(
-        dataclasses.replace(config, fast_forward=False)).run(
-            program, limit=LIMIT)
+    dense = _dense(config, program)
     assert _snapshot(generated) == _snapshot(dense)
 
 
@@ -254,7 +263,6 @@ def test_codegen_tracing_is_bit_identical(monkeypatch):
 # ----------------------------------------------------------------------
 from repro.baseline import perfect as _perfect_module
 from repro.baseline import traditional as _traditional_module
-from repro.core import hybrid as _hybrid_module
 from repro.cpu.pipeline import Pipeline
 from repro.errors import SimulationError
 
@@ -290,7 +298,7 @@ def _run_single_pipeline_systems(program):
 def test_single_pipeline_systems_match_dense_loop(workload, monkeypatch):
     program = build_program(workload)
     driven = _run_single_pipeline_systems(program)
-    for module in (_traditional_module, _perfect_module, _hybrid_module):
+    for module in (_traditional_module, _perfect_module):
         monkeypatch.setattr(module, "drive", _dense_drive)
     dense = _run_single_pipeline_systems(program)
     assert driven == dense

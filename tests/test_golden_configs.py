@@ -4,8 +4,8 @@
 issue-stage digests in ``test_timing_fastpath.py`` pin wide cores at 2
 and 4 nodes; neither reaches a 1-node machine, conservative
 disambiguation at 4 nodes, a window small enough to wrap the RUU ring
-on every few instructions, result communication, the interpreter front
-end under a fan-out, or the hybrid system's private phases.  Each case
+on every few instructions, the interpreter front end under a fan-out,
+or the hybrid system's private phases.  Each case
 here runs ``DataScalarSystem.run`` (or ``HybridSystem.run``) at
 :data:`LIMIT` and compares the sha256 of its ``result_fingerprint``
 with a digest recorded before the dependence wiring moved into
@@ -43,9 +43,6 @@ def _config(name):
         return _with_cpu(datascalar_config(2), ruu_entries=12,
                          lsq_entries=6, issue_width=2,
                          branch_predictor="bimodal")
-    if name == "resultcomm":
-        return dataclasses.replace(datascalar_config(4),
-                                   result_communication=True)
     assert name == "interpreter"  # forced in the test via ``supports``
     return datascalar_config(3)
 
@@ -72,8 +69,6 @@ GOLDEN = {
         "ced41fc32f7c929521ae73a4b4728b5928f92fb93f806271857596ba9c29742b",
     ("compress", "tiny-window"):
         "1663c5c16069b98ec4c6c94e2edd1c94b2a63b9f5650d4061e06f14f98acb615",
-    ("compress", "resultcomm"):
-        "9581e5ee596be6a37f3cd5de62cd43af0d0e807e10d695e3036b7f1296748f31",
     ("compress", "interpreter"):
         "77dfce805ca60eacd4b7ea59364ffa5ac065ce7c81e7974c489d19456e4c9d27",
     ("applu", "1node"):
@@ -84,8 +79,6 @@ GOLDEN = {
         "6bbadcb049de25450b3e8715681992b94625c6fec729af1f53e41ca5b0e2358d",
     ("applu", "tiny-window"):
         "093edcc47705dce8092bd82b9f99418873a4cb77b952f8cf0296e32e59280f04",
-    ("applu", "resultcomm"):
-        "9017274694b2eb63caabcad70a9d5cc79c09fb0702ded40fea685ade60568132",
     ("applu", "interpreter"):
         "31bad27e3b66aa02ea1766dc7cf10b8b0953e6a01c021295c6387dfa0f5ba7b0",
     ("go", "1node"):
@@ -96,8 +89,6 @@ GOLDEN = {
         "dc6478dd8e55e70fa78c06769333b800d4fe85ba0e4c35c8eba1160d60adeb58",
     ("go", "tiny-window"):
         "14705343418961573359ce3130f51e0364eebeb2826a33e4eb64af31ab15ac1e",
-    ("go", "resultcomm"):
-        "eecb87d195f9cf94327318b96866c4fcfee1ef94f108a1fde1db646e842a621e",
     ("go", "interpreter"):
         "95222dd316cd447aa8abea527c52b7b70fc23c66b8544b00dfadd9269d663954",
     ("wave5", "1node"):
@@ -108,8 +99,6 @@ GOLDEN = {
         "0b0ce22941da3d2e886ad2322d9f1b81979a3ed9a01dd898f31e6b1231efc7be",
     ("wave5", "tiny-window"):
         "98a4e1cab706834f7099492f0a485733ed271942797d38e66975f30dea5d7355",
-    ("wave5", "resultcomm"):
-        "a1b0f7f1abac7df13143bdfbd5027e1af550def87af001ed6a3b043f85c79e38",
     ("wave5", "interpreter"):
         "880ea3f2433fbc1e65c6741d6b35f7a90225bcb73159f1ea4cf2f6a25e37b6e1",
 }

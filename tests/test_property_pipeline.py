@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.baseline.perfect import PerfectMemory
 from repro.cpu.pipeline import Pipeline
-from repro.isa import Interpreter, ProgramBuilder
+from repro.isa import Interpreter, ProgramBuilder, annotate
 from repro.params import CPUConfig
 
 # Random straight-line programs mixing ALU ops and memory accesses.
@@ -43,7 +43,7 @@ def _build(op_list):
 def _run(op_list, cpu=None):
     program = _build(op_list)
     pipeline = Pipeline(cpu or CPUConfig(), PerfectMemory(),
-                        Interpreter(program).trace())
+                        annotate(Interpreter(program).trace()))
     stats = pipeline.run(1_000_000)
     return program, stats
 

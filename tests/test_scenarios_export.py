@@ -17,7 +17,7 @@ from repro.experiments import (
     run_scenarios,
     run_table1,
 )
-from repro.isa import Interpreter, ProgramBuilder
+from repro.isa import Interpreter, ProgramBuilder, annotate
 from repro.params import CPUConfig
 from repro.workloads import build_program
 
@@ -128,8 +128,9 @@ class _SpyMemory(PerfectMemory):
 
 def _run(config):
     spy = _SpyMemory()
-    pipeline = Pipeline(config, spy,
-                        Interpreter(_store_then_independent_loads()).trace())
+    pipeline = Pipeline(
+        config, spy,
+        annotate(Interpreter(_store_then_independent_loads()).trace()))
     stats = pipeline.run(100_000)
     return stats, spy
 
@@ -157,7 +158,7 @@ def test_conservative_still_forwards_same_address():
             raise AssertionError("should forward from the LSQ")
 
     pipeline = Pipeline(CPUConfig(oracle_disambiguation=False), NeverLoad(),
-                        Interpreter(b.build()).trace())
+                        annotate(Interpreter(b.build()).trace()))
     stats = pipeline.run(100_000)
     assert stats.loads == 1
 

@@ -10,7 +10,7 @@ from repro.core import DataScalarSystem
 from repro.cpu.pipeline import Pipeline
 from repro.errors import ConfigError
 from repro.experiments import datascalar_config, timing_node_config
-from repro.isa import Interpreter, ProgramBuilder
+from repro.isa import Interpreter, ProgramBuilder, annotate
 from repro.params import CPUConfig
 from repro.workloads import build_program
 
@@ -34,8 +34,9 @@ def _branchy_program(iterations=300):
 
 
 def _run(cpu_config, program=None):
-    pipeline = Pipeline(cpu_config, PerfectMemory(),
-                        Interpreter(program or _branchy_program()).trace())
+    pipeline = Pipeline(
+        cpu_config, PerfectMemory(),
+        annotate(Interpreter(program or _branchy_program()).trace()))
     return pipeline.run(1_000_000)
 
 

@@ -30,7 +30,7 @@ from repro.experiments.config import datascalar_config, timing_bus_config
 from repro.faults.medium import FaultyMedium
 from repro.faults.plan import BroadcastFault
 from repro.interconnect.medium import make_medium
-from repro.isa import Interpreter, ProgramBuilder
+from repro.isa import Interpreter, ProgramBuilder, annotate
 from repro.isa.opcodes import OpClass
 from repro.params import BusConfig, CPUConfig, FaultConfig
 from repro.runner import result_fingerprint
@@ -100,7 +100,8 @@ def _store_load_program(rounds=16):
 
 
 def _pipeline(program, cpu):
-    return Pipeline(cpu, PerfectMemory(), Interpreter(program).trace())
+    return Pipeline(cpu, PerfectMemory(),
+                    annotate(Interpreter(program).trace()))
 
 
 def _tick_to_done(pipeline, after_tick=None, max_cycles=50_000):
@@ -399,11 +400,11 @@ def test_next_event_bound_matches_dense_ticking(seed_block):
         cpu = _random_cpu(rng)
 
         checked = Pipeline(cpu, PerfectMemory(),
-                           Interpreter(program).trace())
+                           annotate(Interpreter(program).trace()))
         cycles = _drive_checking_bounds(checked)
 
         dense = Pipeline(cpu, PerfectMemory(),
-                         Interpreter(program).trace())
+                         annotate(Interpreter(program).trace()))
         now = 0
         while not dense.done:
             dense.tick(now)
@@ -522,11 +523,15 @@ def test_fault_recovery_is_invisible_to_idle_skip():
     loss-heavy run on the slowest bus (long idle stretches, so skipping
     actually matters) must be bit-identical between fast-forward and
     dense ticking, with real recoveries in play."""
-    from repro.isa.interpreter import Interpreter as _Interp
+    calls = []
 
     class _DenseSystem(DataScalarSystem):
-        def _make_trace(self, program, node_id, limit):
-            return _Interp(program).trace(limit=limit)
+        """One interpreter per node in place of the shared fan-out."""
+
+        def _make_traces(self, program, limit):
+            calls.append(limit)
+            return [annotate(Interpreter(program).trace(limit=limit))
+                    for _ in range(self.config.num_nodes)]
 
     program = build_program("compress")
     faults = FaultConfig(seed=11, receiver_drop_prob=3e-2, corrupt_prob=1e-2)
@@ -542,6 +547,7 @@ def test_fault_recovery_is_invisible_to_idle_skip():
         dataclasses.replace(config, fast_forward=False)).run(
             program, limit=1_500)
 
+    assert calls == [1_500], "the per-node reference did not run"
     assert fast.cycles == dense.cycles
     assert fast.instructions == dense.instructions
     assert fast.bus_transactions == dense.bus_transactions
