@@ -2,7 +2,9 @@
 
 Figures 7 and 8 compare every system against "an identical processor with
 a perfect data cache (single-cycle access to any operand)".  Instruction
-fetch is likewise single-cycle.
+fetch is likewise single-cycle: the stream skips
+:func:`repro.memory.canonical_outcomes`, so no record names an
+instruction miss.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from ..core.system import drive
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..isa.codegen import make_trace_source
+from ..isa.opcodes import OpClass
 from ..params import CPUConfig
+
+_STORE = int(OpClass.STORE)
 
 
 class PerfectMemory(MemoryInterface):
@@ -29,12 +34,9 @@ class PerfectMemory(MemoryInterface):
         self.loads += 1
         return handle
 
-    def commit_mem(self, now, addr, size, is_store, handle) -> None:
-        if is_store:
+    def commit_mem(self, now, dyn, handle) -> None:
+        if dyn.op_class == _STORE:
             self.stores += 1
-
-    def ifetch_line(self, now: int, line_addr: int) -> int:
-        return now
 
     def drain(self, now: int) -> bool:
         return True

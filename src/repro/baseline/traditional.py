@@ -5,7 +5,10 @@ One processor chip holding ``1/N`` of main memory on-chip; the remaining
 transactions over the same global bus a DataScalar system would use for
 broadcasts.  For fairness the paper gives this system the same buses,
 the same two-cycle network-interface penalty, and commit-time cache
-updates; we therefore reuse the DCUB machinery to stage in-flight lines.
+updates; we therefore reuse the DCUB machinery to stage in-flight lines,
+and, like a DataScalar node, read the canonical cache outcomes from the
+records (:func:`repro.memory.canonical_outcomes`) and keep only the set
+of resident D-cache lines.
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ from ..interconnect.bus import Bus
 from ..interconnect.message import Message, MessageKind
 from ..interconnect.queueing import LatencyQueue
 from ..isa.codegen import make_trace_source
-from ..memory.cache import Cache
+from ..isa.opcodes import OpClass
+from ..memory.cache import apply_outcome, canonical_outcomes
 from ..memory.layout import traditional_page_table
 from ..memory.mainmem import BankedMemory
 from ..params import TraditionalConfig
 from ..core.dcub import DCUB
 from ..core.node import _PrimaryHandle
 from ..core.system import drive
+
+_STORE = int(OpClass.STORE)
 
 
 class TraditionalMemory(MemoryInterface):
@@ -35,8 +41,10 @@ class TraditionalMemory(MemoryInterface):
         self.page_table = page_table
         self.bus = bus
         node = config.node
-        self.icache = Cache(node.icache, name="i")
-        self.dcache = Cache(node.dcache, name="d")
+        #: Line addresses the D-cache holds (the issue-time view),
+        #: advanced at each memory commit by ``apply_outcome``.
+        self.resident = set()
+        self._line_mask = ~(node.dcache.line_size - 1)
         self.onchip_mem = BankedMemory(
             node.memory.onchip_latency,
             num_banks=node.memory.num_banks,
@@ -63,9 +71,9 @@ class TraditionalMemory(MemoryInterface):
     # Issue side.
     # ------------------------------------------------------------------
     def load_issue(self, now: int, addr: int, size: int) -> LoadHandle:
-        line = self.dcache.line_addr(addr)
+        line = addr & self._line_mask
         hit_latency = self.config.node.dcache.hit_latency
-        if self.dcache.lookup(addr):
+        if line in self.resident:
             handle = LoadHandle(addr, size, now)
             handle.issue_hit = True
             handle.complete(now + hit_latency)
@@ -104,19 +112,22 @@ class TraditionalMemory(MemoryInterface):
     # ------------------------------------------------------------------
     # Commit side.
     # ------------------------------------------------------------------
-    def commit_mem(self, now: int, addr: int, size: int, is_store: bool,
-                   handle) -> None:
-        result = self.dcache.commit_access(addr, is_write=is_store)
+    def commit_mem(self, now: int, dyn, handle) -> None:
+        addr = dyn.addr
+        line = addr & self._line_mask
+        result = dyn.dcache_result
+        apply_outcome(self.resident, line, result, now, "traditional")
+        is_store = dyn.op_class == _STORE
         if result.writeback is not None:
             self._complete_writeback(now, result.writeback)
         if handle is not None and handle.dcub_line is not None:
             self.dcub.release(handle.dcub_line)
         if is_store and not result.hit and not result.filled:
             # Write-noallocate miss: the word itself goes to memory.
-            self._write_through(now, addr, size)
+            self._write_through(now, addr, dyn.size)
         if is_store and result.filled and not self._is_onchip(addr):
             # Write-allocate fetched the line from off-chip at commit.
-            self._fetch_offchip(now, self.dcache.line_addr(addr))
+            self._fetch_offchip(now, line)
 
     def _write_through(self, now: int, addr: int, size: int) -> None:
         if self._is_onchip(addr):
@@ -125,7 +136,7 @@ class TraditionalMemory(MemoryInterface):
         self.writethroughs_offchip += 1
         queued = self.ni_queue.enqueue(now)
         message = Message(MessageKind.WRITEBACK, src=0,
-                          line_addr=self.dcache.line_addr(addr),
+                          line_addr=addr & self._line_mask,
                           payload_bytes=size)
         self.bus.transfer(queued, message)
 
@@ -142,13 +153,10 @@ class TraditionalMemory(MemoryInterface):
     # ------------------------------------------------------------------
     # Instruction fetch.
     # ------------------------------------------------------------------
-    def ifetch_line(self, now: int, line_addr: int) -> int:
-        result = self.icache.commit_access(line_addr, is_write=False)
-        if result.hit:
-            return now
-        if self._is_onchip(line_addr):
-            return self.onchip_mem.access(now, line_addr)
-        return self._fetch_offchip(now, line_addr)
+    def ifetch_miss(self, now: int, line: int) -> int:
+        if self._is_onchip(line):
+            return self.onchip_mem.access(now, line)
+        return self._fetch_offchip(now, line)
 
     def drain(self, now: int) -> bool:
         return True
@@ -188,7 +196,8 @@ class TraditionalSystem:
         from ..obs import spans
 
         config = self.config
-        trace = make_trace_source(program, limit=limit)
+        trace = canonical_outcomes(make_trace_source(program, limit=limit),
+                                   config.node.icache, config.node.dcache)
         with spans.span("layout"):
             page_table = traditional_page_table(
                 program,
@@ -201,8 +210,7 @@ class TraditionalSystem:
             )
         with spans.span("setup"):
             memory = TraditionalMemory(config, page_table, Bus(config.bus))
-            pipeline = Pipeline(config.node.cpu, memory, trace,
-                                icache_line=config.node.icache.line_size)
+            pipeline = Pipeline(config.node.cpu, memory, trace)
         with spans.span("timing-loop"):
             cycle = drive([pipeline], config.max_cycles, what="traditional")
         memory.validate_final_state()

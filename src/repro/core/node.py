@@ -14,12 +14,19 @@ Memory behaviour per the execution model:
   a false hit); stores complete locally and are never sent.
 * unowned communicated pages — a load miss waits in the BSHR for the
   owner's broadcast (no request is ever sent); stores are dropped.
+
+Cache state changes only at commit, in program order, so the canonical
+I- and D-cache outcomes are the same at every node and come with the
+records (:func:`repro.memory.canonical_outcomes`).  A node keeps only
+the set of lines its D-cache holds, for issue-time probes, and checks
+it against each canonical outcome at commit.
 """
 
 from __future__ import annotations
 
 from ..cpu.interface import LoadHandle, MemoryInterface
-from ..memory.cache import Cache
+from ..isa.opcodes import OpClass
+from ..memory.cache import apply_outcome
 from ..memory.mainmem import BankedMemory
 from ..memory.page_table import PageTable
 from ..obs.events import EventKind
@@ -28,6 +35,8 @@ from .bshr import BSHRFile
 from .broadcast import Broadcaster
 from .correspondence import CorrespondenceTracker
 from .dcub import DCUB
+
+_STORE = int(OpClass.STORE)
 
 
 class _PrimaryHandle(LoadHandle):
@@ -54,8 +63,11 @@ class DataScalarNode(MemoryInterface):
         self.node_id = node_id
         self.config = config
         self.page_table = page_table
-        self.icache = Cache(config.icache, name=f"i{node_id}")
-        self.dcache = Cache(config.dcache, name=f"d{node_id}")
+        #: Line addresses this node's D-cache holds (the issue-time
+        #: view), advanced at each memory commit by ``apply_outcome``.
+        self.resident = set()
+        self._line_mask = ~(config.dcache.line_size - 1)
+        self._where = f"node {node_id}"
         self.local_mem = BankedMemory(
             config.memory.onchip_latency,
             num_banks=config.memory.num_banks,
@@ -71,6 +83,9 @@ class DataScalarNode(MemoryInterface):
         )
         # Hot-path constant (load_issue runs once per load issue).
         self._d_hit_latency = config.dcache.hit_latency
+        #: Canonical D-cache accesses and misses, counted at commit.
+        self.dcache_accesses = 0
+        self.dcache_misses = 0
         #: Loads that bypassed the cache but still update it at commit.
         self.remote_loads = 0
         self.local_loads = 0
@@ -92,9 +107,9 @@ class DataScalarNode(MemoryInterface):
     # Issue side.
     # ------------------------------------------------------------------
     def load_issue(self, now: int, addr: int, size: int) -> LoadHandle:
-        line = self.dcache.line_addr(addr)
+        line = addr & self._line_mask
         hit_latency = self._d_hit_latency
-        if self.dcache.lookup(addr):
+        if line in self.resident:
             handle = LoadHandle(addr, size, now)
             handle.issue_hit = True
             handle.complete(now + hit_latency)
@@ -131,17 +146,19 @@ class DataScalarNode(MemoryInterface):
     # ------------------------------------------------------------------
     # Commit side: canonical cache update + correspondence settlement.
     # ------------------------------------------------------------------
-    def commit_mem(self, now: int, addr: int, size: int, is_store: bool,
-                   handle) -> None:
-        dcache = self.dcache
-        result = dcache.commit_access(addr, is_write=is_store)
-        # ``commit_access`` evaluates residency before mutating, so its
-        # ``hit`` is exactly the canonical (pre-access) outcome — no
-        # separate ``lookup`` probe needed.
+    def commit_mem(self, now: int, dyn, handle) -> None:
+        addr = dyn.addr
+        line = addr & self._line_mask
+        result = dyn.dcache_result
+        apply_outcome(self.resident, line, result, now, self._where)
+        is_store = dyn.op_class == _STORE
         canonical_hit = result.hit
+        self.dcache_accesses += 1
+        if not canonical_hit:
+            self.dcache_misses += 1
         if self._tracer is not None:
             self._tracer.emit(EventKind.CACHE_COMMIT, now, self.node_id,
-                              line=dcache.line_addr(addr), store=is_store,
+                              line=line, store=is_store,
                               hit=canonical_hit, filled=result.filled,
                               evicted=result.evicted)
         if result.writeback is not None:
@@ -154,9 +171,9 @@ class DataScalarNode(MemoryInterface):
         if not is_store and handle is not None and handle.issue_hit is not None:
             self.tracker.classify(handle.issue_hit, canonical_hit)
         if is_store:
-            self._complete_store(now, addr, size, canonical_hit)
-        if result.filled and not canonical_hit:
-            self._settle_canonical_miss(now, addr, dcache.line_addr(addr))
+            self._complete_store(now, addr, canonical_hit)
+        if result.filled:
+            self._settle_canonical_miss(now, addr, line)
 
     def _settle_canonical_miss(self, now: int, addr: int, line: int) -> None:
         """A canonical line fetch committed: balance broadcasts against
@@ -180,8 +197,7 @@ class DataScalarNode(MemoryInterface):
                                       action="discard")
                 self.bshr.schedule_discard(line)
 
-    def _complete_store(self, now: int, addr: int, size: int,
-                        cached: bool) -> None:
+    def _complete_store(self, now: int, addr: int, cached: bool) -> None:
         """Stores complete only where the data lives (paper Section 2);
         they never generate interconnect traffic."""
         if cached:
@@ -205,11 +221,8 @@ class DataScalarNode(MemoryInterface):
     # ------------------------------------------------------------------
     # Instruction fetch (text replicated at every node).
     # ------------------------------------------------------------------
-    def ifetch_line(self, now: int, line_addr: int) -> int:
-        result = self.icache.commit_access(line_addr, is_write=False)
-        if result.hit:
-            return now
-        return self.local_mem.access(now, line_addr)
+    def ifetch_miss(self, now: int, line: int) -> int:
+        return self.local_mem.access(now, line)
 
     # ------------------------------------------------------------------
     # End-of-run validation.

@@ -21,6 +21,7 @@ from ..errors import ProtocolError, SimulationError
 from ..interconnect.medium import make_medium
 from ..isa.codegen import make_trace_source
 from ..isa.fanout import fan_out
+from ..memory.cache import canonical_outcomes
 from ..memory.layout import LayoutSpec, build_page_table
 from ..obs import spans
 from ..obs.events import EventKind
@@ -122,11 +123,16 @@ class DataScalarSystem:
 
     def _make_traces(self, program, limit) -> list:
         """One annotated record stream per node: SPSD nodes consume the
-        identical stream, so one :func:`~repro.isa.codegen.make_trace_source`
-        is fanned out to all of them (O(I) work instead of O(N·I)).  Tests
-        override this method to substitute a per-node reference."""
-        return fan_out(make_trace_source(program, limit=limit),
-                       self.config.num_nodes)
+        identical stream, so one :func:`~repro.isa.codegen.make_trace_source`,
+        with its canonical cache outcomes computed once
+        (:func:`~repro.memory.canonical_outcomes`), is fanned out to all
+        of them (O(I) work instead of O(N·I)).  Tests override this
+        method to substitute a per-node reference."""
+        node = self.config.node
+        return fan_out(
+            canonical_outcomes(make_trace_source(program, limit=limit),
+                               node.icache, node.dcache),
+            self.config.num_nodes)
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
             stack_bytes: int = 64 * 1024,
@@ -200,8 +206,7 @@ class DataScalarSystem:
                     num_peers=num - 1)
                 nodes.append(node)
                 pipelines.append(
-                    Pipeline(config.node.cpu, node, traces[node_id],
-                             icache_line=config.node.icache.line_size))
+                    Pipeline(config.node.cpu, node, traces[node_id]))
                 if tracer is not None:
                     pipelines[-1].attach_tracer(tracer, node_id)
                     node.attach_tracer(tracer)
@@ -326,7 +331,8 @@ class DataScalarSystem:
                 bshr_arrivals=node.bshr.stats.arrivals,
                 false_hits=node.tracker.stats.false_hits,
                 false_misses=node.tracker.stats.false_misses,
-                dcache_miss_rate=node.dcache.stats.miss_rate(),
+                dcache_miss_rate=(node.dcache_misses / node.dcache_accesses
+                                  if node.dcache_accesses else 0.0),
                 remote_loads=node.remote_loads,
                 local_loads=node.local_loads,
                 dropped_stores=node.dropped_stores,

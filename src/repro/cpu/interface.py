@@ -5,6 +5,11 @@ and the perfect-cache baseline all plug in behind :class:`MemoryInterface`.
 A load may complete at a cycle the memory system cannot yet know (a
 DataScalar node waiting on another node's broadcast), so loads return a
 :class:`LoadHandle` whose ``ready`` field is filled in when known.
+
+A memory system with caches does not run them: the records it is handed
+carry their canonical outcomes (:func:`repro.memory.canonical_outcomes`),
+computed once for every node.  Fetch asks it only for the I-cache misses
+the records name, and commit hands it the record itself.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ class MemoryInterface:
 
     Implementations provide issue-time load timing, commit-time canonical
     cache updates (the correspondence discipline of paper Section 4.1),
-    and instruction-fetch timing.  Every load the pipeline does not
+    and instruction-miss timing.  Every load the pipeline does not
     forward from an earlier store reaches :meth:`load_issue`, and every
     load and store reaches :meth:`commit_mem`, in program order.
     """
@@ -56,17 +61,17 @@ class MemoryInterface:
         """Begin a data load at cycle ``now``; returns its handle."""
         raise NotImplementedError
 
-    def commit_mem(self, now: int, addr: int, size: int, is_store: bool,
-                   handle) -> None:
-        """Apply the canonical, in-order cache access for a committing
-        memory instruction.  ``handle`` is the load's issue-time handle
-        (``None`` for stores and forwarded loads carry
-        ``issue_hit is None``); the correspondence protocol reconciles
-        its issue-time outcome against the canonical one."""
+    def commit_mem(self, now: int, dyn, handle) -> None:
+        """Commit the load or store record ``dyn``: apply its canonical
+        outcome (``dyn.dcache_result``) in program order.  ``handle`` is
+        the load's issue-time handle (``None`` for stores; forwarded
+        loads carry ``issue_hit is None``); the correspondence protocol
+        reconciles its issue-time outcome against the canonical one."""
         raise NotImplementedError
 
-    def ifetch_line(self, now: int, line_addr: int) -> int:
-        """Fetch an instruction cache line; returns the ready cycle."""
+    def ifetch_miss(self, now: int, line: int) -> int:
+        """Fetch the instruction line a record names as a canonical
+        I-cache miss (``dyn.imiss_line``); returns the ready cycle."""
         raise NotImplementedError
 
     def drain(self, now: int) -> bool:

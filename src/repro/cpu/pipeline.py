@@ -72,10 +72,11 @@ class PipelineStats:
 class Pipeline:
     """One out-of-order core bound to a memory system and an annotated
     record stream (:func:`repro.isa.codegen.make_trace_source`, or any
-    stream passed through :func:`repro.isa.annotate`)."""
+    stream passed through :func:`repro.isa.annotate`).  A memory system
+    with caches reads their outcomes from the records, so its stream
+    also passes through :func:`repro.memory.canonical_outcomes`."""
 
-    def __init__(self, config: CPUConfig, mem: MemoryInterface, trace,
-                 icache_line: int = 32):
+    def __init__(self, config: CPUConfig, mem: MemoryInterface, trace):
         self.config = config
         self.mem = mem
         self._trace = iter(trace)
@@ -99,12 +100,13 @@ class Pipeline:
         self._mispredict_penalty = config.misprediction_penalty
         self._oracle = config.oracle_disambiguation
         # Pre-bound memory-system methods (the binding is per-call
-        # otherwise, and commit/fetch hit these once per instruction).
+        # otherwise, and commit hits one once per memory instruction).
         self._commit_mem = mem.commit_mem
-        self._ifetch_line = mem.ifetch_line
-        self._icache_line_mask = ~(icache_line - 1)
+        self._ifetch_miss = mem.ifetch_miss
         self._fetch_ready = 0
-        self._fetched_line = None
+        #: The record whose I-cache miss fetch last started, so that the
+        #: fetch retried after the stall does not fetch its line again.
+        self._imiss_record = None
         self._pending_loads = []
         #: False when the last issue pass showed its waiting list inert
         #: (see :meth:`next_event`).
@@ -176,14 +178,13 @@ class Pipeline:
                         if tracer is not None:
                             tracer.emit(_COMMIT_EVENT, now, self._trace_node,
                                         seq=head.seq, op=head.op_class)
-                        if head.is_load:
-                            commit_mem(now, head.addr, head.size, False,
-                                       head.handle)
+                        op_class = head.op_class
+                        if op_class == _LOAD:
+                            commit_mem(now, head.dyn, head.handle)
                             released += 1
                             stats.loads += 1
-                        elif head.is_store:
-                            commit_mem(now, head.addr, head.size, True,
-                                       head.handle)
+                        elif op_class == _STORE:
+                            commit_mem(now, head.dyn, head.handle)
                             released += 1
                             stats.stores += 1
                         # The head's ring slot is free for reuse (ruu.py).
@@ -238,14 +239,14 @@ class Pipeline:
                     continue
                 # A load that then fails keeps its LOAD slot.
                 used[op_class] += 1
-                if entry.is_load:
+                if op_class == _LOAD:
                     if not self._issue_load(entry, now):
                         wait(entry)
                         continue
                 else:
                     entry.issued = True
                     entry.issued_at = now
-                    if entry.is_store:
+                    if op_class == _STORE:
                         lsq.unissued_stores -= 1
                         when = nxt
                     else:
@@ -296,8 +297,7 @@ class Pipeline:
                 window_cap = ruu.capacity
                 lsq_used = lsq.occupancy
                 lsq_cap = lsq.capacity
-                line_mask = self._icache_line_mask
-                fetched_line = self._fetched_line
+                imiss_record = self._imiss_record
                 predictor = self._predictor
                 for _ in range(self._fetch_width):
                     dyn = buffer
@@ -327,10 +327,10 @@ class Pipeline:
                         if tracer is not None:
                             self._trace_stall(now, "lsq")
                         break
-                    line = dyn.pc & line_mask
-                    if line != fetched_line:
-                        ready = self._ifetch_line(now, line)
-                        fetched_line = line
+                    line = dyn.imiss_line
+                    if line is not None and dyn is not imiss_record:
+                        imiss_record = dyn
+                        ready = self._ifetch_miss(now, line)
                         if ready > now:
                             # Miss: the rest of this fetch group waits.
                             self._fetch_ready = ready
@@ -352,7 +352,7 @@ class Pipeline:
                             self._redirect_after = entry
                             break
                 lsq.occupancy = lsq_used
-                self._fetched_line = fetched_line
+                self._imiss_record = imiss_record
                 self._fetch_buffer = buffer
 
         if self._trace_done and not window:
@@ -372,8 +372,9 @@ class Pipeline:
         """Issue the load ``entry`` at ``now``; False when it must wait
         for an earlier store (the caller keeps it waiting)."""
         ruu = self.ruu
+        dyn = entry.dyn
         store = None
-        fwd = entry.fwd
+        fwd = dyn.fwd
         if fwd >= ruu.window[0].seq:
             # The youngest earlier overlapping store is in flight.
             store = ruu.ring[fwd & ruu.mask]
@@ -389,7 +390,7 @@ class Pipeline:
             self.lsq.forwards += 1
             entry.issued = True
             entry.issued_at = now
-            handle = _ForwardedHandle(entry.addr, entry.size, now)
+            handle = _ForwardedHandle(dyn.addr, dyn.size, now)
             entry.handle = handle
             when = store.issued_at + 1
             if when <= now:
@@ -398,7 +399,7 @@ class Pipeline:
             return True
         entry.issued = True
         entry.issued_at = now
-        handle = self.mem.load_issue(now, entry.addr, entry.size)
+        handle = self.mem.load_issue(now, dyn.addr, dyn.size)
         entry.handle = handle
         ready = handle.ready
         if ready is not None:

@@ -27,7 +27,6 @@ from operator import attrgetter
 
 from ..isa.opcodes import OpClass
 
-_LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 
 
@@ -38,19 +37,16 @@ class RUUEntry:
     """One in-flight instruction."""
 
     __slots__ = (
-        "seq", "op_class", "addr", "size", "fwd", "operand_time",
-        "unresolved", "dependents", "issued", "issued_at", "result_time",
-        "handle", "is_load", "is_store",
+        "seq", "op_class", "dyn", "operand_time", "unresolved",
+        "dependents", "issued", "issued_at", "result_time", "handle",
     )
 
     def __init__(self, dyn, now: int):
-        op_class = dyn.op_class
         self.seq = dyn.seq
-        self.op_class = op_class
-        self.addr = dyn.addr
-        self.size = dyn.size
-        #: Seq of the youngest earlier store overlapping this load, or -1.
-        self.fwd = dyn.fwd
+        self.op_class = dyn.op_class
+        #: The record: its address, size, forwarding store (``fwd``) and
+        #: canonical outcomes are read from it, never copied.
+        self.dyn = dyn
         self.operand_time = now
         self.unresolved = 0
         self.dependents = None
@@ -58,8 +54,6 @@ class RUUEntry:
         self.issued_at = -1
         self.result_time = None
         self.handle = None
-        self.is_load = op_class == _LOAD
-        self.is_store = op_class == _STORE
 
     def __repr__(self) -> str:
         return (f"<RUUEntry #{self.seq} {OpClass(self.op_class).name} "
@@ -111,18 +105,13 @@ class RUU:
             # Reset as ``RUUEntry.__init__`` would: ``operand_time`` and
             # ``unresolved`` are assigned below, and ``dependents`` is
             # already ``None`` (see module docstring).
-            op_class = dyn.op_class
             entry.seq = seq
-            entry.op_class = op_class
-            entry.addr = dyn.addr
-            entry.size = dyn.size
-            entry.fwd = dyn.fwd
+            entry.op_class = dyn.op_class
+            entry.dyn = dyn
             entry.issued = False
             entry.issued_at = -1
             entry.result_time = None
             entry.handle = None
-            entry.is_load = op_class == _LOAD
-            entry.is_store = op_class == _STORE
         window = self.window
         head = window[0].seq if window else seq
         mask = self.mask
@@ -154,7 +143,8 @@ class RUU:
         (the conservative-disambiguation stall condition)."""
         ring, mask = self.ring, self.mask
         older = (ring[s & mask] for s in range(self.window[0].seq, seq))
-        return any(entry.is_store and not entry.issued for entry in older)
+        return any(entry.op_class == _STORE and not entry.issued
+                   for entry in older)
 
     def resolve(self, entry: RUUEntry, result_time: int) -> None:
         """Set ``entry``'s result time and wake its dependents."""

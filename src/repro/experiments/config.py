@@ -6,10 +6,11 @@ processor with a 256-entry RUU; split single-cycle direct-mapped L1s;
 than the core; 2-cycle broadcast/network-interface queues.
 
 Per DESIGN.md, runs are scaled: the pure-Python simulator executes
-10^4–10^6 instructions, so caches default to 4KB data / 8KB instruction —
-keeping the paper's cache-much-smaller-than-working-set regime for the
-scaled kernels.  Every knob the Figure 8 sensitivity analysis sweeps is a
-parameter here.
+10^4–10^6 instructions, so the split L1s default to 8KB data / 8KB
+instruction (direct-mapped, 32-byte lines) — keeping the paper's
+cache-much-smaller-than-working-set regime for the scaled kernels — and
+the 8-byte bus takes 4 core cycles per bus cycle.  Every knob the
+Figure 8 sensitivity analysis sweeps is a parameter here.
 """
 
 from __future__ import annotations

@@ -35,10 +35,18 @@ class DynInstr:
     ``deps`` and ``fwd`` stay ``None`` until :func:`annotate` sets them,
     so an unannotated record fails at dispatch rather than running
     without its dependences.
+
+    :func:`repro.memory.canonical_outcomes` sets the canonical cache
+    outcomes, once per record for every node: ``imiss_line`` is the
+    instruction line this record starts when that line misses the
+    I-cache, and ``dcache_result`` is a load's or store's
+    :class:`~repro.memory.cache.AccessResult`.  Both stay ``None``
+    otherwise.
     """
 
     __slots__ = ("seq", "pc", "op_class", "dest", "srcs", "addr", "size",
-                 "taken", "is_cond_branch", "deps", "fwd")
+                 "taken", "is_cond_branch", "deps", "fwd", "imiss_line",
+                 "dcache_result")
 
     def __init__(self, seq, pc, op_class, dest, srcs, addr=None, size=0,
                  taken=False, is_cond_branch=False):
@@ -53,6 +61,8 @@ class DynInstr:
         self.is_cond_branch = is_cond_branch
         self.deps = None
         self.fwd = None
+        self.imiss_line = None
+        self.dcache_result = None
 
     @property
     def is_load(self) -> bool:

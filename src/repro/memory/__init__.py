@@ -13,7 +13,7 @@ from .address import (
     page_number,
     segment_of,
 )
-from .cache import AccessResult, Cache, CacheStats
+from .cache import AccessResult, Cache, CacheStats, canonical_outcomes
 from .layout import (
     LayoutSpec,
     LayoutSummary,
@@ -40,6 +40,7 @@ __all__ = [
     "AccessResult",
     "Cache",
     "CacheStats",
+    "canonical_outcomes",
     "LayoutSpec",
     "LayoutSummary",
     "build_page_table",

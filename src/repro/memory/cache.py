@@ -5,18 +5,27 @@ The model serves two distinct users:
 * trace-level studies (paper Sections 3.1/3.2) call :meth:`Cache.access`,
   which applies the configured write policy and returns what moved on and
   off chip; and
-* the timing models call the split primitives — :meth:`Cache.lookup`
-  (non-mutating probe at issue time) and :meth:`Cache.commit_access`
-  (the mutating, canonical access applied in program order at commit) —
-  because DataScalar's cache-correspondence protocol requires that cache
-  state change only at commit (paper Section 4.1).
+* the timing models, whose cache state may change only at commit, in
+  program order, under DataScalar's cache-correspondence protocol
+  (paper Section 4.1).  That makes every node's cache outcomes a pure
+  function of the record stream, so :func:`canonical_outcomes` applies
+  the canonical accesses (:meth:`Cache.commit_access`) once per record
+  and stores their outcomes on it.  A memory system keeps only the set
+  of lines its D-cache holds, for issue-time probes, and advances it at
+  each commit with :func:`apply_outcome`, which first checks the set
+  against the canonical outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ProtocolError, SimulationError
+from ..isa.opcodes import OpClass
 from ..params import CacheConfig
+
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
 
 
 @dataclass
@@ -90,22 +99,9 @@ class Cache:
         """Line-aligned address containing ``addr``."""
         return (addr >> self._line_shift) << self._line_shift
 
-    def _set_index(self, line: int) -> int:
-        return (line >> self._line_shift) & self._set_mask
-
     # ------------------------------------------------------------------
-    # Non-mutating primitives (issue-time probes).
+    # Snapshots (correspondence checks, tests).
     # ------------------------------------------------------------------
-    def lookup(self, addr: int) -> bool:
-        """True when the line containing ``addr`` is resident.  No state
-        (not even LRU order) changes — safe for issue-time probes."""
-        shift = self._line_shift
-        line = (addr >> shift) << shift
-        for entry in self._sets[(addr >> shift) & self._set_mask]:
-            if entry[0] == line:
-                return True
-        return False
-
     def resident_lines(self) -> "frozenset[int]":
         """Snapshot of every resident line address (correspondence checks)."""
         return frozenset(
@@ -119,30 +115,6 @@ class Cache:
         )
 
     # ------------------------------------------------------------------
-    # Mutating primitives (commit-time state updates).
-    # ------------------------------------------------------------------
-    def insert(self, addr: int, dirty: bool = False):
-        """Allocate the line containing ``addr`` at MRU.
-
-        Returns ``(evicted_line, was_dirty)`` when a victim was replaced,
-        else ``None``.  Inserting a resident line refreshes LRU order and
-        ORs in the dirty bit.
-        """
-        line = self.line_addr(addr)
-        ways = self._sets[self._set_index(line)]
-        for position, entry in enumerate(ways):
-            if entry[0] == line:
-                entry[1] = entry[1] or dirty
-                ways.append(ways.pop(position))
-                return None
-        victim = None
-        if len(ways) >= self.config.assoc:
-            evicted_line, was_dirty = ways.pop(0)
-            victim = (evicted_line, was_dirty)
-        ways.append([line, dirty])
-        return victim
-
-    # ------------------------------------------------------------------
     # Combined canonical access (commit order).
     # ------------------------------------------------------------------
     def commit_access(self, addr: int, is_write: bool) -> AccessResult:
@@ -152,7 +124,7 @@ class Cache:
         off: identical call sequences leave identical cache states.
 
         One scan of the set serves residency, LRU refresh, and
-        dirty-marking together (this is the commit hot path).
+        dirty-marking together.
         """
         stats = self.stats
         config = self.config
@@ -221,3 +193,69 @@ class Cache:
         cfg = self.config
         return (f"<Cache {self.name}: {cfg.size_bytes}B {cfg.assoc}-way "
                 f"{cfg.line_size}B lines>")
+
+
+def canonical_outcomes(trace, icache: CacheConfig, dcache: CacheConfig):
+    """Yield ``trace``'s records with their canonical cache outcomes set.
+
+    Every node applies the same canonical accesses in program order, so
+    one pass over the stream, on this stage's own two caches, computes
+    them for all nodes.  A record starts a new instruction line when its
+    line differs from the previous record's; that line goes through the
+    I-cache, and the record's ``imiss_line`` is set when it misses.  A
+    load's or store's ``dcache_result`` is its D-cache access.  The
+    stage runs before :func:`repro.isa.fan_out`, and a memory system
+    reads the outcomes from the record.
+    """
+    ifetch = Cache(icache, name="i").commit_access
+    daccess = Cache(dcache, name="d").commit_access
+    line_mask = ~(icache.line_size - 1)
+    current = None
+    for dyn in trace:
+        line = dyn.pc & line_mask
+        if line != current:
+            current = line
+            if not ifetch(line, False).hit:
+                dyn.imiss_line = line
+        op_class = dyn.op_class
+        if op_class == _LOAD:
+            dyn.dcache_result = daccess(dyn.addr, False)
+        elif op_class == _STORE:
+            dyn.dcache_result = daccess(dyn.addr, True)
+        yield dyn
+
+
+def apply_outcome(resident: set, line: int, result, now: int,
+                  where: str) -> None:
+    """Advance a memory system's set of resident D-cache lines by one
+    committed access to ``line`` whose canonical outcome is ``result``.
+
+    The set must agree with the outcome before the access (``line`` is
+    resident exactly when the access hits), and a fill's victim must be
+    resident.  Either disagreement means the issue-time view left
+    correspondence and raises :class:`ProtocolError` naming ``where``,
+    the cycle and the line; a record with no outcome (a stream that did
+    not pass through :func:`canonical_outcomes`) raises
+    :class:`SimulationError`.
+    """
+    if result is None:
+        raise SimulationError(
+            f"{where}: the memory record for line {line:#x} committed at "
+            f"cycle {now} carries no canonical D-cache outcome — pass the "
+            f"stream through repro.memory.canonical_outcomes")
+    if (line in resident) != result.hit:
+        state = "not resident" if result.hit else "resident"
+        raise ProtocolError(
+            f"{where}: line {line:#x} is {state} at cycle {now}, but its "
+            f"canonical access {'hit' if result.hit else 'missed'} — the "
+            f"issue-time cache view left correspondence")
+    if result.filled:
+        resident.add(line)
+        evicted = result.evicted
+        if evicted is not None:
+            if evicted not in resident:
+                raise ProtocolError(
+                    f"{where}: line {line:#x} filled at cycle {now} evicts "
+                    f"line {evicted:#x}, which is not resident — the "
+                    f"issue-time cache view left correspondence")
+            resident.remove(evicted)

@@ -11,6 +11,13 @@ per-node event sequences must be *identical across nodes*:
   accesses (the correspondence rules of paper Section 4.1 make cache
   state a pure function of the commit stream).
 
+In a live DataScalar run the canonical accesses are computed once, by
+:func:`repro.memory.canonical_outcomes`, and every node reads them from
+the shared records, so the cache-decision half holds by construction;
+what guards each node instead is the commit-time check of its resident
+lines against each outcome (:func:`repro.memory.cache.apply_outcome`).
+This module still checks both halves on any event log.
+
 A violation used to surface, at best, as a commit-count mismatch or a
 ``ProtocolError`` at the very end of a run.  :func:`check_lockstep`
 instead pinpoints the *first divergent event* — which node, which cycle,

@@ -1,10 +1,15 @@
 """Unit tests for the traditional system's memory paths."""
 
+from collections import deque
+
 import pytest
 
 from repro.baseline.traditional import TraditionalMemory
+from repro.errors import ProtocolError
 from repro.interconnect import Bus, MessageKind
-from repro.memory import PageTable
+from repro.isa.opcodes import OpClass
+from repro.isa.trace import DynInstr
+from repro.memory import PageTable, canonical_outcomes
 from repro.params import (
     BusConfig,
     CacheConfig,
@@ -34,6 +39,27 @@ def _memory(write_allocate=False):
     config = TraditionalConfig(node=node, onchip_fraction_denom=2)
     bus = Bus(config.bus)
     return TraditionalMemory(config, table, bus), bus
+
+
+def _committer(memory):
+    """``commit(now, addr, is_store, handle)`` commits one memory record,
+    in program order, with the outcome ``canonical_outcomes`` gives it."""
+    pending = deque()
+
+    def feed():
+        while True:
+            yield pending.popleft()
+
+    node = memory.config.node
+    records = canonical_outcomes(feed(), node.icache, node.dcache)
+
+    def commit(now, addr, is_store=False, handle=None):
+        op_class = OpClass.STORE if is_store else OpClass.LOAD
+        pending.append(DynInstr(0, 0x400000, int(op_class), None, [], addr,
+                                4))
+        memory.commit_mem(now, next(records), handle)
+
+    return commit
 
 
 def test_onchip_miss_never_uses_the_bus():
@@ -71,47 +97,48 @@ def test_inflight_line_merges_without_second_request():
 def test_commit_fills_cache_for_later_hits():
     memory, _ = _memory()
     handle = memory.load_issue(0, OFFCHIP, 4)
-    memory.commit_mem(100, OFFCHIP, 4, is_store=False, handle=handle)
+    _committer(memory)(100, OFFCHIP, handle=handle)
     later = memory.load_issue(200, OFFCHIP, 4)
     assert later.issue_hit is True
 
 
 def test_store_miss_writes_through_offchip():
     memory, bus = _memory()
-    memory.commit_mem(0, OFFCHIP, 4, is_store=True, handle=None)
+    _committer(memory)(0, OFFCHIP, is_store=True)
     assert memory.writethroughs_offchip == 1
     assert bus.stats.by_kind[MessageKind.WRITEBACK] == 1
 
 
 def test_store_miss_onchip_stays_local():
     memory, bus = _memory()
-    memory.commit_mem(0, ONCHIP, 4, is_store=True, handle=None)
+    _committer(memory)(0, ONCHIP, is_store=True)
     assert memory.writethroughs_offchip == 0
     assert bus.stats.transactions == 0
 
 
 def test_dirty_offchip_eviction_generates_writeback():
     memory, bus = _memory()
+    commit = _committer(memory)
     # Fill + dirty the off-chip line.
     handle = memory.load_issue(0, OFFCHIP, 4)
-    memory.commit_mem(10, OFFCHIP, 4, is_store=False, handle=handle)
-    memory.commit_mem(20, OFFCHIP, 4, is_store=True, handle=None)
+    commit(10, OFFCHIP, handle=handle)
+    commit(20, OFFCHIP, is_store=True)
     # Evict it with a conflicting line (1KB direct-mapped).
     conflict = OFFCHIP + 1024
     handle2 = memory.load_issue(30, conflict, 4)
-    memory.commit_mem(90, conflict, 4, is_store=False, handle=handle2)
+    commit(90, conflict, handle=handle2)
     assert memory.writebacks_offchip == 1
 
 
 def test_write_allocate_store_miss_fetches_line():
     memory, _ = _memory(write_allocate=True)
-    memory.commit_mem(0, OFFCHIP, 4, is_store=True, handle=None)
+    _committer(memory)(0, OFFCHIP, is_store=True)
     assert memory.requests == 1  # the fetch-for-write went off-chip
 
 
 def test_ifetch_offchip_uses_bus():
     memory, bus = _memory()
-    ready = memory.ifetch_line(0, PAGE + 0x40)
+    ready = memory.ifetch_miss(0, PAGE + 0x40)
     assert ready > 8
     assert memory.requests == 1
 
@@ -122,3 +149,10 @@ def test_validate_final_state_catches_leaked_dcub():
     from repro.errors import ProtocolError
     with pytest.raises(ProtocolError):
         memory.validate_final_state()
+
+
+def test_resident_set_is_checked_against_the_canonical_outcome():
+    memory, _ = _memory()
+    memory.resident.add(OFFCHIP & ~(LINE - 1))  # never filled canonically
+    with pytest.raises(ProtocolError, match=r"traditional: line .* cycle 5"):
+        _committer(memory)(5, OFFCHIP)

@@ -189,3 +189,34 @@ def test_write_allocate_generates_extra_broadcasts():
     alloc = _ds(2, node=_node(write_allocate=True)).run(program)
     assert sum(n.broadcasts_sent for n in alloc.nodes) > 0
     assert noalloc.bus_transactions == 0
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2, 4])
+def test_cache_work_is_one_access_per_record(num_nodes, monkeypatch):
+    """The canonical cache outcomes are computed once for every node:
+    a run makes one ``Cache.commit_access`` per load and store plus one
+    per change of instruction line in the stream, at any node count."""
+    from repro.experiments.config import datascalar_config
+    from repro.isa.codegen import make_trace_source
+    from repro.memory import Cache
+    from repro.workloads import build_program
+
+    program = build_program("compress")
+    config = datascalar_config(num_nodes)
+    line_mask = ~(config.node.icache.line_size - 1)
+    lines = [dyn.pc & line_mask
+             for dyn in make_trace_source(program, limit=4000)]
+    line_changes = sum(1 for i, line in enumerate(lines)
+                       if i == 0 or line != lines[i - 1])
+    calls = []
+    access = Cache.commit_access
+
+    def counted(self, addr, is_write):
+        calls.append(addr)
+        return access(self, addr, is_write)
+
+    monkeypatch.setattr(Cache, "commit_access", counted)
+    result = DataScalarSystem(config).run(program, limit=4000)
+    stats = result.nodes[0].pipeline
+    assert (stats.loads + stats.stores, line_changes) == (725, 727)
+    assert len(calls) == stats.loads + stats.stores + line_changes == 1452

@@ -161,8 +161,9 @@ def _store_then_load(store, load, data_held=False, cpu=None):
                     annotate(Interpreter(b.build()).trace()))
     pipe.tick(0)
     entries = pipe.ruu.window
-    store_entry = next(e for e in entries if e.is_store)
-    load_entry = next(e for e in entries if e.is_load and e.seq > 2)
+    store_entry = next(e for e in entries if e.op_class == OpClass.STORE)
+    load_entry = next(e for e in entries
+                      if e.op_class == OpClass.LOAD and e.seq > 2)
     return pipe, mem, buf, store_entry, load_entry
 
 
@@ -178,7 +179,7 @@ def test_lsq_forwarding_from_issued_store():
     pipe, mem, buf, store, load = _store_then_load(
         lambda b, buf: b.sw("r6", "r15", 0),
         lambda b, buf: b.lw("r7", "r15", 0))
-    assert load.fwd == store.seq
+    assert load.dyn.fwd == store.seq
     _finish(pipe, 1)
     assert load.handle.forwarded
     assert load.result_time == max(store.issued_at, load.issued_at) + 1
@@ -203,7 +204,7 @@ def test_lsq_different_address_does_not_forward():
     pipe, mem, buf, store, load = _store_then_load(
         lambda b, buf: b.sw("r6", "r15", 128),
         lambda b, buf: b.lw("r7", "r15", 0), data_held=True)
-    assert load.fwd == -1
+    assert load.dyn.fwd == -1
     for now in range(1, 30):
         pipe.tick(now)
     # The unissued store does not hold back a load of another word.
@@ -218,7 +219,7 @@ def test_lsq_partial_overlap_detected():
     pipe, mem, buf, store, load = _store_then_load(
         lambda b, buf: b.sd("f1", "r15", 0),
         lambda b, buf: b.lw("r7", "r15", 4))
-    assert load.fwd == store.seq
+    assert load.dyn.fwd == store.seq
     _finish(pipe, 1)
     assert load.handle.forwarded and buf + 4 not in mem.issued
 
@@ -362,10 +363,11 @@ def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
     cpu = CPUConfig(issue_width=1, ruu_entries=7, lsq_entries=4)
     pipe = Pipeline(cpu, mem, annotate(Interpreter(b.build()).trace()))
     pipe.tick(0)
-    store = next(e for e in pipe.ruu.window if e.is_store)
-    load = next(e for e in pipe.ruu.window if e.is_load and e.addr == buf)
+    store = next(e for e in pipe.ruu.window if e.op_class == OpClass.STORE)
+    load = next(e for e in pipe.ruu.window
+                if e.op_class == OpClass.LOAD and e.dyn.addr == buf)
     store_seq = store.seq
-    assert load.fwd == store_seq
+    assert load.dyn.fwd == store_seq
     for now in range(1, 21):
         if now == 20:
             mem.issued[buf + 8][1].complete(20)

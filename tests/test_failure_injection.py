@@ -24,8 +24,8 @@ def _issue_updating_load_issue(self, now, addr, size):
     replace different lines, and the caches will cease to be
     correspondent')."""
     handle = _ORIGINAL_LOAD_ISSUE(self, now, addr, size)
-    if not self.dcache.lookup(addr):
-        self.dcache.insert(addr)  # the forbidden issue-time update
+    # The forbidden issue-time update of the node's cache view.
+    self.resident.add(addr & ~(self.config.dcache.line_size - 1))
     return handle
 
 
@@ -41,13 +41,16 @@ class _BrokenSystem(_System):
 
 
 def test_issue_time_cache_updates_are_detected():
-    """With issue-time fills, issue-state and canonical state diverge;
-    the run must end in a detected protocol violation (ledger imbalance,
-    BSHR deadlock, or a commit-count divergence) — never a silent pass."""
+    """With issue-time fills, a node's issue-time view and the canonical
+    cache state diverge; the first commit that sees the damage raises a
+    protocol violation naming the node, the line and the cycle — never
+    a silent pass, and not only at the end of the run."""
     program = build_program("turb3d")
     config = datascalar_config(2, node=timing_node_config(
         dcache_bytes=1024))
-    with pytest.raises((ProtocolError, SimulationError)):
+    with pytest.raises(ProtocolError,
+                       match=r"^node 0: line 0x10004000 is resident at "
+                             r"cycle 19, but its canonical access missed"):
         _BrokenSystem(config).run(program, limit=8000)
 
 

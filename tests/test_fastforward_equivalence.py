@@ -23,6 +23,7 @@ from repro.isa.codegen import engine as codegen_engine
 from repro.isa.codegen import supports
 from repro.isa.interpreter import Interpreter
 from repro.isa.trace import annotate
+from repro.memory import canonical_outcomes
 from repro.workloads import build_program
 
 WORKLOADS = ["compress", "mgrid", "applu"]
@@ -32,17 +33,22 @@ LIMIT = 2_500
 
 
 class _DenseSystem(DataScalarSystem):
-    """The pre-optimization scheduler: one interpreter per node (this
-    ``_make_traces`` override replaces the shared, generated-code
-    fan-out) and, via ``fast_forward=False`` in its config, dense
-    per-cycle ticking.  ``calls`` counts the override's runs, so a test
-    can assert that its reference really was the per-node one."""
+    """The pre-optimization scheduler: one interpreter per node, each
+    with its own pair of canonical caches (this ``_make_traces``
+    override replaces the shared, generated-code fan-out and its one
+    ``canonical_outcomes`` stage) and, via ``fast_forward=False`` in its
+    config, dense per-cycle ticking.  ``calls`` counts the override's
+    runs, so a test can assert that its reference really was the
+    per-node one."""
 
     calls = 0
 
     def _make_traces(self, program, limit):
         self.calls += 1
-        return [annotate(Interpreter(program).trace(limit=limit))
+        node = self.config.node
+        return [canonical_outcomes(
+                    annotate(Interpreter(program).trace(limit=limit)),
+                    node.icache, node.dcache)
                 for _ in range(self.config.num_nodes)]
 
 

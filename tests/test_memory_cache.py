@@ -28,16 +28,6 @@ def test_read_miss_then_hit():
     assert cache.stats.read_hits == 1
 
 
-def test_lookup_is_non_mutating():
-    cache = _cache(size=64, assoc=1, line=32)  # 2 sets
-    cache.commit_access(0x0, is_write=False)
-    # Probing a conflicting line must not evict or reorder anything.
-    for _ in range(10):
-        assert not cache.lookup(0x40)
-        assert cache.lookup(0x0)
-    assert cache.stats.accesses == 1
-
-
 def test_lru_replacement_order():
     cache = _cache(size=64, assoc=2, line=32)  # 1 set, 2 ways
     cache.commit_access(0x0, False)
@@ -45,8 +35,7 @@ def test_lru_replacement_order():
     cache.commit_access(0x0, False)  # touch 0x0 -> LRU victim is 0x40
     result = cache.commit_access(0x80, False)
     assert result.evicted == 0x40
-    assert cache.lookup(0x0)
-    assert not cache.lookup(0x40)
+    assert cache.resident_lines() == {0x0, 0x80}
 
 
 def test_writeback_of_dirty_victim():
@@ -66,7 +55,7 @@ def test_write_noallocate_miss_bypasses_cache():
     cache = Cache(cfg)
     result = cache.commit_access(0x100, is_write=True)
     assert not result.hit and not result.filled
-    assert not cache.lookup(0x100)
+    assert cache.line_addr(0x100) not in cache.resident_lines()
     assert cache.stats.writethroughs == 1  # went around the cache
 
 
@@ -89,20 +78,10 @@ def test_writethrough_never_creates_dirty_lines():
     assert cache.stats.writethroughs == 2
 
 
-def test_insert_existing_line_ors_dirty_and_refreshes():
-    cache = _cache(size=64, assoc=2, line=32)
-    cache.insert(0x0)
-    cache.insert(0x40)
-    assert cache.insert(0x0, dirty=True) is None
-    victim = cache.insert(0x80)
-    assert victim == (0x40, False)
-    assert 0x0 in cache.dirty_lines()
-
-
 def test_resident_lines_snapshot():
     cache = _cache()
-    cache.insert(0x100)
-    cache.insert(0x200)
+    cache.commit_access(0x100, is_write=False)
+    cache.commit_access(0x204, is_write=False)
     assert cache.resident_lines() == {0x100, 0x200}
 
 
@@ -136,3 +115,38 @@ def test_miss_rate():
     cache.commit_access(0x0, False)
     cache.commit_access(0x0, False)
     assert cache.stats.miss_rate() == 0.5
+
+
+def test_canonical_outcomes_replay_private_caches():
+    """The stage's outcomes are those a private pair of caches gives the
+    same stream: an I-cache access at each change of instruction line,
+    a D-cache access per load and store, in program order."""
+    from repro.isa import Interpreter
+    from repro.isa.opcodes import OpClass
+    from repro.memory import canonical_outcomes
+    from repro.workloads import build_program
+
+    icache = CacheConfig(size_bytes=256, assoc=1, line_size=16)
+    dcache = CacheConfig(size_bytes=512, assoc=2, line_size=32,
+                         write_allocate=True)
+    stream = list(canonical_outcomes(
+        Interpreter(build_program("compress")).trace(limit=3000),
+        icache, dcache))
+    iref, dref = Cache(icache), Cache(dcache)
+    previous = None
+    misses = 0
+    for dyn in stream:
+        line = dyn.pc & ~(icache.line_size - 1)
+        expected = None
+        if line != previous and not iref.commit_access(line, False).hit:
+            expected = line
+            misses += 1
+        previous = line
+        assert dyn.imiss_line == expected
+        if dyn.op_class in (OpClass.LOAD, OpClass.STORE):
+            result = dref.commit_access(dyn.addr,
+                                        dyn.op_class == OpClass.STORE)
+            assert dyn.dcache_result == result
+        else:
+            assert dyn.dcache_result is None
+    assert misses and dref.stats.misses and dref.stats.writebacks

@@ -78,18 +78,36 @@ def test_cache_correspondence_property(sequence):
     assert a.resident_lines() == b.resident_lines()
 
 
-@given(access_sequences)
-@settings(max_examples=100, deadline=None)
-def test_cache_lookup_never_mutates(sequence):
-    cache = Cache(SMALL)
+#: Small caches of every shape the resident-set contract must hold for.
+cache_configs = st.builds(
+    lambda line, assoc, sets, policy, allocate: CacheConfig(
+        size_bytes=line * assoc * sets, assoc=assoc, line_size=line,
+        write_policy=policy, write_allocate=allocate),
+    st.sampled_from([8, 16, 32]), st.sampled_from([1, 2, 4]),
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from(["writeback", "writethrough"]), st.booleans())
+
+
+@given(cache_configs,
+       st.lists(st.tuples(st.integers(min_value=0, max_value=1023),
+                          st.booleans()), max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_resident_set_mirrors_commit_outcomes(config, sequence):
+    """What a memory system's set of resident lines relies on: an
+    access hits exactly when its line is resident, and adding each fill
+    and removing its victim keeps the set equal to the cache's lines."""
+    cache = Cache(config)
+    mirror = set()
     for addr, is_write in sequence:
-        cache.commit_access(addr, is_write)
-    before = cache.resident_lines()
-    stats_before = cache.stats.accesses
-    for addr, _ in sequence:
-        cache.lookup(addr)
-    assert cache.resident_lines() == before
-    assert cache.stats.accesses == stats_before
+        line = addr & ~(config.line_size - 1)
+        resident = line in mirror
+        result = cache.commit_access(addr, is_write)
+        assert result.hit == resident
+        if result.filled:
+            mirror.add(line)
+        if result.evicted is not None:
+            mirror.remove(result.evicted)
+        assert mirror == cache.resident_lines()
 
 
 @given(access_sequences)

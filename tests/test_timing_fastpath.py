@@ -32,6 +32,7 @@ from repro.faults.plan import BroadcastFault
 from repro.interconnect.medium import make_medium
 from repro.isa import Interpreter, ProgramBuilder, annotate
 from repro.isa.opcodes import OpClass
+from repro.memory import canonical_outcomes
 from repro.params import BusConfig, CPUConfig, FaultConfig
 from repro.runner import result_fingerprint
 from repro.workloads import build_program
@@ -155,18 +156,22 @@ def _check_ring(pipeline):
         assert entry.seq == window[0].seq + offset
         assert ruu.ring[entry.seq & ruu.mask] is entry
     for load in window:
-        if load.is_load and not load.issued and load.fwd >= window[0].seq:
-            store = ruu.ring[load.fwd & ruu.mask]
-            assert store.is_store and store.seq == load.fwd
+        fwd = load.dyn.fwd
+        if load.op_class == OpClass.LOAD and not load.issued \
+                and fwd >= window[0].seq:
+            store = ruu.ring[fwd & ruu.mask]
+            assert store.op_class == OpClass.STORE and store.seq == fwd
 
 
 def _youngest_overlapping_store(window, load):
     """The deleted ``LSQ.forwarding_store`` scan: the youngest in-flight
     store older than ``load`` that overlaps any of its bytes."""
+    want = load.dyn
     for entry in reversed(window):
-        if entry.is_store and entry.seq < load.seq \
-                and entry.addr < load.addr + load.size \
-                and load.addr < entry.addr + entry.size:
+        have = entry.dyn
+        if entry.op_class == OpClass.STORE and entry.seq < load.seq \
+                and have.addr < want.addr + want.size \
+                and want.addr < have.addr + have.size:
             return entry
     return None
 
@@ -175,20 +180,21 @@ def _check_store_counter(pipeline):
     """The LSQ counters and the ring walk against a scan of the window."""
     ruu, lsq = pipeline.ruu, pipeline.lsq
     window = list(ruu.window)
-    stores = [entry for entry in window if entry.is_store]
+    stores = [entry for entry in window if entry.op_class == OpClass.STORE]
     assert lsq.occupancy == sum(1 for entry in window
-                                if entry.is_load or entry.is_store)
+                                if entry.op_class in (OpClass.LOAD,
+                                                      OpClass.STORE))
     assert lsq.occupancy <= lsq.capacity
     assert lsq.unissued_stores == sum(1 for s in stores if not s.issued)
     for probe in window:
-        if probe.is_load:
+        if probe.op_class == OpClass.LOAD:
             brute = any(not s.issued and s.seq < probe.seq for s in stores)
             assert ruu.unissued_store_before(probe.seq) == brute
             store = _youngest_overlapping_store(window, probe)
             if store is None:
-                assert probe.fwd < window[0].seq
+                assert probe.dyn.fwd < window[0].seq
             else:
-                assert probe.fwd == store.seq
+                assert probe.dyn.fwd == store.seq
 
 
 def test_ruu_free_list_recycles_committed_entries():
@@ -281,7 +287,7 @@ def test_lsq_unissued_store_counter_tracks_lifecycle():
         _check_store_counter(pipeline)
         ruu, lsq = pipeline.ruu, pipeline.lsq
         for load in ruu.window:
-            if not load.is_load:
+            if load.op_class != OpClass.LOAD:
                 continue
             if ruu.unissued_store_before(load.seq):
                 seen["blocked"] += 1
@@ -526,11 +532,15 @@ def test_fault_recovery_is_invisible_to_idle_skip():
     calls = []
 
     class _DenseSystem(DataScalarSystem):
-        """One interpreter per node in place of the shared fan-out."""
+        """One interpreter per node, each with its own canonical caches,
+        in place of the shared fan-out."""
 
         def _make_traces(self, program, limit):
             calls.append(limit)
-            return [annotate(Interpreter(program).trace(limit=limit))
+            node = self.config.node
+            return [canonical_outcomes(
+                        annotate(Interpreter(program).trace(limit=limit)),
+                        node.icache, node.dcache)
                     for _ in range(self.config.num_nodes)]
 
     program = build_program("compress")
