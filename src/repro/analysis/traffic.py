@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa.trace import IFETCH, WRITE
+from ..isa.interpreter import Interpreter
+from ..isa.trace import WRITE
 from ..memory.cache import Cache
 from ..params import CacheConfig
 
@@ -86,29 +87,23 @@ class TrafficReport:
 
 
 def measure_esp_traffic(program, cache_config: CacheConfig = TABLE1_CACHE,
-                        limit=None, include_ifetch: bool = False,
-                        tag_bytes: int = 8) -> TrafficReport:
+                        limit=None, tag_bytes: int = 8) -> TrafficReport:
     """Run ``program`` through the measurement cache and account traffic.
 
     Matches the paper's methodology: an execution-driven run filtered by
-    a level-one data cache; requests and write-backs are the traffic ESP
-    removes.  Set ``include_ifetch`` to also filter instruction fetches
-    through the same cache (the paper measures the data cache only).
-    The functional front end is :func:`repro.isa.codegen.make_execution`'s
-    pick: generated code where supported — the data-only reference
-    stream is exactly where specialization pays, since a generated
-    stepper skips non-memory instructions without yielding at all.
+    a level-one data cache (instruction fetches are not measured);
+    requests and write-backs are the traffic ESP removes.  The data
+    references come from the reference interpreter's
+    :meth:`~repro.isa.interpreter.Interpreter.mem_refs`, as for Table 2
+    and the replication profile: generated code serves only the timing
+    runs' record stream.
     """
-    from ..isa.codegen import make_execution
-
     cache = Cache(cache_config, name="table1")
-    interp = make_execution(program)
     misses = 0
     writebacks = 0
     accesses = 0
-    for ref in interp.mem_refs(limit=limit, include_ifetch=include_ifetch):
-        if ref.kind == IFETCH and not include_ifetch:
-            continue
+    for ref in Interpreter(program).mem_refs(limit=limit,
+                                             include_ifetch=False):
         accesses += 1
         result = cache.commit_access(ref.addr, is_write=(ref.kind == WRITE))
         if not result.hit and (result.filled or ref.kind != WRITE):

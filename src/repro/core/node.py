@@ -187,8 +187,10 @@ class DataScalarNode(MemoryInterface):
                     self._tracer.emit(EventKind.FALSE_HIT_REPAIR, now,
                                       self.node_id, line=line,
                                       action="late-broadcast")
-                available = self.local_mem.access(now, line)
-                self.broadcaster.broadcast(available, line, late=True)
+                # With no peers there is no one to repair, so no read.
+                if self.broadcaster.num_peers:
+                    available = self.local_mem.access(now, line)
+                    self.broadcaster.broadcast(available, line, late=True)
         else:
             if self.tracker.settle_canonical_miss_nonowner(line):
                 if self._tracer is not None:

@@ -19,6 +19,15 @@ class ExecutionError(ReproError):
     """The functional interpreter hit an illegal state (bad PC, bad access)."""
 
 
+class UnsupportedProgramError(ReproError):
+    """The code generator cannot specialize a program (indirect jumps).
+
+    Raised only when generated code is requested for such a program
+    directly; :func:`repro.isa.codegen.make_trace_source` keeps it on
+    the interpreter instead.
+    """
+
+
 class MemoryError_(ReproError):
     """A memory-system component was misused (bad address, bad config)."""
 

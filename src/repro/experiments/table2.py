@@ -80,7 +80,8 @@ def measure_datathreads(name: str, scale: int = 1, num_nodes: int = 4,
     data_refs = DatathreadAnalyzer(table)
     icache = Cache(MEASUREMENT_ICACHE, name="t2i")
     dcache = Cache(MEASUREMENT_DCACHE, name="t2d")
-    # Interpreted: compiling this grain would cost set-up more than it saves.
+    # Interpreted, like every trace-level study: generated code has
+    # only the timing runs' record stream (docs/simulator.md).
     interp = Interpreter(program)
     for ref in interp.mem_refs(limit=limit, include_ifetch=True):
         if ref.kind == IFETCH:

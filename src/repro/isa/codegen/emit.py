@@ -1,4 +1,4 @@
-"""Emit a flat Python stepper specialized to one (program, spec) pair.
+"""Emit a flat Python stepper specialized to one program.
 
 The interpreter (:mod:`repro.isa.interpreter`) predecodes each static
 instruction into a closure, but the hot loop still pays a list index, a
@@ -25,27 +25,29 @@ The generated module defines one function::
 
 where ``state`` carries the architectural state (an object with the
 interpreter's ``registers``/``memory``/counter attributes) and ``limit``
-is the resolved dynamic-instruction cap.  Depending on
-``spec.grain`` the function is a generator of ``DynInstr`` records
-(``"trace"``), a generator of ``MemRef`` records (``"memrefs"``), or a
-plain function (``"run"``).  Architectural effects, error messages, and
-record fields replicate the interpreter exactly, bit for bit; state is
-written back in a ``finally`` block, so counters and registers are
-consistent once the stepper returns or its generator is closed.  (While
-a generator is *suspended* the write-back has not happened yet — the
-one observable difference from the interpreter's live shared state.)
+is the resolved dynamic-instruction cap.  The function is a generator
+of ``DynInstr`` records, the stream of
+:meth:`repro.isa.interpreter.Interpreter.trace`.  Architectural
+effects, error messages, and record fields replicate the interpreter
+exactly, bit for bit; state is written back in a ``finally`` block, so
+counters and registers are consistent once the generator is exhausted
+or closed.  (While it is *suspended* the write-back has not happened
+yet — the one observable difference from the interpreter's live shared
+state.)
 
 Programs containing ``JR`` (indirect jumps) are not specialized:
 :func:`repro.isa.codegen.supports` reports them unsupported and
-:func:`repro.isa.codegen.make_execution` keeps them on the interpreter.
+:func:`repro.isa.codegen.make_trace_source` keeps them on the
+interpreter.
 """
 
 from __future__ import annotations
 
-from ...memory.address import TEXT_BASE
-from ..opcodes import CONDITIONAL_BRANCHES, OP_CLASS, Opcode
+from ...errors import UnsupportedProgramError
+from ...memory.address import INSTRUCTION_BYTES, TEXT_BASE
+from ...params import DOUBLE_SIZE, WORD_SIZE
+from ..opcodes import OP_CLASS, Opcode
 from ..registers import ZERO
-from .spec import CodegenSpec, UnsupportedProgramError
 
 _U64 = (1 << 64) - 1
 
@@ -81,22 +83,20 @@ def _lit(value) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def emit_source(program, spec: CodegenSpec = CodegenSpec()) -> str:
-    """Return the generated module source for ``(program, spec)``.
+def emit_source(program) -> str:
+    """Return the generated module source for ``program``.
 
-    Deterministic: equal (program content, spec) emit equal text.
+    Deterministic: equal program content emits equal text.
     """
-    return _Emitter(program, spec).emit()
+    return _Emitter(program).emit()
 
 
 class _Emitter:
-    def __init__(self, program, spec: CodegenSpec):
+    def __init__(self, program):
         program.validate()
         self.program = program
-        self.spec = spec
         self.instrs = program.instructions
         self.n = len(self.instrs)
-        self.counter = "seq" if spec.grain == "trace" else "n"
         #: srcs tuple -> module-constant name (deduplicated).
         self.srcs_pool: "dict[tuple, str]" = {}
         #: helper names the emitted body actually uses.
@@ -138,13 +138,12 @@ class _Emitter:
         return name
 
     def _pc(self, index: int) -> int:
-        return TEXT_BASE + index * self.spec.instruction_bytes
+        return TEXT_BASE + index * INSTRUCTION_BYTES
 
     def _record(self, index, ins, addr="None", size=0, taken=None) -> str:
         """The DynInstr constructor call for one static instruction
         (trailing default arguments omitted)."""
-        self.uses.add("D")
-        head = (f"D({self.counter}, {self._pc(index)}, "
+        head = (f"D(seq, {self._pc(index)}, "
                 f"{int(OP_CLASS[ins.op])}, {ins.destination()}, "
                 f"{self._srcs(ins)}")
         if taken is not None:
@@ -153,22 +152,11 @@ class _Emitter:
             return f"{head}, {addr}, {size})"
         return f"{head})"
 
-    def _ifetch(self, index: int) -> "list[str]":
-        if not self.spec.include_ifetch:
-            return []
-        self.uses.add("M")
-        pc = self._pc(index)
-        return [f"yield M(IF_, {pc}, {self.spec.instruction_bytes}, {pc})"]
-
-    def _dataref(self, index, kind, addr, size) -> "list[str]":
-        self.uses.add("M")
-        return [f"yield M({kind}, {addr}, {size}, {self._pc(index)})"]
-
     # ------------------------------------------------------------------
     # Architectural effect of one non-control instruction.
-    # Returns (lines, addr_expr, mem_kind, size): addr_expr is the
-    # address expression (a variable name or literal) for loads/stores,
-    # mem_kind is "RD_"/"WR_" or None.
+    # Returns (lines, addr_expr, size): addr_expr is the address
+    # expression (a variable name or literal) for loads/stores, "None"
+    # otherwise.
     # ------------------------------------------------------------------
     def _exec_lines(self, index, ins):
         op, rd = ins.op, ins.rd
@@ -260,13 +248,13 @@ class _Emitter:
         else:  # pragma: no cover - control ops handled by _emit_instr
             raise UnsupportedProgramError(
                 f"cannot specialize opcode {op.name} at index {index}")
-        return out, "None", None, 0
+        return out, "None", 0
 
     def _access_size(self, op) -> int:
         if op in (Opcode.LW, Opcode.SW):
-            return self.spec.word_size
+            return WORD_SIZE
         if op in (Opcode.LD, Opcode.SD):
-            return self.spec.double_size
+            return DOUBLE_SIZE
         return 1
 
     def _emit_load(self, index, ins, writes):
@@ -299,7 +287,7 @@ class _Emitter:
                 out.append(f"r{ins.rd} = mget(addr, {default})")
             out.append("loads += 1")
         self.uses.add("loads")
-        return out, addr, "RD_", size
+        return out, addr, size
 
     def _emit_store(self, index, ins):
         op = ins.op
@@ -328,17 +316,15 @@ class _Emitter:
             out.append(f"memory[addr] = {value}")
         out.append("stores += 1")
         self.uses.add("stores")
-        return out, addr, "WR_", size
+        return out, addr, size
 
     # ------------------------------------------------------------------
-    # One instruction, grain-aware (limit check, effect, record, count).
+    # One instruction (limit check, effect, record, count).
     # ------------------------------------------------------------------
     def _emit_instr(self, index, block_of) -> "list[str]":
         ins = self.instrs[index]
         op = ins.op
-        grain = self.spec.grain
-        ctr = self.counter
-        out = [f"{_I4}if {ctr} >= limit:", f"{_I5}return"]
+        out = [f"{_I4}if seq >= limit:", f"{_I5}return"]
 
         if op in _COND_OPS:
             out.extend(self._emit_branch(index, ins, block_of))
@@ -347,74 +333,45 @@ class _Emitter:
             if op == Opcode.JAL and ins.rd is not None and ins.rd != ZERO:
                 link = self._pc(index + 1)
                 out.append(f"{_I4}r{ins.rd} = {link}")
-            if grain == "trace":
-                out.append(f"{_I4}yield {self._record(index, ins)}")
-            out.append(f"{_I4}{ctr} += 1")
-            if grain == "memrefs":
-                out.extend(_I4 + line for line in self._ifetch(index))
+            out.append(f"{_I4}yield {self._record(index, ins)}")
+            out.append(f"{_I4}seq += 1")
             out.append(f"{_I4}bi = {block_of[ins.target]}")
             out.append(f"{_I4}continue")
             return out
         if op == Opcode.HALT:
             out.append(f"{_I4}halted = True")
-            if grain != "run":
-                out.append(f"{_I4}state.halted = True")
-            out.append(f"{_I4}{ctr} += 1")
-            if grain == "trace":
-                record = self._record(index, ins)
-                out.append(f"{_I4}yield {record.replace(ctr, ctr + ' - 1', 1)}")
-            elif grain == "memrefs":
-                out.extend(_I4 + line for line in self._ifetch(index))
+            out.append(f"{_I4}state.halted = True")
+            out.append(f"{_I4}seq += 1")
+            record = self._record(index, ins)
+            out.append(f"{_I4}yield {record.replace('seq', 'seq - 1', 1)}")
             out.append(f"{_I4}return")
             return out
 
-        effect, addr, kind, size = self._exec_lines(index, ins)
+        effect, addr, size = self._exec_lines(index, ins)
         out.extend(_I4 + line for line in effect)
-        if grain == "trace":
-            if kind is not None:
-                record = self._record(index, ins, addr=addr, size=size)
-            else:
-                record = self._record(index, ins)
-            out.append(f"{_I4}yield {record}")
-        out.append(f"{_I4}{ctr} += 1")
-        if grain == "memrefs":
-            out.extend(_I4 + line for line in self._ifetch(index))
-            if kind is not None:
-                out.extend(_I4 + line
-                           for line in self._dataref(index, kind, addr, size))
+        out.append(f"{_I4}yield {self._record(index, ins, addr, size)}")
+        out.append(f"{_I4}seq += 1")
         return out
 
     def _emit_branch(self, index, ins, block_of) -> "list[str]":
-        grain = self.spec.grain
-        ctr = self.counter
         target = ins.target
         out: "list[str]" = []
         if target == index + 1:
             # Degenerate branch to the fall-through path: the interpreter
             # reports taken=False whichever way the condition goes, and
             # the condition itself has no side effects — fold it away.
-            if grain == "trace":
-                record = self._record(index, ins, taken=False)
-                out.append(f"{_I4}yield {record}")
-            out.append(f"{_I4}{ctr} += 1")
-            if grain == "memrefs":
-                out.extend(_I4 + line for line in self._ifetch(index))
+            out.append(f"{_I4}yield {self._record(index, ins, taken=False)}")
+            out.append(f"{_I4}seq += 1")
             return out
         cond = (f"{self._read(ins.rs1)} {_COND_OPS[ins.op]} "
                 f"{self._read(ins.rs2)}")
         out.append(f"{_I4}if {cond}:")
-        if grain == "trace":
-            out.append(f"{_I5}yield {self._record(index, ins, taken=True)}")
-        out.append(f"{_I5}{ctr} += 1")
-        if grain == "memrefs":
-            out.extend(_I5 + line for line in self._ifetch(index))
+        out.append(f"{_I5}yield {self._record(index, ins, taken=True)}")
+        out.append(f"{_I5}seq += 1")
         out.append(f"{_I5}bi = {block_of[target]}")
         out.append(f"{_I5}continue")
-        if grain == "trace":
-            out.append(f"{_I4}yield {self._record(index, ins, taken=False)}")
-        out.append(f"{_I4}{ctr} += 1")
-        if grain == "memrefs":
-            out.extend(_I4 + line for line in self._ifetch(index))
+        out.append(f"{_I4}yield {self._record(index, ins, taken=False)}")
+        out.append(f"{_I4}seq += 1")
         return out
 
     # ------------------------------------------------------------------
@@ -438,7 +395,7 @@ class _Emitter:
             if self._falls_through(self.instrs[end - 1]):
                 body.append(f"{_I4}bi = {block_of[end]}")
         body.append(f"{_I3}if bi == {terminal}:")
-        body.append(f"{_I4}if {self.counter} >= limit:")
+        body.append(f"{_I4}if seq >= limit:")
         body.append(f"{_I5}return")
         body.append(f'{_I4}raise ExecutionError('
                     f'"fell off program at index {self.n}")')
@@ -460,13 +417,11 @@ class _Emitter:
         return sorted(read | written), sorted(written)
 
     def _header(self) -> "list[str]":
-        spec = self.spec
         name = self.program.name or "<anonymous>"
         lines = [
             '"""Generated by repro.isa.codegen; do not edit.',
             "",
             f"program: {name} ({self.n} instructions)",
-            f"spec: {spec!r}",
             '"""',
         ]
         for key, const in self.srcs_pool.items():
@@ -487,14 +442,7 @@ class _Emitter:
             lines.append(f"{_I1}memory = state.memory")
         if "mget" in uses:
             lines.append(f"{_I1}mget = memory.get")
-        if "D" in uses:
-            lines.append(f"{_I1}D = DynInstr")
-        if "M" in uses:
-            lines.append(f"{_I1}M = MemRef")
-            if self.spec.include_ifetch:
-                lines.append(f"{_I1}IF_ = IFETCH")
-            lines.append(f"{_I1}RD_ = READ")
-            lines.append(f"{_I1}WR_ = WRITE")
+        lines.append(f"{_I1}D = DynInstr")
         if "sgn" in uses:
             lines.append(f"{_I1}sgn = _to_signed")
         if "tdiv" in uses:
@@ -506,7 +454,7 @@ class _Emitter:
         if "stores" in uses:
             lines.append(f"{_I1}stores = 0")
         lines.append(f"{_I1}halted = False")
-        lines.append(f"{_I1}{self.counter} = 0")
+        lines.append(f"{_I1}seq = 0")
         lines.append(f"{_I1}bi = 0")
         lines.append(f"{_I1}try:")
         lines.append(f"{_I2}while True:")
@@ -514,7 +462,7 @@ class _Emitter:
 
     def _epilogue(self) -> "list[str]":
         lines = [f"{_I1}finally:"]
-        lines.append(f"{_I2}state.instructions_executed += {self.counter}")
+        lines.append(f"{_I2}state.instructions_executed += seq")
         if "loads" in self.uses:
             lines.append(f"{_I2}state.loads += loads")
         if "stores" in self.uses:

@@ -446,13 +446,6 @@ class Interpreter:
         return step
 
     # ------------------------------------------------------------------
-    # Core step.  Returns (next_index, mem_kind, address, size) where
-    # mem_kind is None for non-memory instructions.
-    # ------------------------------------------------------------------
-    def _exec_one(self, index: int):
-        return self._code[index]()
-
-    # ------------------------------------------------------------------
     # Public run modes.
     # ------------------------------------------------------------------
     def run(self, limit=None) -> ExecResult:

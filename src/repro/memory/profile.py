@@ -53,7 +53,8 @@ def profile_program(program, page_size: int, limit=None,
                     include_ifetch: bool = True) -> PageProfile:
     """Run ``program`` functionally and collect a page-access profile."""
     profile = PageProfile(page_size)
-    # Interpreted: compiling this grain would cost set-up more than it saves.
+    # Interpreted, like every trace-level study: generated code has
+    # only the timing runs' record stream (docs/simulator.md).
     interp = Interpreter(program)
     for ref in interp.mem_refs(limit=limit, include_ifetch=include_ifetch):
         profile.record(ref.addr, ref.kind == IFETCH)

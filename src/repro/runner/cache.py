@@ -4,10 +4,9 @@ Layout: one pickle per completed point at
 ``<root>/<digest[:2]>/<digest>.pkl``, where the digest is
 :func:`repro.runner.digest.point_digest` over the point, the cache's
 code-version stamp, and the generated-code template stamp
-(:data:`repro.isa.codegen.CODEGEN_VERSION` — so interpreter-run and
-codegen-run points, and results from different codegen templates, key
-disjoint entries even under a pinned ``REPRO_CODE_VERSION``).  Entries
-carry their own digest so a truncated,
+(:data:`repro.isa.codegen.CODEGEN_VERSION` — so results from different
+codegen templates key disjoint entries even under a pinned
+``REPRO_CODE_VERSION``).  Entries carry their own digest so a truncated,
 corrupted, or misfiled pickle is detected on load, deleted, and
 silently recomputed — the cache can only ever cost a recompute, never
 serve a wrong result.

@@ -19,9 +19,11 @@ digest unconditionally.  The computed code-version stamp already hashes
 the emitter's source like any other ``repro`` file, but a pinned
 ``REPRO_CODE_VERSION`` would bypass that — the explicit stamp means
 codegen template changes invalidate cached results even under a pinned
-code version.  The front end itself is not a point input: it is chosen
-from the program (:func:`repro.isa.codegen.make_execution`), and both
-choices are bit-identical.
+code version.  The front end itself is not a point input: a timing
+run's stream comes from generated code or the interpreter by the
+program alone (:func:`repro.isa.codegen.make_trace_source`), the
+trace-level studies always interpret, and both front ends are
+bit-identical.
 """
 
 from __future__ import annotations

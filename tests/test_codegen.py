@@ -1,24 +1,22 @@
 """Program-specialized code generation must be invisible.
 
-:mod:`repro.isa.codegen` compiles a (program, config) pair into a flat
-generated stepper.  These tests pin down the contract: the generated
-source is a pure function of its inputs (deterministic, memoized), every
-run mode is bit-identical to the interpreter — records, architectural
-state, error messages, limit semantics — for every bundled workload, and
-the fallback/selection rules behave exactly as documented.  The runner's
-digests must also see the generated-code template version.
+:mod:`repro.isa.codegen` compiles a program into a flat generated trace
+stepper.  These tests pin down the contract: the generated source is a
+pure function of the program (deterministic, memoized), its record
+stream is bit-identical to the interpreter's — records, architectural
+state, error messages, limit semantics — for every bundled workload,
+the fallback/selection rules behave exactly as documented, and only
+the timing runs compile a module.  The runner's digests must also see
+the generated-code template version.
 """
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, UnsupportedProgramError
 from repro.isa.builder import ProgramBuilder
-from repro.isa.codegen import (CODEGEN_VERSION, CodegenSpec,
-                               CompiledExecution, UnsupportedProgramError,
-                               clear_codegen_cache, compile_program,
-                               emit_source, make_execution,
-                               make_trace_source, program_digest,
-                               supports)
+from repro.isa.codegen import (CODEGEN_VERSION, CompiledExecution,
+                               compile_program, emit_source,
+                               make_trace_source, program_digest, supports)
 from repro.isa.codegen import engine as codegen_engine
 from repro.isa.interpreter import Interpreter
 from repro.isa.trace import annotate
@@ -45,34 +43,23 @@ def _state(execution):
 
 
 # ----------------------------------------------------------------------
-# Source generation: deterministic, spec-sensitive, memoized.
+# Source generation: deterministic, memoized.
 # ----------------------------------------------------------------------
 def test_source_is_deterministic():
     program = build_program("compress")
-    spec = CodegenSpec()
-    assert emit_source(program, spec) == emit_source(program, spec)
+    assert emit_source(program) == emit_source(program)
 
 
-def test_source_varies_with_spec():
-    program = build_program("compress")
-    trace_src = emit_source(program, CodegenSpec(grain="trace"))
-    run_src = emit_source(program, CodegenSpec(grain="run"))
-    ref_src = emit_source(program, CodegenSpec(grain="memrefs"))
-    data_src = emit_source(program, CodegenSpec(grain="memrefs",
-                                                include_ifetch=False))
-    assert len({trace_src, run_src, ref_src, data_src}) == 4
-
-
-def test_compile_is_memoized_per_program_and_spec():
+def test_compile_is_memoized_per_program(monkeypatch):
+    monkeypatch.setattr(codegen_engine, "_COMPILED_CACHE", {})
     program = build_program("mgrid")
-    spec = CodegenSpec(grain="run")
-    first = compile_program(program, spec)
-    assert compile_program(program, spec) is first
-    # A different spec is a different module ...
-    assert compile_program(program, CodegenSpec(grain="trace")) is not first
-    # ... and clearing the cache recompiles to identical source.
-    clear_codegen_cache()
-    recompiled = compile_program(program, spec)
+    first = compile_program(program)
+    assert compile_program(program) is first
+    # A different program is a different module ...
+    assert compile_program(build_program("compress")) is not first
+    # ... and an empty cache recompiles to identical source.
+    monkeypatch.setattr(codegen_engine, "_COMPILED_CACHE", {})
+    recompiled = compile_program(program)
     assert recompiled is not first
     assert recompiled.source == first.source
 
@@ -94,26 +81,6 @@ def test_trace_parity(workload):
     assert (_records(compiled.trace(limit=LIMIT))
             == _records(reference.trace(limit=LIMIT)))
     assert _state(compiled) == _state(reference)
-
-
-@pytest.mark.parametrize("workload", ALL_WORKLOADS)
-def test_run_parity(workload):
-    program = build_program(workload)
-    reference = Interpreter(program)
-    compiled = CompiledExecution(program)
-    assert compiled.run(limit=LIMIT) == reference.run(limit=LIMIT)
-    assert _state(compiled) == _state(reference)
-
-
-@pytest.mark.parametrize("include_ifetch", [True, False])
-@pytest.mark.parametrize("workload", ["compress", "mgrid", "fpppp"])
-def test_memrefs_parity(workload, include_ifetch):
-    program = build_program(workload)
-    reference = list(Interpreter(program).mem_refs(
-        limit=LIMIT, include_ifetch=include_ifetch))
-    compiled = list(CompiledExecution(program).mem_refs(
-        limit=LIMIT, include_ifetch=include_ifetch))
-    assert compiled == reference  # MemRef is a plain namedtuple
 
 
 @pytest.mark.parametrize("limit", [0, 1, 7, None])
@@ -152,14 +119,20 @@ def _erroring(kind: str):
     return b.build()
 
 
+def _drain_error(execution) -> str:
+    """The message of the ``ExecutionError`` that ends ``execution``'s
+    record stream."""
+    with pytest.raises(ExecutionError) as error:
+        for _ in execution.trace():
+            pass
+    return str(error.value)
+
+
 @pytest.mark.parametrize("kind", ["div", "rem", "fdiv", "load", "store"])
 def test_error_parity(kind):
     program = _erroring(kind)
-    with pytest.raises(ExecutionError) as reference:
-        Interpreter(program).run()
-    with pytest.raises(ExecutionError) as compiled:
-        CompiledExecution(program).run()
-    assert str(compiled.value) == str(reference.value)
+    assert (_drain_error(CompiledExecution(program))
+            == _drain_error(Interpreter(program)))
 
 
 def test_fell_off_program_parity():
@@ -170,11 +143,8 @@ def test_fell_off_program_parity():
     b.label(past)
     b.li("r1", 1)
     program = b.build()
-    with pytest.raises(ExecutionError) as reference:
-        Interpreter(program).run()
-    with pytest.raises(ExecutionError) as compiled:
-        CompiledExecution(program).run()
-    assert str(compiled.value) == str(reference.value)
+    assert (_drain_error(CompiledExecution(program))
+            == _drain_error(Interpreter(program)))
 
 
 # ----------------------------------------------------------------------
@@ -195,15 +165,24 @@ def test_supports_rejects_indirect_jumps():
     assert supports(build_program("compress"))
 
 
-def test_make_execution_picks_front_end(monkeypatch):
+def test_make_trace_source_picks_front_end(monkeypatch):
+    """Generated code when ``supports`` accepts the program, the
+    interpreter otherwise: only the former compiles a module."""
+    compiled = {}
+    monkeypatch.setattr(codegen_engine, "_COMPILED_CACHE", compiled)
     ok = build_program("compress")
-    assert isinstance(make_execution(ok), CompiledExecution)
-    assert isinstance(make_execution(_jr_program()), Interpreter)
+    assert len(list(make_trace_source(ok, limit=50))) == 50
+    assert list(compiled) == [program_digest(ok)]
+    jr = _jr_program()
+    assert len(list(make_trace_source(jr, limit=50))) == 50
+    assert len(compiled) == 1
     with pytest.raises(UnsupportedProgramError):
-        CompiledExecution(_jr_program())
+        CompiledExecution(jr).trace()
     # How tests force an interpreter-fed run.
     monkeypatch.setattr(codegen_engine, "supports", lambda program: False)
-    assert isinstance(make_execution(ok), Interpreter)
+    assert len(list(make_trace_source(build_program("mgrid"),
+                                      limit=50))) == 50
+    assert len(compiled) == 1
 
 
 def test_trace_source_is_drop_in():
@@ -240,6 +219,26 @@ def test_every_timing_model_runs_on_generated_code(monkeypatch):
     monkeypatch.setattr(codegen_engine, "supports", lambda program: False)
     assert row() == generated
     assert calls == []
+
+
+def test_only_timing_runs_compile(monkeypatch):
+    """Generated code has one grain, the timing runs' record stream:
+    Tables 1 and 2 (and the replication profile Table 2 plans with)
+    interpret and build no module, and a Figure 7 row builds exactly
+    one, shared by its five points."""
+    from repro.experiments.figure7 import run_benchmark
+    from repro.experiments.table1 import run_table1
+    from repro.experiments.table2 import run_table2
+    from repro.runner import SweepRunner
+
+    compiled = {}
+    monkeypatch.setattr(codegen_engine, "_COMPILED_CACHE", compiled)
+    kernels = ["compress", "fpppp"]
+    run_table1(kernels, limit=2000, runner=SweepRunner(jobs=1))
+    run_table2(kernels, limit=2000, runner=SweepRunner(jobs=1))
+    assert compiled == {}
+    run_benchmark("compress", limit=2000, runner=SweepRunner(jobs=1))
+    assert len(compiled) == 1
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ GOLDEN = {
     "resilience":
         "36a52048a71874250f78ae73786d4da1ec9a9ad4c41a3245bf54ffd4565f2e48",
     "scaling":
-        "692b7345c3dbe160f660ecbaf75a38be586170c25b472f11d652d7a9e9c304d8",
+        "913549f32bb1f226445c5af06729d0fd9691dbd3d404795507a3bd4910197edb",
     "table1":
         "c8b5091dceb4c297dce1553c741d0134c5edfe2ad61e95bfb8c85d787ff4cfeb",
     "table2":
