@@ -28,7 +28,6 @@ TABLE1_CACHE = CacheConfig(
     size_bytes=64 * 1024,
     assoc=2,
     line_size=32,
-    write_policy="writeback",
     write_allocate=True,
 )
 

@@ -23,10 +23,6 @@ class BroadcastStats:
         self.late = 0
         self.payload_bytes = 0
 
-    @property
-    def late_fraction(self) -> float:
-        return self.late / self.sent if self.sent else 0.0
-
 
 class Broadcaster:
     """One node's transmit side."""

@@ -129,11 +129,8 @@ class DataScalarNode(MemoryInterface):
         if pte.replicated or pte.owner == self.node_id:
             self.local_loads += 1
             done = self.local_mem.access(now + hit_latency, line)
-            if not pte.replicated and not self.config.commit_time_broadcasts:
+            if not pte.replicated:
                 # Owner of a communicated line: eager ESP broadcast.
-                # (With commit_time_broadcasts the send is deferred to
-                # commit — the conservative speculative-broadcast mode —
-                # and happens via the canonical-miss settlement path.)
                 self.broadcaster.broadcast(done, line, late=False)
                 self.tracker.note_broadcast_sent(line)
             handle.complete(done)

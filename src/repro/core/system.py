@@ -146,9 +146,8 @@ class DataScalarSystem:
         simulated cycle (see :class:`repro.analysis.timeline`);
         ``tracer`` (a :class:`repro.obs.Tracer`) receives structured
         events from every subsystem — tracing is purely observational,
-        so results are bit-identical with it on or off, fast-forward
-        included (the tracer's own ``next_event`` bound is folded into
-        :func:`drive` exactly like the fault layer's).
+        so results are bit-identical with it on or off, and a traced run
+        ticks and skips exactly the cycles of the untraced one.
 
         Every node consumes the same record stream (:meth:`_make_traces`)
         and must commit the same number of instructions.
@@ -215,8 +214,7 @@ class DataScalarSystem:
 
         # Fault mode adds the BSHR wait tripwire before every simulated
         # cycle and folds the medium's recovery timers into the skip
-        # bound; a sampling tracer folds in its sample cycles the same
-        # way.  Skipped and ticked idle cycles are observationally
+        # bound.  Skipped and ticked idle cycles are observationally
         # identical, so neither changes a reported number.
         external = before_tick = None
         if config.faults is not None:
@@ -224,9 +222,6 @@ class DataScalarSystem:
                 node.bshr.arm_timeout(config.faults.wait_deadline)
             external = self._fault_event_fn(nodes, medium)
             before_tick = self._timeout_check(nodes)
-        if tracer is not None:
-            external = self._chain_events(
-                external, getattr(tracer, "next_event", None))
         after_round = None
         if observer is not None:
             def after_round(cycle):
@@ -242,27 +237,6 @@ class DataScalarSystem:
         with spans.span("analysis"):
             return self._collect(cycles, pipelines, nodes, medium,
                                  page_table, layout_summary)
-
-    @staticmethod
-    def _chain_events(first, second):
-        """Combine two optional ``f(now) -> cycle | None`` event bounds
-        into their minimum (for folding a tracer's ``next_event`` into
-        the skip bound alongside the fault layer's)."""
-        if second is None:
-            return first
-        if first is None:
-            return second
-
-        def chained(now):
-            a = first(now)
-            b = second(now)
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return min(a, b)
-
-        return chained
 
     @staticmethod
     def _fault_event_fn(nodes, medium):

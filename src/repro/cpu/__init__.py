@@ -1,12 +1,6 @@
-"""The out-of-order core: RUU, LSQ, functional units, pipeline,
-branch-predictor substrate, and the memory-system interface."""
+"""The out-of-order core: RUU, LSQ, functional units, pipeline, and the
+memory-system interface."""
 
-from .branch import (
-    BimodalPredictor,
-    BranchPredictor,
-    GSharePredictor,
-    StaticTakenPredictor,
-)
 from .func_units import FUPool
 from .interface import LoadHandle, MemoryInterface
 from .lsq import LSQ
@@ -14,10 +8,6 @@ from .pipeline import Pipeline, PipelineStats
 from .ruu import RUU, RUUEntry
 
 __all__ = [
-    "BimodalPredictor",
-    "BranchPredictor",
-    "GSharePredictor",
-    "StaticTakenPredictor",
     "FUPool",
     "LoadHandle",
     "MemoryInterface",

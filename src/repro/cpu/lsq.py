@@ -8,11 +8,11 @@ stores to the same address that are ahead in the queue."
 
 The queue's memory instructions are the RUU window's, so it keeps no
 entries of its own: :func:`repro.isa.annotate` names each load's
-forwarding store, found in the RUU ring (:mod:`repro.cpu.ruu`), which
-the conservative-disambiguation check also walks.  What is left are two
-counts that :meth:`repro.cpu.pipeline.Pipeline.tick` keeps: occupancy,
-for the fetch stage's capacity gate, and unissued stores, which let the
-conservative check skip its walk in the common all-issued state.
+forwarding store, found in the RUU ring (:mod:`repro.cpu.ruu`).  A load
+waits only for an unissued store to the same address; it bypasses
+every other earlier store.  What is left is an occupancy counter that
+:meth:`repro.cpu.pipeline.Pipeline.tick` keeps for the fetch stage's
+capacity gate, and a count of forwarded loads.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from __future__ import annotations
 class LSQ:
     """Counts of the window's memory instructions."""
 
-    __slots__ = ("capacity", "occupancy", "unissued_stores", "forwards")
+    __slots__ = ("capacity", "occupancy", "forwards")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         #: Memory instructions in the window: dispatch counts one in,
         #: commit counts it out.
         self.occupancy = 0
-        #: Stores in the window that have not claimed an issue slot:
-        #: dispatch counts one in, the issue stage counts it out.
-        self.unissued_stores = 0
         #: Loads serviced by an in-queue store.
         self.forwards = 0
 

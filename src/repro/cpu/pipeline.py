@@ -44,7 +44,13 @@ DEADLOCK_CYCLES = 1_000_000
 
 
 class PipelineStats:
-    """Counters published by one core."""
+    """Counters published by one core.
+
+    ``branches`` and ``mispredicts`` are always 0: branch prediction is
+    perfect (paper Section 4.2).  They stay slots because
+    ``result_fingerprint`` hashes every slot, so removing them would move
+    every recorded result digest.
+    """
 
     __slots__ = ("committed", "loads", "stores", "cycles", "fetch_stalls",
                  "window_stalls", "lsq_stalls", "branches", "mispredicts")
@@ -59,10 +65,6 @@ class PipelineStats:
         self.lsq_stalls = 0
         self.branches = 0
         self.mispredicts = 0
-
-    @property
-    def misprediction_rate(self) -> float:
-        return self.mispredicts / self.branches if self.branches else 0.0
 
     @property
     def ipc(self) -> float:
@@ -97,8 +99,6 @@ class Pipeline:
         self._commit_width = config.commit_width
         self._issue_width = config.issue_width
         self._fetch_width = config.fetch_width
-        self._mispredict_penalty = config.misprediction_penalty
-        self._oracle = config.oracle_disambiguation
         # Pre-bound memory-system methods (the binding is per-call
         # otherwise, and commit hits one once per memory instruction).
         self._commit_mem = mem.commit_mem
@@ -112,8 +112,6 @@ class Pipeline:
         #: (see :meth:`next_event`).
         self._retry_waiting = False
         self._last_commit_cycle = 0
-        self._predictor = self._build_predictor(config.branch_predictor)
-        self._redirect_after = None  # branch entry fetch is waiting on
         self.done = False
         #: Observability hook (``None`` = untraced: zero overhead).
         self._tracer = None
@@ -126,23 +124,6 @@ class Pipeline:
         reported statistic changes, with fast-forward on or off."""
         self._tracer = tracer
         self._trace_node = node_id
-
-    @staticmethod
-    def _build_predictor(kind: str):
-        if kind == "perfect":
-            return None
-        from .branch import (
-            BimodalPredictor,
-            GSharePredictor,
-            StaticTakenPredictor,
-        )
-        if kind == "static":
-            return StaticTakenPredictor()
-        if kind == "bimodal":
-            return BimodalPredictor()
-        if kind == "gshare":
-            return GSharePredictor()
-        raise SimulationError(f"unknown branch predictor {kind!r}")
 
     # ------------------------------------------------------------------
     # One simulated cycle — the flat fast path.
@@ -247,7 +228,6 @@ class Pipeline:
                     entry.issued = True
                     entry.issued_at = now
                     if op_class == _STORE:
-                        lsq.unissued_stores -= 1
                         when = nxt
                     else:
                         when = now + latencies[op_class]
@@ -268,92 +248,63 @@ class Pipeline:
             self._retry_waiting = issued > 0 or not aged
 
         # ---- fetch/dispatch stage (perfect branch prediction) ----
-        redirect = self._redirect_after
-        fetch_open = True
-        if redirect is not None:
-            # A mispredicted branch owns fetch until it resolves.
-            resolve_time = redirect.result_time
-            if resolve_time is None or resolve_time > now:
+        if self._trace_done or now < self._fetch_ready:
+            if not self._trace_done:
                 stats.fetch_stalls += 1
                 if tracer is not None:
-                    self._trace_stall(now, "redirect")
-                fetch_open = False
-            else:
-                ready = resolve_time + self._mispredict_penalty
-                if ready > self._fetch_ready:
-                    self._fetch_ready = ready
-                self._redirect_after = None
-        if fetch_open:
-            if self._trace_done or now < self._fetch_ready:
-                if not self._trace_done:
-                    stats.fetch_stalls += 1
+                    self._trace_stall(now, "fetch")
+        else:
+            buffer = self._fetch_buffer
+            trace_next = self._trace_next
+            trace_queue = self._trace_queue
+            dispatch = ruu.dispatch
+            window_cap = ruu.capacity
+            lsq_used = lsq.occupancy
+            lsq_cap = lsq.capacity
+            imiss_record = self._imiss_record
+            for _ in range(self._fetch_width):
+                dyn = buffer
+                if dyn is None:
+                    if trace_queue:
+                        dyn = trace_queue.popleft()
+                    else:
+                        try:
+                            dyn = trace_next()
+                        except StopIteration:
+                            self._trace_done = True
+                            break
+                    buffer = dyn
+                if len(window) >= window_cap:
+                    stats.window_stalls += 1
                     if tracer is not None:
-                        self._trace_stall(now, "fetch")
-            else:
-                buffer = self._fetch_buffer
-                trace_next = self._trace_next
-                trace_queue = self._trace_queue
-                dispatch = ruu.dispatch
-                window_cap = ruu.capacity
-                lsq_used = lsq.occupancy
-                lsq_cap = lsq.capacity
-                imiss_record = self._imiss_record
-                predictor = self._predictor
-                for _ in range(self._fetch_width):
-                    dyn = buffer
-                    if dyn is None:
-                        if trace_queue:
-                            dyn = trace_queue.popleft()
-                        else:
-                            try:
-                                dyn = trace_next()
-                            except StopIteration:
-                                self._trace_done = True
-                                break
-                        buffer = dyn
-                    if len(window) >= window_cap:
-                        stats.window_stalls += 1
-                        if tracer is not None:
-                            self._trace_stall(now, "window")
+                        self._trace_stall(now, "window")
+                    break
+                op_class = dyn.op_class
+                is_mem = op_class == _LOAD or op_class == _STORE
+                if is_mem and lsq_used >= lsq_cap:
+                    if lsq_used > lsq_cap:
+                        raise SimulationError(
+                            f"LSQ overflow: {lsq_used} entries in "
+                            f"{lsq_cap} — check dispatch gating")
+                    stats.lsq_stalls += 1
+                    if tracer is not None:
+                        self._trace_stall(now, "lsq")
+                    break
+                line = dyn.imiss_line
+                if line is not None and dyn is not imiss_record:
+                    imiss_record = dyn
+                    ready = self._ifetch_miss(now, line)
+                    if ready > now:
+                        # Miss: the rest of this fetch group waits.
+                        self._fetch_ready = ready
                         break
-                    op_class = dyn.op_class
-                    is_mem = op_class == _LOAD or op_class == _STORE
-                    if is_mem and lsq_used >= lsq_cap:
-                        if lsq_used > lsq_cap:
-                            raise SimulationError(
-                                f"LSQ overflow: {lsq_used} entries in "
-                                f"{lsq_cap} — check dispatch gating")
-                        stats.lsq_stalls += 1
-                        if tracer is not None:
-                            self._trace_stall(now, "lsq")
-                        break
-                    line = dyn.imiss_line
-                    if line is not None and dyn is not imiss_record:
-                        imiss_record = dyn
-                        ready = self._ifetch_miss(now, line)
-                        if ready > now:
-                            # Miss: the rest of this fetch group waits.
-                            self._fetch_ready = ready
-                            break
-                    buffer = None
-                    entry = dispatch(dyn, nxt)
-                    if is_mem:
-                        lsq_used += 1
-                        if op_class == _STORE:
-                            lsq.unissued_stores += 1
-                    if predictor is not None and dyn.is_cond_branch:
-                        stats.branches += 1
-                        predicted = predictor.predict(dyn.pc)
-                        predictor.train(dyn.pc, dyn.taken)
-                        if predicted != dyn.taken:
-                            # Wrong path until this branch resolves:
-                            # stop fetch.
-                            stats.mispredicts += 1
-                            self._redirect_after = entry
-                            break
-                lsq.occupancy = lsq_used
-                self._imiss_record = imiss_record
-                self._fetch_buffer = buffer
+                buffer = None
+                dispatch(dyn, nxt)
+                if is_mem:
+                    lsq_used += 1
+            lsq.occupancy = lsq_used
+            self._imiss_record = imiss_record
+            self._fetch_buffer = buffer
 
         if self._trace_done and not window:
             if self.mem.drain(now):
@@ -370,7 +321,8 @@ class Pipeline:
     # ------------------------------------------------------------------
     def _issue_load(self, entry, now: int) -> bool:
         """Issue the load ``entry`` at ``now``; False when it must wait
-        for an earlier store (the caller keeps it waiting)."""
+        for an earlier store to the same address (the caller keeps it
+        waiting)."""
         ruu = self.ruu
         dyn = entry.dyn
         store = None
@@ -381,11 +333,6 @@ class Pipeline:
             if not store.issued:
                 # May not bypass an unissued same-address store.
                 return False
-        if (not self._oracle and self.lsq.unissued_stores
-                and ruu.unissued_store_before(entry.seq)):
-            # Conservative disambiguation: wait for every earlier store
-            # address to resolve before going to memory.
-            return False
         if store is not None:
             self.lsq.forwards += 1
             entry.issued = True
@@ -461,8 +408,8 @@ class Pipeline:
         pass issued something or took entries out of age order.  A
         pass in age order that issued nothing held only loads (a
         non-load whose class has a free slot always issues), each
-        blocked by an unissued store or left without a LOAD slot by
-        blocked older loads.  Every later pass over the same list
+        blocked by an unissued same-address store or left without a
+        LOAD slot by blocked older loads.  Every later pass over the same list
         re-fails the same way until a new entry comes due, and
         everything that brings one is bounded here anyway: the heap
         top, pending loads, fetch, and deliveries (which zero the
@@ -515,14 +462,7 @@ class Pipeline:
                 return nxt
             if when < bound:
                 bound = when
-        if self._redirect_after is not None:
-            when = self._redirect_after.result_time
-            if when is not None:
-                if when <= nxt:
-                    return nxt
-                if when < bound:
-                    bound = when
-        elif not self._trace_done:
+        if not self._trace_done:
             if nxt < self._fetch_ready:
                 if self._fetch_ready < bound:
                     bound = self._fetch_ready
@@ -543,17 +483,12 @@ class Pipeline:
         this pipeline (``stop`` is at most :meth:`next_event`), so each
         skipped tick would have incremented exactly the stall counter
         its frozen fetch state selects — mirroring the fetch stage's
-        branch order in :meth:`tick`: redirect, fetch-ready, window, LSQ.
+        branch order in :meth:`tick`: fetch-ready, window, LSQ.
         """
         cycles = stop - start
         if cycles <= 0 or self.done:
             return
         stats = self.stats
-        if self._redirect_after is not None:
-            stats.fetch_stalls += cycles
-            if self._tracer is not None:
-                self._trace_stall(start, "redirect", cycles)
-            return
         if self._trace_done:
             return
         if start < self._fetch_ready:

@@ -27,9 +27,6 @@ from operator import attrgetter
 
 from ..isa.opcodes import OpClass
 
-_STORE = int(OpClass.STORE)
-
-
 _entry_seq = attrgetter("seq")
 
 
@@ -137,14 +134,6 @@ class RUU:
         if unresolved == 0:
             heappush(self._ready_heap, (operand_time, seq, entry))
         return entry
-
-    def unissued_store_before(self, seq: int) -> bool:
-        """True when an in-flight store older than ``seq`` has not issued
-        (the conservative-disambiguation stall condition)."""
-        ring, mask = self.ring, self.mask
-        older = (ring[s & mask] for s in range(self.window[0].seq, seq))
-        return any(entry.op_class == _STORE and not entry.issued
-                   for entry in older)
 
     def resolve(self, entry: RUUEntry, result_time: int) -> None:
         """Set ``entry``'s result time and wake its dependents."""

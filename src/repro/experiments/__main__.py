@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "$REPRO_CACHE_DIR or ~/.cache/repro-sweeps)")
     parser.add_argument("--csv", default=None,
                         help="also write result rows to this CSV file "
-                             "(row-producing experiments only)")
+                             "(one row-producing experiment only)")
     parser.add_argument("--profile", default=None, metavar="PATH",
                         help="run under cProfile and dump pstats data "
                              "to PATH (inspect with python -m pstats)")
@@ -152,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run_one(name: str, limit, csv_path=None, fault_seed: int = 11,
             drop_prob=None, trace_out=None, metrics_out=None) -> str:
     runner, formatter, exportable = EXPERIMENTS[name]
+    if csv_path and not exportable:
+        raise SystemExit(f"{name} does not produce exportable rows")
     if name == "resilience":
         probs = DROP_PROBS if drop_prob is None else (0.0, drop_prob)
         result = run_resilience(limit=limit or 2500, seeds=(fault_seed,),
@@ -162,8 +164,6 @@ def run_one(name: str, limit, csv_path=None, fault_seed: int = 11,
     else:
         result = runner(limit)
     if csv_path:
-        if not exportable:
-            raise SystemExit(f"{name} does not produce exportable rows")
         write_csv(csv_path, result)
     return formatter(result)
 
@@ -210,12 +210,16 @@ def _write_reports(args, sweep_runner, status: str = "complete") -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
     run_all = args.experiment == "all"
+    if args.csv and (run_all or not EXPERIMENTS[args.experiment][2]):
+        parser.error(f"--csv needs one row-producing experiment; "
+                     f"{args.experiment} is not one")
     names = sorted(EXPERIMENTS) if run_all else [args.experiment]
     profiler = None
     if args.profile:
@@ -233,8 +237,7 @@ def main(argv=None) -> int:
     try:
         for name in names:
             try:
-                print(run_one(name, args.limit,
-                              args.csv if len(names) == 1 else None,
+                print(run_one(name, args.limit, args.csv,
                               fault_seed=args.fault_seed,
                               drop_prob=args.drop_prob,
                               trace_out=args.trace_out,

@@ -39,7 +39,6 @@ def timing_cpu_config(ruu_entries: int = 256) -> CPUConfig:
         commit_width=8,
         ruu_entries=ruu_entries,
         lsq_entries=max(1, ruu_entries // 2),
-        clock_ghz=1.0,
     )
 
 
@@ -57,8 +56,7 @@ def timing_node_config(
         icache=CacheConfig(size_bytes=icache_bytes, assoc=1,
                            line_size=line_size),
         dcache=CacheConfig(size_bytes=dcache_bytes, assoc=1,
-                           line_size=line_size,
-                           write_policy="writeback", write_allocate=False),
+                           line_size=line_size, write_allocate=False),
         # Off-chip banks share the on-chip access time: the penalty for
         # off-chip memory is the bus crossing, which is what the paper's
         # sensitivity analysis holds apart from bank time.

@@ -20,7 +20,7 @@ from ..workloads import TABLE_BENCHMARKS
 #: swallow them whole; 8KB two-way keeps the paper's cache/working-set
 #: ratio).
 SCALED_CACHE = CacheConfig(size_bytes=8 * 1024, assoc=2, line_size=32,
-                           write_policy="writeback", write_allocate=True)
+                           write_allocate=True)
 
 
 @dataclass

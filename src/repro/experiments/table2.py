@@ -28,7 +28,6 @@ from ..workloads import TABLE_BENCHMARKS, build_program
 #: loop bodies still generate an instruction miss stream to measure.
 MEASUREMENT_ICACHE = CacheConfig(size_bytes=1024, assoc=2, line_size=32)
 MEASUREMENT_DCACHE = CacheConfig(size_bytes=4 * 1024, assoc=2, line_size=32,
-                                 write_policy="writeback",
                                  write_allocate=True)
 
 

@@ -119,26 +119,6 @@ class ProgramBuilder:
                 self.init_word(base + 4 * offset, value)
         return base
 
-    def alloc_global_doubles(self, name: str, count: int, init=None) -> int:
-        """Allocate ``count`` doubles in the global segment."""
-        base = self.alloc_global(name, count * 8, align=8)
-        if init is not None:
-            for offset, value in enumerate(init):
-                if offset >= count:
-                    raise AssemblyError(f"initializer for {name!r} too long")
-                self.init_double(base + 8 * offset, value)
-        return base
-
-    def alloc_heap_words(self, name: str, count: int, init=None) -> int:
-        """Allocate ``count`` words in the heap segment."""
-        base = self.alloc_heap(name, count * 4, align=8)
-        if init is not None:
-            for offset, value in enumerate(init):
-                if offset >= count:
-                    raise AssemblyError(f"initializer for {name!r} too long")
-                self.init_word(base + 4 * offset, value)
-        return base
-
     # ------------------------------------------------------------------
     # Labels and raw emission.
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ with its generated ``ss.def`` dispatch, applied at the source level:
 * operand fields, immediates, shift amounts, access sizes, alignment
   masks, load defaults, link addresses, and every static
   :class:`~repro.isa.trace.DynInstr` field (pc, op class, dest, srcs
-  tuple, branch kind) are constant-folded into the source text;
+  tuple) are constant-folded into the source text;
 * the register file lives in local variables of the generated stepper
   (reads of ``r0`` fold to the literal ``0``; dead writes disappear);
 * control transfers assign a block id and ``continue`` into a flat
@@ -74,7 +74,7 @@ _I1 = "    "            # function body
 _I2 = _I1 * 2           # try body
 _I3 = _I1 * 3           # while body (block guards)
 _I4 = _I1 * 4           # block body (one instruction's statements)
-_I5 = _I1 * 5           # nested suite (taken branch path, align check)
+_I5 = _I1 * 5           # nested suite (branch jump, limit return)
 
 
 def _lit(value) -> str:
@@ -140,14 +140,12 @@ class _Emitter:
     def _pc(self, index: int) -> int:
         return TEXT_BASE + index * INSTRUCTION_BYTES
 
-    def _record(self, index, ins, addr="None", size=0, taken=None) -> str:
+    def _record(self, index, ins, addr="None", size=0) -> str:
         """The DynInstr constructor call for one static instruction
         (trailing default arguments omitted)."""
         head = (f"D(seq, {self._pc(index)}, "
                 f"{int(OP_CLASS[ins.op])}, {ins.destination()}, "
                 f"{self._srcs(ins)}")
-        if taken is not None:
-            return f"{head}, None, 0, {taken}, True)"
         if addr != "None" or size:
             return f"{head}, {addr}, {size})"
         return f"{head})"
@@ -354,24 +352,17 @@ class _Emitter:
         return out
 
     def _emit_branch(self, index, ins, block_of) -> "list[str]":
+        """A branch's record is the same whichever way it goes, and its
+        condition has no side effects, so the test follows the yield."""
+        out = [f"{_I4}yield {self._record(index, ins)}", f"{_I4}seq += 1"]
         target = ins.target
-        out: "list[str]" = []
-        if target == index + 1:
-            # Degenerate branch to the fall-through path: the interpreter
-            # reports taken=False whichever way the condition goes, and
-            # the condition itself has no side effects — fold it away.
-            out.append(f"{_I4}yield {self._record(index, ins, taken=False)}")
-            out.append(f"{_I4}seq += 1")
-            return out
-        cond = (f"{self._read(ins.rs1)} {_COND_OPS[ins.op]} "
-                f"{self._read(ins.rs2)}")
-        out.append(f"{_I4}if {cond}:")
-        out.append(f"{_I5}yield {self._record(index, ins, taken=True)}")
-        out.append(f"{_I5}seq += 1")
-        out.append(f"{_I5}bi = {block_of[target]}")
-        out.append(f"{_I5}continue")
-        out.append(f"{_I4}yield {self._record(index, ins, taken=False)}")
-        out.append(f"{_I4}seq += 1")
+        if target != index + 1:
+            # A branch to the fall-through path needs no test.
+            cond = (f"{self._read(ins.rs1)} {_COND_OPS[ins.op]} "
+                    f"{self._read(ins.rs2)}")
+            out.append(f"{_I4}if {cond}:")
+            out.append(f"{_I5}bi = {block_of[target]}")
+            out.append(f"{_I5}continue")
         return out
 
     # ------------------------------------------------------------------

@@ -37,7 +37,7 @@ from ..trace import DynInstr, annotate
 from .emit import emit_source
 
 #: Stamp of the generated-code template format (see module docstring).
-CODEGEN_VERSION = "1"
+CODEGEN_VERSION = "2"
 
 #: Programs with more static instructions than this are left to the
 #: interpreter (compile time and module size grow linearly with program

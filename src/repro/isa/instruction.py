@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .opcodes import OP_CLASS, Opcode
+from .opcodes import OP_CLASS
 from . import registers
 
 
@@ -57,8 +57,3 @@ class Instruction:
         if self.target is not None:
             parts.append(f"->{self.target}")
         return f"<{' '.join(parts)}>"
-
-
-def make_nop() -> Instruction:
-    """Return a fresh NOP instruction."""
-    return Instruction(Opcode.NOP)

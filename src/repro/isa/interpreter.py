@@ -74,10 +74,10 @@ class Interpreter:
         self.memory = dict(program.data_image)
         self._code = self._compile(program)
         #: Per-index static record fields for :meth:`trace`:
-        #: ``(pc, op_class, dest, srcs, is_cond_branch)``.
+        #: ``(pc, op_class, dest, srcs)``.
         self._meta = [
             (TEXT_BASE + i * INSTRUCTION_BYTES, int(OP_CLASS[ins.op]),
-             ins.destination(), ins.sources(), ins.op in CONDITIONAL_BRANCHES)
+             ins.destination(), ins.sources())
             for i, ins in enumerate(program.instructions)
         ]
         self.instructions_executed = 0
@@ -482,21 +482,11 @@ class Interpreter:
         while not self.halted and seq < limit:
             if not 0 <= index < code_len:
                 raise ExecutionError(f"fell off program at index {index}")
-            pc, op_class, dest, srcs, is_cond = meta[index]
-            previous = index
+            pc, op_class, dest, srcs = meta[index]
             index, kind, addr, size = code[index]()
             self.instructions_executed += 1
-            yield DynInstr(
-                seq,
-                pc,
-                op_class,
-                dest,
-                srcs,
-                addr if kind else None,
-                size,
-                taken=is_cond and index != previous + 1,
-                is_cond_branch=is_cond,
-            )
+            yield DynInstr(seq, pc, op_class, dest, srcs,
+                           addr if kind else None, size)
             seq += 1
 
     def mem_refs(self, limit=None, include_ifetch=True):

@@ -27,11 +27,6 @@ _STORE = int(OpClass.STORE)
 class DynInstr:
     """One dynamically-executed instruction.
 
-    ``taken`` is meaningful for conditional branches only: whether the
-    branch left the fall-through path (used by the optional realistic
-    branch-prediction mode; the default perfect-prediction mode never
-    reads it).
-
     ``deps`` and ``fwd`` stay ``None`` until :func:`annotate` sets them,
     so an unannotated record fails at dispatch rather than running
     without its dependences.
@@ -45,11 +40,9 @@ class DynInstr:
     """
 
     __slots__ = ("seq", "pc", "op_class", "dest", "srcs", "addr", "size",
-                 "taken", "is_cond_branch", "deps", "fwd", "imiss_line",
-                 "dcache_result")
+                 "deps", "fwd", "imiss_line", "dcache_result")
 
-    def __init__(self, seq, pc, op_class, dest, srcs, addr=None, size=0,
-                 taken=False, is_cond_branch=False):
+    def __init__(self, seq, pc, op_class, dest, srcs, addr=None, size=0):
         self.seq = seq
         self.pc = pc
         self.op_class = op_class
@@ -57,20 +50,10 @@ class DynInstr:
         self.srcs = srcs
         self.addr = addr
         self.size = size
-        self.taken = taken
-        self.is_cond_branch = is_cond_branch
         self.deps = None
         self.fwd = None
         self.imiss_line = None
         self.dcache_result = None
-
-    @property
-    def is_load(self) -> bool:
-        return self.op_class == OpClass.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.op_class == OpClass.STORE
 
     @property
     def is_mem(self) -> bool:

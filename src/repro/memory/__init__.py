@@ -8,8 +8,6 @@ from .address import (
     STACK_TOP,
     TEXT_BASE,
     Segment,
-    line_base,
-    page_base,
     page_number,
     segment_of,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "STACK_TOP",
     "TEXT_BASE",
     "Segment",
-    "line_base",
-    "page_base",
     "page_number",
     "segment_of",
     "AccessResult",

@@ -49,29 +49,6 @@ def segment_of(address: int) -> Segment:
     raise ValueError(f"address {address:#x} falls outside every segment")
 
 
-def segment_bounds(segment: Segment) -> "tuple[int, int]":
-    """Return the half-open ``[low, high)`` address range of ``segment``."""
-    for candidate, low, high in _SEGMENT_BOUNDS:
-        if candidate is segment:
-            return low, high
-    raise ValueError(f"unknown segment {segment!r}")
-
-
 def page_number(address: int, page_size: int) -> int:
     """Return the page number containing ``address``."""
     return address // page_size
-
-
-def page_base(address: int, page_size: int) -> int:
-    """Return the base address of the page containing ``address``."""
-    return address & ~(page_size - 1)
-
-
-def line_base(address: int, line_size: int) -> int:
-    """Return the base address of the cache line containing ``address``."""
-    return address & ~(line_size - 1)
-
-
-def is_aligned(address: int, size: int) -> bool:
-    """True when ``address`` is naturally aligned for an access of ``size``."""
-    return address % size == 0

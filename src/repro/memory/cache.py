@@ -1,10 +1,10 @@
-"""Set-associative cache model with LRU replacement.
+"""Set-associative write-back cache model with LRU replacement.
 
 The model serves two distinct users:
 
 * trace-level studies (paper Sections 3.1/3.2) call :meth:`Cache.access`,
-  which applies the configured write policy and returns what moved on and
-  off chip; and
+  which applies the configured write-miss policy and returns what moved
+  on and off chip; and
 * the timing models, whose cache state may change only at commit, in
   program order, under DataScalar's cache-correspondence protocol
   (paper Section 4.1).  That makes every node's cache outcomes a pure
@@ -33,8 +33,8 @@ class AccessResult:
     """Outcome of one cache access.
 
     ``filled`` is True when the access allocated a line; ``writeback``
-    carries the line-aligned address of an evicted dirty line (write-back
-    caches only), or ``None``.
+    carries the line-aligned address of an evicted dirty line, or
+    ``None``.
     """
 
     hit: bool
@@ -63,6 +63,7 @@ class CacheStats:
         self.write_hits = 0
         self.write_misses = 0
         self.writebacks = 0
+        #: Write misses that went around the cache (write-noallocate).
         self.writethroughs = 0
 
     @property
@@ -118,7 +119,8 @@ class Cache:
     # Combined canonical access (commit order).
     # ------------------------------------------------------------------
     def commit_access(self, addr: int, is_write: bool) -> AccessResult:
-        """Apply one access in commit order under the configured policies.
+        """Apply one access in commit order: write-back, with the
+        configured write-miss policy.
 
         This is *the* canonical access the correspondence protocol keys
         off: identical call sequences leave identical cache states.
@@ -143,29 +145,23 @@ class Cache:
             ways.append(ways.pop(position))  # refresh LRU -> MRU
             if is_write:
                 stats.write_hits += 1
-                if config.write_policy == "writeback":
-                    entry[1] = True
-                else:
-                    stats.writethroughs += 1
+                entry[1] = True
             else:
                 stats.read_hits += 1
             return _HIT
         if is_write:
             stats.write_misses += 1
             if config.write_allocate:
-                dirty = config.write_policy == "writeback"
                 victim = None
                 if len(ways) >= config.assoc:
                     victim = ways.pop(0)
-                ways.append([line, dirty])
+                ways.append([line, True])
                 filled = True
                 if victim is not None:
                     evicted = victim[0]
                     if victim[1]:
                         writeback = victim[0]
                         stats.writebacks += 1
-                if config.write_policy == "writethrough":
-                    stats.writethroughs += 1
             else:
                 # Write-noallocate miss: the write goes around the cache.
                 stats.writethroughs += 1

@@ -49,10 +49,6 @@ class LayoutSummary:
     communicated_pages: int
     total_pages: int
 
-    @property
-    def replicated_total(self) -> int:
-        return sum(self.replicated_by_segment.values())
-
 
 def _segment_pages(program, spec: LayoutSpec):
     """Yield (segment, page_number) for every page the program can touch."""

@@ -84,9 +84,6 @@ class PageTable:
         entry = self.entry_for(addr)
         return entry.replicated or entry.owner == node
 
-    def mapped_pages(self) -> "list[PTE]":
-        return sorted(self._entries.values(), key=lambda e: e.page)
-
     def counts(self) -> "dict":
         """Summary: replicated pages, plus communicated pages per owner."""
         replicated = sum(1 for e in self._entries.values() if e.replicated)

@@ -45,9 +45,6 @@ class PageProfile:
     def pages_in_segment(self, segment: Segment) -> "list[int]":
         return [p for p in self.counts if self.segment_of_page(p) is segment]
 
-    def total_refs(self) -> int:
-        return self.instruction_refs + self.data_refs
-
 
 def profile_program(program, page_size: int, limit=None,
                     include_ifetch: bool = True) -> PageProfile:

@@ -45,7 +45,7 @@ from .metrics import (
     registry_from_result,
 )
 from .spans import SpanRecord, SpanRecorder, recording, span
-from .tracer import EventTracer, NullTracer, SamplingTracer, Tracer
+from .tracer import EventTracer, Tracer
 
 __all__ = [
     "Counter",
@@ -56,8 +56,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullTracer",
-    "SamplingTracer",
     "Series",
     "SpanRecord",
     "SpanRecorder",

@@ -24,7 +24,7 @@ class EventKind(str, Enum):
     #: One instruction committed (``seq``, ``op``).
     COMMIT = "commit"
     #: Fetch could not make progress for ``cycles`` cycles (``cause`` is
-    #: ``redirect``/``fetch``/``window``/``lsq``).  Dense ticking emits
+    #: ``fetch``/``window``/``lsq``).  Dense ticking emits
     #: one-cycle events; the idle-skip scheduler emits one aggregated
     #: event per skipped range — same totals, coarser grain.
     ISSUE_STALL = "issue-stall"

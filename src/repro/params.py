@@ -1,13 +1,16 @@
 """Configuration dataclasses for every simulated subsystem.
 
-Defaults follow Section 4.2 of the paper: an 8-wide, 1 GHz out-of-order
+Defaults follow Section 4.2 of the paper: an 8-wide out-of-order
 processor with a 256-entry RUU and a load/store queue half that size;
 split 16KB direct-mapped single-cycle L1 caches (write-back,
 write-noallocate data cache); fast on-chip main memory (8 ns banks); and a
 narrow off-chip bus clocked several times slower than the processor.
 
-All latencies are expressed in *processor cycles*; helpers convert from
-nanoseconds at the configured clock.
+The core is the paper's 1 GHz machine, so one processor cycle is one
+nanosecond and every latency here is given in processor cycles.  Its
+branch prediction is perfect and its load/store queue stops a load
+only from bypassing an earlier store to the same address (Section 4.2);
+neither is a parameter.
 """
 
 from __future__ import annotations
@@ -42,19 +45,6 @@ class CPUConfig:
     ruu_entries: int = 256
     #: Load/store queue entries; the paper uses half the RUU size.
     lsq_entries: int = 128
-    clock_ghz: float = 1.0
-    #: True (default): loads bypass earlier stores to other addresses as
-    #: soon as their operands are ready (oracle disambiguation — the
-    #: trace supplies exact addresses).  False: a load waits until every
-    #: earlier store has issued (conservative disambiguation).
-    oracle_disambiguation: bool = True
-    #: Branch handling: ``"perfect"`` (the paper's assumption), or a real
-    #: predictor — ``"static"``, ``"bimodal"``, ``"gshare"`` — whose
-    #: mispredictions stall fetch until the branch resolves plus the
-    #: redirect penalty.
-    branch_predictor: str = "perfect"
-    #: Fetch-redirect penalty after a misprediction resolves.
-    misprediction_penalty: int = 6
     #: Functional-unit latencies in cycles, keyed by operation class name.
     fu_latencies: dict = field(
         default_factory=lambda: {
@@ -92,19 +82,6 @@ class CPUConfig:
             self.lsq_entries <= self.ruu_entries,
             "lsq_entries may not exceed ruu_entries",
         )
-        _require(self.clock_ghz > 0, "clock_ghz must be positive")
-        _require(
-            self.branch_predictor in ("perfect", "static", "bimodal",
-                                      "gshare"),
-            "branch_predictor must be perfect/static/bimodal/gshare",
-        )
-        _require(self.misprediction_penalty >= 0,
-                 "misprediction_penalty must be >= 0")
-
-    def ns_to_cycles(self, nanoseconds: float) -> int:
-        """Convert a latency in nanoseconds to whole processor cycles."""
-        cycles = nanoseconds * self.clock_ghz
-        return max(1, int(round(cycles)))
 
     def scaled(self, ruu_entries: int) -> "CPUConfig":
         """Return a copy with a different window size (LSQ stays RUU/2)."""
@@ -115,16 +92,16 @@ class CPUConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """One level-one cache (paper: 16KB direct-mapped, single cycle)."""
+    """One level-one cache (paper: 16KB direct-mapped, single cycle,
+    write-back)."""
 
     size_bytes: int = 16 * 1024
     assoc: int = 1
     line_size: int = 32
     hit_latency: int = 1
-    #: ``"writeback"`` or ``"writethrough"``.
-    write_policy: str = "writeback"
-    #: ``"allocate"`` or ``"noallocate"`` on write misses.  The paper argues
-    #: write-noallocate is superior under ESP (Section 4.2).
+    #: Allocate a line on a write miss (True), or write around the cache
+    #: (False).  The paper argues write-noallocate is superior under ESP
+    #: (Section 4.2).
     write_allocate: bool = False
 
     def __post_init__(self) -> None:
@@ -139,10 +116,6 @@ class CacheConfig:
             "number of sets must be a power of two",
         )
         _require(self.hit_latency >= 1, "hit_latency must be >= 1")
-        _require(
-            self.write_policy in ("writeback", "writethrough"),
-            "write_policy must be 'writeback' or 'writethrough'",
-        )
 
     @property
     def num_sets(self) -> int:
@@ -301,12 +274,6 @@ class NodeConfig:
     bshr: BSHRConfig = field(default_factory=BSHRConfig)
     #: Cycles a broadcast waits in the outbound queue (paper: two).
     broadcast_queue_latency: int = 2
-    #: Hold every broadcast until the initiating load commits.  This is
-    #: the conservative speculative-broadcast discipline the paper
-    #: sketches ("buffer speculative broadcasts at the network interface
-    #: ... allow them to proceed only when they were determined to be
-    #: correct") — required when running with a real branch predictor.
-    commit_time_broadcasts: bool = False
 
     def __post_init__(self) -> None:
         _require(

@@ -59,14 +59,6 @@ def lcg_step(b: ProgramBuilder, reg: str, tmp: str) -> None:
     b.and_(reg, reg, tmp)
 
 
-def row_base(b: ProgramBuilder, dest: str, array_base: int, row_reg: str,
-             row_bytes: int, tmp: str) -> None:
-    """``dest = array_base + row_reg * row_bytes`` (clobbers ``tmp``)."""
-    b.li(tmp, row_bytes)
-    b.mul(dest, row_reg, tmp)
-    b.addi(dest, dest, array_base)
-
-
 def checksum_slot(b: ProgramBuilder) -> int:
     """Allocate the conventional 8-byte checksum slot."""
     return b.alloc_global("checksum", 8)

@@ -69,7 +69,7 @@ def _rw_program(words=4096):
 
 def test_measure_esp_traffic_counts_misses_and_writebacks():
     cache = CacheConfig(size_bytes=1024, assoc=2, line_size=32,
-                        write_policy="writeback", write_allocate=True)
+                        write_allocate=True)
     report = measure_esp_traffic(_rw_program(), cache_config=cache)
     # Streaming read+write over 16KB with a 1KB cache: every line misses
     # once and is evicted dirty.

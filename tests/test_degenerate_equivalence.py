@@ -44,16 +44,13 @@ def test_degenerate_datascalar_equals_traditional_1_1(workload):
         program, limit=LIMIT)
     expected = _numbers(traditional.cycles, traditional.pipeline)
 
-    for commit_time in (False, True):
-        node = dataclasses.replace(timing_node_config(),
-                                   commit_time_broadcasts=commit_time)
-        for medium in ("bus", "ring", "optical"):
-            config = dataclasses.replace(datascalar_config(1, node=node),
-                                         interconnect=medium)
-            result = DataScalarSystem(config).run(program, limit=LIMIT)
-            (only,) = result.nodes
-            assert _numbers(result.cycles, only.pipeline) == expected, (
-                f"1 node, {medium}, commit_time_broadcasts={commit_time}")
+    for medium in ("bus", "ring", "optical"):
+        config = dataclasses.replace(datascalar_config(1),
+                                     interconnect=medium)
+        result = DataScalarSystem(config).run(program, limit=LIMIT)
+        (only,) = result.nodes
+        assert _numbers(result.cycles, only.pipeline) == expected, (
+            f"1 node, {medium}")
 
     pages = _every_page(program, timing_node_config().memory.page_size)
     for num_nodes in (2, 4, 8):

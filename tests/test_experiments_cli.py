@@ -61,6 +61,41 @@ def test_csv_rejected_for_non_row_experiments(tmp_path):
         run_one("figure1", limit=None, csv_path=str(tmp_path / "x.csv"))
 
 
+@pytest.mark.parametrize("name", ["all", "plot"])
+def test_csv_is_a_usage_error_before_anything_runs(name, tmp_path,
+                                                   monkeypatch, capsys):
+    """``--csv`` takes the rows of one row-producing experiment, so
+    ``all`` and an experiment without rows are refused with exit 2
+    before a runner is built or an experiment runs."""
+    import repro.experiments.__main__ as cli
+    from repro.runner import SweepRunner
+
+    called = []
+
+    def fake(tag):
+        def run(limit):
+            called.append(tag)
+            return []
+        return run
+
+    def build_runner(args):
+        called.append("runner")
+        return SweepRunner(jobs=1)
+
+    monkeypatch.setattr(cli, "EXPERIMENTS", {
+        "rows": (fake("rows"), str, True),
+        "plot": (fake("plot"), str, False),
+    })
+    monkeypatch.setattr(cli, "_build_runner", build_runner)
+    csv_path = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        cli.main([name, "--csv", str(csv_path)])
+    assert info.value.code == 2
+    assert "--csv" in capsys.readouterr().err
+    assert called == []
+    assert not csv_path.exists()
+
+
 def test_run_one_traced_run_roundtrip(tmp_path):
     import json
 

@@ -2,16 +2,17 @@
 
 ``test_experiments_golden.py`` pins every experiment of ``all`` and the
 issue-stage digests in ``test_timing_fastpath.py`` pin wide cores at 2
-and 4 nodes; neither reaches a 1-node machine, conservative
-disambiguation at 4 nodes, a window small enough to wrap the RUU ring
-on every few instructions, the interpreter front end under a fan-out,
-or the hybrid system's private phases.  Each case
+and 4 nodes; neither reaches a 1-node machine, a window small enough
+to wrap the RUU ring on every few instructions, the interpreter front
+end under a fan-out, or the hybrid system's private phases.  Each case
 here runs ``DataScalarSystem.run`` (or ``HybridSystem.run``) at
 :data:`LIMIT` and compares the sha256 of its ``result_fingerprint``
 with a digest recorded before the dependence wiring moved into
 :func:`repro.isa.annotate`.  The ``1node`` digests were re-recorded
 when a node with no peers stopped reading memory for a reparative
-broadcast it never sends.
+broadcast it never sends, and the ``tiny-window`` digests when branch
+prediction stopped being configurable (recorded with the perfect
+predictor on the code that still had the option).
 """
 
 import dataclasses
@@ -36,15 +37,9 @@ def _config(name):
     """The machine of case ``name`` (figure 7's node, default bus)."""
     if name == "1node":
         return datascalar_config(1)
-    if name == "conservative":
-        config = datascalar_config(4)
-        return _with_cpu(config, oracle_disambiguation=False)
-    if name == "gshare":
-        return _with_cpu(datascalar_config(2), branch_predictor="gshare")
     if name == "tiny-window":
         return _with_cpu(datascalar_config(2), ruu_entries=12,
-                         lsq_entries=6, issue_width=2,
-                         branch_predictor="bimodal")
+                         lsq_entries=6, issue_width=2)
     assert name == "interpreter"  # forced in the test via ``supports``
     return datascalar_config(3)
 
@@ -65,42 +60,26 @@ def _digest(result):
 GOLDEN = {
     ("compress", "1node"):
         "49467226c44731cdee40980be1b9f56efd418363dad376eecb21faf1a1481712",
-    ("compress", "conservative"):
-        "7deba08adefd97446c1cdef5d3d6419d298282526c82198d8c2216560bdba1cb",
-    ("compress", "gshare"):
-        "ced41fc32f7c929521ae73a4b4728b5928f92fb93f806271857596ba9c29742b",
     ("compress", "tiny-window"):
-        "1663c5c16069b98ec4c6c94e2edd1c94b2a63b9f5650d4061e06f14f98acb615",
+        "bb9a3ec3b26b79078a3f4766fd44956fcb1145e2557859f41391fd3da8c22d4e",
     ("compress", "interpreter"):
         "77dfce805ca60eacd4b7ea59364ffa5ac065ce7c81e7974c489d19456e4c9d27",
     ("applu", "1node"):
         "5f1d4e8ea2b553f91947baa5afa5ce9c06332455e07f89218976f57cc0b2cc94",
-    ("applu", "conservative"):
-        "ad1c46c8647c7fc812a4a62b41a5afa106025c56a5bd5188711adfbe05ab245e",
-    ("applu", "gshare"):
-        "6bbadcb049de25450b3e8715681992b94625c6fec729af1f53e41ca5b0e2358d",
     ("applu", "tiny-window"):
-        "093edcc47705dce8092bd82b9f99418873a4cb77b952f8cf0296e32e59280f04",
+        "8673e9b97ac3913512827d5ad49a319f975b0b71a67f20bcd15e45a49dbafe8d",
     ("applu", "interpreter"):
         "31bad27e3b66aa02ea1766dc7cf10b8b0953e6a01c021295c6387dfa0f5ba7b0",
     ("go", "1node"):
         "cc612e0b2d7527956a7df506403082348cfe1ebcfe7c3c7d8f90f0ae2dc2a48b",
-    ("go", "conservative"):
-        "64b9e9824ab7e154c7425aaee38071566264ad6ed502c9b73c7518a4c9ebea8b",
-    ("go", "gshare"):
-        "dc6478dd8e55e70fa78c06769333b800d4fe85ba0e4c35c8eba1160d60adeb58",
     ("go", "tiny-window"):
-        "14705343418961573359ce3130f51e0364eebeb2826a33e4eb64af31ab15ac1e",
+        "9b22ac891c812a6562af22cd4f60d92e5378cfc90c7994494704ba2134eafb94",
     ("go", "interpreter"):
         "95222dd316cd447aa8abea527c52b7b70fc23c66b8544b00dfadd9269d663954",
     ("wave5", "1node"):
         "3383901a06a6bd64c134b2068336b6bf82b819a30190e154726af30598a569dd",
-    ("wave5", "conservative"):
-        "43cc62684d20d6385ef1f36560f5edd252df60bea5fc01c9f5d9158c9f962f76",
-    ("wave5", "gshare"):
-        "0b0ce22941da3d2e886ad2322d9f1b81979a3ed9a01dd898f31e6b1231efc7be",
     ("wave5", "tiny-window"):
-        "98a4e1cab706834f7099492f0a485733ed271942797d38e66975f30dea5d7355",
+        "87ac80ca43fc43e93be8d0d6e42ba246d1bd80648bcaba47634c3c49ab234bbc",
     ("wave5", "interpreter"):
         "880ea3f2433fbc1e65c6741d6b35f7a90225bcb73159f1ea4cf2f6a25e37b6e1",
 }

@@ -84,4 +84,3 @@ def test_fanned_trace_matches_per_node_interpreters():
             assert shared.pc == fresh.pc
             assert shared.op_class == fresh.op_class
             assert shared.addr == fresh.addr
-            assert shared.taken == fresh.taken

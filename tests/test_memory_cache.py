@@ -40,7 +40,7 @@ def test_lru_replacement_order():
 
 def test_writeback_of_dirty_victim():
     cfg = CacheConfig(size_bytes=64, assoc=2, line_size=32,
-                      write_policy="writeback", write_allocate=True)
+                      write_allocate=True)
     cache = Cache(cfg)
     cache.commit_access(0x0, is_write=True)  # allocate dirty
     cache.commit_access(0x40, is_write=False)
@@ -51,7 +51,7 @@ def test_writeback_of_dirty_victim():
 
 def test_write_noallocate_miss_bypasses_cache():
     cfg = CacheConfig(size_bytes=1024, assoc=2, line_size=32,
-                      write_policy="writeback", write_allocate=False)
+                      write_allocate=False)
     cache = Cache(cfg)
     result = cache.commit_access(0x100, is_write=True)
     assert not result.hit and not result.filled
@@ -61,21 +61,11 @@ def test_write_noallocate_miss_bypasses_cache():
 
 def test_write_hit_marks_dirty_under_writeback():
     cfg = CacheConfig(size_bytes=1024, assoc=2, line_size=32,
-                      write_policy="writeback", write_allocate=False)
+                      write_allocate=False)
     cache = Cache(cfg)
     cache.commit_access(0x100, is_write=False)
     cache.commit_access(0x104, is_write=True)
     assert cache.line_addr(0x100) in cache.dirty_lines()
-
-
-def test_writethrough_never_creates_dirty_lines():
-    cfg = CacheConfig(size_bytes=1024, assoc=2, line_size=32,
-                      write_policy="writethrough", write_allocate=True)
-    cache = Cache(cfg)
-    cache.commit_access(0x100, is_write=True)
-    cache.commit_access(0x100, is_write=True)
-    assert not cache.dirty_lines()
-    assert cache.stats.writethroughs == 2
 
 
 def test_resident_lines_snapshot():
@@ -103,8 +93,6 @@ def test_config_validation():
         CacheConfig(size_bytes=1000, assoc=3, line_size=32)
     with pytest.raises(ConfigError):
         CacheConfig(size_bytes=100, assoc=1, line_size=32)
-    with pytest.raises(ConfigError):
-        CacheConfig(write_policy="writearound")
     with pytest.raises(ConfigError):
         CacheConfig(hit_latency=0)
 

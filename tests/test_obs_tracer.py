@@ -1,11 +1,8 @@
-"""Tests for the tracer protocol and its implementations."""
-
-import pytest
+"""Tests for the tracer protocol and its implementation."""
 
 from repro.core.system import DataScalarSystem
 from repro.experiments.config import datascalar_config
-from repro.obs import EventKind, EventTracer, NullTracer, SamplingTracer, \
-    Tracer
+from repro.obs import EventKind, EventTracer, Tracer
 from repro.workloads import build_program
 
 
@@ -38,22 +35,7 @@ def test_of_kind_selects_and_preserves_order():
 
 
 def test_implementations_satisfy_protocol():
-    assert isinstance(NullTracer(), Tracer)
     assert isinstance(EventTracer(), Tracer)
-    assert isinstance(SamplingTracer(100), Tracer)
-
-
-def test_sampling_tracer_next_event_is_next_multiple():
-    tracer = SamplingTracer(100)
-    assert tracer.next_event(0) == 100
-    assert tracer.next_event(99) == 100
-    assert tracer.next_event(100) == 200
-    assert tracer.next_event(350) == 400
-
-
-def test_sampling_tracer_rejects_nonpositive_period():
-    with pytest.raises(ValueError):
-        SamplingTracer(0)
 
 
 def test_traced_run_emits_every_core_kind():
@@ -67,24 +49,3 @@ def test_traced_run_emits_every_core_kind():
                  EventKind.DCUB_STAGE, EventKind.DCUB_APPLY,
                  EventKind.CACHE_COMMIT, EventKind.MEDIUM_XFER):
         assert tracer.counts.get(kind, 0) > 0, kind
-
-
-def test_null_tracer_run_matches_untraced():
-    program = build_program("compress")
-    config = datascalar_config(2)
-    plain = DataScalarSystem(config).run(program, limit=1500)
-    nulled = DataScalarSystem(config).run(program, limit=1500,
-                                          tracer=NullTracer())
-    assert nulled.cycles == plain.cycles
-    assert nulled.instructions == plain.instructions
-
-
-def test_sampling_tracer_does_not_change_results():
-    """A scheduled tracer bounds idle-skip without altering outcomes."""
-    program = build_program("compress")
-    config = datascalar_config(2)
-    plain = DataScalarSystem(config).run(program, limit=1500)
-    sampled = DataScalarSystem(config).run(program, limit=1500,
-                                           tracer=SamplingTracer(64))
-    assert sampled.cycles == plain.cycles
-    assert sampled.instructions == plain.instructions

@@ -25,8 +25,6 @@ def test_cpu_defaults_match_paper():
     assert cpu.issue_width == 8
     assert cpu.ruu_entries == 256
     assert cpu.lsq_entries == cpu.ruu_entries // 2
-    assert cpu.clock_ghz == 1.0
-    assert cpu.branch_predictor == "perfect"
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -36,21 +34,10 @@ def test_cpu_defaults_match_paper():
     {"ruu_entries": 0},
     {"lsq_entries": 0},
     {"ruu_entries": 8, "lsq_entries": 16},
-    {"clock_ghz": 0},
-    {"branch_predictor": "psychic"},
-    {"misprediction_penalty": -1},
 ])
 def test_cpu_validation(kwargs):
     with pytest.raises(ConfigError):
         CPUConfig(**kwargs)
-
-
-def test_cpu_ns_to_cycles():
-    cpu = CPUConfig(clock_ghz=1.0)
-    assert cpu.ns_to_cycles(8) == 8
-    assert cpu.ns_to_cycles(0.2) == 1  # floors at one cycle
-    fast = CPUConfig(clock_ghz=2.0)
-    assert fast.ns_to_cycles(8) == 16
 
 
 def test_cpu_scaled_keeps_lsq_ratio():
@@ -80,7 +67,6 @@ def test_cache_num_sets():
     {"size_bytes": 999},
     {"size_bytes": 96, "assoc": 1, "line_size": 32},  # 3 sets: not pow2
     {"hit_latency": 0},
-    {"write_policy": "mystery"},
 ])
 def test_cache_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -162,3 +148,46 @@ def test_bus_transfer_cycles_monotone_in_payload():
         cycles = bus.transfer_cycles(payload)
         assert cycles >= previous
         previous = cycles
+
+
+# ----------------------------------------------------------------------
+# The option surface.
+# ----------------------------------------------------------------------
+def test_option_surface():
+    """Every field of every config dataclass, by name and in order, so
+    that adding or removing an option is a visible edit here."""
+    import repro.params as params
+
+    surface = {
+        name: tuple(f.name for f in dataclasses.fields(cls))
+        for name, cls in vars(params).items()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and cls.__module__ == params.__name__
+    }
+    assert surface == {
+        "CPUConfig": ("fetch_width", "issue_width", "commit_width",
+                      "ruu_entries", "lsq_entries", "fu_latencies",
+                      "fu_counts"),
+        "CacheConfig": ("size_bytes", "assoc", "line_size", "hit_latency",
+                        "write_allocate"),
+        "MemoryConfig": ("onchip_latency", "offchip_latency", "num_banks",
+                         "page_size"),
+        "BusConfig": ("width_bytes", "cycles_per_bus_cycle",
+                      "interface_latency", "arbitration_bus_cycles",
+                      "tag_bytes"),
+        "BSHRConfig": ("entries", "access_latency"),
+        "FaultConfig": ("seed", "drop_prob", "receiver_drop_prob",
+                        "corrupt_prob", "jitter_prob", "max_jitter",
+                        "stall_prob", "stall_cycles", "bshr_timeout",
+                        "retry_backoff", "backoff_factor", "max_retries",
+                        "nack_enabled", "wait_deadline"),
+        "NodeConfig": ("cpu", "icache", "dcache", "memory", "bshr",
+                       "broadcast_queue_latency"),
+        "SystemConfig": ("num_nodes", "node", "bus",
+                         "distribution_block_pages", "replicate_text",
+                         "max_cycles", "fast_forward", "interconnect",
+                         "faults"),
+        "TraditionalConfig": ("node", "bus", "onchip_fraction_denom",
+                              "distribution_block_pages", "replicate_text",
+                              "max_cycles"),
+    }

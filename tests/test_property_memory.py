@@ -11,7 +11,7 @@ from repro.params import CacheConfig
 LINE = 32
 #: Small cache so replacements happen often: 4 sets x 2 ways.
 SMALL = CacheConfig(size_bytes=256, assoc=2, line_size=LINE,
-                    write_policy="writeback", write_allocate=True)
+                    write_allocate=True)
 
 #: Addresses covering 16 distinct lines mapped onto 4 sets.
 addresses = st.integers(min_value=0, max_value=15).map(lambda i: i * LINE)
@@ -35,14 +35,14 @@ class ReferenceCache:
         ways = self._set(line)
         if line in ways:
             ways.move_to_end(line)
-            if is_write and self.config.write_policy == "writeback":
+            if is_write:
                 ways[line] = True
             return
         if is_write and not self.config.write_allocate:
             return
         if len(ways) >= self.config.assoc:
             ways.popitem(last=False)
-        ways[line] = is_write and self.config.write_policy == "writeback"
+        ways[line] = is_write
 
     def resident(self):
         return frozenset(line for ways in self.sets for line in ways)
@@ -80,12 +80,11 @@ def test_cache_correspondence_property(sequence):
 
 #: Small caches of every shape the resident-set contract must hold for.
 cache_configs = st.builds(
-    lambda line, assoc, sets, policy, allocate: CacheConfig(
+    lambda line, assoc, sets, allocate: CacheConfig(
         size_bytes=line * assoc * sets, assoc=assoc, line_size=line,
-        write_policy=policy, write_allocate=allocate),
+        write_allocate=allocate),
     st.sampled_from([8, 16, 32]), st.sampled_from([1, 2, 4]),
-    st.sampled_from([1, 2, 4]),
-    st.sampled_from(["writeback", "writethrough"]), st.booleans())
+    st.sampled_from([1, 2, 4]), st.booleans())
 
 
 @given(cache_configs,

@@ -47,8 +47,8 @@ def test_faults_are_injected_and_recovered(sweep):
     assert sum(p.injected for p in faulty) > 0
     assert all(p.recovered == p.injected for p in faulty)
     # Slowdown is usually >= 1 but not guaranteed: shifted arrival times
-    # can perturb issue scheduling non-monotonically (same anomaly class
-    # as conservative-vs-oracle disambiguation), so only bound it.
+    # can perturb oldest-ready-first issue scheduling
+    # non-monotonically, so only bound it.
     assert all(0.5 < p.slowdown < 10.0 for p in faulty)
 
 

@@ -1,5 +1,5 @@
-"""Tests for technology scenarios, CSV/JSON export, and conservative
-disambiguation."""
+"""Tests for technology scenarios, CSV/JSON export, and store-to-load
+forwarding."""
 
 import json
 
@@ -93,58 +93,9 @@ def test_export_empty():
 
 
 # ----------------------------------------------------------------------
-# Conservative disambiguation.
+# Store-to-load forwarding.
 # ----------------------------------------------------------------------
-def _store_then_independent_loads():
-    b = ProgramBuilder()
-    base = b.alloc_global("buf", 256)
-    b.li("r1", base)
-    b.li("r5", base + 128)
-    # A store whose value depends on a long FDIV chain...
-    b.li("r2", 7)
-    b.cvtif("f1", "r2")
-    for _ in range(6):
-        b.fdiv("f1", "f1", "f1")
-    b.cvtfi("r3", "f1")
-    b.sw("r3", "r1", 0)
-    # ...followed by loads to a different address.
-    for offset in range(0, 64, 4):
-        b.lw("r4", "r5", offset)
-    b.halt()
-    return b.build()
-
-
-class _SpyMemory(PerfectMemory):
-    """Records the cycle each load issued."""
-
-    def __init__(self):
-        super().__init__()
-        self.issue_cycles = []
-
-    def load_issue(self, now, addr, size):
-        self.issue_cycles.append(now)
-        return super().load_issue(now, addr, size)
-
-
-def _run(config):
-    spy = _SpyMemory()
-    pipeline = Pipeline(
-        config, spy,
-        annotate(Interpreter(_store_then_independent_loads()).trace()))
-    stats = pipeline.run(100_000)
-    return stats, spy
-
-
-def test_conservative_disambiguation_delays_independent_loads():
-    """Oracle mode issues the different-address loads immediately;
-    conservative mode holds them until the slow store has issued."""
-    oracle_stats, oracle_spy = _run(CPUConfig(oracle_disambiguation=True))
-    cons_stats, cons_spy = _run(CPUConfig(oracle_disambiguation=False))
-    assert cons_stats.committed == oracle_stats.committed
-    assert min(cons_spy.issue_cycles) > min(oracle_spy.issue_cycles) + 30
-
-
-def test_conservative_still_forwards_same_address():
+def test_load_forwards_from_same_address_store():
     b = ProgramBuilder()
     base = b.alloc_global("x", 8)
     b.li("r1", base)
@@ -157,7 +108,7 @@ def test_conservative_still_forwards_same_address():
         def load_issue(self, now, addr, size):
             raise AssertionError("should forward from the LSQ")
 
-    pipeline = Pipeline(CPUConfig(oracle_disambiguation=False), NeverLoad(),
+    pipeline = Pipeline(CPUConfig(), NeverLoad(),
                         annotate(Interpreter(b.build()).trace()))
     stats = pipeline.run(100_000)
     assert stats.loads == 1

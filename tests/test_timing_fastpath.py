@@ -1,8 +1,8 @@
 """The specialized timing loop: hot-path structures and skip bounds.
 
 The per-cycle fast path leans on three precomputed/in-place structures
-(the RUU ring, the LSQ occupancy and unissued-store counters, the
-FU-class arbitration tables) and on :meth:`Pipeline.next_event` being an *exact*
+(the RUU ring, the LSQ occupancy counter, the FU-class arbitration
+tables) and on :meth:`Pipeline.next_event` being an *exact*
 quiescence bound — the per-pipeline cycle driver
 (:func:`repro.core.system.drive`) simply does not tick a
 pipeline before its own bound.  These tests pin each structure's
@@ -77,9 +77,9 @@ def _random_cpu(rng):
 
 
 # ----------------------------------------------------------------------
-# RUU ring and LSQ counters, as Pipeline.tick keeps them: dispatch reuses
-# a committed entry's ring slot, the issue stage counts stores out, and
-# commit counts memory instructions out.
+# RUU ring and LSQ counter, as Pipeline.tick keeps them: dispatch reuses
+# a committed entry's ring slot and counts memory instructions in, and
+# commit counts them out.
 # ----------------------------------------------------------------------
 
 def _store_load_program(rounds=16):
@@ -177,19 +177,16 @@ def _youngest_overlapping_store(window, load):
 
 
 def _check_store_counter(pipeline):
-    """The LSQ counters and the ring walk against a scan of the window."""
+    """The LSQ occupancy counter and each load's forwarding store
+    against a scan of the window."""
     ruu, lsq = pipeline.ruu, pipeline.lsq
     window = list(ruu.window)
-    stores = [entry for entry in window if entry.op_class == OpClass.STORE]
     assert lsq.occupancy == sum(1 for entry in window
                                 if entry.op_class in (OpClass.LOAD,
                                                       OpClass.STORE))
     assert lsq.occupancy <= lsq.capacity
-    assert lsq.unissued_stores == sum(1 for s in stores if not s.issued)
     for probe in window:
         if probe.op_class == OpClass.LOAD:
-            brute = any(not s.issued and s.seq < probe.seq for s in stores)
-            assert ruu.unissued_store_before(probe.seq) == brute
             store = _youngest_overlapping_store(window, probe)
             if store is None:
                 assert probe.dyn.fwd < window[0].seq
@@ -227,8 +224,7 @@ def test_ruu_free_list_recycles_committed_entries():
 def _timeline(recycle):
     """Per instruction: dispatch cycle, operand time and unresolved
     producers at dispatch, then issue and result cycles."""
-    cpu = CPUConfig(issue_width=2, ruu_entries=8, lsq_entries=4,
-                    oracle_disambiguation=False)
+    cpu = CPUConfig(issue_width=2, ruu_entries=8, lsq_entries=4)
     pipeline = _pipeline(_store_load_program(), cpu)
     timeline = {}
 
@@ -273,32 +269,6 @@ def test_ruu_free_list_is_bounded_by_capacity():
         assert len(objects) <= size < pipeline.stats.committed
 
 
-def test_lsq_unissued_store_counter_tracks_lifecycle():
-    """Under conservative disambiguation the counters must equal a scan
-    of the window after every tick, and the earlier-store walk must
-    agree with a scan, including for a load whose only unissued stores
-    are younger than it."""
-    cpu = CPUConfig(ruu_entries=16, lsq_entries=8,
-                    oracle_disambiguation=False)
-    pipeline = _pipeline(_store_load_program(), cpu)
-    seen = {"blocked": 0, "younger_only": 0}
-
-    def after_tick(pipeline):
-        _check_store_counter(pipeline)
-        ruu, lsq = pipeline.ruu, pipeline.lsq
-        for load in ruu.window:
-            if load.op_class != OpClass.LOAD:
-                continue
-            if ruu.unissued_store_before(load.seq):
-                seen["blocked"] += 1
-            elif lsq.unissued_stores:
-                seen["younger_only"] += 1
-
-    _tick_to_done(pipeline, after_tick)
-    assert seen["blocked"] and seen["younger_only"]
-    assert len(pipeline.lsq) == 0 and pipeline.lsq.unissued_stores == 0
-
-
 def test_lsq_counter_matches_brute_force_scan_under_random_traffic():
     def after_tick(pipeline):
         _check_ring(pipeline)
@@ -307,9 +277,7 @@ def test_lsq_counter_matches_brute_force_scan_under_random_traffic():
     for seed in range(120):
         rng = random.Random(seed)
         program = _random_program(rng)
-        cpu = dataclasses.replace(_random_cpu(rng),
-                                  oracle_disambiguation=seed % 2 == 0)
-        _tick_to_done(_pipeline(program, cpu), after_tick)
+        _tick_to_done(_pipeline(program, _random_cpu(rng)), after_tick)
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +326,7 @@ def _observable(pipeline):
     flags are a faithful issue detector)."""
     stats = pipeline.stats
     return (
-        stats.committed, stats.loads, stats.stores, stats.branches,
-        stats.mispredicts,
+        stats.committed, stats.loads, stats.stores,
         len(pipeline.ruu.window),
         sum(1 for entry in pipeline.ruu.window if entry.issued),
     )
@@ -573,22 +540,13 @@ GOLDEN_LIMIT = 4_000
 
 #: sha256 of each run's ``result_fingerprint`` (sorted-key compact
 #: JSON, as ``benchmarks/perf`` digests an op), keyed by (kernel, core,
-#: nodes, cycles per bus cycle).  The cores cover conservative
-#: disambiguation, mispredict redirect with commit-time broadcasts, and
-#: a narrow core whose issue width and window overflow.
+#: nodes, cycles per bus cycle).  Beside the default core, a narrow
+#: core whose issue width and window overflow.
 GOLDEN = {
     ("applu", "default", 2, 1):
         "85b7b01c28d40c8ad63ebc96d8c22f1f97e4fb3cd56b1113395412d93bf15112",
     ("applu", "default", 4, 16):
         "e7fc91d393bf17ab5441925f4596e34e8fdac4b033c3767b1bdbb36e61761e7e",
-    ("applu", "conservative", 2, 1):
-        "36cb8e9aa66f331932deba1bad914a6e5d3e87396ef50b2d5688280a9b349bd0",
-    ("applu", "conservative", 4, 16):
-        "c1447cc5c97dab805c11c94c440db1e36a08e3148bd57da2ba6ee1a440bd2175",
-    ("applu", "gshare", 2, 1):
-        "690deb647f3e2c96dfeab885fb2a2bad7b14e096234b5aa4632813723a3c15ee",
-    ("applu", "gshare", 4, 16):
-        "e09ff303be243dde87fd61eb5d1a87194cb0afafefcaa54281ad505085da88a0",
     ("applu", "narrow", 2, 1):
         "eabc22cee3efeee49488a84cffb745669415a784ca651e3d22f50eb820d3f311",
     ("applu", "narrow", 4, 16):
@@ -597,14 +555,6 @@ GOLDEN = {
         "531428e5a573379604f7a4d76d2e4db43dc9f64fc41e0553f59c53974343320d",
     ("mgrid", "default", 4, 16):
         "f907b93dc60c4df77b8bc2cbcc6748125fd6027e04b9d94b312dfde4730a5935",
-    ("mgrid", "conservative", 2, 1):
-        "783e09dac1df6c575a1b6ca81f197af91759a8df4d508c0b8f17521d48066420",
-    ("mgrid", "conservative", 4, 16):
-        "9784eac61814cb2b299412b5efd810739b916d7cd78cf61a34de71fa633cee0f",
-    ("mgrid", "gshare", 2, 1):
-        "77aba345478925aa1cbddbe309bd079d01b18664a450bcabccd64cd863acc482",
-    ("mgrid", "gshare", 4, 16):
-        "c59dc2f2d6a9a82c21eb97dcbbb7621f8e0f871ad5dcb15d14a3920402e3709a",
     ("mgrid", "narrow", 2, 1):
         "6d96bcbc8f2f29d41e23264301c30b6844c1f8ee7644087ed9586a402bea1d8e",
     ("mgrid", "narrow", 4, 16):
@@ -616,22 +566,15 @@ def _golden_config(core, num_nodes, cycles_per_bus_cycle):
     config = datascalar_config(
         num_nodes,
         bus=timing_bus_config(cycles_per_bus_cycle=cycles_per_bus_cycle))
+    if core == "default":
+        return config
+    assert core == "narrow"
     node = config.node
-    cpu = node.cpu
-    if core == "conservative":
-        node = dataclasses.replace(node, cpu=dataclasses.replace(
-            cpu, oracle_disambiguation=False))
-    elif core == "gshare":
-        node = dataclasses.replace(
-            node, cpu=dataclasses.replace(cpu, branch_predictor="gshare"),
-            commit_time_broadcasts=True)
-    elif core == "narrow":
-        node = dataclasses.replace(node, cpu=dataclasses.replace(
-            cpu, fetch_width=2, issue_width=2, commit_width=2,
-            ruu_entries=32, lsq_entries=16))
-    else:
-        assert core == "default"
-    return dataclasses.replace(config, node=node)
+    cpu = dataclasses.replace(node.cpu, fetch_width=2, issue_width=2,
+                              commit_width=2, ruu_entries=32,
+                              lsq_entries=16)
+    return dataclasses.replace(config,
+                               node=dataclasses.replace(node, cpu=cpu))
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN),
