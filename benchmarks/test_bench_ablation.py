@@ -2,8 +2,8 @@
 
 These are not paper figures; they quantify the individual mechanisms:
 write policy under ESP, static replication, distribution block size,
-the commit-time-update correspondence discipline, result communication,
-and bus-vs-ring broadcasting.
+the commit-time-update correspondence discipline, and bus-vs-ring
+broadcasting.
 """
 
 import dataclasses
@@ -14,13 +14,10 @@ from repro.analysis import CostModel, format_table
 from repro.core import (
     DataScalarSystem,
     MassiveMemoryMachine,
-    ResultCommunicationAnalyzer,
     plan_replication,
 )
 from repro.experiments import datascalar_config, timing_node_config
 from repro.interconnect import Bus, Message, MessageKind, Ring
-from repro.isa import Interpreter
-from repro.memory import LayoutSpec, build_page_table
 from repro.params import BusConfig
 from repro.workloads import build_program
 
@@ -128,29 +125,6 @@ def test_ablation_correspondence_absorbs_divergence(benchmark):
         title="Ablation: correspondence protocol work (turb3d, 2 nodes)",
     ))
     assert false_hits + false_misses > 0  # divergence actually occurred
-
-
-def test_ablation_result_communication(benchmark):
-    """Section 5.1 extension: broadcasts replaced by result messages."""
-    program = build_program("gcc")
-    spec = LayoutSpec(num_nodes=2, page_size=4096)
-    table, _ = build_page_table(program, spec)
-
-    def run():
-        analyzer = ResultCommunicationAnalyzer(table, min_loads=4)
-        return analyzer.analyze(Interpreter(program).trace(limit=LIMIT))
-
-    report = run_once(benchmark, run)
-    print()
-    print(format_table(
-        ["metric", "value"],
-        [["private regions", len(report.regions)],
-         ["communicated loads", report.total_communicated_loads],
-         ["broadcasts saved", report.saved_broadcasts],
-         ["reduction", f"{report.broadcast_reduction:.1%}"]],
-        title="Ablation: result-communication opportunity (gcc, 2 nodes)",
-    ))
-    assert report.total_communicated_loads > 0
 
 
 def test_ablation_bus_vs_ring_broadcast(benchmark):

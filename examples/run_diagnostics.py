@@ -1,11 +1,9 @@
 #!/usr/bin/env python
-"""Diagnosing a DataScalar run: timelines, skew, and placement.
+"""Diagnosing a DataScalar run: timelines and skew.
 
 Records a cycle-sampled timeline of a 2-node run (per-node commit
-progress, BSHR/DCUB occupancy, broadcast counts), reports the commit
-skew between nodes — how far the datathreading leader runs ahead — and
-then applies affinity-based page placement to see whether a smarter
-layout helps this workload.
+progress, BSHR/DCUB occupancy, broadcast counts) and reports the commit
+skew between nodes — how far the datathreading leader runs ahead.
 
 Run:  python examples/run_diagnostics.py [workload]
 """
@@ -13,15 +11,8 @@ Run:  python examples/run_diagnostics.py [workload]
 import sys
 
 from repro.analysis import TimelineRecorder
-from repro.core import (
-    AffinityGraph,
-    DataScalarSystem,
-    analyze_stream,
-    plan_placement,
-    round_robin_placement,
-)
+from repro.core import DataScalarSystem
 from repro.experiments import datascalar_config, timing_node_config
-from repro.isa import Interpreter
 from repro.workloads import build_program
 
 LIMIT = 20_000
@@ -31,7 +22,6 @@ def main(workload: str = "gcc") -> None:
     program = build_program(workload)
     config = datascalar_config(2, node=timing_node_config())
 
-    # 1. Timeline-sampled run.
     recorder = TimelineRecorder(sample_every=250)
     result = DataScalarSystem(config).run(program, limit=LIMIT,
                                           observer=recorder)
@@ -47,25 +37,6 @@ def main(workload: str = "gcc") -> None:
           f"{max(max(s.bshr_occupancy) for s in timeline.samples)}")
     print(f"peak DCUB occupancy: "
           f"{max(max(s.dcub_occupancy) for s in timeline.samples)}")
-
-    # 2. Placement study on the same reference stream.
-    page_size = config.node.memory.page_size
-    graph = AffinityGraph(page_size)
-    addrs = [ref.addr for ref in Interpreter(program).mem_refs(
-        limit=LIMIT, include_ifetch=False)]
-    graph.observe_stream(addrs)
-    smart = plan_placement(graph, num_nodes=2)
-    naive = round_robin_placement(graph, num_nodes=2)
-    smart_threads = analyze_stream(smart.build_page_table(page_size), addrs)
-    naive_threads = analyze_stream(naive.build_page_table(page_size), addrs)
-    print(f"\npage placement (datathread mean length):")
-    print(f"  round-robin : {naive_threads.mean_length:6.2f} "
-          f"(cut weight {naive.cut_weight:,})")
-    print(f"  affinity    : {smart_threads.mean_length:6.2f} "
-          f"(cut weight {smart.cut_weight:,})")
-    improvement = (smart_threads.mean_length
-                   / max(naive_threads.mean_length, 1e-9))
-    print(f"  -> {improvement:.2f}x longer datathreads from layout alone")
 
 
 if __name__ == "__main__":

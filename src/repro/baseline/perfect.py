@@ -38,9 +38,6 @@ class PerfectMemory(MemoryInterface):
         if dyn.op_class == _STORE:
             self.stores += 1
 
-    def drain(self, now: int) -> bool:
-        return True
-
 
 class PerfectSystem:
     """A single core in front of a perfect memory."""

@@ -158,9 +158,6 @@ class TraditionalMemory(MemoryInterface):
             return self.onchip_mem.access(now, line)
         return self._fetch_offchip(now, line)
 
-    def drain(self, now: int) -> bool:
-        return True
-
     def validate_final_state(self) -> None:
         self.dcub.assert_drained()
 

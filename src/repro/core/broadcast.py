@@ -2,8 +2,8 @@
 
 Paper Section 4.2: "We use a simple queue to buffer broadcasts being
 placed on the global bus" with a two-cycle access penalty before the data
-reach the interconnect.  The interconnect itself is pluggable (bus, ring,
-or optical — see :mod:`repro.interconnect.medium`).
+reach the interconnect.  The interconnect itself is pluggable (bus or
+ring — see :mod:`repro.interconnect.medium`).
 """
 
 from __future__ import annotations

@@ -28,16 +28,13 @@ _INF = float("inf")
 class BSHRStats:
     """Counters behind the Table 3 columns."""
 
-    __slots__ = ("waits", "found_in_bshr", "squashes", "arrivals",
-                 "high_water", "overflows")
+    __slots__ = ("waits", "found_in_bshr", "squashes", "arrivals")
 
     def __init__(self):
         self.waits = 0
         self.found_in_bshr = 0
         self.squashes = 0
         self.arrivals = 0
-        self.high_water = 0
-        self.overflows = 0
 
     @property
     def accesses(self) -> int:
@@ -49,8 +46,8 @@ class BSHRFile:
 
     Tracks, per line address: loads waiting for a broadcast, buffered
     arrivals not yet consumed, and discards scheduled by the
-    correspondence protocol.  Entry count is monitored against the
-    configured capacity (overflows are counted, not stalled — the paper's
+    correspondence protocol.  Capacity is not modeled: a load never
+    stalls for a free entry and an arrival is never dropped (the paper's
     receive queues are sized to make overflow negligible).
     """
 
@@ -109,7 +106,6 @@ class BSHRFile:
             self._deadlines[handle] = deadline
             if deadline < self._deadline_floor:
                 self._deadline_floor = deadline
-        self._note_occupancy()
 
     def schedule_discard(self, line: int) -> None:
         """Commit-time squash: one future (or buffered) arrival for
@@ -155,7 +151,6 @@ class BSHRFile:
             handle.complete(ready)
             return
         self._arrived.setdefault(line, deque()).append(time)
-        self._note_occupancy()
 
     # ------------------------------------------------------------------
     # Fault-mode wait deadlines.
@@ -213,13 +208,6 @@ class BSHRFile:
     # ------------------------------------------------------------------
     # Bookkeeping.
     # ------------------------------------------------------------------
-    def _note_occupancy(self) -> None:
-        occupancy = self.occupancy()
-        if occupancy > self.stats.high_water:
-            self.stats.high_water = occupancy
-        if occupancy > self.config.entries:
-            self.stats.overflows += 1
-
     def occupancy(self) -> int:
         """Entries in use: waiting loads plus buffered arrivals."""
         waiting = sum(len(q) for q in self._waiting.values())

@@ -23,14 +23,13 @@ from ..obs.events import EventKind
 class DCUBEntry:
     """One in-flight line."""
 
-    __slots__ = ("line", "ready", "refs", "merged_handles", "created_at")
+    __slots__ = ("line", "ready", "refs", "merged_handles")
 
-    def __init__(self, line: int, created_at: int):
+    def __init__(self, line: int):
         self.line = line
         self.ready = None
         self.refs = 0
         self.merged_handles = []
-        self.created_at = created_at
 
     def resolve(self, cycle: int) -> None:
         """The line's data became available at ``cycle``; wake merged
@@ -47,9 +46,7 @@ class DCUB:
     def __init__(self, name: str = "dcub"):
         self.name = name
         self._entries: "dict[int, DCUBEntry]" = {}
-        self.allocations = 0
         self.merges = 0
-        self.high_water = 0
         self._tracer = None  # observability hook (None = untraced)
         self._trace_node = 0
 
@@ -65,15 +62,12 @@ class DCUB:
         """Track a new in-flight line (issue-time miss)."""
         if line in self._entries:
             raise ProtocolError(f"{self.name}: line {line:#x} already in DCUB")
-        entry = DCUBEntry(line, now)
+        entry = DCUBEntry(line)
         entry.refs = 1
         self._entries[line] = entry
-        self.allocations += 1
         if self._tracer is not None:
             self._tracer.emit(EventKind.DCUB_STAGE, now, self._trace_node,
                               line=line)
-        if len(self._entries) > self.high_water:
-            self.high_water = len(self._entries)
         return entry
 
     def merge(self, entry: DCUBEntry, now: int, handle) -> None:

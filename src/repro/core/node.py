@@ -226,9 +226,6 @@ class DataScalarNode(MemoryInterface):
     # ------------------------------------------------------------------
     # End-of-run validation.
     # ------------------------------------------------------------------
-    def drain(self, now: int) -> bool:
-        return True
-
     def validate_final_state(self) -> None:
         """Raise :class:`ProtocolError` if the protocol leaked state."""
         from ..errors import ProtocolError

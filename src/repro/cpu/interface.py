@@ -73,8 +73,3 @@ class MemoryInterface:
         """Fetch the instruction line a record names as a canonical
         I-cache miss (``dyn.imiss_line``); returns the ready cycle."""
         raise NotImplementedError
-
-    def drain(self, now: int) -> bool:
-        """Called each cycle after the trace is exhausted; returns True
-        when the memory system has no outstanding work."""
-        return True

@@ -307,8 +307,7 @@ class Pipeline:
             self._fetch_buffer = buffer
 
         if self._trace_done and not window:
-            if self.mem.drain(now):
-                self.done = True
+            self.done = True
             return
         if now - self._last_commit_cycle > DEADLOCK_CYCLES:
             raise SimulationError(
@@ -472,8 +471,6 @@ class Pipeline:
                         dyn.op_class in (_LOAD, _STORE)
                         and self.lsq.is_full()):
                     return nxt  # fetch dispatches next cycle
-        if self._trace_done and not window:
-            return nxt  # drain handshake must run every cycle
         return bound
 
     def note_skipped(self, start: int, stop: int) -> None:

@@ -38,17 +38,6 @@ from .resilience import (
 )
 from .scaling import NODE_COUNTS, ScalingPoint, format_scaling, \
     run_scaling
-from .scenarios import (
-    SCENARIOS,
-    Scenario,
-    ScenarioResult,
-    cmp_scenario,
-    faulty_iram_scenario,
-    iram_scenario,
-    now_scenario,
-    run_scenario,
-    run_scenarios,
-)
 from .table1 import Table1Row, format_table1, run_table1
 from .table2 import Table2Row, format_table2, run_table2
 from .table3 import Table3Row, format_table3, row_from_result, run_table3
@@ -87,15 +76,6 @@ __all__ = [
     "ScalingPoint",
     "format_scaling",
     "run_scaling",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioResult",
-    "cmp_scenario",
-    "faulty_iram_scenario",
-    "iram_scenario",
-    "now_scenario",
-    "run_scenario",
-    "run_scenarios",
     "Table1Row",
     "format_table1",
     "run_table1",

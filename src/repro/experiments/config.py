@@ -63,7 +63,7 @@ def timing_node_config(
         memory=MemoryConfig(onchip_latency=memory_latency,
                             offchip_latency=memory_latency,
                             page_size=page_size),
-        bshr=BSHRConfig(entries=128, access_latency=2),
+        bshr=BSHRConfig(access_latency=2),
         broadcast_queue_latency=2,
     )
 

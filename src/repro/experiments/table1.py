@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.report import format_percent, format_table
-from ..analysis.traffic import TABLE1_CACHE, measure_esp_traffic
+from ..analysis.traffic import TABLE1_CACHE
 from ..params import CacheConfig
 from ..workloads import TABLE_BENCHMARKS
 

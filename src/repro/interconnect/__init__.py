@@ -4,7 +4,6 @@ from .bus import Bus, BusStats
 from .medium import (
     BroadcastMedium,
     BusMedium,
-    OpticalMedium,
     RingMedium,
     make_medium,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "BusStats",
     "BroadcastMedium",
     "BusMedium",
-    "OpticalMedium",
     "RingMedium",
     "make_medium",
     "Message",

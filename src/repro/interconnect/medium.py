@@ -1,14 +1,13 @@
 """Pluggable broadcast media for the DataScalar transmit path.
 
-Paper Section 4.4 weighs three ways to deliver ESP broadcasts:
+Paper Section 4.4 weighs ways to deliver ESP broadcasts; two are
+modeled:
 
 * a **bus** — "broadcasts on a bus are free, since every bus transaction
-  is an implicit broadcast", but it serializes and won't scale;
+  is an implicit broadcast", but it serializes and won't scale; and
 * a **ring** (e.g. SCI) — "operations are observed by all nodes if the
   sender is responsible for removing its own message"; links pipeline,
-  so arrival times stagger around the ring; and
-* **free-space optics** — "extremely cheap (essentially free)
-  broadcasts" for large systems.
+  so arrival times stagger around the ring.
 
 Each medium implements ``broadcast(now, src, line, payload_bytes) ->
 arrivals`` where ``arrivals[i]`` is the cycle node ``i`` has the data
@@ -23,6 +22,8 @@ and recovery").
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from ..errors import ConfigError
 from ..obs.events import EventKind
@@ -105,20 +106,17 @@ class RingMedium(BroadcastMedium):
 
     Point-to-point links need no arbitration and clock much faster than
     a shared multi-drop bus (the paper cites SCI's "high-performance
-    capability"), so by default each link runs at the processor clock;
-    pass ``link_divisor`` to slow it.
+    capability"), so each link runs at the processor clock with a
+    one-cycle hop.
     """
 
-    def __init__(self, config: BusConfig, num_nodes: int,
-                 hop_latency: int = 1, link_divisor: int = 1):
-        import dataclasses
-
+    def __init__(self, config: BusConfig, num_nodes: int):
         link_config = dataclasses.replace(
             config,
-            cycles_per_bus_cycle=link_divisor,
+            cycles_per_bus_cycle=1,
             arbitration_bus_cycles=0,
         )
-        self.ring = Ring(link_config, num_nodes, hop_latency=hop_latency)
+        self.ring = Ring(link_config, num_nodes, hop_latency=1)
         self.num_nodes = num_nodes
         self._tag = 0
         self._payload = 0
@@ -147,48 +145,11 @@ class RingMedium(BroadcastMedium):
         return self._payload
 
 
-class OpticalMedium(BroadcastMedium):
-    """Free-space optics: constant latency, no contention.
-
-    Every broadcast reaches every node ``latency`` cycles after the data
-    are ready — the paper's "essentially free" broadcasts.
-    """
-
-    def __init__(self, num_nodes: int, latency: int = 4):
-        if latency < 0:
-            raise ConfigError("optical latency must be >= 0")
-        self.num_nodes = num_nodes
-        self.latency = latency
-        self._transactions = 0
-        self._payload = 0
-
-    def broadcast(self, now, src, line, payload_bytes):
-        self._transactions += 1
-        self._payload += payload_bytes
-        arrival = now + self.latency
-        if self.tracer is not None:
-            self.tracer.emit(EventKind.MEDIUM_XFER, now, src, line=line,
-                             start=now, done=arrival,
-                             payload_bytes=payload_bytes)
-        return [None if node == src else arrival
-                for node in range(self.num_nodes)]
-
-    @property
-    def transactions(self):
-        return self._transactions
-
-    @property
-    def payload_bytes(self):
-        return self._payload
-
-
-def make_medium(kind: str, config: BusConfig, num_nodes: int,
-                **kwargs) -> BroadcastMedium:
-    """Factory: ``"bus"``, ``"ring"``, or ``"optical"``."""
+def make_medium(kind: str, config: BusConfig,
+                num_nodes: int) -> BroadcastMedium:
+    """Factory: ``"bus"`` or ``"ring"``."""
     if kind == "bus":
         return BusMedium(config, num_nodes)
     if kind == "ring":
-        return RingMedium(config, num_nodes, **kwargs)
-    if kind == "optical":
-        return OpticalMedium(num_nodes, **kwargs)
+        return RingMedium(config, num_nodes)
     raise ConfigError(f"unknown broadcast medium {kind!r}")

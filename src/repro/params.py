@@ -180,11 +180,9 @@ class BusConfig:
 class BSHRConfig:
     """Broadcast Status Holding Registers (paper Section 4.2, Figure 5)."""
 
-    entries: int = 128
     access_latency: int = 2
 
     def __post_init__(self) -> None:
-        _require(self.entries >= 1, "entries must be >= 1")
         _require(self.access_latency >= 0, "access_latency must be >= 0")
 
 
@@ -301,9 +299,8 @@ class SystemConfig:
     #: clock).  Dense per-cycle ticking is used regardless whenever an
     #: ``observer`` is installed.  Disable to force dense ticking.
     fast_forward: bool = True
-    #: Broadcast transport: ``"bus"`` (the paper's evaluated transport),
-    #: ``"ring"`` (SCI-style), or ``"optical"`` (free-space, contention-
-    #: free) — Section 4.4's candidates.
+    #: Broadcast transport: ``"bus"`` (the paper's evaluated transport)
+    #: or ``"ring"`` (SCI-style), two of Section 4.4's candidates.
     interconnect: str = "bus"
     #: Optional unreliable-broadcast injection (:class:`FaultConfig`).
     #: ``None`` (the default) leaves the transport perfect and the
@@ -318,8 +315,8 @@ class SystemConfig:
         )
         _require(self.max_cycles > 0, "max_cycles must be positive")
         _require(
-            self.interconnect in ("bus", "ring", "optical"),
-            "interconnect must be bus/ring/optical",
+            self.interconnect in ("bus", "ring"),
+            "interconnect must be bus/ring",
         )
 
 

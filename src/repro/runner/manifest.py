@@ -111,8 +111,8 @@ class RunManifest:
             if untracked > 0:
                 phases["<untracked>"] = untracked
         row["phases"] = phases
-        # Second-level breakdown of the timing loop itself (frontend /
-        # commit / memory / issue / fault-recovery accumulators plus
+        # Second-level breakdown of the timing loop itself (the
+        # frontend accumulator and, in fault mode, fault-recovery, plus
         # the untimed remainder as <self>).  Additive: consumers that
         # predate it simply ignore the key.
         timing = {

@@ -8,8 +8,8 @@ from repro.errors import BroadcastLostError, ProtocolError
 from repro.params import BSHRConfig
 
 
-def _bshr(entries=8, latency=2):
-    return BSHRFile(BSHRConfig(entries=entries, access_latency=latency))
+def _bshr(latency=2):
+    return BSHRFile(BSHRConfig(access_latency=latency))
 
 
 def _handle(now=0):
@@ -119,14 +119,6 @@ def test_waiting_load_has_priority_over_buffering():
     assert bshr.occupancy() == 0
 
 
-def test_high_water_and_overflow_tracking():
-    bshr = _bshr(entries=2)
-    for i in range(3):
-        bshr.load(0, 0x100 + 0x40 * i, _handle())
-    assert bshr.stats.high_water == 3
-    assert bshr.stats.overflows == 1
-
-
 def test_assert_drained_raises_on_stranded_wait():
     bshr = _bshr()
     bshr.load(0, 0x100, _handle())
@@ -141,23 +133,19 @@ def test_assert_drained_ignores_buffered_arrivals():
 
 
 def test_overflow_accounting_past_capacity():
-    """Drive occupancy well past capacity with a mix of waiting loads and
-    buffered arrivals: every over-capacity insert counts one overflow,
-    ``high_water`` tracks the peak, and overflow never stalls or drops —
-    all waiters still complete."""
-    bshr = _bshr(entries=4)
+    """Ten entries outstanding at once, a mix of waiting loads and
+    buffered arrivals: the BSHR models no capacity, so nothing stalls or
+    drops — every waiter still completes and the file drains."""
+    bshr = _bshr()
     handles = [_handle() for _ in range(6)]
     for i, handle in enumerate(handles):
         bshr.load(0, 0x1000 + 0x40 * i, handle)      # occupancy 1..6
     for i in range(4):
         bshr.arrival(10, 0x2000 + 0x40 * i)           # occupancy 7..10
     assert bshr.occupancy() == 10
-    assert bshr.stats.high_water == 10
-    assert bshr.stats.overflows == 6  # inserts 5..10 each exceeded capacity
     for i, handle in enumerate(handles):
         bshr.arrival(20, 0x1000 + 0x40 * i)
         assert handle.ready is not None
-    assert bshr.stats.overflows == 6  # draining never counts
     bshr.assert_drained()
 
 

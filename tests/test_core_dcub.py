@@ -77,12 +77,3 @@ def test_assert_drained():
     dcub.allocate(0x100, 0)
     with pytest.raises(ProtocolError):
         dcub.assert_drained()
-
-
-def test_high_water_tracks_peak_occupancy():
-    dcub = DCUB()
-    dcub.allocate(0x100, 0)
-    dcub.allocate(0x200, 0)
-    dcub.release(0x100)
-    dcub.allocate(0x300, 0)
-    assert dcub.high_water == 2

@@ -1,12 +1,8 @@
-"""Unit tests for the replication policy and result-communication analyzer."""
+"""Unit tests for the replication policy."""
 
-from repro.core import (
-    ResultCommunicationAnalyzer,
-    plan_replication,
-    select_hot_pages,
-)
-from repro.isa import Interpreter, ProgramBuilder
-from repro.memory import GLOBAL_BASE, PageTable, Segment, profile_program
+from repro.core import plan_replication, select_hot_pages
+from repro.isa import ProgramBuilder
+from repro.memory import GLOBAL_BASE, Segment, profile_program
 
 PAGE = 4096
 
@@ -59,61 +55,3 @@ def test_plan_replication_produces_consistent_plan():
     assert plan.distribution_block_pages >= 1
     by_segment = plan.replicated_by_segment()
     assert sum(by_segment.values()) == 2
-
-
-# ----------------------------------------------------------------------
-# Result communication.
-# ----------------------------------------------------------------------
-def _table_two_owners():
-    table = PageTable(PAGE, num_owners=2)
-    table.map_page(GLOBAL_BASE // PAGE, replicated=False, owner=0)
-    table.map_page(GLOBAL_BASE // PAGE + 1, replicated=False, owner=1)
-    return table
-
-
-def _chain_program(words_per_page=16):
-    """A run of loads on owner-0's page, then a run on owner-1's page."""
-    b = ProgramBuilder("chain")
-    arr = b.alloc_global("arr", 2 * PAGE)
-    b.li("r1", arr)
-    with b.repeat(words_per_page, "r3"):
-        b.lw("r4", "r1", 0)
-        b.addi("r1", "r1", 4)
-    b.li("r1", arr + PAGE)
-    with b.repeat(words_per_page, "r3"):
-        b.lw("r4", "r1", 0)
-        b.addi("r1", "r1", 4)
-    b.halt()
-    return b.build()
-
-
-def test_private_regions_found_per_owner():
-    program = _chain_program()
-    analyzer = ResultCommunicationAnalyzer(_table_two_owners())
-    report = analyzer.analyze(Interpreter(program).trace())
-    assert len(report.regions) == 2
-    owners = {region.owner for region in report.regions}
-    assert owners == {0, 1}
-    assert report.total_communicated_loads == 32
-    # Each 16-load region collapses to one result broadcast.
-    assert report.saved_broadcasts == 30
-    assert report.broadcast_reduction > 0.9
-
-
-def test_short_regions_below_threshold_ignored():
-    program = _chain_program(words_per_page=1)
-    analyzer = ResultCommunicationAnalyzer(_table_two_owners(), min_loads=2)
-    report = analyzer.analyze(Interpreter(program).trace())
-    assert report.regions == []
-    assert report.saved_broadcasts == 0
-
-
-def test_replicated_loads_are_neutral():
-    table = PageTable(PAGE, num_owners=2)
-    table.map_page(GLOBAL_BASE // PAGE, replicated=False, owner=0)
-    table.map_page(GLOBAL_BASE // PAGE + 1, replicated=True)
-    program = _chain_program()
-    report = ResultCommunicationAnalyzer(table).analyze(
-        Interpreter(program).trace())
-    assert len(report.regions) == 1
-    assert report.total_communicated_loads == 16

@@ -44,7 +44,7 @@ def test_degenerate_datascalar_equals_traditional_1_1(workload):
         program, limit=LIMIT)
     expected = _numbers(traditional.cycles, traditional.pipeline)
 
-    for medium in ("bus", "ring", "optical"):
+    for medium in ("bus", "ring"):
         config = dataclasses.replace(datascalar_config(1),
                                      interconnect=medium)
         result = DataScalarSystem(config).run(program, limit=LIMIT)

@@ -27,7 +27,7 @@ from repro.memory import canonical_outcomes
 from repro.workloads import build_program
 
 WORKLOADS = ["compress", "mgrid", "applu"]
-MEDIA = ["bus", "ring", "optical"]
+MEDIA = ["bus", "ring"]
 NODE_COUNTS = [1, 2, 4]
 LIMIT = 2_500
 
@@ -281,7 +281,6 @@ def _dense_drive(pipelines, max_cycles, **_):
 def _run_single_pipeline_systems(program):
     from repro.baseline.perfect import PerfectSystem
     from repro.baseline.traditional import TraditionalSystem
-    from repro.core.hybrid import HybridSystem
     from repro.experiments.config import traditional_config
     from repro.runner.digest import result_fingerprint
 
@@ -289,8 +288,8 @@ def _run_single_pipeline_systems(program):
         "traditional": TraditionalSystem(traditional_config(denom=2)).run(
             program, limit=LIMIT),
         "perfect": PerfectSystem().run(program, limit=LIMIT),
-        "private": HybridSystem(_config(2, "bus"))._run_private(program,
-                                                                LIMIT),
+        "onchip": TraditionalSystem(traditional_config(denom=1)).run(
+            program, limit=LIMIT),
     })
 
 
@@ -327,9 +326,10 @@ def _count_ticks(monkeypatch, run):
 
 
 def test_faults_and_tracing_skip_like_a_plain_run(monkeypatch):
-    """Fault mode (with nothing to inject) and an event tracer only fold
-    extra bounds into the one driver: each run ticks exactly as often as
-    the plain run, with identical results."""
+    """Fault mode (with nothing to inject) folds its recovery and wait
+    deadline bounds into the one driver, and an event tracer folds none
+    (it only observes): each run ticks exactly as often as the plain
+    run, with identical results."""
     from repro.obs import EventTracer
     from repro.params import FaultConfig
 
@@ -409,7 +409,6 @@ def test_scheduler_work_is_exact(name, monkeypatch):
 def _budget_runs():
     from repro.baseline.perfect import PerfectSystem
     from repro.baseline.traditional import TraditionalSystem
-    from repro.core.hybrid import HybridSystem, ParallelPhase
     from repro.experiments.config import traditional_config
 
     small = dataclasses.replace(_config(2, "bus"), max_cycles=50)
@@ -423,8 +422,6 @@ def _budget_runs():
                                                                limit=LIMIT),
         "perfect": lambda p: PerfectSystem().run(p, max_cycles=50,
                                                  limit=LIMIT),
-        "hybrid": lambda p: HybridSystem(small).run(
-            [ParallelPhase(programs=[p, p])], limit=LIMIT),
     }
 
 

@@ -4,8 +4,7 @@
 issue-stage digests in ``test_timing_fastpath.py`` pin wide cores at 2
 and 4 nodes; neither reaches a 1-node machine, a window small enough
 to wrap the RUU ring on every few instructions, the interpreter front
-end under a fan-out, or the hybrid system's private phases.  Each case
-here runs ``DataScalarSystem.run`` (or ``HybridSystem.run``) at
+end under a fan-out.  Each case here runs ``DataScalarSystem.run`` at
 :data:`LIMIT` and compares the sha256 of its ``result_fingerprint``
 with a digest recorded before the dependence wiring moved into
 :func:`repro.isa.annotate`.  The ``1node`` digests were re-recorded
@@ -21,8 +20,7 @@ import json
 
 import pytest
 
-from repro.core import DataScalarSystem, HybridSystem, ParallelPhase, \
-    SerialPhase
+from repro.core import DataScalarSystem
 from repro.experiments.config import datascalar_config
 from repro.isa.codegen import engine as codegen_engine
 from repro.runner import result_fingerprint
@@ -84,9 +82,6 @@ GOLDEN = {
         "880ea3f2433fbc1e65c6741d6b35f7a90225bcb73159f1ea4cf2f6a25e37b6e1",
 }
 
-HYBRID_GOLDEN = (
-    "8df9c0ca1b4eb09e6c33d074dd2f73f764e9cf2b47829c08cad449cc8840def7")
-
 
 @pytest.mark.parametrize("key", sorted(GOLDEN),
                          ids=lambda key: "{}-{}".format(*key))
@@ -97,13 +92,3 @@ def test_config_matches_golden_digest(key, monkeypatch):
     result = DataScalarSystem(_config(name)).run(build_program(kernel),
                                                  limit=LIMIT)
     assert _digest(result) == GOLDEN[key]
-
-
-def test_hybrid_matches_golden_digest():
-    """A serial phase on the shared stream, then a parallel phase whose
-    two private pipelines each own an unshared stream."""
-    result = HybridSystem(datascalar_config(2)).run(
-        [SerialPhase(build_program("compress")),
-         ParallelPhase([build_program("applu"), build_program("go")])],
-        limit=LIMIT)
-    assert _digest(result) == HYBRID_GOLDEN

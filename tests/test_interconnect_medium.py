@@ -6,12 +6,7 @@ import pytest
 from repro.core import DataScalarSystem
 from repro.errors import ConfigError
 from repro.experiments import datascalar_config, timing_node_config
-from repro.interconnect import (
-    BusMedium,
-    OpticalMedium,
-    RingMedium,
-    make_medium,
-)
+from repro.interconnect import BusMedium, RingMedium, make_medium
 from repro.params import BusConfig, SystemConfig
 from repro.workloads import build_program
 
@@ -23,7 +18,6 @@ def _cfg():
 def test_make_medium_factory():
     assert isinstance(make_medium("bus", _cfg(), 4), BusMedium)
     assert isinstance(make_medium("ring", _cfg(), 4), RingMedium)
-    assert isinstance(make_medium("optical", _cfg(), 4), OpticalMedium)
     with pytest.raises(ConfigError):
         make_medium("telepathy", _cfg(), 4)
 
@@ -45,26 +39,12 @@ def test_ring_medium_staggered_arrivals():
     assert arrivals[1] < arrivals[2] < arrivals[3]
 
 
-def test_optical_medium_constant_latency_no_contention():
-    medium = OpticalMedium(num_nodes=4, latency=5)
-    first = medium.broadcast(10, src=0, line=0x100, payload_bytes=32)
-    second = medium.broadcast(10, src=2, line=0x200, payload_bytes=32)
-    assert first[1] == 15
-    assert second[0] == 15  # concurrent broadcasts don't queue
-    assert medium.transactions == 2
-
-
-def test_optical_validation():
-    with pytest.raises(ConfigError):
-        OpticalMedium(num_nodes=2, latency=-1)
-
-
 def test_system_config_validates_interconnect():
     with pytest.raises(ConfigError):
         SystemConfig(interconnect="carrier-pigeon")
 
 
-@pytest.mark.parametrize("kind", ["bus", "ring", "optical"])
+@pytest.mark.parametrize("kind", ["bus", "ring"])
 def test_datascalar_runs_on_every_medium(kind):
     import dataclasses
     program = build_program("compress")
@@ -73,17 +53,6 @@ def test_datascalar_runs_on_every_medium(kind):
     result = DataScalarSystem(config).run(program, limit=5000)
     assert result.instructions == 5000
     assert result.bus_transactions > 0
-
-
-def test_optical_beats_bus_when_broadcasts_dominate():
-    """Free broadcasts are the paper's best case for ESP."""
-    import dataclasses
-    program = build_program("wave5")
-    base = datascalar_config(4, node=timing_node_config())
-    bus = DataScalarSystem(base).run(program, limit=8000)
-    optical = DataScalarSystem(dataclasses.replace(
-        base, interconnect="optical")).run(program, limit=8000)
-    assert optical.ipc > bus.ipc
 
 
 def test_ring_not_slower_than_bus_with_parallel_senders():

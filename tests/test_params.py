@@ -101,8 +101,6 @@ def test_bus_validation(kwargs):
 
 def test_bshr_validation():
     with pytest.raises(ConfigError):
-        BSHRConfig(entries=0)
-    with pytest.raises(ConfigError):
         BSHRConfig(access_latency=-1)
 
 
@@ -175,7 +173,7 @@ def test_option_surface():
         "BusConfig": ("width_bytes", "cycles_per_bus_cycle",
                       "interface_latency", "arbitration_bus_cycles",
                       "tag_bytes"),
-        "BSHRConfig": ("entries", "access_latency"),
+        "BSHRConfig": ("access_latency",),
         "FaultConfig": ("seed", "drop_prob", "receiver_drop_prob",
                         "corrupt_prob", "jitter_prob", "max_jitter",
                         "stall_prob", "stall_cycles", "bshr_timeout",
@@ -190,4 +188,47 @@ def test_option_surface():
         "TraditionalConfig": ("node", "bus", "onchip_fraction_denom",
                               "distribution_block_pages", "replicate_text",
                               "max_cycles"),
+    }
+
+
+def test_public_surface():
+    """Every public name of the packages that hold the machine, its
+    media and its experiments, so that adding or removing one is a
+    visible edit here."""
+    import repro.core
+    import repro.experiments
+    import repro.interconnect
+
+    packages = (repro.core, repro.experiments, repro.interconnect)
+    assert all(hasattr(package, name)
+               for package in packages for name in package.__all__)
+    assert {package.__name__: set(package.__all__)
+            for package in packages} == {
+        "repro.core": {
+            "BSHRFile", "BSHRStats", "Broadcaster", "BroadcastStats",
+            "CorrespondenceStats", "CorrespondenceTracker",
+            "DatathreadAnalyzer", "DatathreadReport", "analyze_stream",
+            "DCUB", "DCUBEntry", "ESPResult", "MassiveMemoryMachine",
+            "DataScalarNode", "ReplicationPlan", "plan_replication",
+            "select_hot_pages", "DataScalarResult", "DataScalarSystem",
+            "NodeResult"},
+        "repro.experiments": {
+            "datascalar_config", "timing_bus_config", "timing_cpu_config",
+            "timing_node_config", "traditional_config",
+            "Figure1Result", "format_figure1", "run_figure1",
+            "Figure3Result", "datascalar_crossings", "format_figure3",
+            "run_figure3", "traditional_crossings",
+            "Figure7Row", "format_figure7", "run_benchmark", "run_figure7",
+            "FIGURE8_BENCHMARKS", "PARAMETERS", "Figure8Panel",
+            "Figure8Point", "format_figure8", "run_figure8", "run_panel",
+            "DROP_PROBS", "ResiliencePoint", "fault_config_for",
+            "format_resilience", "run_resilience",
+            "NODE_COUNTS", "ScalingPoint", "format_scaling", "run_scaling",
+            "Table1Row", "format_table1", "run_table1",
+            "Table2Row", "format_table2", "run_table2",
+            "Table3Row", "format_table3", "row_from_result", "run_table3"},
+        "repro.interconnect": {
+            "Bus", "BusStats", "BroadcastMedium", "BusMedium",
+            "RingMedium", "make_medium", "Message", "MessageKind",
+            "LatencyQueue", "Ring"},
     }

@@ -107,7 +107,7 @@ def bshr_scenarios(draw):
 @given(bshr_scenarios())
 @settings(max_examples=200, deadline=None)
 def test_bshr_liveness_under_any_interleaving(events):
-    bshr = BSHRFile(BSHRConfig(entries=64, access_latency=1))
+    bshr = BSHRFile(BSHRConfig(access_latency=1))
     handles = []
     time = 0
     for kind, line in events:

@@ -1,5 +1,4 @@
-"""Tests for technology scenarios, CSV/JSON export, and store-to-load
-forwarding."""
+"""Tests for CSV/JSON export and store-to-load forwarding."""
 
 import json
 
@@ -8,54 +7,9 @@ import pytest
 from repro.analysis import rows_to_csv, rows_to_json, write_csv, write_json
 from repro.baseline.perfect import PerfectMemory
 from repro.cpu.pipeline import Pipeline
-from repro.experiments import (
-    SCENARIOS,
-    cmp_scenario,
-    iram_scenario,
-    now_scenario,
-    run_scenario,
-    run_scenarios,
-    run_table1,
-)
+from repro.experiments import run_table1
 from repro.isa import Interpreter, ProgramBuilder, annotate
 from repro.params import CPUConfig
-from repro.workloads import build_program
-
-
-# ----------------------------------------------------------------------
-# Scenarios.
-# ----------------------------------------------------------------------
-def test_scenarios_registered():
-    assert set(SCENARIOS) == {"iram", "cmp", "now", "faulty-iram"}
-    # Only the explicitly-faulty scenario carries a fault plan.
-    assert all(SCENARIOS[name].faults is None
-               for name in ("iram", "cmp", "now"))
-    assert SCENARIOS["faulty-iram"].faults is not None
-
-
-def test_scenario_parameters_are_ordered_by_integration():
-    """More integration -> faster interconnect."""
-    iram, cmp_, now = iram_scenario(), cmp_scenario(), now_scenario()
-    assert (cmp_.bus.cycles_per_bus_cycle
-            < iram.bus.cycles_per_bus_cycle
-            < now.bus.cycles_per_bus_cycle)
-    assert cmp_.bus.width_bytes > now.bus.width_bytes
-
-
-def test_run_scenarios_cmp_fastest():
-    program = build_program("compress")
-    results = {r.scenario: r
-               for r in run_scenarios(program, num_nodes=2, limit=5000)}
-    assert set(results) == {"iram", "cmp", "now", "faulty-iram"}
-    assert results["cmp"].datascalar_ipc > results["iram"].datascalar_ipc
-    assert results["iram"].datascalar_ipc > results["now"].datascalar_ipc
-
-
-def test_run_scenario_reports_speedup():
-    program = build_program("compress")
-    result = run_scenario(cmp_scenario(), program, limit=4000)
-    assert result.speedup == pytest.approx(
-        result.datascalar_ipc / result.traditional_ipc)
 
 
 # ----------------------------------------------------------------------
@@ -121,11 +75,3 @@ def test_export_extra_columns():
     lines = text.strip().splitlines()
     assert lines[0].endswith(",nodes")
     assert lines[1].endswith(",2")
-
-
-def test_scenarios_at_four_nodes():
-    from repro.experiments import iram_scenario, run_scenario
-    result = run_scenario(iram_scenario(), build_program("compress"),
-                          num_nodes=4, limit=4000)
-    assert result.datascalar_ipc > 0
-    assert result.speedup > 1.0
