@@ -17,7 +17,7 @@ from repro.core import (
     plan_replication,
 )
 from repro.experiments import datascalar_config, timing_node_config
-from repro.interconnect import Bus, Message, MessageKind, Ring
+from repro.interconnect import make_medium
 from repro.params import BusConfig
 from repro.workloads import build_program
 
@@ -129,22 +129,19 @@ def test_ablation_correspondence_absorbs_divergence(benchmark):
 
 def test_ablation_bus_vs_ring_broadcast(benchmark):
     """Section 4.4: rings pipeline independent broadcasts; buses
-    serialize them."""
+    serialize them.  Both media are the ones the simulator runs."""
     config = BusConfig()
 
     def run():
-        bus = Bus(config)
-        ring = Ring(config, num_nodes=4)
-        bus_done = 0
-        ring_done = 0
-        for index in range(64):
-            message = Message(MessageKind.BROADCAST, src=index % 4,
-                              line_addr=index * 32, payload_bytes=32)
-            _, done = bus.transfer(0, message)
-            bus_done = max(bus_done, done)
-            arrivals = ring.broadcast(0, message)
-            ring_done = max(ring_done, max(arrivals))
-        return bus_done, ring_done
+        done = {}
+        for kind in ("bus", "ring"):
+            medium = make_medium(kind, config, 4)
+            last = 0
+            for index in range(64):
+                arrivals = medium.broadcast(0, index % 4, index * 32, 32)
+                last = max(last, max(a for a in arrivals if a is not None))
+            done[kind] = last
+        return done["bus"], done["ring"]
 
     bus_done, ring_done = run_once(benchmark, run)
     print()

@@ -1,19 +1,10 @@
-"""Analyses: ESP traffic accounting, statistics, cost model, reports."""
+"""Analyses: ESP traffic accounting, cost model, timelines, reports."""
 
 from .cost import CostModel
 from .export import rows_to_csv, rows_to_json, write_csv, write_json
 from .timeline import Timeline, TimelineRecorder, TimelineSample
 from .report import format_fault_summary, format_ipc, format_percent, \
     format_table
-from .stats import (
-    Distribution,
-    RunningMean,
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    percentile,
-    speedup,
-)
 from .traffic import TABLE1_CACHE, TrafficReport, measure_esp_traffic
 
 __all__ = [
@@ -29,13 +20,6 @@ __all__ = [
     "format_ipc",
     "format_percent",
     "format_table",
-    "Distribution",
-    "RunningMean",
-    "arithmetic_mean",
-    "geometric_mean",
-    "harmonic_mean",
-    "percentile",
-    "speedup",
     "TABLE1_CACHE",
     "TrafficReport",
     "measure_esp_traffic",

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
-from ..interconnect.bus import Bus
-from ..interconnect.message import Message, MessageKind
-from ..interconnect.queueing import LatencyQueue
+from ..interconnect.medium import Bus, LatencyQueue
 from ..isa.codegen import make_trace_source
 from ..isa.opcodes import OpClass
 from ..memory.cache import apply_outcome, canonical_outcomes
@@ -57,7 +55,7 @@ class TraditionalMemory(MemoryInterface):
             interleave_bytes=node.dcache.line_size,
             name="offchip",
         )
-        self.ni_queue = LatencyQueue(config.bus.interface_latency, name="ni")
+        self.ni_queue = LatencyQueue(config.bus.interface_latency)
         self.dcub = DCUB(name="dcub-trad")
         self.requests = 0
         self.onchip_fills = 0
@@ -100,13 +98,10 @@ class TraditionalMemory(MemoryInterface):
         """Request across the bus, access off-chip memory, response back."""
         self.requests += 1
         queued = self.ni_queue.enqueue(now)
-        request = Message(MessageKind.REQUEST, src=0, line_addr=line,
-                          payload_bytes=0)
-        _, request_done = self.bus.transfer(queued, request)
+        _, request_done = self.bus.transfer(queued, 0)  # address only
         data_ready = self.offchip_mem.access(request_done, line)
-        response = Message(MessageKind.RESPONSE, src=1, line_addr=line,
-                           payload_bytes=self.config.node.dcache.line_size)
-        _, response_done = self.bus.transfer(data_ready, response)
+        _, response_done = self.bus.transfer(
+            data_ready, self.config.node.dcache.line_size)
         return response_done
 
     # ------------------------------------------------------------------
@@ -134,21 +129,15 @@ class TraditionalMemory(MemoryInterface):
             self.onchip_mem.access(now, addr)
             return
         self.writethroughs_offchip += 1
-        queued = self.ni_queue.enqueue(now)
-        message = Message(MessageKind.WRITEBACK, src=0,
-                          line_addr=addr & self._line_mask,
-                          payload_bytes=size)
-        self.bus.transfer(queued, message)
+        self.bus.transfer(self.ni_queue.enqueue(now), size)
 
     def _complete_writeback(self, now: int, line: int) -> None:
         if self._is_onchip(line):
             self.onchip_mem.access(now, line)
             return
         self.writebacks_offchip += 1
-        queued = self.ni_queue.enqueue(now)
-        message = Message(MessageKind.WRITEBACK, src=0, line_addr=line,
-                          payload_bytes=self.config.node.dcache.line_size)
-        self.bus.transfer(queued, message)
+        self.bus.transfer(self.ni_queue.enqueue(now),
+                          self.config.node.dcache.line_size)
 
     # ------------------------------------------------------------------
     # Instruction fetch.
@@ -219,7 +208,7 @@ class TraditionalSystem:
             requests=memory.requests,
             writebacks_offchip=memory.writebacks_offchip,
             writethroughs_offchip=memory.writethroughs_offchip,
-            bus_transactions=bus.stats.transactions,
-            bus_payload_bytes=bus.stats.payload_bytes,
-            bus_utilization=bus.stats.utilization(cycle),
+            bus_transactions=bus.transactions,
+            bus_payload_bytes=bus.payload_bytes,
+            bus_utilization=bus.utilization(cycle),
         )

@@ -8,8 +8,7 @@ ring — see :mod:`repro.interconnect.medium`).
 
 from __future__ import annotations
 
-from ..interconnect.medium import BroadcastMedium
-from ..interconnect.queueing import LatencyQueue
+from ..interconnect.medium import BroadcastMedium, LatencyQueue
 from ..obs.events import EventKind
 
 
@@ -35,7 +34,7 @@ class Broadcaster:
         ``None`` for the sender).  With zero peers nothing is sent."""
         self.node_id = node_id
         self.medium = medium
-        self.queue = LatencyQueue(queue_latency, name=f"bq{node_id}")
+        self.queue = LatencyQueue(queue_latency)
         self.line_size = line_size
         self._deliver = deliver
         self.num_peers = num_peers

@@ -1,11 +1,12 @@
 """An unreliable broadcast transport and the ESP recovery slow path.
 
-:class:`FaultyMedium` wraps any :class:`repro.interconnect.medium.
-BroadcastMedium` and injects seeded faults per delivery: whole-broadcast
-drops, per-receiver drops, ECC-detectable corruption, delivery jitter,
-and transient receive-port stalls.  Plain ESP cannot survive a loss —
-the consumer never asks for a communicated word — so the wrapper also
-models the recovery protocol that makes loss survivable:
+:class:`FaultyMedium` wraps a :class:`~repro.interconnect.Bus` or
+:class:`~repro.interconnect.Ring` and injects seeded faults per delivery:
+whole-broadcast drops, per-receiver drops, ECC-detectable corruption,
+delivery jitter, and transient receive-port stalls.  Plain ESP cannot
+survive a loss — the consumer never asks for a communicated word — so
+the wrapper also models the recovery protocol that makes loss
+survivable:
 
 * **Sequence numbers.**  Every owner numbers its broadcasts; receivers
   track the expected sequence per owner, so a gap (a lost broadcast) is
@@ -43,7 +44,7 @@ from __future__ import annotations
 import heapq
 
 from ..errors import CorruptionError, ProtocolError, RecoveryExhaustedError
-from ..interconnect.medium import BroadcastMedium
+from ..interconnect.medium import BroadcastMedium, Bus, Ring
 from ..obs.events import EventKind
 from ..obs.metrics import MetricsRegistry
 from ..params import BusConfig, FaultConfig
@@ -54,7 +55,7 @@ from .stats import FaultStats, RecoveryStats
 class FaultyMedium(BroadcastMedium):
     """Fault-injecting wrapper around a real broadcast medium."""
 
-    def __init__(self, inner: BroadcastMedium, config: FaultConfig,
+    def __init__(self, inner: Bus | Ring, config: FaultConfig,
                  num_nodes: int, bus: BusConfig):
         self.inner = inner
         self.config = config
@@ -86,7 +87,7 @@ class FaultyMedium(BroadcastMedium):
         self.inner.attach_tracer(tracer)
 
     # ------------------------------------------------------------------
-    # BroadcastMedium interface.
+    # The medium interface.
     # ------------------------------------------------------------------
     def broadcast(self, now, src, line, payload_bytes):
         arrivals = list(self.inner.broadcast(now, src, line, payload_bytes))
@@ -94,10 +95,9 @@ class FaultyMedium(BroadcastMedium):
         fault = self.plan.for_broadcast(src)
         stats = self.fault_stats
         tracer = self.tracer
-        for node in range(self.num_nodes):
-            if node == src or arrivals[node] is None:
+        for node, due in enumerate(arrivals):
+            if node == src or due is None:
                 continue
-            due = arrivals[node]
             if fault.stalled == node:
                 stats.stalls += 1
                 due += self.config.stall_cycles

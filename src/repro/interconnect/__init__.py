@@ -1,25 +1,11 @@
-"""Interconnect substrates: messages, queues, broadcast bus, ring."""
+"""The global interconnect: the broadcast bus, a ring, queue timing."""
 
-from .bus import Bus, BusStats
-from .medium import (
-    BroadcastMedium,
-    BusMedium,
-    RingMedium,
-    make_medium,
-)
-from .message import Message, MessageKind
-from .queueing import LatencyQueue
-from .ring import Ring
+from .medium import BroadcastMedium, Bus, LatencyQueue, Ring, make_medium
 
 __all__ = [
     "Bus",
-    "BusStats",
-    "BroadcastMedium",
-    "BusMedium",
-    "RingMedium",
-    "make_medium",
-    "Message",
-    "MessageKind",
-    "LatencyQueue",
     "Ring",
+    "LatencyQueue",
+    "BroadcastMedium",
+    "make_medium",
 ]

@@ -67,7 +67,8 @@ class Histogram:
     def record(self, value: float) -> None:
         self.values.append(value)
 
-    #: Alias kept for :class:`repro.analysis.stats.Distribution` callers.
+    #: Alias whose one remaining caller is the fault layer's recovery
+    #: latency (:meth:`repro.faults.FaultyMedium._recover`).
     add = record
 
     @property

@@ -1,21 +1,17 @@
-"""Unit tests for traffic accounting, statistics, and the cost model."""
+"""Unit tests for traffic accounting, the cost model and reports."""
 
 import pytest
 
 from repro.analysis import (
     CostModel,
     TrafficReport,
-    arithmetic_mean,
     format_percent,
     format_table,
-    geometric_mean,
-    harmonic_mean,
     measure_esp_traffic,
-    speedup,
 )
-from repro.analysis.stats import RunningMean
 from repro.errors import ConfigError
 from repro.isa import ProgramBuilder
+from repro.obs.metrics import Histogram
 from repro.params import CacheConfig
 
 
@@ -86,39 +82,6 @@ def test_measure_esp_traffic_respects_limit():
 
 
 # ----------------------------------------------------------------------
-# Statistics helpers.
-# ----------------------------------------------------------------------
-def test_means():
-    assert arithmetic_mean([1, 2, 3]) == 2.0
-    assert geometric_mean([1, 4]) == pytest.approx(2.0)
-    assert harmonic_mean([1, 1]) == pytest.approx(1.0)
-    assert arithmetic_mean([]) == 0.0
-    assert geometric_mean([]) == 0.0
-    assert harmonic_mean([]) == 0.0
-
-
-def test_geometric_mean_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        geometric_mean([1.0, 0.0])
-
-
-def test_running_mean():
-    running = RunningMean()
-    for value in (1.0, 3.0, 5.0):
-        running.add(value)
-    assert running.mean == 3.0
-    assert running.minimum == 1.0
-    assert running.maximum == 5.0
-    assert RunningMean().mean == 0.0
-
-
-def test_speedup():
-    assert speedup(200, 100) == 2.0
-    with pytest.raises(ValueError):
-        speedup(100, 0)
-
-
-# ----------------------------------------------------------------------
 # Cost model.
 # ----------------------------------------------------------------------
 def test_costup_grows_sublinearly_when_memory_dominates():
@@ -172,26 +135,28 @@ def test_format_percent():
 
 
 # ----------------------------------------------------------------------
-# Percentiles and distributions (recovery-latency reporting).
+# Percentiles and distributions (recovery-latency reporting): the fault
+# layer records latencies in a Histogram, whose summary
+# format_fault_summary prints.
 # ----------------------------------------------------------------------
 def test_percentile_nearest_rank():
-    from repro.analysis import percentile
-    values = [10, 20, 30, 40, 50]
-    assert percentile(values, 0) == 10
-    assert percentile(values, 50) == 30
-    assert percentile(values, 95) == 50
-    assert percentile(values, 100) == 50
-    assert percentile([], 50) == 0.0
+    histogram = Histogram()
+    for value in (10, 20, 30, 40, 50):
+        histogram.add(value)
+    assert histogram.percentile(0) == 10
+    assert histogram.percentile(50) == 30
+    assert histogram.percentile(95) == 50
+    assert histogram.percentile(100) == 50
+    assert Histogram().percentile(50) == 0.0
 
 
 def test_distribution_summary():
-    from repro.analysis import Distribution
-    dist = Distribution()
-    assert dist.summary() == {"count": 0, "mean": 0.0, "p50": 0.0,
-                              "p95": 0.0, "max": 0.0}
+    histogram = Histogram()
+    assert histogram.summary() == {"count": 0, "mean": 0.0, "p50": 0.0,
+                                   "p95": 0.0, "max": 0.0}
     for value in (4, 8, 100):
-        dist.add(value)
-    summary = dist.summary()
+        histogram.add(value)
+    summary = histogram.summary()
     assert summary["count"] == 3
     assert summary["mean"] == pytest.approx(112 / 3)
     assert summary["p50"] == 8

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baseline.traditional import TraditionalMemory
 from repro.errors import ProtocolError
-from repro.interconnect import Bus, MessageKind
+from repro.interconnect import Bus
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInstr
 from repro.memory import PageTable, canonical_outcomes
@@ -66,7 +66,7 @@ def test_onchip_miss_never_uses_the_bus():
     memory, bus = _memory()
     handle = memory.load_issue(0, ONCHIP, 4)
     assert handle.ready is not None
-    assert bus.stats.transactions == 0
+    assert bus.transactions == 0
     assert memory.onchip_fills == 1
 
 
@@ -75,8 +75,9 @@ def test_offchip_miss_pays_request_and_response():
     handle = memory.load_issue(0, OFFCHIP, 4)
     assert handle.ready is not None
     assert memory.requests == 1
-    assert bus.stats.by_kind[MessageKind.REQUEST] == 1
-    assert bus.stats.by_kind[MessageKind.RESPONSE] == 1
+    # An address-only request, then the line back.
+    assert bus.transactions == 2
+    assert bus.payload_bytes == LINE
 
 
 def test_offchip_latency_exceeds_onchip():
@@ -106,14 +107,16 @@ def test_store_miss_writes_through_offchip():
     memory, bus = _memory()
     _committer(memory)(0, OFFCHIP, is_store=True)
     assert memory.writethroughs_offchip == 1
-    assert bus.stats.by_kind[MessageKind.WRITEBACK] == 1
+    # Only the stored word crosses the bus.
+    assert bus.transactions == 1
+    assert bus.payload_bytes == 4
 
 
 def test_store_miss_onchip_stays_local():
     memory, bus = _memory()
     _committer(memory)(0, ONCHIP, is_store=True)
     assert memory.writethroughs_offchip == 0
-    assert bus.stats.transactions == 0
+    assert bus.transactions == 0
 
 
 def test_dirty_offchip_eviction_generates_writeback():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.node import DataScalarNode
 from repro.errors import ProtocolError, SimulationError
-from repro.interconnect.medium import BusMedium
+from repro.interconnect import Bus
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInstr
 from repro.memory import PageTable, canonical_outcomes
@@ -40,7 +40,7 @@ def _node(node_id=0, write_allocate=False):
         memory=MemoryConfig(onchip_latency=8, page_size=PAGE),
     )
     delivered = Delivered()
-    medium = BusMedium(BusConfig(), num_nodes=2)
+    medium = Bus(BusConfig(), num_nodes=2)
     node = DataScalarNode(node_id, config, table, medium,
                           delivered, num_peers=1)
     return node, delivered, table

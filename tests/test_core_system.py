@@ -55,10 +55,10 @@ def _store_heavy_program(words=2048):
     return b.build()
 
 
-def _ds(num_nodes=2, node=None, block=1):
+def _ds(num_nodes=2, node=None, block=1, interconnect="bus"):
     return DataScalarSystem(SystemConfig(
         num_nodes=num_nodes, node=node or _node(),
-        distribution_block_pages=block,
+        distribution_block_pages=block, interconnect=interconnect,
     ))
 
 
@@ -78,11 +78,15 @@ def test_all_nodes_commit_identical_instruction_counts():
 
 
 def test_esp_only_broadcasts_on_the_bus():
-    """ESP eliminates requests and write traffic from the interconnect."""
-    result = _ds(2).run(_stream_program())
-    total_broadcasts = sum(n.broadcasts_sent for n in result.nodes)
-    assert result.bus_transactions == total_broadcasts
-    assert total_broadcasts > 0
+    """ESP eliminates requests and write traffic from the interconnect:
+    on either medium, every transfer is one line broadcast."""
+    for interconnect in ("bus", "ring"):
+        result = _ds(2, interconnect=interconnect).run(_stream_program())
+        total_broadcasts = sum(n.broadcasts_sent for n in result.nodes)
+        assert result.bus_transactions == total_broadcasts
+        assert (result.bus_payload_bytes
+                == _node().dcache.line_size * total_broadcasts)
+        assert total_broadcasts > 0
 
 
 def test_store_heavy_program_generates_zero_bus_traffic():
@@ -135,7 +139,11 @@ def test_traditional_sends_requests_and_writebacks():
     result = _trad(2).run(_stream_program())
     assert result.requests > 0
     assert result.writebacks_offchip + result.writethroughs_offchip > 0
-    assert result.bus_transactions >= result.requests * 2
+    # A request and its response per off-chip fetch, one transfer per
+    # write-back or write-around, and nothing else.
+    assert result.bus_transactions == (2 * result.requests
+                                       + result.writebacks_offchip
+                                       + result.writethroughs_offchip)
 
 
 def test_replicated_pages_eliminate_broadcasts():

@@ -263,15 +263,3 @@ def test_validate_final_state_catches_leaked_delivery():
     medium._delivered[0][1] -= 1   # simulate a lost-without-recovery leak
     with pytest.raises(ProtocolError):
         medium.validate_final_state()
-
-
-def test_message_meta_is_frozen():
-    from repro.interconnect.message import Message, MessageKind
-
-    message = Message(MessageKind.BROADCAST, src=0, line_addr=0x40,
-                      payload_bytes=32, tag=1, meta={"hops": 2})
-    assert message.meta["hops"] == 2
-    with pytest.raises(TypeError):
-        message.meta["hops"] = 3
-    with pytest.raises(TypeError):
-        message.meta["new"] = 1

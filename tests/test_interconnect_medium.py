@@ -6,7 +6,7 @@ import pytest
 from repro.core import DataScalarSystem
 from repro.errors import ConfigError
 from repro.experiments import datascalar_config, timing_node_config
-from repro.interconnect import BusMedium, RingMedium, make_medium
+from repro.interconnect import Bus, Ring, make_medium
 from repro.params import BusConfig, SystemConfig
 from repro.workloads import build_program
 
@@ -16,14 +16,14 @@ def _cfg():
 
 
 def test_make_medium_factory():
-    assert isinstance(make_medium("bus", _cfg(), 4), BusMedium)
-    assert isinstance(make_medium("ring", _cfg(), 4), RingMedium)
+    assert isinstance(make_medium("bus", _cfg(), 4), Bus)
+    assert isinstance(make_medium("ring", _cfg(), 4), Ring)
     with pytest.raises(ConfigError):
         make_medium("telepathy", _cfg(), 4)
 
 
 def test_bus_medium_uniform_arrivals():
-    medium = BusMedium(_cfg(), num_nodes=4)
+    medium = Bus(_cfg(), num_nodes=4)
     arrivals = medium.broadcast(0, src=1, line=0x100, payload_bytes=32)
     assert arrivals[1] is None
     others = [a for i, a in enumerate(arrivals) if i != 1]
@@ -33,7 +33,7 @@ def test_bus_medium_uniform_arrivals():
 
 
 def test_ring_medium_staggered_arrivals():
-    medium = RingMedium(_cfg(), num_nodes=4)
+    medium = Ring(_cfg(), num_nodes=4)
     arrivals = medium.broadcast(0, src=0, line=0x100, payload_bytes=32)
     assert arrivals[0] is None
     assert arrivals[1] < arrivals[2] < arrivals[3]

@@ -66,7 +66,7 @@ def test_as_dict_digests():
 def test_histogram_summary_percentiles():
     histogram = Histogram()
     for value in (10, 20, 30, 40, 50):
-        histogram.add(value)  # the Distribution-compatible alias
+        histogram.add(value)  # the alias the fault layer records with
     summary = histogram.summary()
     assert summary == {"count": 5, "mean": 30.0, "p50": 30.0,
                        "p95": 50.0, "max": 50}

@@ -228,7 +228,6 @@ def test_public_surface():
             "Table2Row", "format_table2", "run_table2",
             "Table3Row", "format_table3", "row_from_result", "run_table3"},
         "repro.interconnect": {
-            "Bus", "BusStats", "BroadcastMedium", "BusMedium",
-            "RingMedium", "make_medium", "Message", "MessageKind",
-            "LatencyQueue", "Ring"},
+            "Bus", "Ring", "LatencyQueue", "BroadcastMedium",
+            "make_medium"},
     }

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.core import MassiveMemoryMachine, analyze_stream
 from repro.core.bshr import BSHRFile
 from repro.cpu.interface import LoadHandle
-from repro.interconnect import Bus, Message, MessageKind
+from repro.interconnect import Bus
 from repro.memory import PageTable
 from repro.params import BSHRConfig, BusConfig
 
@@ -61,8 +61,7 @@ def test_bus_transactions_never_overlap(requests):
     bus = Bus(BusConfig())
     windows = []
     for now, payload in sorted(requests):
-        message = Message(MessageKind.BROADCAST, 0, 0x100, payload)
-        start, done = bus.transfer(now, message)
+        start, done = bus.transfer(now, payload)
         assert start >= now
         assert done > start
         windows.append((start, done))
@@ -77,9 +76,9 @@ def test_bus_busy_cycles_equal_sum_of_transfers(requests):
     bus = Bus(config)
     expected = 0
     for now, payload in requests:
-        bus.transfer(now, Message(MessageKind.BROADCAST, 0, 0x100, payload))
+        bus.transfer(now, payload)
         expected += config.transfer_cycles(payload)
-    assert bus.stats.busy_cycles == expected
+    assert bus.busy_cycles == expected
 
 
 # ----------------------------------------------------------------------
