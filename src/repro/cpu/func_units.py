@@ -3,12 +3,11 @@
 Units are fully pipelined (a unit accepts one new operation per cycle),
 so the pool only constrains *issue* bandwidth per class per cycle.
 
-The pool is on the per-cycle fast path, so the per-class latency and
-slot limits live in flat lists indexed by ``int(op_class)`` (OpClass is
-a dense IntEnum) rather than dicts: the issue loop reads
-:attr:`latency_table` / :attr:`limit_table` / :attr:`used` directly
-with plain list indexing.  ``latencies`` / ``counts`` keep the
-dict-shaped config view for introspection and tests.
+The per-class latency and slot limits live in flat lists indexed by
+``int(op_class)`` (OpClass is a dense IntEnum) rather than dicts: the
+issue pass in :meth:`repro.cpu.pipeline.Pipeline.tick` reads
+:attr:`latency_table` and :attr:`limit_table` with plain list indexing
+and counts each cycle's claimed slots itself.
 """
 
 from __future__ import annotations
@@ -25,47 +24,18 @@ _NUM_CLASSES = max(int(op_class) for op_class in OpClass) + 1
 
 
 class FUPool:
-    """Per-cycle issue slots for each functional-unit class."""
+    """Per-class issue latencies and per-cycle issue slots."""
 
-    __slots__ = ("latencies", "counts", "latency_table", "limit_table",
-                 "used", "_cycle", "_zeros")
+    __slots__ = ("latency_table", "limit_table")
 
     def __init__(self, config: CPUConfig):
-        self.latencies = {}
-        self.counts = {}
         self.latency_table = [0] * _NUM_CLASSES
         self.limit_table = [UNLIMITED] * _NUM_CLASSES
         for op_class in OpClass:
             name = op_class.fu_name
             if name not in config.fu_latencies:
                 raise ConfigError(f"no latency configured for FU {name}")
-            latency = config.fu_latencies[name]
             count = config.fu_counts.get(name)
             index = int(op_class)
-            self.latencies[index] = latency
-            self.counts[index] = count
-            self.latency_table[index] = latency
+            self.latency_table[index] = config.fu_latencies[name]
             self.limit_table[index] = UNLIMITED if count is None else count
-        self._cycle = -1
-        self.used = [0] * _NUM_CLASSES
-        self._zeros = [0] * _NUM_CLASSES
-
-    def latency(self, op_class: int) -> int:
-        return self.latency_table[op_class]
-
-    def begin_cycle(self, now: int) -> "list[int]":
-        """Reset the per-cycle slot counters when ``now`` is a new cycle
-        and return the live ``used`` list (the issue loop claims slots by
-        bumping it in place against :attr:`limit_table`)."""
-        if now != self._cycle:
-            self._cycle = now
-            self.used[:] = self._zeros
-        return self.used
-
-    def try_claim(self, now: int, op_class: int) -> bool:
-        """Claim an issue slot for ``op_class`` at cycle ``now``."""
-        used = self.begin_cycle(now)
-        if used[op_class] >= self.limit_table[op_class]:
-            return False
-        used[op_class] += 1
-        return True

@@ -31,11 +31,11 @@ class LoadHandle:
         self.addr = addr
         self.size = size
         self.issued_at = issued_at
-        self.ready = None
-        self.issue_hit = None
+        self.ready: int | None = None
+        self.issue_hit: bool | None = None
         self.found_in_bshr = False
         self.forwarded = False
-        self.dcub_line = None
+        self.dcub_line: int | None = None
 
     def complete(self, cycle: int) -> None:
         """Resolve the load at ``cycle`` (idempotence is an error)."""

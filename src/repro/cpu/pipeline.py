@@ -9,8 +9,14 @@ paper's correspondence protocol likewise excludes speculative broadcasts).
 
 Per simulated cycle the pipeline commits (in order), issues (oldest-ready
 first), and fetches/dispatches — each up to its configured width.  The
-entries an issue pass cannot issue form the next pass's waiting list
-(:meth:`repro.cpu.ruu.RUU.candidates`), oldest first.
+ready entries an issue pass cannot issue wait for the next pass in two
+age-ordered lists (:class:`repro.cpu.ruu.RUU`): the loads, and the
+rest.  Every load a pass visits either takes a LOAD slot (a load
+blocked by an unissued same-address store keeps it) or finds the issue
+width or the LOAD slots used up, and neither count falls within a
+pass; so no load after as many loads as there are LOAD slots can
+issue.  A pass visits only that many of the oldest waiting loads and
+carries the rest of the load list over as one slice.
 
 One function, :meth:`Pipeline.tick`, simulates a cycle: the stages are
 inlined in that order (load completion between commit and issue),
@@ -23,21 +29,25 @@ attributed on this shipping tick by profiling (``benchmarks/perf/run.py
 
 from __future__ import annotations
 
+from heapq import heappop as _heappop
 from heapq import heappush as _heappush
+from operator import attrgetter
 
 from ..errors import SimulationError
 from ..isa.opcodes import OpClass
 from ..obs.events import EventKind
+from ..obs.tracer import Tracer
 from ..params import CPUConfig
 from .func_units import FUPool
 from .interface import MemoryInterface
 from .lsq import LSQ
-from .ruu import RUU
+from .ruu import RUU, RUUEntry
 
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 _COMMIT_EVENT = EventKind.COMMIT
 _INF = float("inf")
+_entry_seq = attrgetter("seq")
 
 #: Cycles with no commit before the pipeline declares itself wedged.
 DEADLOCK_CYCLES = 1_000_000
@@ -96,6 +106,8 @@ class Pipeline:
         self.stats = PipelineStats()
         # Per-config dispatch structures, hoisted once so the per-cycle
         # fast path never chases ``self.config``.
+        self._latencies = self.fus.latency_table
+        self._limits = self.fus.limit_table
         self._commit_width = config.commit_width
         self._issue_width = config.issue_width
         self._fetch_width = config.fetch_width
@@ -107,14 +119,14 @@ class Pipeline:
         #: The record whose I-cache miss fetch last started, so that the
         #: fetch retried after the stall does not fetch its line again.
         self._imiss_record = None
-        self._pending_loads = []
+        self._pending_loads: list[RUUEntry] = []
         #: False when the last issue pass showed its waiting list inert
         #: (see :meth:`next_event`).
         self._retry_waiting = False
         self._last_commit_cycle = 0
         self.done = False
         #: Observability hook (``None`` = untraced: zero overhead).
-        self._tracer = None
+        self._tracer: Tracer | None = None
         self._trace_node = 0
 
     def attach_tracer(self, tracer, node_id: int) -> None:
@@ -203,28 +215,59 @@ class Pipeline:
 
         # ---- issue stage (oldest-ready first, up to issue_width) ----
         heap = ruu._ready_heap
-        if (heap and heap[0][0] <= now) or ruu._waiting:
-            batch, aged = ruu.candidates(now)
-            fus = self.fus
-            used = fus.begin_cycle(now)
-            limits = fus.limit_table
-            latencies = fus.latency_table
+        loads = ruu._waiting_loads
+        others = ruu._waiting_others
+        if (heap and heap[0][0] <= now) or loads or others:
+            limits = self._limits
+            load_limit = limits[_LOAD]
+            # The walk: entries ready before ``now`` first, by (ready
+            # cycle, age); then, merged by age, the entries ready now,
+            # the waiting non-loads and the ``load_limit`` oldest
+            # waiting loads.  No younger load could issue: the rest of
+            # the load list waits as one slice, unvisited.
+            walk: list[RUUEntry] = []
+            while heap and heap[0][0] < now:
+                walk.append(_heappop(heap)[2])
+            early = len(walk)
+            while heap and heap[0][0] <= now:
+                walk.append(_heappop(heap)[2])
+            if others or loads:
+                due = walk[early:] + others + loads[:load_limit]
+                due.sort(key=_entry_seq)
+                walk[early:] = due
+                others.clear()
+            latencies = self._latencies
+            used = [0] * len(limits)
             width = self._issue_width
+            ring = ruu.ring
+            mask = ruu.mask
+            head_seq = window[0].seq
             issued = 0
-            waiting = []
-            wait = waiting.append
-            for entry in batch:
+            claimed = 0
+            stalled: list[RUUEntry] = []
+            for entry in walk:
                 op_class = entry.op_class
-                if issued >= width or used[op_class] >= limits[op_class]:
-                    wait(entry)
-                    continue
-                # A load that then fails keeps its LOAD slot.
-                used[op_class] += 1
                 if op_class == _LOAD:
-                    if not self._issue_load(entry, now):
-                        wait(entry)
+                    if issued >= width or claimed >= load_limit:
+                        stalled.append(entry)
                         continue
+                    # A load blocked by an unissued same-address store
+                    # keeps its LOAD slot.
+                    claimed += 1
+                    fwd = entry.dyn.fwd
+                    if fwd < head_seq:
+                        store = None
+                    else:
+                        store = ring[fwd & mask]
+                        if not store.issued:
+                            stalled.append(entry)
+                            continue
+                    self._issue_load(entry, now, store)
                 else:
+                    if issued >= width or used[op_class] >= limits[op_class]:
+                        others.append(entry)
+                        continue
+                    used[op_class] += 1
                     entry.issued = True
                     entry.issued_at = now
                     if op_class == _STORE:
@@ -244,8 +287,19 @@ class Pipeline:
                                                  dep.seq, dep))
                         entry.dependents = None
                 issued += 1
-            ruu.wait(waiting, aged)
-            self._retry_waiting = issued > 0 or not aged
+            if stalled or loads:
+                # The loads left waiting: the stalled ones, then the
+                # slice never visited.  A pass out of age order, or a
+                # stalled load younger than the slice's first, sorts it.
+                resort = early or (
+                    stalled and len(loads) > load_limit
+                    and stalled[-1].seq > loads[load_limit].seq)
+                loads[:load_limit] = stalled
+                if resort:
+                    loads.sort(key=_entry_seq)
+            if early:
+                others.sort(key=_entry_seq)
+            self._retry_waiting = issued > 0 or early > 0
 
         # ---- fetch/dispatch stage (perfect branch prediction) ----
         if self._trace_done or now < self._fetch_ready:
@@ -318,33 +372,22 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Stage helpers.
     # ------------------------------------------------------------------
-    def _issue_load(self, entry, now: int) -> bool:
-        """Issue the load ``entry`` at ``now``; False when it must wait
-        for an earlier store to the same address (the caller keeps it
-        waiting)."""
-        ruu = self.ruu
+    def _issue_load(self, entry: RUUEntry, now: int,
+                    store: RUUEntry | None) -> None:
+        """Issue the load ``entry`` at ``now``: from ``store``, its
+        in-flight forwarding store (already issued), or else from the
+        memory system."""
+        entry.issued = True
+        entry.issued_at = now
         dyn = entry.dyn
-        store = None
-        fwd = dyn.fwd
-        if fwd >= ruu.window[0].seq:
-            # The youngest earlier overlapping store is in flight.
-            store = ruu.ring[fwd & ruu.mask]
-            if not store.issued:
-                # May not bypass an unissued same-address store.
-                return False
         if store is not None:
             self.lsq.forwards += 1
-            entry.issued = True
-            entry.issued_at = now
-            handle = _ForwardedHandle(dyn.addr, dyn.size, now)
-            entry.handle = handle
+            entry.handle = _ForwardedHandle(dyn.addr, dyn.size, now)
             when = store.issued_at + 1
             if when <= now:
                 when = now + 1
-            ruu.resolve(entry, when)
-            return True
-        entry.issued = True
-        entry.issued_at = now
+            self.ruu.resolve(entry, when)
+            return
         handle = self.mem.load_issue(now, dyn.addr, dyn.size)
         entry.handle = handle
         ready = handle.ready
@@ -352,19 +395,21 @@ class Pipeline:
             when = now + 1
             if ready > when:
                 when = ready
-            ruu.resolve(entry, when)
+            self.ruu.resolve(entry, when)
         else:
             self._pending_loads.append(entry)
-        return True
 
     def _trace_stall(self, now: int, cause: str, cycles: int = 1) -> None:
-        """Emit one fetch-stall episode (callers guard on the tracer).
+        """Emit one fetch-stall episode (callers guard on the tracer, so
+        an untraced run never calls this).
 
         Dense ticking emits one-cycle events; :meth:`note_skipped` emits
         a single aggregated event per skipped range — the *totals* match
         the stall counters exactly either way."""
-        self._tracer.emit(EventKind.ISSUE_STALL, now, self._trace_node,
-                          cause=cause, cycles=cycles)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.emit(EventKind.ISSUE_STALL, now, self._trace_node,
+                        cause=cause, cycles=cycles)
 
     def _peek_trace(self):
         if self._fetch_buffer is None and not self._trace_done:
@@ -403,16 +448,16 @@ class Pipeline:
         commit-before-resolve stage order is preserved (commit may see
         the result only one cycle after the resolving tick).
 
-        The waiting list forces ``now + 1`` only when the last issue
+        The waiting lists force ``now + 1`` only when the last issue
         pass issued something or took entries out of age order.  A
-        pass in age order that issued nothing held only loads (a
-        non-load whose class has a free slot always issues), each
-        blocked by an unissued same-address store or left without a
-        LOAD slot by blocked older loads.  Every later pass over the same list
-        re-fails the same way until a new entry comes due, and
-        everything that brings one is bounded here anyway: the heap
-        top, pending loads, fetch, and deliveries (which zero the
-        wake).
+        pass in age order that issued nothing left no non-load waiting
+        (a non-load whose class has a free slot always issues), and
+        each waiting load blocked by an unissued same-address store or
+        left without a LOAD slot by blocked older loads.  Every later
+        pass over the same loads re-fails the same way until a new
+        entry comes due, and everything that brings one is bounded here
+        anyway: the heap top, pending loads, fetch, and deliveries
+        (which zero the wake).
         """
         if self.done:
             return _INF
@@ -444,7 +489,8 @@ class Pipeline:
                 return nxt
         bound = _INF
         ruu = self.ruu
-        if self._retry_waiting and ruu._waiting:
+        if self._retry_waiting and (ruu._waiting_loads
+                                    or ruu._waiting_others):
             return nxt
         heap = ruu._ready_heap
         if heap:

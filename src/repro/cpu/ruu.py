@@ -14,20 +14,18 @@ in flight exactly when its seq is at least the window head's, and then
 it is the entry in its slot.  One older than the head has committed,
 and its result time is past.  :meth:`RUU.dispatch` reuses the committed
 entry in the new seq's slot: a committed entry is in no other
-structure — it was issued (so it sits in neither the ready heap nor the
-waiting list) and resolved (so ``dependents`` is ``None`` and it is not
-a pending load).
+structure — it was issued (so it sits neither in the ready heap nor on
+a waiting list) and resolved (so ``dependents`` is ``None`` and it is
+not a pending load).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from operator import attrgetter
+from heapq import heappush
+from typing import Any
 
 from ..isa.opcodes import OpClass
-
-_entry_seq = attrgetter("seq")
 
 
 class RUUEntry:
@@ -46,11 +44,12 @@ class RUUEntry:
         self.dyn = dyn
         self.operand_time = now
         self.unresolved = 0
-        self.dependents = None
+        self.dependents: list[RUUEntry] | None = None
         self.issued = False
         self.issued_at = -1
-        self.result_time = None
-        self.handle = None
+        self.result_time: int | None = None
+        #: A load's handle: the memory system's, or a forwarded one.
+        self.handle: Any = None
 
     def __repr__(self) -> str:
         return (f"<RUUEntry #{self.seq} {OpClass(self.op_class).name} "
@@ -64,22 +63,30 @@ class RUU:
     names; an entry becomes ready once every producer's result time is
     known, at which point it enters the ready heap keyed by
     ``(operand_time, seq)`` — oldest-first among equally-ready entries.
-    An issue pass takes the due entries off the heap; those it cannot
-    issue wait, oldest first, for the next pass.
+
+    The issue pass (:meth:`repro.cpu.pipeline.Pipeline.tick`) takes the
+    due entries off the heap and merges them by age with the entries the
+    pass before could not issue, which wait in two age-ordered lists:
+    the loads, and the rest.  It takes only as many of the oldest
+    waiting loads as there are LOAD slots, and carries the rest of the
+    load list over as one slice.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         #: In-flight entries, oldest first.
-        self.window = deque()
+        self.window: deque[RUUEntry] = deque()
         size = 1 << (capacity - 1).bit_length()
-        #: Entries by ``seq & mask`` (see module docstring).
-        self.ring = [None] * size
+        #: Entries by ``seq & mask`` (see module docstring).  A slot is
+        #: ``None`` until its first use, but an in-flight seq always
+        #: finds its entry, so readers do not check.
+        self.ring: list[Any] = [None] * size
         self.mask = size - 1
-        self._ready_heap = []
-        #: Ready entries the last issue pass could not issue, oldest
-        #: first (see :meth:`candidates`).
-        self._waiting = []
+        self._ready_heap: list[tuple[int, int, RUUEntry]] = []
+        #: Ready loads the last issue pass could not issue, oldest first.
+        self._waiting_loads: list[RUUEntry] = []
+        #: Ready non-loads the last issue pass could not issue.
+        self._waiting_others: list[RUUEntry] = []
 
     def __len__(self) -> int:
         return len(self.window)
@@ -149,37 +156,3 @@ class RUU:
             if dep.unresolved == 0 and not dep.issued:
                 heappush(heap, (dep.operand_time, dep.seq, dep))
         entry.dependents = None
-
-    def candidates(self, now: int):
-        """Take every entry that may issue at ``now``, in issue order.
-
-        Entries whose operands became ready before ``now`` come first,
-        by (ready time, age); then the waiting list and the entries
-        ready exactly at ``now``, merged by age.  The waiting list is
-        emptied: the issue pass rebuilds it from the entries it cannot
-        issue.  Returns ``(batch, aged)``; ``aged`` is True when the
-        whole batch is in age order.
-        """
-        batch = self._waiting
-        self._waiting = []
-        heap = self._ready_heap
-        if not heap or heap[0][0] > now:
-            return batch, True
-        early = []
-        retried = len(batch)
-        while heap and heap[0][0] <= now:
-            ready, _, entry = heappop(heap)
-            (early if ready < now else batch).append(entry)
-        if retried and len(batch) > retried:
-            batch.sort(key=_entry_seq)
-        if early:
-            return early + batch, False
-        return batch, True
-
-    def wait(self, entries: list, aged: bool) -> None:
-        """Make ``entries`` the waiting list: those an issue pass over a
-        :meth:`candidates` batch could not issue, in batch order, with
-        that batch's ``aged`` flag."""
-        if not aged:
-            entries.sort(key=_entry_seq)
-        self._waiting = entries

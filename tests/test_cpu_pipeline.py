@@ -1,5 +1,7 @@
 """Unit tests for the out-of-order pipeline against a perfect memory."""
 
+from heapq import heappop
+
 import pytest
 
 from repro.baseline.perfect import PerfectMemory, PerfectSystem
@@ -58,9 +60,16 @@ def _unwired(seq):
     return dyn
 
 
-def _seqs(candidates):
-    batch, aged = candidates
-    return [entry.seq for entry in batch], aged
+def _take(ruu, now):
+    """Pop the entries an issue pass at ``now`` takes off the ready heap,
+    in the order it takes them: their seqs, and whether every one was
+    ready exactly at ``now`` (none early)."""
+    taken = []
+    heap = ruu._ready_heap
+    while heap and heap[0][0] <= now:
+        ready, seq, _ = heappop(heap)
+        taken.append((ready, seq))
+    return [seq for _, seq in taken], all(ready == now for ready, _ in taken)
 
 
 def test_ruu_dependency_wakeup():
@@ -70,12 +79,12 @@ def test_ruu_dependency_wakeup():
     producer = ruu.dispatch(first, now=0)
     consumer = ruu.dispatch(second, now=0)
     assert consumer.unresolved == 1
-    assert _seqs(ruu.candidates(0)) == ([0], True)
+    assert _take(ruu, 0) == ([0], True)
     ruu.resolve(producer, result_time=5)
     assert consumer.unresolved == 0
-    assert _seqs(ruu.candidates(4)) == ([], True)
+    assert _take(ruu, 4) == ([], True)
     # Ready at 5, taken at 10: an entry ready before ``now`` is early.
-    assert _seqs(ruu.candidates(10)) == ([1], False)
+    assert _take(ruu, 10) == ([1], False)
     assert consumer.operand_time == 5
 
 
@@ -102,24 +111,89 @@ def test_ruu_schedulable_is_oldest_first():
     ruu = RUU(capacity=8)
     for dyn in _annotated(_dyn(0), _dyn(1), _dyn(2)):
         ruu.dispatch(dyn, 0)
-    assert _seqs(ruu.candidates(0)) == ([0, 1, 2], True)
+    assert _take(ruu, 0) == ([0, 1, 2], True)
 
 
-def test_ruu_candidates_put_early_entries_first_then_merge_by_age():
-    """Entries ready before ``now`` lead, by (ready time, age); the
-    waiting list and the entries ready exactly at ``now`` follow,
-    merged by age.  The waiting list is rebuilt in age order."""
-    ruu = RUU(capacity=16)
+def _hand_record(seq, op_class, addr, fwd=-1):
+    """A memory record with no producers, annotated by hand (see
+    :func:`_unwired`); a load's forwarding store is ``fwd``."""
+    dyn = _dyn(seq, op_class, addr=addr, size=4)
+    dyn.deps = ()
+    dyn.fwd = fwd
+    return dyn
+
+
+def _load_issue_order(agen):
+    """Seqs of the loads each issue pass issues, in issue order, with
+    ``agen`` LOAD slots, over a window filled by hand: loads 1 and 6,
+    ready at 4, wait behind store 0, which is ready at 5; then loads
+    2 and 4 come ready at 5, and 5 and 7 early, at 2 and 3."""
+    cpu = CPUConfig(fu_counts=dict(CPUConfig().fu_counts, AGEN=agen))
+    pipe = Pipeline(cpu, PerfectMemory(), iter(()))
+    issue_load = pipe._issue_load
+    passes = {}
+
+    def recording(entry, now, store):
+        passes.setdefault(now, []).append(entry.seq)
+        issue_load(entry, now, store)
+
+    pipe._issue_load = recording
+    ruu = pipe.ruu
+    ruu.dispatch(_hand_record(0, OpClass.STORE, 0x1000), now=5)
     for seq in (1, 6):
-        ruu.dispatch(_unwired(seq), now=4)
-    ruu.wait(*ruu.candidates(4))  # the pass at 4 issued neither
+        ruu.dispatch(_hand_record(seq, OpClass.LOAD, 0x1000, fwd=0), now=4)
+    pipe.tick(4)  # both loads wait: the store has not issued
+    assert [entry.seq for entry in ruu._waiting_loads] == [1, 6]
     for seq, ready in ((2, 5), (4, 5), (5, 2), (7, 3)):
-        ruu.dispatch(_unwired(seq), now=ready)
-    batch, aged = ruu.candidates(5)
-    assert _seqs((batch, aged)) == ([5, 7, 1, 2, 4, 6], False)
-    ruu.wait([entry for entry in batch if entry.seq != 2], aged)
-    assert _seqs(ruu.candidates(6)) == ([1, 4, 5, 6, 7], True)
-    assert _seqs(ruu.candidates(7)) == ([], True)
+        ruu.dispatch(_hand_record(seq, OpClass.LOAD, 0x2000 + 8 * seq),
+                     now=ready)
+    for now in range(5, 9):
+        pipe.tick(now)
+    assert not ruu._waiting_loads and not ruu._ready_heap
+    return passes
+
+
+def test_issue_pass_puts_early_entries_first_then_merges_by_age():
+    """Entries ready before ``now`` lead, by (ready time, age); the
+    waiting loads and the entries ready exactly at ``now`` follow,
+    merged by age (the store, 0, issues before the loads behind it).
+    With two LOAD slots, the loads the pass at 5 cannot issue, from
+    the waiting list and from the heap alike, wait in age order."""
+    assert _load_issue_order(agen=8) == {5: [5, 7, 1, 2, 4, 6]}
+    assert _load_issue_order(agen=2) == {5: [5, 7], 6: [1, 2], 7: [4, 6]}
+
+
+def test_blocked_load_keeps_the_only_load_slot_in_an_aged_pass():
+    """With one LOAD slot, an older load blocked behind an unissued
+    same-address store claims the slot in every pass: the younger free
+    load behind it waits until the store issues, while a younger ALU
+    op issues in the blocked pass itself."""
+    b = ProgramBuilder()
+    buf = b.alloc_global_words("buf", 64)
+    b.li("r15", buf)
+    b.li("r1", 3)
+    b.mul("r1", "r1", "r1")
+    b.mul("r1", "r1", "r1")   # the store's data: ready at cycle 8
+    b.sw("r1", "r15", 0)      # the store
+    b.lw("r7", "r15", 0)      # older load: blocked behind the store
+    b.lw("r8", "r15", 4)      # younger free load
+    b.addi("r9", "r15", 1)    # younger ALU op
+    b.halt()
+    cpu = CPUConfig(fu_counts=dict(CPUConfig().fu_counts, AGEN=1))
+    pipe = _pipeline(b.build(), cpu)
+    pipe.tick(0)
+    pipe.tick(1)
+    store, blocked, free, alu = list(pipe.ruu.window)[4:8]
+    assert blocked.dyn.fwd == store.seq and free.dyn.fwd == -1
+    pipe.tick(2)  # the pass in which the loads and the ALU op come due
+    assert not store.issued and not blocked.issued and not free.issued
+    assert alu.issued_at == 2
+    assert pipe.ruu._waiting_loads == [blocked, free]
+    _finish(pipe, 3)
+    assert store.issued_at == 8
+    assert blocked.issued_at == store.issued_at
+    assert blocked.handle.forwarded
+    assert free.issued_at == store.issued_at + 1
 
 
 # ----------------------------------------------------------------------
@@ -248,20 +322,26 @@ def test_lsq_overflow_is_a_simulation_error():
 # FU pool.
 # ----------------------------------------------------------------------
 def test_fu_pool_limits_per_cycle_and_resets():
-    pool = FUPool(CPUConfig())
-    fmult = int(OpClass.FMULT)
-    assert pool.try_claim(0, fmult)
-    assert pool.try_claim(0, fmult)
-    assert not pool.try_claim(0, fmult)  # only 2 FMULT units
-    assert pool.try_claim(1, fmult)  # fresh cycle
+    """Three independent FMULTs ready together: the two FMULT units
+    take two, and the next cycle's fresh slots take the third."""
+    b = ProgramBuilder()
+    for reg in ("f1", "f2", "f3"):
+        b.fmul(reg, "f0", "f0")
+    b.halt()
+    pipe = _pipeline(b.build())
+    pipe.tick(0)
+    fmults = list(pipe.ruu.window)[:3]
+    _finish(pipe, 1)
+    assert CPUConfig().fu_counts["FMULT"] == 2
+    assert [entry.issued_at for entry in fmults] == [1, 1, 2]
 
 
 def test_fu_pool_latencies_match_config():
     cfg = CPUConfig()
     pool = FUPool(cfg)
-    assert pool.latency(int(OpClass.IALU)) == 1
-    assert pool.latency(int(OpClass.FDIV)) == cfg.fu_latencies["FDIV"]
-    assert pool.latency(int(OpClass.LOAD)) == cfg.fu_latencies["AGEN"]
+    assert pool.latency_table[int(OpClass.IALU)] == 1
+    assert pool.latency_table[int(OpClass.FDIV)] == cfg.fu_latencies["FDIV"]
+    assert pool.latency_table[int(OpClass.LOAD)] == cfg.fu_latencies["AGEN"]
 
 
 # ----------------------------------------------------------------------

@@ -67,12 +67,14 @@ def _random_program(rng):
 
 
 def _random_cpu(rng):
+    fu_counts = CPUConfig().fu_counts
     return CPUConfig(
         fetch_width=rng.choice([1, 2, 4]),
         issue_width=rng.choice([1, 2, 4]),
         commit_width=rng.choice([1, 2, 4]),
         ruu_entries=rng.choice([8, 16, 32]),
         lsq_entries=rng.choice([4, 8]),
+        fu_counts={**fu_counts, "AGEN": rng.choice([1, 2, 8])},
     )
 
 
@@ -294,25 +296,28 @@ def test_fu_tables_mirror_config():
         count = config.fu_counts.get(op_class.fu_name)
         if count is not None:
             assert fus.limit_table[index] == count
-        assert fus.latency(index) == fus.latency_table[index]
 
 
-def test_fu_try_claim_enforces_per_class_per_cycle_limits():
+def test_fu_limits_bind_per_class_per_cycle():
+    """One FMULT more than the FMULT units, then an ALU op, all ready
+    together: the units take as many FMULTs as they number, the ALU op
+    issues beside them, and the next cycle's fresh slots take the last
+    FMULT."""
     config = CPUConfig()
-    fus = FUPool(config)
-    limited = [int(c) for c in OpClass
-               if config.fu_counts.get(c.fu_name) is not None]
-    assert limited, "config under test must limit at least one FU class"
-    op_class = limited[0]
-    limit = fus.limit_table[op_class]
-    for _ in range(limit):
-        assert fus.try_claim(10, op_class)
-    assert not fus.try_claim(10, op_class)  # class slots exhausted
-    # Other classes are unaffected by this class's exhaustion.
-    other = next(i for i in range(len(fus.limit_table)) if i != op_class)
-    assert fus.try_claim(10, other)
-    # A new cycle resets every class's slot counter.
-    assert fus.try_claim(11, op_class)
+    limit = FUPool(config).limit_table[int(OpClass.FMULT)]
+    assert limit == config.fu_counts["FMULT"] < config.issue_width - 1
+    builder = ProgramBuilder()
+    for i in range(limit + 1):
+        builder.fmul(f"f{1 + i}", "f0", "f0")
+    builder.addi("r1", "r0", 1)
+    builder.halt()
+    pipeline = _pipeline(builder.build(), config)
+    pipeline.tick(0)
+    *fmults, alu = list(pipeline.ruu.window)[:limit + 2]
+    for now in range(1, 10):
+        pipeline.tick(now)
+    assert [entry.issued_at for entry in fmults] == [1] * limit + [2]
+    assert alu.issued_at == 1
 
 
 # ----------------------------------------------------------------------
@@ -541,12 +546,17 @@ GOLDEN_LIMIT = 4_000
 #: sha256 of each run's ``result_fingerprint`` (sorted-key compact
 #: JSON, as ``benchmarks/perf`` digests an op), keyed by (kernel, core,
 #: nodes, cycles per bus cycle).  Beside the default core, a narrow
-#: core whose issue width and window overflow.
+#: core whose issue width and window overflow, and cores with one and
+#: two AGEN units, whose LOAD slots run out before their issue width.
 GOLDEN = {
     ("applu", "default", 2, 1):
         "85b7b01c28d40c8ad63ebc96d8c22f1f97e4fb3cd56b1113395412d93bf15112",
     ("applu", "default", 4, 16):
         "e7fc91d393bf17ab5441925f4596e34e8fdac4b033c3767b1bdbb36e61761e7e",
+    ("applu", "agen1", 4, 16):
+        "898dc9c702ba2f31c9a16e84359c8e9b44c44206ea704cdd86e0c0cfdc90b9df",
+    ("applu", "agen2", 2, 1):
+        "d7bf60f715ea5e0430d5a95f351114be2f49bbc3ef1fc2341ac9445d5e5f04e0",
     ("applu", "narrow", 2, 1):
         "eabc22cee3efeee49488a84cffb745669415a784ca651e3d22f50eb820d3f311",
     ("applu", "narrow", 4, 16):
@@ -568,11 +578,15 @@ def _golden_config(core, num_nodes, cycles_per_bus_cycle):
         bus=timing_bus_config(cycles_per_bus_cycle=cycles_per_bus_cycle))
     if core == "default":
         return config
-    assert core == "narrow"
     node = config.node
-    cpu = dataclasses.replace(node.cpu, fetch_width=2, issue_width=2,
-                              commit_width=2, ruu_entries=32,
-                              lsq_entries=16)
+    if core.startswith("agen"):
+        fu_counts = {**node.cpu.fu_counts, "AGEN": int(core[4:])}
+        cpu = dataclasses.replace(node.cpu, fu_counts=fu_counts)
+    else:
+        assert core == "narrow"
+        cpu = dataclasses.replace(node.cpu, fetch_width=2, issue_width=2,
+                                  commit_width=2, ruu_entries=32,
+                                  lsq_entries=16)
     return dataclasses.replace(config,
                                node=dataclasses.replace(node, cpu=cpu))
 
