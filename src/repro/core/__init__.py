@@ -1,7 +1,7 @@
 """The DataScalar execution model: ESP, BSHR, DCUB, correspondence."""
 
-from .bshr import BSHRFile, BSHRStats
 from .broadcast import Broadcaster, BroadcastStats
+from .bshr import BSHRFile, BSHRStats
 from .correspondence import CorrespondenceStats, CorrespondenceTracker
 from .datathread import DatathreadAnalyzer, DatathreadReport, analyze_stream
 from .dcub import DCUB, DCUBEntry

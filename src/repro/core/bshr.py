@@ -60,7 +60,7 @@ class BSHRFile:
         self.stats = BSHRStats()
         #: Fault-mode wait deadline (cycles); ``None`` = unarmed, the
         #: perfect-transport default with zero per-access overhead.
-        self._timeout = None
+        self._timeout: int | None = None
         self._deadlines: "dict[object, int]" = {}  # waiting handle -> cycle
         self._deadline_floor = _INF  # lower bound on the earliest deadline
         self._tracer = None  # observability hook (None = untraced)

@@ -33,7 +33,7 @@ class DatathreadAnalyzer:
 
     def __init__(self, page_table: PageTable):
         self.page_table = page_table
-        self._current_node = None
+        self._current_node: int | None = None
         self._current_length = 0
         self._run_lengths_sum = 0
         self._run_count = 0

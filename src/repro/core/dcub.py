@@ -27,9 +27,10 @@ class DCUBEntry:
 
     def __init__(self, line: int):
         self.line = line
-        self.ready = None
+        self.ready: int | None = None
         self.refs = 0
-        self.merged_handles = []
+        #: (handle, merge cycle) of each access waiting on the line.
+        self.merged_handles: list[tuple] = []
 
     def resolve(self, cycle: int) -> None:
         """The line's data became available at ``cycle``; wake merged

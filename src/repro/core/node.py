@@ -31,8 +31,8 @@ from ..memory.mainmem import BankedMemory
 from ..memory.page_table import PageTable
 from ..obs.events import EventKind
 from ..params import NodeConfig
-from .bshr import BSHRFile
 from .broadcast import Broadcaster
+from .bshr import BSHRFile
 from .correspondence import CorrespondenceTracker
 from .dcub import DCUB
 
@@ -65,7 +65,7 @@ class DataScalarNode(MemoryInterface):
         self.page_table = page_table
         #: Line addresses this node's D-cache holds (the issue-time
         #: view), advanced at each memory commit by ``apply_outcome``.
-        self.resident = set()
+        self.resident: set[int] = set()
         self._line_mask = ~(config.dcache.line_size - 1)
         self._where = f"node {node_id}"
         self.local_mem = BankedMemory(

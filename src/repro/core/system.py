@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..cpu.pipeline import DEADLOCK_CYCLES, Pipeline, PipelineStats
+from ..cpu.pipeline import Pipeline, PipelineStats
 from ..errors import ProtocolError, SimulationError
 from ..interconnect.medium import make_medium
 from ..isa.codegen import make_trace_source
@@ -26,8 +26,6 @@ from ..memory.layout import LayoutSpec, build_page_table
 from ..obs import spans
 from ..obs.events import EventKind
 from ..params import SystemConfig
-
-_INF = float("inf")
 
 
 @dataclass
@@ -104,7 +102,7 @@ class DataScalarResult:
 class DataScalarSystem:
     """N IRAM nodes on one global broadcast bus (Figure 6(b))."""
 
-    def __init__(self, config: SystemConfig = None):
+    def __init__(self, config: SystemConfig | None = None):
         self.config = config or SystemConfig()
 
     def _make_medium(self):
@@ -114,12 +112,12 @@ class DataScalarSystem:
         config = self.config
         medium = make_medium(config.interconnect, config.bus,
                              config.num_nodes)
-        if config.faults is not None:
-            from ..faults import FaultyMedium
+        if config.faults is None:
+            return medium
+        from ..faults import FaultyMedium
 
-            medium = FaultyMedium(medium, config.faults, config.num_nodes,
-                                  config.bus)
-        return medium
+        return FaultyMedium(medium, config.faults, config.num_nodes,
+                            config.bus)
 
     def _make_traces(self, program, limit) -> list:
         """One annotated record stream per node: SPSD nodes consume the
@@ -165,29 +163,24 @@ class DataScalarSystem:
         )
         num = config.num_nodes
         nodes: "list[DataScalarNode]" = []
-        # Per-pipeline wake cycles for :func:`drive`.  A broadcast
-        # delivery is the one way a peer creates work for an idle node,
-        # so the deliver hook zeroes the target's wake to force a re-tick
-        # and a fresh bound.
+        # Per-pipeline wake cycles for :func:`drive`: the bound each
+        # node's last tick returned.  A broadcast delivery is the one way
+        # a peer creates work for an idle node, so the deliver hook
+        # zeroes the target's wake to force a re-tick and a fresh bound.
         wake = [0] * num
 
         def deliver(src: int, line: int, arrivals) -> None:
-            for node in nodes:
-                arrival = arrivals[node.node_id]
-                if arrival is not None:
-                    node.bshr.arrival(arrival, line)
-                    wake[node.node_id] = 0
-
-        if tracer is not None:
-            plain_deliver = deliver
-
-            def deliver(src: int, line: int, arrivals) -> None:
+            if tracer is not None:
                 for node in nodes:
                     arrival = arrivals[node.node_id]
                     if arrival is not None:
                         tracer.emit(EventKind.BCAST_ARRIVE, arrival,
                                     node.node_id, src=src, line=line)
-                plain_deliver(src, line, arrivals)
+            for node in nodes:
+                arrival = arrivals[node.node_id]
+                if arrival is not None:
+                    node.bshr.arrival(arrival, line)
+                    wake[node.node_id] = 0
 
         with spans.span("layout"):
             page_table, layout_summary = build_page_table(program, spec)
@@ -222,10 +215,9 @@ class DataScalarSystem:
                 node.bshr.arm_timeout(config.faults.wait_deadline)
             external = self._fault_event_fn(nodes, medium)
             before_tick = self._timeout_check(nodes)
-        after_round = None
-        if observer is not None:
-            def after_round(cycle):
-                observer(cycle, pipelines, nodes, medium)
+
+        def observe(cycle: int) -> None:
+            observer(cycle, pipelines, nodes, medium)
 
         with spans.span("timing-loop"):
             # An observer wants to see every cycle: dense ticking.
@@ -233,7 +225,7 @@ class DataScalarSystem:
                 pipelines, config.max_cycles,
                 dense=not config.fast_forward or observer is not None,
                 wake=wake, external=external, before_tick=before_tick,
-                after_round=after_round)
+                after_round=None if observer is None else observe)
         with spans.span("analysis"):
             return self._collect(cycles, pipelines, nodes, medium,
                                  page_table, layout_summary)
@@ -338,25 +330,20 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
 
     This is the one cycle scheduler: every system — N DataScalar nodes
     or a single-core baseline — runs through it.  Each pipeline carries
-    its own wake cycle in ``wake``: the :meth:`Pipeline.next_event`
-    bound computed right after its last tick.  A pipeline is simply not
-    ticked before it.  Ticks before a pipeline's own bound do nothing
-    but stall bookkeeping, and that bookkeeping is replayed exactly by
-    one :meth:`Pipeline.note_skipped` call just before the next real
-    tick (``last_tick`` holds each pipeline's first cycle not yet
-    accounted; its fetch state is frozen in between, so deferred replay
-    classifies every skipped cycle identically).  Nodes thus run at
-    their own pace, as ESP lets them, while every cycle ``n`` is still
-    finished for all nodes before any node starts ``n + 1``.
+    its own wake cycle in ``wake``: the bound its last
+    :meth:`Pipeline.tick` returned.  A pipeline is simply not ticked
+    before it; the ticks skipped would do nothing but count stalls, and
+    the next real tick counts them.  Nodes thus run at their own pace,
+    as ESP lets them, while every cycle ``n`` is still finished for all
+    nodes before any node starts ``n + 1``.
 
     The one way a peer creates work for an idle pipeline is a broadcast
     delivery, and deliveries are materialized eagerly (at broadcast
     time, with absolute arrival cycles): the owner of ``wake`` zeroes
-    the target's entry, forcing a re-tick and a fresh bound.  A pipeline
-    with no self-generated event at all (``next_event`` = inf — wedged
-    waiting on a peer) is woken at its deadlock-detection tick once no
-    peer has an earlier event, so protocol hangs still surface as typed
-    errors at the cycle dense ticking would raise them.
+    the target's entry, forcing a re-tick and a fresh bound.  A
+    pipeline wedged waiting on a peer returns its deadlock-detector
+    tick, so protocol hangs still surface as typed errors at the cycle
+    dense ticking would raise them.
 
     ``dense`` sets every wake to ``cycle + 1`` instead, which ticks
     every pipeline every cycle (observers, ``fast_forward=False``).
@@ -368,7 +355,6 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
     num = len(pipelines)
     if wake is None:
         wake = [0] * num
-    last_tick = [0] * num
     cycle = 0
     ticks = [pipeline.tick for pipeline in pipelines]
     running = sum(1 for pipeline in pipelines if not pipeline.done)
@@ -382,22 +368,18 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
             pipeline = pipelines[i]
             if pipeline.done or wake[i] > cycle:
                 continue
-            start = last_tick[i]
-            if start < cycle:
-                pipeline.note_skipped(start, cycle)
-            ticks[i](cycle)
-            last_tick[i] = nxt
+            bound = ticks[i](cycle)
             if pipeline.done:
                 running -= 1
             elif dense:
                 wake[i] = nxt
             else:
-                wake[i] = pipeline.next_event(cycle)
+                wake[i] = bound
         if after_round is not None:
             after_round(cycle)
         if not running:
             return nxt
-        target = _INF
+        target = max_cycles
         for i in range(num):
             if pipelines[i].done:
                 continue
@@ -407,22 +389,11 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
                 break
             if event < target:
                 target = event
-        if target == _INF:
-            # No pipeline has a self-generated event: jump straight to
-            # the earliest deadlock-detector tick and force the stuck
-            # pipelines awake there so the error surfaces.
-            target = min(p._last_commit_cycle + DEADLOCK_CYCLES + 1
-                         for p in pipelines if not p.done)
-            for i in range(num):
-                if not pipelines[i].done and wake[i] > target:
-                    wake[i] = target
         if external is not None and target > nxt:
             event = external(cycle)
             if event is not None and event < target:
                 target = event
-        if target > max_cycles:
-            target = max_cycles
         if target < nxt:
             target = nxt
-        cycle = int(target)
+        cycle = target
     return cycle

@@ -22,7 +22,10 @@ One function, :meth:`Pipeline.tick`, simulates a cycle: the stages are
 inlined in that order (load completion between commit and issue),
 per-cycle attribute lookups are hoisted into locals, and the per-config
 dispatch structures (FU latency/limit tables, widths, the RUU ring) are
-precomputed at construction.  Wall time per layer is
+precomputed at construction.  The tick ends by returning the first
+later cycle at which a tick could do more than count a stall, so a
+scheduler may skip the cycles before it (``tick`` then counts their
+stalls itself).  Wall time per layer is
 attributed on this shipping tick by profiling (``benchmarks/perf/run.py
 --trace 1``), not by a second, instrumented copy of it.
 """
@@ -46,7 +49,6 @@ from .ruu import RUU, RUUEntry
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 _COMMIT_EVENT = EventKind.COMMIT
-_INF = float("inf")
 _entry_seq = attrgetter("seq")
 
 #: Cycles with no commit before the pipeline declares itself wedged.
@@ -120,9 +122,9 @@ class Pipeline:
         #: fetch retried after the stall does not fetch its line again.
         self._imiss_record = None
         self._pending_loads: list[RUUEntry] = []
-        #: False when the last issue pass showed its waiting list inert
-        #: (see :meth:`next_event`).
-        self._retry_waiting = False
+        #: The stall a cycle skipped after the last tick counts
+        #: (``"fetch"``, ``"window"``, ``"lsq"``, or ``None``).
+        self._skip_stall: str | None = None
         self._last_commit_cycle = 0
         self.done = False
         #: Observability hook (``None`` = untraced: zero overhead).
@@ -140,21 +142,42 @@ class Pipeline:
     # ------------------------------------------------------------------
     # One simulated cycle — the flat fast path.
     # ------------------------------------------------------------------
-    def tick(self, now: int) -> None:
+    def tick(self, now: int) -> int:
         """Simulate cycle ``now``.  Sets :attr:`done` when the program has
         fully drained through the machine.
 
         Stage logic is inlined: commit → resolve → issue → fetch.
+
+        Returns the first cycle after ``now`` at which a tick could do
+        more than count a stall; the caller may skip the cycles before
+        it (:func:`repro.core.system.drive`).  Whatever a peer delivers
+        in between is the caller's to wake on.  A pipeline with no event
+        of its own (waiting on a peer) returns its deadlock-detector
+        tick, where a tick raises if nothing came.  The next tick counts
+        the skipped cycles' stalls: each would have counted the stall
+        that this tick's end state selects (:attr:`_skip_stall`).
         """
         if self.done:
-            return
+            return now + 1
         stats = self.stats
-        stats.cycles = now + 1
+        tracer = self._tracer
+        skipped = now - stats.cycles
+        if skipped > 0:
+            stall = self._skip_stall
+            if stall is not None:
+                if stall == "fetch":
+                    stats.fetch_stalls += skipped
+                elif stall == "window":
+                    stats.window_stalls += skipped
+                else:
+                    stats.lsq_stalls += skipped
+                if tracer is not None:
+                    self._trace_stall(stats.cycles, stall, skipped)
+        nxt = now + 1
+        stats.cycles = nxt
         ruu = self.ruu
         window = ruu.window
         lsq = self.lsq
-        tracer = self._tracer
-        nxt = now + 1
 
         # ---- commit stage (in order, up to commit_width) ----
         if window:
@@ -217,6 +240,7 @@ class Pipeline:
         heap = ruu._ready_heap
         loads = ruu._waiting_loads
         others = ruu._waiting_others
+        retry = False
         if (heap and heap[0][0] <= now) or loads or others:
             limits = self._limits
             load_limit = limits[_LOAD]
@@ -299,7 +323,7 @@ class Pipeline:
                     loads.sort(key=_entry_seq)
             if early:
                 others.sort(key=_entry_seq)
-            self._retry_waiting = issued > 0 or early > 0
+            retry = issued > 0 or early > 0
 
         # ---- fetch/dispatch stage (perfect branch prediction) ----
         if self._trace_done or now < self._fetch_ready:
@@ -362,12 +386,64 @@ class Pipeline:
 
         if self._trace_done and not window:
             self.done = True
-            return
-        if now - self._last_commit_cycle > DEADLOCK_CYCLES:
+            return nxt
+        last_commit = self._last_commit_cycle
+        if now - last_commit > DEADLOCK_CYCLES:
             raise SimulationError(
                 f"no commit for {DEADLOCK_CYCLES} cycles at cycle {now}; "
                 f"head={ruu.head()!r}"
             )
+
+        # ---- wake bound ----
+        # Waiting entries need the next cycle only if this pass issued
+        # something or ran out of age order.  A pass in age order that
+        # issued nothing left no non-load waiting (a non-load whose
+        # class has a free slot always issues), and each waiting load
+        # blocked by an unissued same-address store or left without a
+        # LOAD slot by blocked older loads.  Every later pass re-fails
+        # the same way until a new entry comes due, which the heap top,
+        # the head, fetch and deliveries (the caller's) all bound.
+        # Every pending load still waits on a delivery: this tick's
+        # load completion resolved those whose handle was ready, and
+        # only a peer's broadcast fills one in.
+        if retry and (loads or others):
+            return nxt
+        bound = last_commit + DEADLOCK_CYCLES + 1
+        if heap:
+            ready = heap[0][0]
+            if ready <= nxt:
+                return nxt
+            if ready < bound:
+                bound = ready
+        if window:
+            result_time = window[0].result_time
+            if result_time is not None:
+                if result_time <= nxt:
+                    return nxt
+                if result_time < bound:
+                    bound = result_time
+        # Fetch, in its stage's branch order: a skipped cycle counts the
+        # stall its frozen state selects.
+        stall = None
+        if not self._trace_done:
+            fetch_ready = self._fetch_ready
+            if nxt < fetch_ready:
+                stall = "fetch"
+                if fetch_ready < bound:
+                    bound = fetch_ready
+            elif len(window) >= ruu.capacity:
+                stall = "window"
+            else:
+                dyn = self._peek_trace()
+                if dyn is not None:
+                    op_class = dyn.op_class
+                    if (op_class == _LOAD or op_class == _STORE) \
+                            and lsq.occupancy >= lsq.capacity:
+                        stall = "lsq"
+                    else:
+                        return nxt  # fetch dispatches next cycle
+        self._skip_stall = stall
+        return bound
 
     # ------------------------------------------------------------------
     # Stage helpers.
@@ -403,9 +479,9 @@ class Pipeline:
         """Emit one fetch-stall episode (callers guard on the tracer, so
         an untraced run never calls this).
 
-        Dense ticking emits one-cycle events; :meth:`note_skipped` emits
-        a single aggregated event per skipped range — the *totals* match
-        the stall counters exactly either way."""
+        Dense ticking emits one-cycle events; the tick that follows a
+        skipped range emits one aggregated event for it — the *totals*
+        match the stall counters exactly either way."""
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(EventKind.ISSUE_STALL, now, self._trace_node,
@@ -418,138 +494,6 @@ class Pipeline:
             except StopIteration:
                 self._trace_done = True
         return self._fetch_buffer
-
-    # ------------------------------------------------------------------
-    # Fast-forward support (idle-cycle skipping).
-    # ------------------------------------------------------------------
-    def next_event(self, now: int) -> float:
-        """Lower bound on the next cycle at which :meth:`tick` could do
-        anything beyond pure stall bookkeeping.
-
-        Valid only immediately after every pipeline in the system has
-        ticked cycle ``now`` (cross-node broadcasts resolve load handles
-        during other nodes' ticks).  Returns ``inf`` when this pipeline
-        has no self-generated event — it is waiting on another node.
-        The system loop takes the minimum across nodes — folding in any
-        medium-level timers (the fault layer's pending recovery
-        deliveries and armed BSHR wait deadlines) — and cycles before it
-        are observationally idle everywhere and may be skipped once
-        :meth:`note_skipped` replays their stall accounting.
-
-        Pending loads whose handle already carries a known-future ready
-        cycle (a BSHR/DCUB completion or a fault-recovery delivery
-        materialized by an earlier broadcast) are resolved *eagerly*
-        here, so they contribute their exact wake cycle instead of the
-        conservative ``now + 1``.  Eager resolution is identical to what
-        the next dense tick would do — ``resolve(entry, max(ready,
-        issued_at + 1))`` does not depend on the tick cycle — and it is
-        only legal when that wake cycle lies strictly past ``now + 1``:
-        a result due at ``now + 1`` must stay pending so the dense
-        commit-before-resolve stage order is preserved (commit may see
-        the result only one cycle after the resolving tick).
-
-        The waiting lists force ``now + 1`` only when the last issue
-        pass issued something or took entries out of age order.  A
-        pass in age order that issued nothing left no non-load waiting
-        (a non-load whose class has a free slot always issues), and
-        each waiting load blocked by an unissued same-address store or
-        left without a LOAD slot by blocked older loads.  Every later
-        pass over the same loads re-fails the same way until a new
-        entry comes due, and everything that brings one is bounded here
-        anyway: the heap top, pending loads, fetch, and deliveries
-        (which zero the wake).
-        """
-        if self.done:
-            return _INF
-        nxt = now + 1
-        pending = self._pending_loads
-        tick_next = False
-        if pending:
-            resolve = self.ruu.resolve
-            kept = 0
-            for entry in pending:
-                ready = entry.handle.ready
-                if ready is None:
-                    pending[kept] = entry
-                    kept += 1
-                    continue
-                when = entry.issued_at + 1
-                if ready > when:
-                    when = ready
-                if when <= nxt:
-                    # Due immediately: the next tick must collect it.
-                    pending[kept] = entry
-                    kept += 1
-                    tick_next = True
-                else:
-                    resolve(entry, when)
-            if kept != len(pending):
-                del pending[kept:]
-            if tick_next:
-                return nxt
-        bound = _INF
-        ruu = self.ruu
-        if self._retry_waiting and (ruu._waiting_loads
-                                    or ruu._waiting_others):
-            return nxt
-        heap = ruu._ready_heap
-        if heap:
-            ready = heap[0][0]
-            if ready <= nxt:
-                return nxt
-            bound = ready
-        window = ruu.window
-        head = window[0] if window else None
-        if head is not None and head.issued \
-                and head.result_time is not None:
-            when = head.result_time
-            if when <= nxt:
-                return nxt
-            if when < bound:
-                bound = when
-        if not self._trace_done:
-            if nxt < self._fetch_ready:
-                if self._fetch_ready < bound:
-                    bound = self._fetch_ready
-            elif len(window) < ruu.capacity:
-                dyn = self._peek_trace()
-                if dyn is not None and not (
-                        dyn.op_class in (_LOAD, _STORE)
-                        and self.lsq.is_full()):
-                    return nxt  # fetch dispatches next cycle
-        return bound
-
-    def note_skipped(self, start: int, stop: int) -> None:
-        """Replay stall accounting for skipped cycles ``[start, stop)``.
-
-        The system loop guarantees the range is observationally idle for
-        this pipeline (``stop`` is at most :meth:`next_event`), so each
-        skipped tick would have incremented exactly the stall counter
-        its frozen fetch state selects — mirroring the fetch stage's
-        branch order in :meth:`tick`: fetch-ready, window, LSQ.
-        """
-        cycles = stop - start
-        if cycles <= 0 or self.done:
-            return
-        stats = self.stats
-        if self._trace_done:
-            return
-        if start < self._fetch_ready:
-            stats.fetch_stalls += cycles
-            if self._tracer is not None:
-                self._trace_stall(start, "fetch", cycles)
-            return
-        if self.ruu.is_full():
-            stats.window_stalls += cycles
-            if self._tracer is not None:
-                self._trace_stall(start, "window", cycles)
-            return
-        dyn = self._peek_trace()
-        if dyn is not None and dyn.op_class in (_LOAD, _STORE) \
-                and self.lsq.is_full():
-            stats.lsq_stalls += cycles
-            if self._tracer is not None:
-                self._trace_stall(start, "lsq", cycles)
 
     # ------------------------------------------------------------------
     # Dense reference loop.

@@ -60,11 +60,15 @@ class LatencyQueue:
 
 
 class BroadcastMedium:
-    """What every broadcast transport shares: the tracer hook and a
-    default utilization."""
+    """What every broadcast transport shares: the tracer hook, the
+    broadcast signature and a default utilization."""
 
     #: Observability hook (``None`` = untraced, zero overhead).
     tracer: Tracer | None = None
+
+    def broadcast(self, now: int, src: int, line: int,
+                  payload_bytes: int) -> list[int | None]:
+        raise NotImplementedError
 
     def attach_tracer(self, tracer) -> None:
         """Emit MEDIUM_XFER events to ``tracer`` (node = source)."""

@@ -468,8 +468,8 @@ def test_older_load_starved_by_early_entries_retries_next_cycle(dense):
     """Entries ready before ``now`` issue first, by ready time, so a
     young blocked load can take the only LOAD slot ahead of an older
     free one.  That pass issues nothing, but it was not in age order,
-    so its waiting list is not inert: ``next_event`` must still ask for
-    the next cycle, where the older load issues, as under dense
+    so its waiting list is not inert: ``tick`` must still ask for the
+    next cycle, where the older load issues, as under dense
     ticking."""
     b = ProgramBuilder()
     buf = b.alloc_global_words("buf", 64)
@@ -504,10 +504,9 @@ def test_older_load_starved_by_early_entries_retries_next_cycle(dense):
     wake = 0
     for now in range(200):
         if dense or wake <= now:
-            pipe.tick(now)
+            wake = pipe.tick(now)
             if pipe.done:
                 break
-            wake = pipe.next_event(now)
         if deliver(now):
             wake = now + 1  # a delivery wakes the pipeline
     assert pipe.done

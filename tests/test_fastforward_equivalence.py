@@ -8,9 +8,11 @@ change a single reported number: these tests run the same workload with
 per-node interpreters, reproducing the original dense scheduler exactly
 — across every interconnect medium and node count, and compare full
 result snapshots.  The same holds for the generated-code front end
-against the interpreter.  Finally, the scheduler's work on five
-benchmark-shaped runs (calls of ``Pipeline.tick``, ``next_event`` and
-``note_skipped``) is pinned exactly.
+against the interpreter.  Tracing and hangs must be just as invisible:
+the stall events of a traced run add up to its stall counters, and a
+wedged machine raises the dense run's error.  Finally, the scheduler's
+work on five benchmark-shaped runs (calls of ``Pipeline.tick``, and
+those that follow a skipped range) is pinned exactly.
 """
 
 import dataclasses
@@ -117,7 +119,7 @@ def test_observer_forces_dense_and_sees_every_cycle():
 @pytest.mark.parametrize("interconnect", ["bus", "ring"])
 def test_fast_forward_matches_dense_under_faults(interconnect):
     """The faulty medium adds pending recovery timers and BSHR wait
-    deadlines; ``next_event`` must fold them in so skipping stays
+    deadlines; ``drive`` must fold them in so skipping stays
     invisible — including the seeded fault schedule itself."""
     from repro.params import FaultConfig
 
@@ -149,6 +151,55 @@ def test_tracing_is_bit_identical(workload, num_nodes):
     traced = DataScalarSystem(config).run(program, limit=LIMIT,
                                           tracer=EventTracer())
     assert _snapshot(traced) == _snapshot(plain)
+
+
+# Rows for the stall-event sums: (kernel, nodes, bus divisor, core
+# changes, the causes the row makes non-zero).  The benchmark-shaped
+# default cores stall on fetch and a full window; a 4-entry LSQ adds
+# LSQ stalls.
+STALL_LIMIT = 4_000
+STALL_ROWS = {
+    "compress-16x": ("compress", 4, 16, {}, ("fetch", "window")),
+    "applu-16x": ("applu", 4, 16, {}, ("window",)),
+    "mgrid-1x": ("mgrid", 2, 1, {}, ("fetch",)),
+    "compress-16x-lsq4": ("compress", 4, 16, {"lsq_entries": 4},
+                          ("fetch", "lsq")),
+}
+
+
+@pytest.mark.parametrize("fast_forward", [True, False])
+@pytest.mark.parametrize("row", sorted(STALL_ROWS))
+def test_stall_events_add_up_to_the_stall_counters(row, fast_forward):
+    """Per node and per cause, the ``cycles`` of the ``ISSUE_STALL``
+    events sum to the matching stall counter, whether each stalled cycle
+    was ticked (one event each) or skipped (one event per range)."""
+    from repro.experiments.config import (timing_bus_config,
+                                          timing_node_config)
+    from repro.obs import EventKind, EventTracer
+
+    kernel, num_nodes, divisor, core, causes = STALL_ROWS[row]
+    node = timing_node_config()
+    node = dataclasses.replace(node, cpu=dataclasses.replace(node.cpu,
+                                                             **core))
+    config = dataclasses.replace(
+        datascalar_config(num_nodes, node=node, bus=timing_bus_config(
+            cycles_per_bus_cycle=divisor)),
+        fast_forward=fast_forward)
+    tracer = EventTracer(kinds={EventKind.ISSUE_STALL})
+    result = DataScalarSystem(config).run(build_program(kernel),
+                                          limit=STALL_LIMIT, tracer=tracer)
+    sums: dict = {}
+    for event in tracer.events:
+        key = (event.node, event.args["cause"])
+        sums[key] = sums.get(key, 0) + event.args["cycles"]
+    for node_result in result.nodes:
+        stats = node_result.pipeline
+        for cause in ("fetch", "window", "lsq"):
+            assert sums.pop((node_result.node_id, cause), 0) == getattr(
+                stats, f"{cause}_stalls"), (node_result.node_id, cause)
+    assert not sums, f"stall events of no node or cause: {sums}"
+    for cause in causes:
+        assert getattr(result.nodes[0].pipeline, f"{cause}_stalls") > 0
 
 
 def test_tracing_is_bit_identical_under_faults():
@@ -305,22 +356,20 @@ def test_single_pipeline_systems_match_dense_loop(workload, monkeypatch):
 
 def _count_ticks(monkeypatch, run):
     """``run()`` with the scheduler's work counted: calls of
-    ``Pipeline.tick``, ``Pipeline.next_event`` and
-    ``Pipeline.note_skipped``.  Returns ``(counts, result)``."""
-    counts = dict.fromkeys(("tick", "next_event", "note_skipped"), 0)
+    ``Pipeline.tick`` (``tick``), and those that follow a skipped range
+    of the pipeline's cycles (``after_skip``).  Returns
+    ``(counts, result)``."""
+    counts = {"tick": 0, "after_skip": 0}
+    tick = Pipeline.tick
 
-    def counting(name):
-        method = getattr(Pipeline, name)
-
-        def counted(self, *args):
-            counts[name] += 1
-            return method(self, *args)
-
-        return counted
+    def counted(self, now):
+        counts["tick"] += 1
+        if now > self.stats.cycles:
+            counts["after_skip"] += 1
+        return tick(self, now)
 
     with monkeypatch.context() as patch:
-        for name in counts:
-            patch.setattr(Pipeline, name, counting(name))
+        patch.setattr(Pipeline, "tick", counted)
         result = run()
     return counts, result
 
@@ -357,20 +406,20 @@ def test_faults_and_tracing_skip_like_a_plain_run(monkeypatch):
 
 # The scheduler's exact work on five runs shaped like the workloads of
 # benchmarks/perf (membound, compute, issue-churn, faulty) plus a
-# traditional baseline, at limit 16,000: (cycles, tick, next_event,
-# note_skipped).  The counts are exact for a given input on any host,
-# so a change that makes the scheduler tick more (or skip less) fails
-# here instead of in a noisy timing floor.  A change that alters them
-# on purpose re-records them at its parent and says so.
+# traditional baseline, at limit 16,000: (cycles, ticks, ticks that
+# follow a skipped range).  The counts are exact for a given input on
+# any host, so a change that makes the scheduler tick more (or skip
+# less) fails here instead of in a noisy timing floor.  A change that
+# alters them on purpose re-records them at its parent and says so.
 EXACT_LIMIT = 16_000
 EXACT_FAULTS = {"drop_prob": 0.02, "receiver_drop_prob": 0.02,
                 "corrupt_prob": 0.01, "jitter_prob": 0.05}
 EXACT_COUNTS = {
-    "membound": (139_432, 35_005, 35_001, 7_579),
-    "compute": (2_801, 5_194, 5_192, 171),
-    "issue-churn": (67_150, 46_091, 46_087, 5_280),
-    "faulty": (15_695, 26_796, 26_792, 3_625),
-    "traditional": (55_328, 8_191, 8_190, 1_628),
+    "membound": (139_432, 35_005, 7_579),
+    "compute": (2_801, 5_194, 171),
+    "issue-churn": (67_150, 46_091, 5_280),
+    "faulty": (15_695, 26_796, 3_625),
+    "traditional": (55_328, 8_191, 1_628),
 }
 
 
@@ -402,8 +451,53 @@ def _exact_run(name):
 @pytest.mark.parametrize("name", sorted(EXACT_COUNTS))
 def test_scheduler_work_is_exact(name, monkeypatch):
     counts, result = _count_ticks(monkeypatch, _exact_run(name))
-    assert (result.cycles, counts["tick"], counts["next_event"],
-            counts["note_skipped"]) == EXACT_COUNTS[name]
+    assert (result.cycles, counts["tick"],
+            counts["after_skip"]) == EXACT_COUNTS[name]
+
+
+class _DeafNodeSystem(DataScalarSystem):
+    """A broken machine: its medium never delivers to node 1, so node 1
+    waits forever for the first line a peer owns."""
+
+    class _Deaf:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def broadcast(self, now, src, line, payload_bytes):
+            arrivals = list(self._inner.broadcast(now, src, line,
+                                                  payload_bytes))
+            arrivals[1] = None
+            return arrivals
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    def _make_medium(self):
+        return self._Deaf(super()._make_medium())
+
+
+@pytest.mark.parametrize("num_nodes, cycle, head", [(3, 3035, 19),
+                                                     (4, 3025, 14)])
+def test_a_hang_raises_the_dense_error(num_nodes, cycle, head, monkeypatch):
+    """A node that waits on a peer forever has no event of its own;
+    skipping must still surface the hang as the typed error that dense
+    ticking raises, at the same cycle.  (At 2 nodes the deaf node is
+    the only receiver, and a broadcast with no arrival is no hang.)"""
+    from repro.cpu import pipeline as pipeline_module
+
+    monkeypatch.setattr(pipeline_module, "DEADLOCK_CYCLES", 3_000)
+    program = build_program("compress")
+    messages = []
+    for fast_forward in (True, False):
+        config = dataclasses.replace(_config(num_nodes, "bus"),
+                                     fast_forward=fast_forward)
+        with pytest.raises(SimulationError) as excinfo:
+            _DeafNodeSystem(config).run(program, limit=4_000)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == (
+        f"no commit for 3000 cycles at cycle {cycle}; "
+        f"head=<RUUEntry #{head} LOAD issued=True result=None>")
 
 
 def _budget_runs():

@@ -2,16 +2,16 @@
 
 The per-cycle fast path leans on three precomputed/in-place structures
 (the RUU ring, the LSQ occupancy counter, the FU-class arbitration
-tables) and on :meth:`Pipeline.next_event` being an *exact*
-quiescence bound — the per-pipeline cycle driver
+tables) and on the wake bound :meth:`Pipeline.tick` returns being an
+*exact* quiescence bound — the per-pipeline cycle scheduler
 (:func:`repro.core.system.drive`) simply does not tick a
 pipeline before its own bound.  These tests pin each structure's
 contract as the shipping ``Pipeline.tick`` keeps it (or, for the FU
 tables, directly), then drive randomized programs to check the bound
-against dense ticking, pin the fault-recovery (retransmit-backoff)
-arrival arithmetic that the skip scheduler relies on being
-materialized eagerly, and finally pin whole results of the issue stage
-on core shapes no other test covers.
+and the stalls of skipped cycles against dense ticking, pin the
+fault-recovery (retransmit-backoff) arrival arithmetic that the skip
+scheduler relies on being materialized eagerly, and finally pin whole
+results of the issue stage on core shapes no other test covers.
 """
 
 import dataclasses
@@ -23,6 +23,7 @@ import pytest
 
 from repro.baseline.perfect import PerfectMemory
 from repro.core import DataScalarSystem
+from repro.core.system import drive
 from repro.cpu.func_units import FUPool
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.ruu import RUUEntry
@@ -321,11 +322,11 @@ def test_fu_limits_bind_per_class_per_cycle():
 
 
 # ----------------------------------------------------------------------
-# next_event vs dense ticking (the deep-skip quiescence bound).
+# tick's wake bound vs dense ticking (the deep-skip quiescence bound).
 # ----------------------------------------------------------------------
 
 def _observable(pipeline):
-    """Everything ``next_event`` promises stays frozen before the bound:
+    """Everything ``tick``'s bound promises stays frozen before it:
     commit-side counters, the window population, and issue activity
     (entries only leave the window at commit, so the per-entry issued
     flags are a faithful issue detector)."""
@@ -339,15 +340,14 @@ def _observable(pipeline):
 
 def _drive_checking_bounds(pipeline, max_cycles=50_000):
     """Dense-tick to completion, verifying after every tick that the
-    cycles strictly before ``next_event``'s bound are observationally
-    idle (exactly what the skip schedulers assume when they jump)."""
+    cycles strictly before the bound it returned are observationally
+    idle (exactly what the skip scheduler assumes when it jumps)."""
     now = 0
     while not pipeline.done:
         assert now < max_cycles, "bounded program failed to finish"
-        pipeline.tick(now)
+        bound = pipeline.tick(now)
         if pipeline.done:
             return now + 1
-        bound = pipeline.next_event(now)
         stop = min(bound, max_cycles)
         if stop > now + 1:
             frozen = _observable(pipeline)
@@ -355,7 +355,7 @@ def _drive_checking_bounds(pipeline, max_cycles=50_000):
                 pipeline.tick(idle)
                 assert _observable(pipeline) == frozen, (
                     f"activity at cycle {idle}, inside the idle span "
-                    f"promised by next_event({now}) == {bound}"
+                    f"promised by tick({now}) == {bound}"
                 )
                 if pipeline.done:
                     return idle + 1
@@ -366,31 +366,40 @@ def _drive_checking_bounds(pipeline, max_cycles=50_000):
 
 
 @pytest.mark.parametrize("seed_block", range(4))
-def test_next_event_bound_matches_dense_ticking(seed_block):
-    """200 random (program, machine-shape) pairs: dense ticking must be
-    observationally idle strictly before every ``next_event`` bound,
-    and interleaving ``next_event`` with dense ticking (what the
-    fast-forward scheduler does every cycle) must not change one final
-    number vs a pure dense run."""
+def test_tick_bound_matches_dense_ticking(seed_block):
+    """200 random (program, machine shape, load latency) triples: dense
+    ticking must be observationally idle strictly before every bound
+    ``tick`` returns, and neither ticking the idle cycles anyway nor
+    skipping them through :func:`drive` (whose next tick counts their
+    stalls) may change one final number vs a pure dense run."""
     for seed in range(seed_block * 50, seed_block * 50 + 50):
         rng = random.Random(seed)
         program = _random_program(rng)
         cpu = _random_cpu(rng)
+        # Slower loads keep windows and LSQs full across skipped cycles.
+        latency = rng.choice([1, 4, 16])
 
-        checked = Pipeline(cpu, PerfectMemory(),
+        checked = Pipeline(cpu, PerfectMemory(latency),
                            annotate(Interpreter(program).trace()))
         cycles = _drive_checking_bounds(checked)
 
-        dense = Pipeline(cpu, PerfectMemory(),
+        driven = Pipeline(cpu, PerfectMemory(latency),
+                          annotate(Interpreter(program).trace()))
+        driven_cycles = drive([driven], 50_000)
+
+        dense = Pipeline(cpu, PerfectMemory(latency),
                          annotate(Interpreter(program).trace()))
         now = 0
         while not dense.done:
             dense.tick(now)
             now += 1
         assert cycles == now, f"seed {seed}: cycle count diverged"
+        assert driven_cycles == now, f"seed {seed}: drive's cycles diverged"
         for slot in dense.stats.__slots__:
             assert getattr(checked.stats, slot) == getattr(
                 dense.stats, slot), f"seed {seed}: stats.{slot} diverged"
+            assert getattr(driven.stats, slot) == getattr(
+                dense.stats, slot), f"seed {seed}: drive's {slot} diverged"
 
 
 # ----------------------------------------------------------------------
