@@ -57,7 +57,3 @@ class CostModel:
         if speedup <= 0:
             raise ConfigError("speedup must be positive")
         return speedup > self.costup(num_nodes)
-
-    def breakeven_speedup(self, num_nodes: int) -> float:
-        """The minimum speedup at which ``num_nodes`` nodes pay off."""
-        return self.costup(num_nodes)

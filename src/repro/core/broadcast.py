@@ -45,11 +45,12 @@ class Broadcaster:
         """Emit BCAST_SEND events to ``tracer`` as this node."""
         self._tracer = tracer
 
-    def broadcast(self, now: int, line: int, late: bool = False) -> int:
+    def broadcast(self, now: int, line: int, late: bool = False) -> None:
         """Send ``line`` to all other nodes starting at ``now`` (the cycle
-        the data are available on-chip).  Returns the last arrival cycle."""
+        the data are available on-chip); ``deliver`` hands each receiver
+        its arrival cycle."""
         if self.num_peers == 0:
-            return now
+            return
         queued = self.queue.enqueue(now)
         arrivals = self.medium.broadcast(queued, self.node_id, line,
                                          self.line_size)
@@ -64,4 +65,3 @@ class Broadcaster:
             self._tracer.emit(EventKind.BCAST_SEND, queued, self.node_id,
                               line=line, late=late, seq=self.stats.sent)
         self._deliver(self.node_id, line, arrivals)
-        return max(a for a in arrivals if a is not None)

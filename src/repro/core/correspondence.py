@@ -37,11 +37,6 @@ class CorrespondenceStats:
         self.reparative_broadcasts = 0
         self.scheduled_discards = 0
 
-    @property
-    def classified(self) -> int:
-        return (self.true_hits + self.true_misses
-                + self.false_hits + self.false_misses)
-
 
 class CorrespondenceTracker:
     """Per-node reconciliation state."""

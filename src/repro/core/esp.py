@@ -34,12 +34,6 @@ class ESPResult:
     def total_cycles(self) -> int:
         return self.receive_times[-1] if self.receive_times else 0
 
-    @property
-    def mean_datathread_length(self) -> float:
-        if not self.datathreads:
-            return 0.0
-        return sum(self.datathreads) / len(self.datathreads)
-
 
 class MassiveMemoryMachine:
     """Lock-step SISD machine with a global broadcast bus.

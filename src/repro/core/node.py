@@ -153,11 +153,6 @@ class DataScalarNode(MemoryInterface):
         self.dcache_accesses += 1
         if not canonical_hit:
             self.dcache_misses += 1
-        if self._tracer is not None:
-            self._tracer.emit(EventKind.CACHE_COMMIT, now, self.node_id,
-                              line=line, store=is_store,
-                              hit=canonical_hit, filled=result.filled,
-                              evicted=result.evicted)
         if result.writeback is not None:
             self._complete_writeback(now, result.writeback)
         if handle is not None and handle.dcub_line is not None:

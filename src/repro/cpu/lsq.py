@@ -33,6 +33,3 @@ class LSQ:
 
     def __len__(self) -> int:
         return self.occupancy
-
-    def is_full(self) -> bool:
-        return self.occupancy >= self.capacity

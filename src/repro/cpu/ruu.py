@@ -91,9 +91,6 @@ class RUU:
     def __len__(self) -> int:
         return len(self.window)
 
-    def is_full(self) -> bool:
-        return len(self.window) >= self.capacity
-
     def head(self):
         return self.window[0] if self.window else None
 

@@ -21,12 +21,6 @@ class Figure1Result:
     single_owner: ESPResult
     worst_case: ESPResult
 
-    @property
-    def lead_change_cost(self) -> int:
-        """Extra cycles the paper's string pays versus one owner."""
-        return (self.paper_schedule.total_cycles
-                - self.single_owner.total_cycles)
-
 
 def compute_figure1(broadcast_latency: int = 1,
                     lead_change_penalty: int = 3) -> Figure1Result:

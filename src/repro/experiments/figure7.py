@@ -127,19 +127,3 @@ def format_figure7(rows) -> str:
           f"{r.speedup_2:.2f}x", f"{r.speedup_4:.2f}x"] for r in rows],
         title="Figure 7: instructions per cycle (timing simulation)",
     )
-
-
-def render_figure7_bars(rows) -> str:
-    """The figure's visual form: grouped IPC bars per benchmark."""
-    from ..analysis.report import render_bars
-
-    blocks = []
-    for row in rows:
-        blocks.append(render_bars(
-            ["perfect", "DS 2n", "DS 4n", "trad 1/2", "trad 1/4"],
-            [row.perfect_ipc, row.datascalar2_ipc, row.datascalar4_ipc,
-             row.traditional_half_ipc, row.traditional_quarter_ipc],
-            title=f"[{row.benchmark}]",
-            unit=" IPC",
-        ))
-    return "\n\n".join(blocks)

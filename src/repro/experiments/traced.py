@@ -1,12 +1,12 @@
-"""Fully-instrumented reference run: events, lockstep check, metrics.
+"""Fully-instrumented reference run: events and metrics.
 
 No paper analogue — this scenario exercises the observability layer
 (:mod:`repro.obs`) end to end: a multi-node run with an
-:class:`~repro.obs.EventTracer` attached, the SPSD lockstep divergence
-check over the recorded stream, and the canonical metrics snapshot.
-With ``--trace-out`` the events are exported as Chrome ``trace_event``
-JSON (open in https://ui.perfetto.dev — per-node tracks, broadcast flow
-arrows); with ``--metrics-out`` the metrics report is written as text.
+:class:`~repro.obs.EventTracer` attached and the canonical metrics
+snapshot.  With ``--trace-out`` the events are exported as Chrome
+``trace_event`` JSON (open in https://ui.perfetto.dev — per-node tracks,
+broadcast flow arrows); with ``--metrics-out`` the metrics report is
+written as text.
 
 Tracing is purely observational, so this run's cycles/IPC are
 bit-identical to the same configuration untraced.
@@ -20,7 +20,6 @@ from ..core.system import DataScalarSystem
 from ..obs import (
     EventTracer,
     MetricsRegistry,
-    check_lockstep,
     format_metrics,
     registry_from_result,
     write_chrome_trace,
@@ -39,7 +38,6 @@ class TracedRun:
     result: object
     events: list = field(default_factory=list)
     registry: "MetricsRegistry | None" = None
-    divergence: object = None
 
 
 def run_traced(limit=2500, workload: str = "compress",
@@ -54,7 +52,6 @@ def run_traced(limit=2500, workload: str = "compress",
     registry = registry_from_result(result)
     for kind, count in tracer.counts.items():
         registry.counter(f"trace.events.{kind.value}").inc(count)
-    divergence = check_lockstep(tracer.events)
     if trace_out:
         if str(trace_out).endswith(".jsonl"):
             write_jsonl(trace_out, tracer.events)
@@ -65,8 +62,7 @@ def run_traced(limit=2500, workload: str = "compress",
             handle.write(format_metrics(registry))
             handle.write("\n")
     return TracedRun(workload=workload, num_nodes=num_nodes, result=result,
-                     events=tracer.events, registry=registry,
-                     divergence=divergence)
+                     events=tracer.events, registry=registry)
 
 
 def format_traced(run: TracedRun) -> str:
@@ -84,10 +80,4 @@ def format_traced(run: TracedRun) -> str:
         for name in kinds:
             lines.append(f"    {name.removeprefix('trace.events.'):<18}"
                          f"{registry.counter(name).value}")
-    if run.divergence is None:
-        lines.append("  SPSD lockstep: OK (commit and cache-decision "
-                     "streams identical across nodes)")
-    else:
-        lines.append(f"  SPSD lockstep: VIOLATED — "
-                     f"{run.divergence.describe()}")
     return "\n".join(lines)

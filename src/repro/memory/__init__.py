@@ -8,7 +8,6 @@ from .address import (
     STACK_TOP,
     TEXT_BASE,
     Segment,
-    page_number,
     segment_of,
 )
 from .cache import AccessResult, Cache, CacheStats, canonical_outcomes
@@ -31,7 +30,6 @@ __all__ = [
     "STACK_TOP",
     "TEXT_BASE",
     "Segment",
-    "page_number",
     "segment_of",
     "AccessResult",
     "Cache",

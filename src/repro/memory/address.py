@@ -47,8 +47,3 @@ def segment_of(address: int) -> Segment:
         if low <= address < high:
             return segment
     raise ValueError(f"address {address:#x} falls outside every segment")
-
-
-def page_number(address: int, page_size: int) -> int:
-    """Return the page number containing ``address``."""
-    return address // page_size

@@ -90,7 +90,7 @@ class Cache:
         self._num_sets = config.num_sets
         self._set_mask = self._num_sets - 1
         # Each set is a list of [line_addr, dirty] pairs in LRU -> MRU order.
-        self._sets = [[] for _ in range(self._num_sets)]
+        self._sets: "list[list[list]]" = [[] for _ in range(self._num_sets)]
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------

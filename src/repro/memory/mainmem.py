@@ -47,13 +47,3 @@ class BankedMemory:
         self.accesses += 1
         self.total_wait += start - now
         return done
-
-    def peek(self, now: int, addr: int) -> int:
-        """Completion cycle an access would see, without reserving the bank."""
-        bank = self.bank_of(addr)
-        return max(now, self._bank_free[bank]) + self.latency
-
-    def reset(self) -> None:
-        self._bank_free = [0] * self.num_banks
-        self.accesses = 0
-        self.total_wait = 0

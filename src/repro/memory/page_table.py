@@ -71,14 +71,6 @@ class PageTable:
             self._entries[page] = entry
         return entry
 
-    def is_replicated(self, addr: int) -> bool:
-        """True when the page holding ``addr`` is replicated at every node."""
-        return self.entry_for(addr).replicated
-
-    def owner_of(self, addr: int):
-        """Owning node of a communicated address (``None`` if replicated)."""
-        return self.entry_for(addr).owner
-
     def is_local(self, addr: int, node: int) -> bool:
         """True when ``node`` can satisfy an access to ``addr`` locally."""
         entry = self.entry_for(addr)

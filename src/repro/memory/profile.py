@@ -42,9 +42,6 @@ class PageProfile:
     def segment_of_page(self, page: int) -> Segment:
         return segment_of(page * self.page_size)
 
-    def pages_in_segment(self, segment: Segment) -> "list[int]":
-        return [p for p in self.counts if self.segment_of_page(p) is segment]
-
 
 def profile_program(program, page_size: int, limit=None,
                     include_ifetch: bool = True) -> PageProfile:

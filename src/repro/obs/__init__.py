@@ -9,8 +9,6 @@ This package is the simulator's instrumentation layer:
   disabled) and the in-memory :class:`EventTracer`;
 * :mod:`repro.obs.metrics` — the hierarchical :class:`MetricsRegistry`
   (counters, gauges, histograms, series) behind every stat report;
-* :mod:`repro.obs.divergence` — SPSD lockstep checking that pinpoints
-  the first divergent event instead of a bit-mismatch at end of run;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto) and
   JSONL exporters;
 * :mod:`repro.obs.spans` — hierarchical wall/CPU phase spans (the
@@ -24,7 +22,6 @@ Entry points: ``DataScalarSystem.run(..., tracer=EventTracer())`` and
 --metrics-out metrics.txt``.  See ``docs/observability.md``.
 """
 
-from .divergence import Divergence, DivergenceError, assert_lockstep, check_lockstep
 from .events import EventKind, TraceEvent
 from .export import (
     from_jsonl,
@@ -49,8 +46,6 @@ from .tracer import EventTracer, Tracer
 
 __all__ = [
     "Counter",
-    "Divergence",
-    "DivergenceError",
     "EventKind",
     "EventTracer",
     "Gauge",
@@ -61,8 +56,6 @@ __all__ = [
     "SpanRecorder",
     "TraceEvent",
     "Tracer",
-    "assert_lockstep",
-    "check_lockstep",
     "format_metrics",
     "from_jsonl",
     "recording",

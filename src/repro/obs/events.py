@@ -3,9 +3,9 @@
 Every traced occurrence in the simulator is a :class:`TraceEvent`: a
 :class:`EventKind`, the simulated cycle it happened at, the node it
 happened on (the event's *track*), and a small dict of kind-specific
-arguments.  The vocabulary is deliberately closed — the divergence
-checker and the exporters pattern-match on kinds, so new kinds are added
-here, not ad hoc at emission sites.
+arguments.  The vocabulary is deliberately closed — the exporters
+pattern-match on kinds, so new kinds are added here, not ad hoc at
+emission sites.
 
 Events are *observations*: emitting them never changes architectural
 state, which is what keeps fast-forwarded runs bit-identical with
@@ -51,11 +51,6 @@ class EventKind(str, Enum):
     #: The last referencing commit drained a line out of the DCUB
     #: (``line``).
     DCUB_APPLY = "dcub-apply"
-    #: One canonical (commit-time) data-cache access and its replacement
-    #: decision (``line``, ``store``, ``hit``, ``filled``, ``evicted``).
-    #: The per-node streams of these must be identical under SPSD — the
-    #: divergence checker's second invariant.
-    CACHE_COMMIT = "cache-commit"
     #: Commit-time reconciliation of a false hit: the owner re-broadcast
     #: the line (``action`` = ``late-broadcast``) or a consumer scheduled
     #: a discard (``action`` = ``discard``).

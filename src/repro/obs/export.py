@@ -36,7 +36,7 @@ def _json_args(args: dict) -> dict:
     """JSON-safe copy of an event's args (hex-format line addresses)."""
     safe = {}
     for key, value in args.items():
-        if key in ("line", "evicted") and isinstance(value, int):
+        if key == "line" and isinstance(value, int):
             safe[key] = hex(value)
         else:
             safe[key] = value
@@ -161,9 +161,6 @@ def to_chrome_trace(events: "list[TraceEvent]") -> dict:
                     "args": _json_args(event.args),
                 }
             )
-        # CACHE_COMMIT events are a divergence-checker substrate, not a
-        # visualization: rendering one instant per committed memory
-        # access would bury every other track.
     for node in nodes:
         if any(row.get("tid") == 1 and row.get("pid") == node for row in rows):
             rows.append(

@@ -45,10 +45,3 @@ class EventTracer:
         if self._kinds is not None and kind not in self._kinds:
             return
         self.events.append(TraceEvent(kind, cycle, node, args))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def of_kind(self, kind: EventKind) -> "list[TraceEvent]":
-        """The recorded events of one kind, in emission order."""
-        return [event for event in self.events if event.kind is kind]

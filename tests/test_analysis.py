@@ -97,7 +97,6 @@ def test_cost_effectiveness_criterion():
     costup = model.costup(2)
     assert model.is_cost_effective(2, speedup=costup + 0.1)
     assert not model.is_cost_effective(2, speedup=costup - 0.1)
-    assert model.breakeven_speedup(2) == costup
 
 
 def test_replication_raises_cost():

@@ -12,7 +12,6 @@ def test_classification_matrix():
     stats = tracker.stats
     assert (stats.true_hits, stats.true_misses,
             stats.false_hits, stats.false_misses) == (1, 1, 1, 1)
-    assert stats.classified == 4
 
 
 def test_owner_eager_broadcast_funds_canonical_miss():

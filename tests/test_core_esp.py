@@ -30,7 +30,7 @@ def test_alternating_owners_pay_every_lead_change():
     result = mmm.schedule([0, 1, 0, 1])
     assert result.lead_changes == 3
     assert result.total_cycles == 1 + 3 + 3 + 3
-    assert result.mean_datathread_length == 1.0
+    assert result.datathreads == [1, 1, 1, 1]
 
 
 def test_longer_datathreads_beat_shorter_for_same_string_length():
@@ -50,7 +50,7 @@ def test_empty_reference_string():
     result = MassiveMemoryMachine(2).schedule([])
     assert result.receive_times == []
     assert result.total_cycles == 0
-    assert result.mean_datathread_length == 0.0
+    assert result.datathreads == []
 
 
 @pytest.mark.parametrize("kwargs", [

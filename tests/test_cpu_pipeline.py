@@ -102,9 +102,9 @@ def test_ruu_capacity():
     ruu = RUU(capacity=2)
     first, second = _annotated(_dyn(0), _dyn(1))
     ruu.dispatch(first, 0)
-    assert not ruu.is_full()
+    assert len(ruu) < ruu.capacity
     ruu.dispatch(second, 0)
-    assert ruu.is_full()
+    assert len(ruu) == ruu.capacity
 
 
 def test_ruu_schedulable_is_oldest_first():
@@ -312,7 +312,7 @@ def test_lsq_overflow_is_a_simulation_error():
     cpu = CPUConfig(ruu_entries=16, lsq_entries=4)
     pipe = Pipeline(cpu, mem, annotate(Interpreter(b.build()).trace()))
     pipe.tick(0)
-    assert len(pipe.lsq) == 4 and pipe.lsq.is_full()
+    assert len(pipe.lsq) == pipe.lsq.capacity
     pipe.lsq.capacity = 2
     with pytest.raises(SimulationError, match="LSQ overflow"):
         pipe.tick(1)

@@ -102,7 +102,9 @@ def test_figure1_matches_paper_exactly():
     result = run_figure1()
     assert result.paper_schedule.receive_times == [1, 2, 3, 4, 7, 8, 9, 12, 13]
     assert result.paper_schedule.lead_changes == 2
-    assert result.lead_change_cost == 4  # two lead changes, 2 extra each
+    # Two lead changes, 2 extra cycles each, versus one owner.
+    assert (result.paper_schedule.total_cycles
+            - result.single_owner.total_cycles) == 4
 
 
 def test_figure1_formatting():

@@ -40,7 +40,7 @@ GOLDEN = {
     "table3":
         "a2c36e64ab58a553904dc45a5b732bd54c0e2872bcef1fc6fe6db442124260ad",
     "traced-run":
-        "cbb381742966d8eb6041ca8a23899ff4a7a59478dc5dc47e7d698285b508ffd3",
+        "9ab03cace46d22d672e0ac8a5cc8f995c0200f54de73f2c523fed6cc672a22b0",
 }
 
 

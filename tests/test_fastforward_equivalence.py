@@ -476,13 +476,15 @@ class _DeafNodeSystem(DataScalarSystem):
         return self._Deaf(super()._make_medium())
 
 
-@pytest.mark.parametrize("num_nodes, cycle, head", [(3, 3035, 19),
+@pytest.mark.parametrize("num_nodes, cycle, head", [(2, 3025, 14),
+                                                     (3, 3035, 19),
                                                      (4, 3025, 14)])
 def test_a_hang_raises_the_dense_error(num_nodes, cycle, head, monkeypatch):
     """A node that waits on a peer forever has no event of its own;
     skipping must still surface the hang as the typed error that dense
     ticking raises, at the same cycle.  (At 2 nodes the deaf node is
-    the only receiver, and a broadcast with no arrival is no hang.)"""
+    the only receiver, so each of node 0's broadcasts arrives nowhere;
+    the sender must not fail on that before node 1 hangs.)"""
     from repro.cpu import pipeline as pipeline_module
 
     monkeypatch.setattr(pipeline_module, "DEADLOCK_CYCLES", 3_000)

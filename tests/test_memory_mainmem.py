@@ -32,21 +32,6 @@ def test_banked_memory_bank_mapping_wraps():
     assert mem.bank_of(0x0) == mem.bank_of(4 * 32)
 
 
-def test_banked_memory_peek_does_not_reserve():
-    mem = BankedMemory(latency=8, num_banks=2, interleave_bytes=32)
-    assert mem.peek(0, 0x0) == 8
-    assert mem.peek(0, 0x0) == 8
-    assert mem.accesses == 0
-
-
-def test_banked_memory_reset():
-    mem = BankedMemory(latency=8, num_banks=2, interleave_bytes=32)
-    mem.access(0, 0x0)
-    mem.reset()
-    assert mem.access(0, 0x0) == 8
-    assert mem.accesses == 1
-
-
 @pytest.mark.parametrize("kwargs", [
     {"latency": 0},
     {"latency": 8, "num_banks": 0},

@@ -14,7 +14,6 @@ from repro.memory import (
     build_page_table,
     choose_block_size,
     profile_program,
-    segment_of,
     traditional_page_table,
 )
 
@@ -43,10 +42,10 @@ def test_page_table_replicated_vs_owned():
     table = PageTable(PAGE, num_owners=4)
     table.map_page(0, replicated=True)
     table.map_page(1, replicated=False, owner=2)
-    assert table.is_replicated(0)
-    assert not table.is_replicated(PAGE)
-    assert table.owner_of(PAGE) == 2
-    assert table.owner_of(0) is None
+    assert table.entry_for(0).replicated
+    assert not table.entry_for(PAGE).replicated
+    assert table.entry_for(PAGE).owner == 2
+    assert table.entry_for(0).owner is None
     assert table.is_local(0, 3)
     assert table.is_local(PAGE, 2)
     assert not table.is_local(PAGE, 0)
@@ -67,11 +66,11 @@ def test_page_table_owner_range_checked():
 
 def test_page_table_unmapped_fallback_counts():
     table = PageTable(PAGE, num_owners=2)
-    owner = table.owner_of(123 * PAGE)
+    owner = table.entry_for(123 * PAGE).owner
     assert owner == 123 % 2
     assert table.unmapped_accesses == 1
     # The synthesized entry is cached; a second access is not "unmapped".
-    table.owner_of(123 * PAGE)
+    table.entry_for(123 * PAGE)
     assert table.unmapped_accesses == 1
 
 
@@ -109,10 +108,8 @@ def test_profile_counts_pages_and_kinds():
 def test_profile_segment_helpers():
     program = _program()
     profile = profile_program(program, PAGE)
-    text_pages = profile.pages_in_segment(Segment.TEXT)
-    assert all(segment_of(p * PAGE) is Segment.TEXT for p in text_pages)
-    global_pages = profile.pages_in_segment(Segment.GLOBAL)
-    assert global_pages  # the kernel touches global data
+    assert {Segment.TEXT, Segment.GLOBAL} <= {
+        profile.segment_of_page(p) for p in profile.counts}
 
 
 def test_profile_without_ifetch():
@@ -129,11 +126,12 @@ def test_layout_replicates_text_and_distributes_data():
     program = _program()
     spec = LayoutSpec(num_nodes=4, page_size=PAGE, distribution_block_pages=1)
     table, summary = build_page_table(program, spec)
-    assert table.is_replicated(TEXT_BASE)
-    assert not table.is_replicated(GLOBAL_BASE)
+    assert table.entry_for(TEXT_BASE).replicated
+    assert not table.entry_for(GLOBAL_BASE).replicated
     assert summary.replicated_by_segment[Segment.TEXT] >= 1
     # Round-robin with block 1: consecutive global pages rotate owners.
-    owners = [table.owner_of(GLOBAL_BASE + i * PAGE) for i in range(4)]
+    owners = [table.entry_for(GLOBAL_BASE + i * PAGE).owner
+              for i in range(4)]
     assert owners == [0, 1, 2, 3]
 
 
@@ -141,7 +139,8 @@ def test_layout_block_distribution_groups_pages():
     program = _program(global_bytes=8 * PAGE)
     spec = LayoutSpec(num_nodes=2, page_size=PAGE, distribution_block_pages=2)
     table, _ = build_page_table(program, spec)
-    owners = [table.owner_of(GLOBAL_BASE + i * PAGE) for i in range(8)]
+    owners = [table.entry_for(GLOBAL_BASE + i * PAGE).owner
+              for i in range(8)]
     assert owners[0] == owners[1]
     assert owners[2] == owners[3]
     assert owners[0] != owners[2]
@@ -153,7 +152,7 @@ def test_layout_explicit_replicated_pages():
     spec = LayoutSpec(num_nodes=2, page_size=PAGE,
                       replicated_pages=frozenset({hot}))
     table, summary = build_page_table(program, spec)
-    assert table.is_replicated(GLOBAL_BASE)
+    assert table.entry_for(GLOBAL_BASE).replicated
     assert summary.replicated_by_segment[Segment.GLOBAL] == 1
 
 
@@ -161,7 +160,7 @@ def test_layout_without_text_replication():
     program = _program()
     spec = LayoutSpec(num_nodes=2, page_size=PAGE, replicate_text=False)
     table, summary = build_page_table(program, spec)
-    assert not table.is_replicated(TEXT_BASE)
+    assert not table.entry_for(TEXT_BASE).replicated
     assert summary.replicated_by_segment[Segment.TEXT] == 0
 
 
@@ -171,7 +170,7 @@ def test_layout_covers_all_segments():
     table, summary = build_page_table(program, spec)
     assert summary.total_pages == len(table)
     assert table.unmapped_accesses == 0
-    table.owner_of(HEAP_BASE)
+    table.entry_for(HEAP_BASE)
     assert table.unmapped_accesses == 0  # heap is mapped
 
 

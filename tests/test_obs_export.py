@@ -62,14 +62,6 @@ def test_chrome_trace_hex_formats_line_addresses():
     assert instants[0]["args"]["line"] == "0x1f40"
 
 
-def test_chrome_trace_skips_cache_commit_noise():
-    events = [TraceEvent(EventKind.CACHE_COMMIT, 5, 0,
-                         {"line": 0x40, "store": False, "hit": True,
-                          "filled": False, "evicted": None})]
-    rows = to_chrome_trace(events)["traceEvents"]
-    assert all(row["ph"] == "M" for row in rows)
-
-
 def test_medium_xfer_lands_on_interconnect_thread():
     events = _traced_events(num_nodes=2)
     rows = to_chrome_trace(events)["traceEvents"]

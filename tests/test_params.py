@@ -193,13 +193,16 @@ def test_option_surface():
 
 def test_public_surface():
     """Every public name of the packages that hold the machine, its
-    media and its experiments, so that adding or removing one is a
-    visible edit here."""
+    memory system, its media, its instrumentation and its experiments,
+    so that adding or removing one is a visible edit here."""
     import repro.core
     import repro.experiments
     import repro.interconnect
+    import repro.memory
+    import repro.obs
 
-    packages = (repro.core, repro.experiments, repro.interconnect)
+    packages = (repro.core, repro.experiments, repro.interconnect,
+                repro.memory, repro.obs)
     assert all(hasattr(package, name)
                for package in packages for name in package.__all__)
     assert {package.__name__: set(package.__all__)
@@ -230,4 +233,19 @@ def test_public_surface():
         "repro.interconnect": {
             "Bus", "Ring", "LatencyQueue", "BroadcastMedium",
             "make_medium"},
+        "repro.memory": {
+            "AccessResult", "BankedMemory", "Cache", "CacheStats",
+            "GLOBAL_BASE", "HEAP_BASE", "INSTRUCTION_BYTES", "LayoutSpec",
+            "LayoutSummary", "PTE", "PageProfile", "PageTable",
+            "STACK_BASE", "STACK_TOP", "Segment", "TEXT_BASE",
+            "build_page_table", "canonical_outcomes", "choose_block_size",
+            "profile_program", "segment_of", "traditional_page_table"},
+        "repro.obs": {
+            "Counter", "EventKind", "EventTracer", "Gauge", "Histogram",
+            "MetricsRegistry", "Series", "SpanRecord", "SpanRecorder",
+            "TraceEvent", "Tracer", "format_metrics", "from_jsonl",
+            "recording", "registry_from_result", "span",
+            "spans_to_chrome_trace", "to_chrome_trace", "to_jsonl",
+            "write_chrome_trace", "write_jsonl",
+            "write_spans_chrome_trace"},
     }

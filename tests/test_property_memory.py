@@ -149,5 +149,5 @@ def test_page_table_fallback_is_deterministic(addrs):
     a = PageTable(4096, num_owners=4)
     b = PageTable(4096, num_owners=4)
     for addr in addrs:
-        assert a.owner_of(addr) == b.owner_of(addr)
-        assert a.is_replicated(addr) == b.is_replicated(addr)
+        assert a.entry_for(addr).owner == b.entry_for(addr).owner
+        assert a.entry_for(addr).replicated == b.entry_for(addr).replicated

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.report import render_bars
 from repro.core import DataScalarSystem
 from repro.experiments import datascalar_config
-from repro.experiments.figure7 import render_figure7_bars, run_benchmark
 from repro.workloads import build_program
 
 
@@ -32,13 +31,6 @@ def test_render_bars_validation_and_empty():
     with pytest.raises(ValueError):
         render_bars(["a"], [1, 2])
     assert render_bars([], [], title="T") == "T"
-
-
-def test_render_figure7_bars():
-    row = run_benchmark("compress", limit=3000)
-    text = render_figure7_bars([row])
-    assert "[compress]" in text
-    assert "perfect" in text and "trad 1/4" in text
 
 
 def test_datascalar_simulation_is_deterministic():
