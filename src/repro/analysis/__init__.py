@@ -3,8 +3,7 @@
 from .cost import CostModel
 from .export import rows_to_csv, rows_to_json, write_csv, write_json
 from .timeline import Timeline, TimelineRecorder, TimelineSample
-from .report import format_fault_summary, format_ipc, format_percent, \
-    format_table
+from .report import format_ipc, format_percent, format_table
 from .traffic import TABLE1_CACHE, TrafficReport, measure_esp_traffic
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "Timeline",
     "TimelineRecorder",
     "TimelineSample",
-    "format_fault_summary",
     "format_ipc",
     "format_percent",
     "format_table",

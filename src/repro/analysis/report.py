@@ -53,57 +53,3 @@ def format_percent(value: float, digits: int = 0) -> str:
 
 def format_ipc(value: float) -> str:
     return f"{value:.2f}"
-
-
-def format_fault_summary(faults: dict) -> str:
-    """Render a ``DataScalarResult.extra['faults']`` snapshot.
-
-    One table of injected-fault counts against detection/recovery
-    accounting, plus the recovery-latency distribution — the graceful
-    degradation observables (see ``docs/protocol.md``, "Failure model
-    and recovery").
-    """
-    injected = faults["injected"]
-    recovery = faults["recovery"]
-    latency = recovery["latency"]
-    rows = [
-        ["broadcast drops", injected["broadcast_drops"]],
-        ["receiver drops", injected["receiver_drops"]],
-        ["corruptions", injected["corruptions"]],
-        ["jitter events", injected["jitter_events"]],
-        ["stalls", injected["stalls"]],
-        ["timeouts", recovery["timeouts"]],
-        ["nacks", recovery["nacks"]],
-        ["retransmit requests", recovery["requests"]],
-        ["retransmissions", recovery["retransmits"]],
-        ["recovered", recovery["recovered"]],
-        ["retry depth high-water", recovery["retry_high_water"]],
-        ["recovery latency p50/p95/max",
-         f"{latency['p50']:g}/{latency['p95']:g}/{latency['max']:g}"],
-    ]
-    return format_table(["event", "count"], rows,
-                        title=f"Fault injection (seed {faults['seed']})")
-
-
-def render_bars(labels, values, width: int = 40, title=None,
-                unit: str = "") -> str:
-    """ASCII horizontal bar chart (the figures' visual form).
-
-    Bars scale to the maximum value; each line shows the label, the bar,
-    and the numeric value.
-    """
-    labels = [str(label) for label in labels]
-    values = list(values)
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    lines = [title] if title else []
-    if not values:
-        return "\n".join(lines)
-    peak = max(values)
-    label_width = max(len(label) for label in labels)
-    for label, value in zip(labels, values):
-        filled = int(round(width * value / peak)) if peak > 0 else 0
-        bar = "#" * filled
-        lines.append(f"{label.ljust(label_width)} |{bar.ljust(width)}| "
-                     f"{value:.2f}{unit}")
-    return "\n".join(lines)

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import BroadcastLostError, ProtocolError
+from ..errors import ProtocolError
 from ..obs.events import EventKind
 from ..params import BSHRConfig
-
-_INF = float("inf")
 
 
 class BSHRStats:
@@ -58,11 +56,6 @@ class BSHRFile:
         self._arrived: "dict[int, deque]" = {}
         self._discards: "dict[int, int]" = {}
         self.stats = BSHRStats()
-        #: Fault-mode wait deadline (cycles); ``None`` = unarmed, the
-        #: perfect-transport default with zero per-access overhead.
-        self._timeout: int | None = None
-        self._deadlines: "dict[object, int]" = {}  # waiting handle -> cycle
-        self._deadline_floor = _INF  # lower bound on the earliest deadline
         self._tracer = None  # observability hook (None = untraced)
         self._trace_node = 0
 
@@ -101,11 +94,6 @@ class BSHRFile:
             self._tracer.emit(EventKind.BSHR_ALLOC, now, self._trace_node,
                               line=line)
         self._waiting.setdefault(line, deque()).append(handle)
-        if self._timeout is not None:
-            deadline = now + self._timeout
-            self._deadlines[handle] = deadline
-            if deadline < self._deadline_floor:
-                self._deadline_floor = deadline
 
     def schedule_discard(self, line: int) -> None:
         """Commit-time squash: one future (or buffered) arrival for
@@ -142,8 +130,6 @@ class BSHRFile:
             handle = waiting.popleft()
             if not waiting:
                 del self._waiting[line]
-            if self._deadlines:
-                self._deadlines.pop(handle, None)
             ready = max(time, handle.issued_at) + self.config.access_latency
             if self._tracer is not None:
                 self._tracer.emit(EventKind.BCAST_CONSUME, time,
@@ -151,59 +137,6 @@ class BSHRFile:
             handle.complete(ready)
             return
         self._arrived.setdefault(line, deque()).append(time)
-
-    # ------------------------------------------------------------------
-    # Fault-mode wait deadlines.
-    # ------------------------------------------------------------------
-    def arm_timeout(self, deadline_cycles: int) -> None:
-        """Arm the wait tripwire: a load left waiting longer than
-        ``deadline_cycles`` aborts the run with a typed
-        :class:`~repro.errors.BroadcastLostError` instead of spinning to
-        the generic pipeline deadlock detector.
-
-        With fault injection active every loss is detected and
-        retransmitted within a bounded window, so a wait this old means
-        the transport silently violated its delivery contract.
-        """
-        if deadline_cycles < 1:
-            raise ProtocolError("BSHR wait deadline must be >= 1 cycle")
-        self._timeout = deadline_cycles
-
-    def next_deadline(self):
-        """Earliest armed wait deadline, or ``None``.
-
-        Consulted by the idle-skip scheduler so fast-forward lands *on*
-        the tripwire cycle rather than jumping past it.
-        """
-        if not self._deadlines:
-            return None
-        return min(self._deadlines.values())
-
-    def check_timeouts(self, now: int) -> None:
-        """Raise if any armed wait's deadline has passed.  O(1) on the
-        common no-expiry cycle via a monotone floor on the earliest
-        deadline."""
-        if now < self._deadline_floor:
-            return
-        if not self._deadlines:
-            self._deadline_floor = _INF
-            return
-        earliest = min(self._deadlines.values())
-        if now < earliest:
-            self._deadline_floor = earliest
-            return
-        expired = {handle for handle, deadline in self._deadlines.items()
-                   if deadline <= now}
-        lines = sorted({hex(line) for line, queue in self._waiting.items()
-                        if any(h in expired for h in queue)})
-        if self._tracer is not None:
-            self._tracer.emit(EventKind.BSHR_TIMEOUT, now, self._trace_node,
-                              lines=lines)
-        raise BroadcastLostError(
-            f"{self.name}: loads waiting for lines {lines} exceeded the "
-            f"{self._timeout}-cycle recovery budget at cycle {now} — the "
-            f"broadcast medium lost deliveries without recovery"
-        )
 
     # ------------------------------------------------------------------
     # Bookkeeping.

@@ -13,7 +13,6 @@ cycle count or statistic.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..cpu.pipeline import Pipeline, PipelineStats
@@ -205,17 +204,6 @@ class DataScalarSystem:
             if tracer is not None and hasattr(medium, "attach_tracer"):
                 medium.attach_tracer(tracer)
 
-        # Fault mode adds the BSHR wait tripwire before every simulated
-        # cycle and folds the medium's recovery timers into the skip
-        # bound.  Skipped and ticked idle cycles are observationally
-        # identical, so neither changes a reported number.
-        external = before_tick = None
-        if config.faults is not None:
-            for node in nodes:
-                node.bshr.arm_timeout(config.faults.wait_deadline)
-            external = self._fault_event_fn(nodes, medium)
-            before_tick = self._timeout_check(nodes)
-
         def observe(cycle: int) -> None:
             observer(cycle, pipelines, nodes, medium)
 
@@ -224,56 +212,10 @@ class DataScalarSystem:
             cycles = drive(
                 pipelines, config.max_cycles,
                 dense=not config.fast_forward or observer is not None,
-                wake=wake, external=external, before_tick=before_tick,
-                after_round=None if observer is None else observe)
+                wake=wake, after_round=None if observer is None else observe)
         with spans.span("analysis"):
             return self._collect(cycles, pipelines, nodes, medium,
                                  page_table, layout_summary)
-
-    @staticmethod
-    def _fault_event_fn(nodes, medium):
-        """Self-generated event bound for the fault layer: the earliest
-        outstanding recovery delivery or armed BSHR wait deadline.  The
-        driver folds this in so a jump can never cross a scheduled
-        recovery action or overshoot the wait tripwire."""
-        medium_next = getattr(medium, "next_event", None)
-
-        def fault_event(now):
-            bound = None
-            if medium_next is not None:
-                bound = medium_next(now)
-            for node in nodes:
-                deadline = node.bshr.next_deadline()
-                if deadline is not None and (bound is None
-                                             or deadline < bound):
-                    bound = deadline
-            return bound
-
-        return fault_event
-
-    @staticmethod
-    def _timeout_check(nodes):
-        """The fault-mode pre-tick hook: every node's BSHR wait
-        tripwire, its wall time charged to a ``timing-loop/
-        fault-recovery`` accumulator while a span recorder is active."""
-        bshrs = [node.bshr for node in nodes]
-
-        def check(cycle):
-            for bshr in bshrs:
-                bshr.check_timeouts(cycle)
-
-        recorder = spans.active()
-        if recorder is None:
-            return check
-        accumulator = recorder.accumulator("fault-recovery",
-                                           under="timing-loop")
-
-        def timed_check(cycle):
-            start = time.perf_counter()
-            check(cycle)
-            accumulator.add(time.perf_counter() - start)
-
-        return timed_check
 
     def _collect(self, cycles, pipelines, nodes, medium, page_table,
                  layout_summary) -> DataScalarResult:
@@ -323,8 +265,7 @@ class DataScalarSystem:
 
 
 def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
-          external=None, before_tick=None, after_round=None,
-          what: str = "DataScalar") -> int:
+          after_round=None, what: str = "DataScalar") -> int:
     """Tick ``pipelines`` from cycle 0 until all are done; return the
     cycle count (one past the finishing tick).
 
@@ -347,10 +288,8 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
 
     ``dense`` sets every wake to ``cycle + 1`` instead, which ticks
     every pipeline every cycle (observers, ``fast_forward=False``).
-    ``external(cycle)`` is one folded outside bound (``None`` = no
-    event): the driver never jumps past it.  ``before_tick(cycle)`` runs
-    at each simulated cycle before any tick; ``after_round(cycle)``
-    after every tick of it (the observer hook).
+    ``after_round(cycle)`` runs after every tick of a simulated cycle
+    (the observer hook).
     """
     num = len(pipelines)
     if wake is None:
@@ -361,8 +300,6 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
     while running:
         if cycle >= max_cycles:
             raise SimulationError(f"{what} run exceeded {max_cycles} cycles")
-        if before_tick is not None:
-            before_tick(cycle)
         nxt = cycle + 1
         for i in range(num):
             pipeline = pipelines[i]
@@ -389,11 +326,5 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
                 break
             if event < target:
                 target = event
-        if external is not None and target > nxt:
-            event = external(cycle)
-            if event is not None and event < target:
-                target = event
-        if target < nxt:
-            target = nxt
         cycle = target
     return cycle

@@ -78,20 +78,3 @@ class FaultError(SimulationError):
 class RecoveryExhaustedError(FaultError):
     """The ESP recovery slow path gave up: a receiver's retransmit
     requests failed ``max_retries`` consecutive times."""
-
-
-class CorruptionError(FaultError):
-    """A broadcast payload failed ECC and no NACK/retransmit path is
-    available (``FaultConfig.nack_enabled=False``)."""
-
-
-class BroadcastLostError(FaultError):
-    """A BSHR wait outlived the entire recovery budget.
-
-    With fault injection armed, every lost or corrupted broadcast is
-    detected and retransmitted within a bounded window; a wait older than
-    ``FaultConfig.wait_deadline`` cycles means the transport silently
-    violated its delivery contract (or the protocol leaked), and the run
-    aborts with this typed error instead of spinning to the generic
-    pipeline deadlock detector.
-    """

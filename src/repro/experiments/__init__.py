@@ -29,13 +29,6 @@ from .figure8 import (
     run_figure8,
     run_panel,
 )
-from .resilience import (
-    DROP_PROBS,
-    ResiliencePoint,
-    fault_config_for,
-    format_resilience,
-    run_resilience,
-)
 from .scaling import NODE_COUNTS, ScalingPoint, format_scaling, \
     run_scaling
 from .table1 import Table1Row, format_table1, run_table1
@@ -67,11 +60,6 @@ __all__ = [
     "format_figure8",
     "run_figure8",
     "run_panel",
-    "DROP_PROBS",
-    "ResiliencePoint",
-    "fault_config_for",
-    "format_resilience",
-    "run_resilience",
     "NODE_COUNTS",
     "ScalingPoint",
     "format_scaling",

@@ -33,7 +33,6 @@ from .figure1 import format_figure1, run_figure1
 from .figure3 import format_figure3, run_figure3
 from .figure7 import format_figure7, run_figure7
 from .figure8 import format_figure8, run_figure8
-from .resilience import DROP_PROBS, format_resilience, run_resilience
 from .scaling import format_scaling, run_scaling
 from .table1 import format_table1, run_table1
 from .table2 import format_table2, run_table2
@@ -54,8 +53,6 @@ EXPERIMENTS = {
                 True),
     "figure8": (lambda limit: run_figure8(limit=limit), format_figure8,
                 False),
-    "resilience": (lambda limit: run_resilience(limit=limit or 2500),
-                   format_resilience, True),
     "traced-run": (lambda limit: run_traced(limit=limit or 2500),
                    format_traced, False),
 }
@@ -72,14 +69,6 @@ def _positive(kind):
 
     parse.__name__ = kind.__name__
     return parse
-
-
-def _probability(text: str) -> float:
-    """An argparse ``type`` accepting only floats in [0, 1]."""
-    value = float(text)
-    if not (0 <= value <= 1):  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,16 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", default=None, metavar="PATH",
                         help="run under cProfile and dump pstats data "
                              "to PATH (inspect with python -m pstats)")
-    parser.add_argument("--fault-seed", type=int, default=11,
-                        metavar="SEED",
-                        help="fault-injection RNG seed for the resilience "
-                             "experiment (same seed => identical fault "
-                             "schedule and result)")
-    parser.add_argument("--drop-prob", type=_probability, default=None,
-                        metavar="P",
-                        help="run the resilience experiment at this single "
-                             "per-receiver drop probability instead of the "
-                             "default sweep")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="traced-run only: write the event stream to "
                              "PATH — Chrome trace_event JSON (open in "
@@ -149,16 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_one(name: str, limit, csv_path=None, fault_seed: int = 11,
-            drop_prob=None, trace_out=None, metrics_out=None) -> str:
+def run_one(name: str, limit, csv_path=None, trace_out=None,
+            metrics_out=None) -> str:
     runner, formatter, exportable = EXPERIMENTS[name]
     if csv_path and not exportable:
         raise SystemExit(f"{name} does not produce exportable rows")
-    if name == "resilience":
-        probs = DROP_PROBS if drop_prob is None else (0.0, drop_prob)
-        result = run_resilience(limit=limit or 2500, seeds=(fault_seed,),
-                                drop_probs=probs)
-    elif name == "traced-run":
+    if name == "traced-run":
         result = run_traced(limit=limit or 2500, trace_out=trace_out,
                             metrics_out=metrics_out)
     else:
@@ -238,8 +213,6 @@ def main(argv=None) -> int:
         for name in names:
             try:
                 print(run_one(name, args.limit, args.csv,
-                              fault_seed=args.fault_seed,
-                              drop_prob=args.drop_prob,
                               trace_out=args.trace_out,
                               metrics_out=args.metrics_out))
                 print()

@@ -32,18 +32,13 @@ degradation is visible in every report.
 
 Deliveries — including recovered ones — are materialized as absolute
 future arrival cycles at broadcast time, exactly like the fault-free
-transports, so the push-based fast-forward invariant holds unchanged.
-``next_event`` additionally exposes the earliest outstanding recovery
-delivery; the cycle driver (:func:`repro.core.system.drive`) folds it
-into its external bound, so it can never skip past a scheduled recovery
-action even for a subclassed medium with genuinely deferred events.
+transports, so the cycle driver (:func:`repro.core.system.drive`) needs
+no bound of its own for the fault layer.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from ..errors import CorruptionError, ProtocolError, RecoveryExhaustedError
+from ..errors import ProtocolError, RecoveryExhaustedError
 from ..interconnect.medium import BroadcastMedium, Bus, Ring
 from ..obs.events import EventKind
 from ..obs.metrics import MetricsRegistry
@@ -68,8 +63,6 @@ class FaultyMedium(BroadcastMedium):
         self.metrics = MetricsRegistry()
         self.fault_stats = FaultStats(self.metrics)
         self.recovery_stats = RecoveryStats(self.metrics)
-        #: Outstanding recovery delivery cycles (min-heap).
-        self._pending = []
         #: Per-owner broadcast sequence numbers.
         self._seq = [0] * num_nodes
         #: Deliveries completed per (owner, receiver) — the integrity
@@ -160,11 +153,6 @@ class FaultyMedium(BroadcastMedium):
         config = self.config
         recovery = self.recovery_stats
         if corrupt:
-            if not config.nack_enabled:
-                raise CorruptionError(
-                    f"node {dst}: broadcast of line {line:#x} from node "
-                    f"{src} failed ECC and NACK/retransmit is disabled"
-                )
             recovery.nacks += 1
             when = due  # ECC detects at arrival; NACK leaves immediately
         else:
@@ -179,18 +167,12 @@ class FaultyMedium(BroadcastMedium):
             recovery.busy_cycles += self._request_cycles + data_cycles
             arrived = when + self._request_cycles + data_cycles
             dropped, corrupted = self.plan.retransmit_outcome()
-            if corrupted and not config.nack_enabled:
-                raise CorruptionError(
-                    f"node {dst}: retransmission of line {line:#x} from "
-                    f"node {src} failed ECC and NACK/retransmit is disabled"
-                )
             if not dropped and not corrupted:
                 depth = attempt + 1
                 if depth > recovery.retry_high_water:
                     recovery.retry_high_water = depth
                 recovery.recovered += 1
                 recovery.latency.add(arrived - due)
-                heapq.heappush(self._pending, arrived)
                 if self.tracer is not None:
                     self.tracer.emit(EventKind.FAULT_RECOVER, arrived, dst,
                                      src=src, line=line,
@@ -212,17 +194,8 @@ class FaultyMedium(BroadcastMedium):
         )
 
     # ------------------------------------------------------------------
-    # Fast-forward and end-of-run hooks.
+    # End-of-run hooks.
     # ------------------------------------------------------------------
-    def next_event(self, now: int):
-        """Earliest outstanding recovery delivery after ``now`` (``None``
-        when nothing is pending).  Consulted by the idle-skip scheduler
-        so a jump can never cross a scheduled recovery action."""
-        pending = self._pending
-        while pending and pending[0] <= now:
-            heapq.heappop(pending)
-        return pending[0] if pending else None
-
     def validate_final_state(self) -> None:
         """Integrity tripwire: every sequenced broadcast must have been
         delivered (possibly via recovery) to every receiver, and every

@@ -31,8 +31,6 @@ class BankedMemory:
         self.interleave_bytes = interleave_bytes
         self.name = name
         self._bank_free = [0] * num_banks
-        self.accesses = 0
-        self.total_wait = 0
 
     def bank_of(self, addr: int) -> int:
         """Bank servicing ``addr`` (line-interleaved)."""
@@ -44,6 +42,4 @@ class BankedMemory:
         start = max(now, self._bank_free[bank])
         done = start + self.latency
         self._bank_free[bank] = done
-        self.accesses += 1
-        self.total_wait += start - now
         return done

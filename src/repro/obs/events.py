@@ -43,9 +43,6 @@ class EventKind(str, Enum):
     #: A load found its data already waiting in the BSHR (``line``) —
     #: the datathreading hit.
     BSHR_FILL = "bshr-fill"
-    #: An armed BSHR wait exceeded its deadline (``lines``); the run is
-    #: about to abort with ``BroadcastLostError``.
-    BSHR_TIMEOUT = "bshr-timeout"
     #: An issue-time miss staged a line into the DCUB (``line``).
     DCUB_STAGE = "dcub-stage"
     #: The last referencing commit drained a line out of the DCUB

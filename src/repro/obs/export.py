@@ -22,7 +22,6 @@ from .events import EventKind, TraceEvent
 _INSTANT_KINDS = {
     EventKind.BSHR_ALLOC: "bshr-alloc",
     EventKind.BSHR_FILL: "bshr-fill",
-    EventKind.BSHR_TIMEOUT: "bshr-timeout",
     EventKind.BCAST_CONSUME: "bcast-consume",
     EventKind.DCUB_STAGE: "dcub-stage",
     EventKind.DCUB_APPLY: "dcub-apply",

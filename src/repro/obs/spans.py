@@ -2,7 +2,7 @@
 
 A :class:`SpanRecorder` measures *where the wall-clock time of one
 sweep point goes*: program build, codegen compile, functional front
-end, timing loop, fault recovery, analysis.  Instrumentation sites call
+end, timing loop, analysis.  Instrumentation sites call
 the module-level :func:`span` context manager::
 
     with span("timing-loop"):
@@ -19,8 +19,8 @@ Two record shapes share one type:
 * a plain **span** (``count == 1``) measures one contiguous interval,
   wall (``time.perf_counter``) and CPU (``time.process_time``);
 * an **accumulator** sums many tiny intervals into one record — how the
-  per-record functional front end and the per-cycle fault-recovery hook
-  are charged without a span per dynamic instruction.
+  per-record functional front end is charged without a span per dynamic
+  instruction.
 
 Records serialize to plain dicts (:func:`records_as_dicts`) with their
 start times rebased from the monotonic clock to the epoch, so spans

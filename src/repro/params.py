@@ -231,14 +231,6 @@ class FaultConfig:
     #: Failed retransmit attempts tolerated before the run dies with
     #: :class:`repro.errors.RecoveryExhaustedError`.
     max_retries: int = 8
-    #: Corrupted arrivals are NACKed and retransmitted; with this off an
-    #: ECC failure is fatal (:class:`repro.errors.CorruptionError`).
-    nack_enabled: bool = True
-    #: Cycles a BSHR wait may remain unfilled before the run aborts with
-    #: :class:`repro.errors.BroadcastLostError` (a tripwire for silent
-    #: delivery-contract violations; generous, so legitimate waits behind
-    #: a congested bus never trip it).
-    wait_deadline: int = 500_000
 
     def __post_init__(self) -> None:
         for name in ("drop_prob", "receiver_drop_prob", "corrupt_prob",
@@ -251,14 +243,6 @@ class FaultConfig:
         _require(self.retry_backoff >= 0, "retry_backoff must be >= 0")
         _require(self.backoff_factor >= 1, "backoff_factor must be >= 1")
         _require(self.max_retries >= 1, "max_retries must be >= 1")
-        _require(self.wait_deadline >= 1, "wait_deadline must be >= 1")
-
-    @property
-    def injects_anything(self) -> bool:
-        """True when any fault category can actually fire."""
-        return (self.drop_prob > 0 or self.receiver_drop_prob > 0
-                or self.corrupt_prob > 0 or self.jitter_prob > 0
-                or self.stall_prob > 0)
 
 
 @dataclass(frozen=True)

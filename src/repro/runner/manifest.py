@@ -112,9 +112,8 @@ class RunManifest:
                 phases["<untracked>"] = untracked
         row["phases"] = phases
         # Second-level breakdown of the timing loop itself (the
-        # frontend accumulator and, in fault mode, fault-recovery, plus
-        # the untimed remainder as <self>).  Additive: consumers that
-        # predate it simply ignore the key.
+        # frontend accumulator plus the untimed remainder as <self>).
+        # Additive: consumers that predate it simply ignore the key.
         timing = {
             name: entry["wall"]
             for name, entry in breakdown(

@@ -135,8 +135,8 @@ def test_format_percent():
 
 # ----------------------------------------------------------------------
 # Percentiles and distributions (recovery-latency reporting): the fault
-# layer records latencies in a Histogram, whose summary
-# format_fault_summary prints.
+# layer records latencies in a Histogram, whose summary lands in
+# DataScalarResult.extra["faults"].
 # ----------------------------------------------------------------------
 def test_percentile_nearest_rank():
     histogram = Histogram()
@@ -160,23 +160,3 @@ def test_distribution_summary():
     assert summary["mean"] == pytest.approx(112 / 3)
     assert summary["p50"] == 8
     assert summary["max"] == 100
-
-
-def test_format_fault_summary():
-    from repro.analysis import format_fault_summary
-    faults = {
-        "seed": 11,
-        "injected": {"broadcast_drops": 1, "receiver_drops": 2,
-                     "corruptions": 3, "jitter_events": 4,
-                     "jitter_cycles": 9, "stalls": 5, "injected": 6},
-        "recovery": {"timeouts": 3, "nacks": 3, "requests": 7,
-                     "retransmits": 7, "recovered": 6,
-                     "retry_high_water": 2,
-                     "payload_bytes": 192, "busy_cycles": 300,
-                     "latency": {"count": 6, "mean": 40.0, "p50": 36,
-                                 "p95": 100, "max": 120}},
-    }
-    text = format_fault_summary(faults)
-    assert "seed 11" in text
-    assert "recovered" in text
-    assert "36/100/120" in text

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.bshr import BSHRFile
 from repro.cpu.interface import LoadHandle
-from repro.errors import BroadcastLostError, ProtocolError
+from repro.errors import ProtocolError
 from repro.params import BSHRConfig
 
 
@@ -147,50 +147,3 @@ def test_overflow_accounting_past_capacity():
         bshr.arrival(20, 0x1000 + 0x40 * i)
         assert handle.ready is not None
     bshr.assert_drained()
-
-
-# ----------------------------------------------------------------------
-# Fault-mode wait deadlines.
-# ----------------------------------------------------------------------
-def test_timeout_unarmed_by_default():
-    bshr = _bshr()
-    bshr.load(0, 0x100, _handle())
-    assert bshr.next_deadline() is None
-    bshr.check_timeouts(10**9)  # never fires when unarmed
-
-
-def test_armed_timeout_raises_after_deadline():
-    bshr = _bshr()
-    bshr.arm_timeout(100)
-    bshr.load(5, 0x100, _handle(now=5))
-    assert bshr.next_deadline() == 105
-    bshr.check_timeouts(104)  # one cycle early: fine
-    with pytest.raises(BroadcastLostError) as excinfo:
-        bshr.check_timeouts(105)
-    assert "0x100" in str(excinfo.value)
-
-
-def test_arrival_disarms_wait_deadline():
-    bshr = _bshr()
-    bshr.arm_timeout(100)
-    handle = _handle(now=0)
-    bshr.load(0, 0x100, handle)
-    bshr.arrival(50, 0x100)
-    assert handle.ready is not None
-    assert bshr.next_deadline() is None
-    bshr.check_timeouts(10**6)  # satisfied wait never trips
-
-
-def test_timeout_tracks_earliest_waiter():
-    bshr = _bshr()
-    bshr.arm_timeout(100)
-    bshr.load(0, 0x100, _handle(now=0))
-    bshr.load(40, 0x140, _handle(now=40))
-    assert bshr.next_deadline() == 100
-    bshr.arrival(60, 0x100)  # earliest waiter satisfied
-    assert bshr.next_deadline() == 140
-
-
-def test_arm_timeout_rejects_nonpositive_deadline():
-    with pytest.raises(ProtocolError):
-        _bshr().arm_timeout(0)

@@ -9,8 +9,7 @@ from repro.experiments.__main__ import EXPERIMENTS, build_parser, main, \
 def test_every_experiment_registered():
     assert set(EXPERIMENTS) == {
         "figure1", "figure3", "figure7", "figure8",
-        "table1", "table2", "table3", "scaling", "resilience",
-        "traced-run",
+        "table1", "table2", "table3", "scaling", "traced-run",
     }
 
 
@@ -25,23 +24,6 @@ def test_parser_accepts_all_and_list():
 def test_parser_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figure99"])
-
-
-def test_parser_accepts_fault_flags():
-    args = build_parser().parse_args(
-        ["resilience", "--fault-seed", "3", "--drop-prob", "1e-3"])
-    assert args.fault_seed == 3
-    assert args.drop_prob == pytest.approx(1e-3)
-
-
-def test_run_one_resilience_single_point(tmp_path):
-    csv_path = tmp_path / "res.csv"
-    text = run_one("resilience", limit=800, csv_path=str(csv_path),
-                   fault_seed=5, drop_prob=1e-3)
-    assert "Resilience" in text
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].startswith("workload,")
-    assert len(lines) == 3  # header + fault-free anchor + one faulty point
 
 
 def test_run_one_figure1():
@@ -159,9 +141,6 @@ def test_main_profile_writes_pstats(tmp_path, capsys):
 def test_parser_accepts_robustness_flags():
     args = build_parser().parse_args(["figure7", "--point-timeout", "30"])
     assert args.point_timeout == pytest.approx(30.0)
-    for value in ("0", "0.25", "1"):
-        args = build_parser().parse_args(["resilience", "--drop-prob", value])
-        assert args.drop_prob == float(value)
 
 
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-1"],
@@ -174,14 +153,6 @@ def test_parser_rejects_out_of_range_runner_input(flags, capsys):
         main(["figure1", *flags])
     assert info.value.code == 2
     assert "must be > 0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
-def test_parser_rejects_out_of_range_drop_prob(value, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["figure1", "--drop-prob", value])
-    assert info.value.code == 2
-    assert "must be in [0, 1]" in capsys.readouterr().err
 
 
 def test_sigterm_mid_sweep_exits_130_with_partial_manifest(tmp_path):

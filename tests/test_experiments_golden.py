@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.experiments.__main__ import EXPERIMENTS
-from repro.experiments.resilience import DROP_PROBS, run_resilience
 from repro.experiments.traced import run_traced
 from repro.runner import SweepRunner, result_fingerprint, using_runner
 
@@ -29,8 +28,6 @@ GOLDEN = {
         "c77d5c218e1d4d8bdc989d24aadbc053e0b574a31c1dc235ece6cac7ab810207",
     "figure8":
         "93e3fefaa81d72c3a95429942d27248f3c00cd17cff16a9d59892f786a574894",
-    "resilience":
-        "36a52048a71874250f78ae73786d4da1ec9a9ad4c41a3245bf54ffd4565f2e48",
     "scaling":
         "913549f32bb1f226445c5af06729d0fd9691dbd3d404795507a3bd4910197edb",
     "table1":
@@ -46,10 +43,7 @@ GOLDEN = {
 
 def _run(name):
     """The result ``python -m repro.experiments NAME`` formats, with
-    the CLI's defaults (fault seed 11, the default drop sweep)."""
-    if name == "resilience":
-        return run_resilience(limit=LIMIT, seeds=(11,),
-                              drop_probs=DROP_PROBS)
+    the CLI's defaults."""
     if name == "traced-run":
         return run_traced(limit=LIMIT)
     return EXPERIMENTS[name][0](LIMIT)

@@ -375,17 +375,15 @@ def _count_ticks(monkeypatch, run):
 
 
 def test_faults_and_tracing_skip_like_a_plain_run(monkeypatch):
-    """Fault mode (with nothing to inject) folds its recovery and wait
-    deadline bounds into the one driver, and an event tracer folds none
-    (it only observes): each run ticks exactly as often as the plain
-    run, with identical results."""
+    """Fault mode (with nothing to inject) and an event tracer add no
+    bound or hook to the one driver: each run ticks exactly as often as
+    the plain run, with identical results."""
     from repro.obs import EventTracer
     from repro.params import FaultConfig
 
     program = build_program("compress")
     config = _config(4, "bus")
     silent = dataclasses.replace(config, faults=FaultConfig(seed=3))
-    assert not silent.faults.injects_anything
     plain_counts, plain = _count_ticks(
         monkeypatch,
         lambda: DataScalarSystem(config).run(program, limit=LIMIT))
@@ -484,19 +482,24 @@ def test_a_hang_raises_the_dense_error(num_nodes, cycle, head, monkeypatch):
     skipping must still surface the hang as the typed error that dense
     ticking raises, at the same cycle.  (At 2 nodes the deaf node is
     the only receiver, so each of node 0's broadcasts arrives nowhere;
-    the sender must not fail on that before node 1 hangs.)"""
+    the sender must not fail on that before node 1 hangs.)  The same
+    holds with the fault layer armed but injecting nothing: a delivery
+    lost outside it raises the same error at the same cycle."""
     from repro.cpu import pipeline as pipeline_module
+    from repro.params import FaultConfig
 
     monkeypatch.setattr(pipeline_module, "DEADLOCK_CYCLES", 3_000)
     program = build_program("compress")
     messages = []
-    for fast_forward in (True, False):
-        config = dataclasses.replace(_config(num_nodes, "bus"),
-                                     fast_forward=fast_forward)
-        with pytest.raises(SimulationError) as excinfo:
-            _DeafNodeSystem(config).run(program, limit=4_000)
-        messages.append(str(excinfo.value))
-    assert messages[0] == messages[1]
+    for faults in (None, FaultConfig(seed=1)):
+        for fast_forward in (True, False):
+            config = dataclasses.replace(_config(num_nodes, "bus"),
+                                         fast_forward=fast_forward,
+                                         faults=faults)
+            with pytest.raises(SimulationError) as excinfo:
+                _DeafNodeSystem(config).run(program, limit=4_000)
+            messages.append(str(excinfo.value))
+    assert messages == [messages[0]] * 4
     assert messages[0] == (
         f"no commit for 3000 cycles at cycle {cycle}; "
         f"head=<RUUEntry #{head} LOAD issued=True result=None>")

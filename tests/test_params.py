@@ -177,8 +177,7 @@ def test_option_surface():
         "FaultConfig": ("seed", "drop_prob", "receiver_drop_prob",
                         "corrupt_prob", "jitter_prob", "max_jitter",
                         "stall_prob", "stall_cycles", "bshr_timeout",
-                        "retry_backoff", "backoff_factor", "max_retries",
-                        "nack_enabled", "wait_deadline"),
+                        "retry_backoff", "backoff_factor", "max_retries"),
         "NodeConfig": ("cpu", "icache", "dcache", "memory", "bshr",
                        "broadcast_queue_latency"),
         "SystemConfig": ("num_nodes", "node", "bus",
@@ -193,20 +192,28 @@ def test_option_surface():
 
 def test_public_surface():
     """Every public name of the packages that hold the machine, its
-    memory system, its media, its instrumentation and its experiments,
-    so that adding or removing one is a visible edit here."""
+    memory system, its media, its fault layer, its instrumentation, its
+    analyses and its experiments, so that adding or removing one is a
+    visible edit here."""
+    import repro.analysis
     import repro.core
     import repro.experiments
+    import repro.faults
     import repro.interconnect
     import repro.memory
     import repro.obs
 
-    packages = (repro.core, repro.experiments, repro.interconnect,
-                repro.memory, repro.obs)
+    packages = (repro.analysis, repro.core, repro.experiments,
+                repro.faults, repro.interconnect, repro.memory, repro.obs)
     assert all(hasattr(package, name)
                for package in packages for name in package.__all__)
     assert {package.__name__: set(package.__all__)
             for package in packages} == {
+        "repro.analysis": {
+            "CostModel", "rows_to_csv", "rows_to_json", "write_csv",
+            "write_json", "Timeline", "TimelineRecorder", "TimelineSample",
+            "format_ipc", "format_percent", "format_table", "TABLE1_CACHE",
+            "TrafficReport", "measure_esp_traffic"},
         "repro.core": {
             "BSHRFile", "BSHRStats", "Broadcaster", "BroadcastStats",
             "CorrespondenceStats", "CorrespondenceTracker",
@@ -224,12 +231,13 @@ def test_public_surface():
             "Figure7Row", "format_figure7", "run_benchmark", "run_figure7",
             "FIGURE8_BENCHMARKS", "PARAMETERS", "Figure8Panel",
             "Figure8Point", "format_figure8", "run_figure8", "run_panel",
-            "DROP_PROBS", "ResiliencePoint", "fault_config_for",
-            "format_resilience", "run_resilience",
             "NODE_COUNTS", "ScalingPoint", "format_scaling", "run_scaling",
             "Table1Row", "format_table1", "run_table1",
             "Table2Row", "format_table2", "run_table2",
             "Table3Row", "format_table3", "row_from_result", "run_table3"},
+        "repro.faults": {
+            "BroadcastFault", "FaultConfig", "FaultPlan", "FaultStats",
+            "FaultyMedium", "RecoveryStats"},
         "repro.interconnect": {
             "Bus", "Ring", "LatencyQueue", "BroadcastMedium",
             "make_medium"},

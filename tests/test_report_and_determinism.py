@@ -1,36 +1,8 @@
-"""Tests for the bar renderer and whole-simulator determinism."""
+"""Whole-simulator determinism."""
 
-import pytest
-
-from repro.analysis.report import render_bars
 from repro.core import DataScalarSystem
 from repro.experiments import datascalar_config
 from repro.workloads import build_program
-
-
-def test_render_bars_scales_to_peak():
-    text = render_bars(["a", "b"], [2.0, 1.0], width=10)
-    lines = text.splitlines()
-    assert lines[0].count("#") == 10
-    assert lines[1].count("#") == 5
-    assert "2.00" in lines[0]
-
-
-def test_render_bars_title_and_unit():
-    text = render_bars(["x"], [1.5], title="T", unit=" IPC")
-    assert text.startswith("T\n")
-    assert "1.50 IPC" in text
-
-
-def test_render_bars_zero_values():
-    text = render_bars(["x", "y"], [0.0, 0.0])
-    assert "#" not in text
-
-
-def test_render_bars_validation_and_empty():
-    with pytest.raises(ValueError):
-        render_bars(["a"], [1, 2])
-    assert render_bars([], [], title="T") == "T"
 
 
 def test_datascalar_simulation_is_deterministic():

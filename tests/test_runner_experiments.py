@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.__main__ import main
+from repro.experiments.config import datascalar_config
 from repro.experiments.figure7 import run_figure7
-from repro.experiments.resilience import run_resilience
 from repro.experiments.table1 import run_table1
-from repro.runner import ResultCache, SweepRunner, result_fingerprint
+from repro.params import FaultConfig
+from repro.runner import (ResultCache, SweepPoint, SweepRunner,
+                          result_fingerprint)
 
 LIMIT = 1500
 
@@ -41,15 +45,25 @@ def test_table1_parity_parallel(tmp_path):
 
 
 def test_resilience_seeds_address_distinct_entries(tmp_path):
+    """A fault seed rides inside the point's config, so two
+    ``datascalar`` points that differ only in seed are two cache
+    entries (and two results), while the same point again is a hit."""
+    base = datascalar_config(4)
+
+    def point(seed):
+        faults = FaultConfig(seed=seed, receiver_drop_prob=1e-2)
+        return SweepPoint.make(
+            "datascalar", "compress", limit=LIMIT,
+            config=dataclasses.replace(base, faults=faults))
+
     cache = ResultCache(tmp_path, code_version="v")
     runner = SweepRunner(jobs=1, cache=cache)
-    run_resilience(limit=LIMIT, drop_probs=(0.0, 1e-2), seeds=(11,),
-                   runner=runner)
-    run_resilience(limit=LIMIT, drop_probs=(0.0, 1e-2), seeds=(12,),
-                   runner=runner)
-    # The fault-free anchor is shared; the seeded cell is not.
+    (first,) = runner.run([point(11)])
+    second, again = runner.run([point(12), point(11)])
     assert runner.registry.counter("runner.cache.hit").value == 1
-    assert runner.registry.counter("runner.points.executed").value == 3
+    assert runner.registry.counter("runner.points.executed").value == 2
+    assert result_fingerprint(again) == result_fingerprint(first)
+    assert result_fingerprint(second) != result_fingerprint(first)
 
 
 def test_cli_warm_rerun_hits_everything(tmp_path, capsys):

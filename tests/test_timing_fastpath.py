@@ -8,10 +8,11 @@ tables) and on the wake bound :meth:`Pipeline.tick` returns being an
 pipeline before its own bound.  These tests pin each structure's
 contract as the shipping ``Pipeline.tick`` keeps it (or, for the FU
 tables, directly), then drive randomized programs to check the bound
-and the stalls of skipped cycles against dense ticking, pin the
-fault-recovery (retransmit-backoff) arrival arithmetic that the skip
-scheduler relies on being materialized eagerly, and finally pin whole
-results of the issue stage on core shapes no other test covers.
+and the stalls of skipped cycles against dense ticking, pin the fault
+layer's retransmit-backoff arithmetic (a repaired delivery's arrival
+comes back from ``broadcast`` itself, so the scheduler needs no bound
+of its own for it), and finally pin whole results of the issue stage
+on core shapes no other test covers.
 """
 
 import dataclasses
@@ -451,10 +452,6 @@ def test_recovered_arrival_is_materialized_eagerly_and_exactly():
     assert medium.recovery_stats.timeouts == 1
     assert medium.recovery_stats.retransmits == 1
     assert medium.recovery_stats.recovered == 1
-    # next_event mirrors the materialized arrival exactly — and is
-    # consumed once reached, never lingering as a stale skip bound.
-    assert medium.next_event(0) == expected
-    assert medium.next_event(expected) is None
 
 
 def test_retransmit_backoff_arithmetic_is_exact():
@@ -484,7 +481,6 @@ def test_retransmit_backoff_arithmetic_is_exact():
     assert medium.recovery_stats.retransmits == 3
     assert medium.recovery_stats.recovered == 1
     assert medium.recovery_stats.retry_high_water == 3
-    assert medium.next_event(0) == expected
 
 
 def test_nacked_corruption_skips_the_timeout():
