@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.experiments import datascalar_config, timing_node_config
 from repro.interconnect import make_medium
+from repro.memory import profile_program
 from repro.params import BusConfig
 from repro.workloads import build_program
 
@@ -64,10 +65,11 @@ def test_ablation_static_replication(benchmark):
     program = build_program("wave5")
 
     def run():
+        profile = profile_program(program, 4096, limit=LIMIT)
         results = []
         for budget in (0, 4, 16):
-            plan = plan_replication(program, 4096, num_nodes=2,
-                                    budget_pages=budget, limit=LIMIT)
+            plan = plan_replication(program, profile, num_nodes=2,
+                                    budget_pages=budget)
             results.append((budget, _run_ds(
                 program, replicated=plan.replicated_pages)))
         return results

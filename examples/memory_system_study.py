@@ -22,6 +22,7 @@ from repro.experiments import (
     timing_node_config,
     traditional_config,
 )
+from repro.memory import profile_program
 from repro.workloads import build_program
 
 
@@ -41,8 +42,8 @@ def main(workload: str = "compress") -> None:
           f"{format_percent(traffic.transactions_eliminated)}\n")
 
     # 2. Replication planning.
-    plan = plan_replication(program, page_size=4096, num_nodes=2,
-                            budget_pages=6)
+    plan = plan_replication(program, profile_program(program, 4096),
+                            num_nodes=2, budget_pages=6)
     hottest = plan.profile.pages_by_count()[:3]
     print("2) profile-driven replication plan")
     print(f"   hottest pages (page, accesses): {hottest}")

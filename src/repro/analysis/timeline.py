@@ -83,14 +83,15 @@ class Timeline:
         return [
             TimelineSample(
                 cycle=int(cycle[i]),
-                committed=[series[i] for series in per_node["committed"]],
-                bshr_occupancy=[series[i]
+                committed=[int(series[i])
+                           for series in per_node["committed"]],
+                bshr_occupancy=[int(series[i])
                                 for series in per_node["bshr_occupancy"]],
-                dcub_occupancy=[series[i]
+                dcub_occupancy=[int(series[i])
                                 for series in per_node["dcub_occupancy"]],
-                broadcasts_sent=[series[i]
+                broadcasts_sent=[int(series[i])
                                  for series in per_node["broadcasts_sent"]],
-                bus_transactions=bus[i],
+                bus_transactions=int(bus[i]),
             )
             for i in range(count)
         ]

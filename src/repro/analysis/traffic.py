@@ -101,11 +101,12 @@ def measure_esp_traffic(program, cache_config: CacheConfig = TABLE1_CACHE,
     misses = 0
     writebacks = 0
     accesses = 0
-    for ref in Interpreter(program).mem_refs(limit=limit,
-                                             include_ifetch=False):
+    for kind, addr in Interpreter(program).mem_refs(limit=limit,
+                                                    include_ifetch=False):
         accesses += 1
-        result = cache.commit_access(ref.addr, is_write=(ref.kind == WRITE))
-        if not result.hit and (result.filled or ref.kind != WRITE):
+        is_write = kind == WRITE
+        result = cache.commit_access(addr, is_write)
+        if not result.hit and (result.filled or not is_write):
             # A fill (read or write-allocate) moves a line on-chip.
             misses += 1
         elif not result.hit and not result.filled:

@@ -13,24 +13,14 @@ from dataclasses import dataclass
 
 from ..memory.address import Segment
 from ..memory.layout import choose_block_size
-from ..memory.profile import PageProfile, profile_program
+from ..memory.profile import PageProfile
 
 
-def select_hot_pages(profile: PageProfile, budget_pages: int,
-                     segments=None) -> "frozenset[int]":
-    """The ``budget_pages`` most-accessed pages, optionally restricted to
-    ``segments`` (an iterable of :class:`Segment`)."""
-    if budget_pages <= 0:
-        return frozenset()
-    wanted = None if segments is None else set(segments)
-    chosen = []
-    for page, _count in profile.pages_by_count():
-        if wanted is not None and profile.segment_of_page(page) not in wanted:
-            continue
-        chosen.append(page)
-        if len(chosen) >= budget_pages:
-            break
-    return frozenset(chosen)
+def select_hot_pages(profile: PageProfile,
+                     budget_pages: int) -> "frozenset[int]":
+    """The ``budget_pages`` most-accessed pages."""
+    return frozenset(page for page, _count
+                     in profile.pages_by_count()[:max(budget_pages, 0)])
 
 
 @dataclass
@@ -48,19 +38,16 @@ class ReplicationPlan:
         return counts
 
 
-def plan_replication(program, page_size: int, num_nodes: int,
-                     budget_pages: int, limit=None,
-                     include_ifetch: bool = True) -> ReplicationPlan:
-    """Profile ``program`` and pick the hot pages plus a distribution
-    block size, mirroring the paper's per-benchmark methodology: replicate
-    the hottest pages, and maximize the block while keeping it smaller
-    than ``1/num_nodes`` of the text and largest data segments."""
-    profile = profile_program(program, page_size, limit=limit,
-                              include_ifetch=include_ifetch)
-    replicated = select_hot_pages(profile, budget_pages)
-    block = choose_block_size(program, page_size, num_nodes)
+def plan_replication(program, profile: PageProfile, num_nodes: int,
+                     budget_pages: int) -> ReplicationPlan:
+    """Pick ``program``'s hot pages from its ``profile`` plus a
+    distribution block size, mirroring the paper's per-benchmark
+    methodology: replicate the hottest pages, and maximize the block
+    while keeping it smaller than ``1/num_nodes`` of the text and largest
+    data segments.  Pages are ``profile.page_size`` bytes."""
     return ReplicationPlan(
-        replicated_pages=replicated,
-        distribution_block_pages=block,
+        replicated_pages=select_hot_pages(profile, budget_pages),
+        distribution_block_pages=choose_block_size(
+            program, profile.page_size, num_nodes),
         profile=profile,
     )

@@ -16,10 +16,11 @@ from ..analysis.report import format_table
 from ..core.datathread import DatathreadAnalyzer
 from ..core.replication import plan_replication
 from ..isa.interpreter import Interpreter
-from ..isa.trace import IFETCH
+from ..isa.trace import IFETCH, WRITE
 from ..memory.address import Segment
 from ..memory.cache import Cache
 from ..memory.layout import LayoutSpec, build_page_table
+from ..memory.profile import PageProfile
 from ..params import CacheConfig
 from ..workloads import TABLE_BENCHMARKS, build_program
 
@@ -61,11 +62,28 @@ def measure_datathreads(name: str, scale: int = 1, num_nodes: int = 4,
                         budget_pages: int = 6, page_size: int = 1024,
                         limit=None) -> Table2Row:
     """One benchmark's Table 2 measurement (the ``datathread`` sweep
-    executor): plan replication, lay out pages, then walk the post-cache
-    miss stream through three datathread analyzers."""
+    executor).  One walk of the reference stream profiles page accesses
+    and filters the stream through the measurement caches; replication
+    is then planned from that profile, pages are laid out, and the
+    post-cache misses go through three datathread analyzers."""
     program = build_program(name, scale)
-    plan = plan_replication(program, page_size, num_nodes,
-                            budget_pages, limit=limit)
+    profile = PageProfile(page_size)
+    record = profile.record
+    icache_access = Cache(MEASUREMENT_ICACHE, name="t2i").commit_access
+    dcache_access = Cache(MEASUREMENT_DCACHE, name="t2d").commit_access
+    misses = []  # (addr, is_instruction), in stream order
+    # Interpreted, like every trace-level study: generated code has
+    # only the timing runs' record stream (docs/simulator.md).
+    for kind, addr in Interpreter(program).mem_refs(limit=limit):
+        if kind == IFETCH:
+            record(addr, True)
+            if not icache_access(addr, False).hit:
+                misses.append((addr, True))
+        else:
+            record(addr, False)
+            if not dcache_access(addr, kind == WRITE).hit:
+                misses.append((addr, False))
+    plan = plan_replication(program, profile, num_nodes, budget_pages)
     spec = LayoutSpec(
         num_nodes=num_nodes,
         page_size=page_size,
@@ -77,23 +95,9 @@ def measure_datathreads(name: str, scale: int = 1, num_nodes: int = 4,
     all_refs = DatathreadAnalyzer(table)
     text_refs = DatathreadAnalyzer(table)
     data_refs = DatathreadAnalyzer(table)
-    icache = Cache(MEASUREMENT_ICACHE, name="t2i")
-    dcache = Cache(MEASUREMENT_DCACHE, name="t2d")
-    # Interpreted, like every trace-level study: generated code has
-    # only the timing runs' record stream (docs/simulator.md).
-    interp = Interpreter(program)
-    for ref in interp.mem_refs(limit=limit, include_ifetch=True):
-        if ref.kind == IFETCH:
-            result = icache.commit_access(ref.addr, is_write=False)
-            if not result.hit:
-                all_refs.observe(ref.addr)
-                text_refs.observe(ref.addr)
-        else:
-            result = dcache.commit_access(ref.addr,
-                                          is_write=(ref.kind == "W"))
-            if not result.hit:
-                all_refs.observe(ref.addr)
-                data_refs.observe(ref.addr)
+    for addr, is_instruction in misses:
+        all_refs.observe(addr)
+        (text_refs if is_instruction else data_refs).observe(addr)
     report_all = all_refs.finish()
     report_text = text_refs.finish()
     report_data = data_refs.finish()

@@ -8,7 +8,7 @@ from .instruction import Instruction
 from .interpreter import ExecResult, Interpreter, run_program
 from .opcodes import OpClass, Opcode
 from .program import Program
-from .trace import IFETCH, READ, WRITE, DynInstr, MemRef, annotate
+from .trace import IFETCH, READ, WRITE, DynInstr, annotate
 
 __all__ = [
     "Assembler",
@@ -26,7 +26,6 @@ __all__ = [
     "Opcode",
     "Program",
     "DynInstr",
-    "MemRef",
     "annotate",
     "IFETCH",
     "READ",

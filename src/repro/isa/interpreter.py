@@ -2,8 +2,8 @@
 
 This is the execution-driven front end: it runs programs to completion,
 optionally emitting a dynamic-instruction trace (for the timing models) or
-a bare memory-reference stream (for the cache-filter studies of paper
-Sections 3.1 and 3.2).
+a stream of ``(kind, addr)`` memory references (for the cache-filter
+studies of paper Sections 3.1 and 3.2).
 
 Dispatch is predecoded: construction compiles every static instruction
 into a zero-argument closure with its operand fields, fall-through
@@ -21,7 +21,7 @@ from ..memory.address import INSTRUCTION_BYTES, STACK_TOP, TEXT_BASE
 from .opcodes import CONDITIONAL_BRANCHES, OP_CLASS, Opcode
 from .program import Program
 from .registers import NUM_REGS, SP, ZERO
-from .trace import IFETCH, READ, WRITE, DynInstr, MemRef
+from .trace import IFETCH, READ, WRITE, DynInstr
 
 _U64 = (1 << 64) - 1
 _S63 = 1 << 63
@@ -490,21 +490,25 @@ class Interpreter:
             seq += 1
 
     def mem_refs(self, limit=None, include_ifetch=True):
-        """Generate bare :class:`MemRef` records (cache-filter studies)."""
+        """Generate plain ``(kind, addr)`` pairs (cache-filter studies):
+        ``(IFETCH, pc)`` per retired instruction unless
+        ``include_ifetch`` is false, then ``(READ or WRITE, addr)`` per
+        data access."""
         limit = self.max_instructions if limit is None else limit
         index = 0
         code = self._code
         code_len = len(code)
+        fetches = [(IFETCH, pc) for pc, _, _, _ in self._meta]
         while not self.halted and self.instructions_executed < limit:
             if not 0 <= index < code_len:
                 raise ExecutionError(f"fell off program at index {index}")
-            pc = TEXT_BASE + index * INSTRUCTION_BYTES
-            index, kind, addr, size = code[index]()
+            fetch = fetches[index]
+            index, kind, addr, _size = code[index]()
             self.instructions_executed += 1
             if include_ifetch:
-                yield MemRef(IFETCH, pc, INSTRUCTION_BYTES, pc)
+                yield fetch
             if kind is not None:
-                yield MemRef(kind, addr, size, pc)
+                yield kind, addr
 
     def result(self) -> ExecResult:
         """Snapshot the run outcome."""

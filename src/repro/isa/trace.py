@@ -15,8 +15,6 @@ store queue.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from ..errors import SimulationError
 from .opcodes import OpClass
 
@@ -118,11 +116,8 @@ def annotate(trace):
         yield dyn
 
 
-#: A bare memory reference: ``kind`` is ``'I'`` (instruction fetch),
-#: ``'R'`` (data read), or ``'W'`` (data write).
-MemRef = namedtuple("MemRef", ["kind", "addr", "size", "pc"])
-
-#: Reference kinds, exported for callers that filter streams.
+#: Reference kinds of :meth:`~repro.isa.interpreter.Interpreter.mem_refs`
+#: pairs: instruction fetch, data read and data write.
 IFETCH = "I"
 READ = "R"
 WRITE = "W"

@@ -35,10 +35,6 @@ class PageProfile:
         """Pages sorted hottest first: ``[(page, count), ...]``."""
         return sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))
 
-    def hottest(self, limit: int) -> "list[int]":
-        """The ``limit`` most-accessed page numbers."""
-        return [page for page, _ in self.pages_by_count()[:limit]]
-
     def segment_of_page(self, page: int) -> Segment:
         return segment_of(page * self.page_size)
 
@@ -49,7 +45,7 @@ def profile_program(program, page_size: int, limit=None,
     profile = PageProfile(page_size)
     # Interpreted, like every trace-level study: generated code has
     # only the timing runs' record stream (docs/simulator.md).
-    interp = Interpreter(program)
-    for ref in interp.mem_refs(limit=limit, include_ifetch=include_ifetch):
-        profile.record(ref.addr, ref.kind == IFETCH)
+    for kind, addr in Interpreter(program).mem_refs(
+            limit=limit, include_ifetch=include_ifetch):
+        profile.record(addr, kind == IFETCH)
     return profile

@@ -39,7 +39,6 @@ __all__ = [
     "SpanAccumulator",
     "SpanRecord",
     "SpanRecorder",
-    "active",
     "breakdown",
     "phase_totals",
     "recording",
@@ -186,11 +185,6 @@ class SpanRecorder:
 # The process-wide active recorder (None = telemetry disabled).
 # ----------------------------------------------------------------------
 _active: SpanRecorder | None = None
-
-
-def active() -> SpanRecorder | None:
-    """The currently installed recorder, or ``None`` when disabled."""
-    return _active
 
 
 def span(name: str) -> _OpenSpan | _NullSpan:

@@ -241,6 +241,27 @@ def test_only_timing_runs_compile(monkeypatch):
     assert len(compiled) == 1
 
 
+def test_trace_level_studies_walk_the_stream_once(monkeypatch):
+    """Table 2 profiles pages and filters its measurement caches in one
+    walk of the interpreter's reference stream, as Table 1 does."""
+    from repro.analysis.traffic import measure_esp_traffic
+    from repro.experiments.table2 import measure_datathreads
+
+    walks = []
+    mem_refs = Interpreter.mem_refs
+
+    def counting(self, *args, **kwargs):
+        walks.append(self.program.name)
+        return mem_refs(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpreter, "mem_refs", counting)
+    measure_datathreads("compress", limit=2000)
+    assert walks == ["compress"]
+    walks.clear()
+    measure_esp_traffic(build_program("compress"), limit=2000)
+    assert walks == ["compress"]
+
+
 # ----------------------------------------------------------------------
 # The runner must see generated-code template changes.
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from repro.core import plan_replication, select_hot_pages
 from repro.isa import ProgramBuilder
-from repro.memory import GLOBAL_BASE, Segment, profile_program
+from repro.memory import GLOBAL_BASE, profile_program
 
 PAGE = 4096
 
@@ -40,17 +40,10 @@ def test_select_hot_pages_budget_zero():
     assert select_hot_pages(profile, 0) == frozenset()
 
 
-def test_select_hot_pages_segment_filter():
-    program = _skewed_program()
-    profile = profile_program(program, PAGE, include_ifetch=True)
-    text_only = select_hot_pages(profile, 100, segments={Segment.TEXT})
-    assert text_only
-    assert all(profile.segment_of_page(p) is Segment.TEXT for p in text_only)
-
-
 def test_plan_replication_produces_consistent_plan():
     program = _skewed_program()
-    plan = plan_replication(program, PAGE, num_nodes=4, budget_pages=2)
+    plan = plan_replication(program, profile_program(program, PAGE),
+                            num_nodes=4, budget_pages=2)
     assert len(plan.replicated_pages) == 2
     assert plan.distribution_block_pages >= 1
     by_segment = plan.replicated_by_segment()

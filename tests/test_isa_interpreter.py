@@ -274,10 +274,8 @@ def test_mem_refs_stream_includes_ifetch_and_data():
     b.lw("r2", "r1", 0)
     b.halt()
     refs = list(Interpreter(b.build()).mem_refs())
-    kinds = [r.kind for r in refs]
-    assert kinds == ["I", "I", "R", "I"]
-    assert refs[0].addr == TEXT_BASE
-    assert refs[2].addr == base
+    assert refs == [("I", TEXT_BASE), ("I", TEXT_BASE + 4), ("R", base),
+                    ("I", TEXT_BASE + 8)]
 
 
 def test_mem_refs_can_exclude_ifetch():
@@ -287,7 +285,7 @@ def test_mem_refs_can_exclude_ifetch():
     b.sw("r1", "r1", 0)
     b.halt()
     refs = list(Interpreter(b.build()).mem_refs(include_ifetch=False))
-    assert [r.kind for r in refs] == ["W"]
+    assert refs == [("W", base)]
 
 
 def test_run_program_helper():

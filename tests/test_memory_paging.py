@@ -101,7 +101,7 @@ def test_profile_counts_pages_and_kinds():
     assert profile.data_refs > 0
     text_page = TEXT_BASE // PAGE
     assert profile.counts[text_page] > 0
-    hottest = profile.hottest(1)[0]
+    hottest = profile.pages_by_count()[0][0]
     assert profile.counts[hottest] == max(profile.counts.values())
 
 

@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro.obs import spans
 from repro.obs.export import spans_to_chrome_trace, write_spans_chrome_trace
 from repro.obs.spans import (SpanRecorder, breakdown, phase_totals,
                              recording, records_as_dicts, span, timed_iter)
@@ -29,7 +28,6 @@ def test_nesting_builds_slash_paths():
 
 
 def test_disabled_path_returns_shared_singleton():
-    assert spans.active() is None
     first = span("anything")
     second = span("other")
     assert first is second  # no allocation when disabled
@@ -41,17 +39,20 @@ def test_recording_scope_installs_and_restores():
     outer = SpanRecorder()
     inner = SpanRecorder()
     with recording(outer):
-        assert spans.active() is outer
         with recording(inner):
-            assert spans.active() is inner
-        assert spans.active() is outer
-    assert spans.active() is None
+            with span("in-inner"):
+                pass
+        with span("in-outer"):
+            pass
+    assert [record.path for record in inner.records] == ["in-inner"]
+    assert [record.path for record in outer.records] == ["in-outer"]
+    assert span("after-both") is span("other")  # the shared no-op
 
 
 def test_recording_none_is_a_noop_scope():
     with recording(None) as recorder:
         assert recorder is None
-        assert spans.active() is None
+        assert span("anything") is span("other")
 
 
 def test_exception_unwinds_span_stack():
