@@ -92,10 +92,9 @@ def measure_esp_traffic(program, cache_config: CacheConfig = TABLE1_CACHE,
     Matches the paper's methodology: an execution-driven run filtered by
     a level-one data cache (instruction fetches are not measured);
     requests and write-backs are the traffic ESP removes.  The data
-    references come from the reference interpreter's
+    references come from the interpreter's
     :meth:`~repro.isa.interpreter.Interpreter.mem_refs`, as for Table 2
-    and the replication profile: generated code serves only the timing
-    runs' record stream.
+    and the replication profile.
     """
     cache = Cache(cache_config, name="table1")
     misses = 0

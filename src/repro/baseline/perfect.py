@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..core.system import drive
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
-from ..isa.codegen import make_trace_source
+from ..isa import make_trace_source
 from ..isa.opcodes import OpClass
 from ..params import CPUConfig
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..interconnect.medium import Bus, LatencyQueue
-from ..isa.codegen import make_trace_source
+from ..isa import make_trace_source
 from ..isa.opcodes import OpClass
 from ..memory.cache import apply_outcome, canonical_outcomes
 from ..memory.layout import traditional_page_table

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..errors import ProtocolError, SimulationError
 from ..interconnect.medium import make_medium
-from ..isa.codegen import make_trace_source
+from ..isa import make_trace_source
 from ..isa.fanout import fan_out
 from ..memory.cache import canonical_outcomes
 from ..memory.layout import LayoutSpec, build_page_table
@@ -120,7 +120,7 @@ class DataScalarSystem:
 
     def _make_traces(self, program, limit) -> list:
         """One annotated record stream per node: SPSD nodes consume the
-        identical stream, so one :func:`~repro.isa.codegen.make_trace_source`,
+        identical stream, so one :func:`~repro.isa.make_trace_source`,
         with its canonical cache outcomes computed once
         (:func:`~repro.memory.canonical_outcomes`), is fanned out to all
         of them (O(I) work instead of O(N·I)).  Tests override this
@@ -185,9 +185,8 @@ class DataScalarSystem:
             page_table, layout_summary = build_page_table(program, spec)
         medium = self._make_medium()
         # Trace sources are built *outside* the setup span so the
-        # codegen-compile phase (charged inside make_trace_source) and
-        # the timing-loop/frontend accumulator stay direct children of
-        # the point span rather than nesting under setup.
+        # timing-loop/frontend accumulator stays a direct child of the
+        # point span rather than nesting under setup.
         traces = self._make_traces(program, limit)
         pipelines = []
         with spans.span("setup"):

@@ -85,7 +85,7 @@ class PipelineStats:
 
 class Pipeline:
     """One out-of-order core bound to a memory system and an annotated
-    record stream (:func:`repro.isa.codegen.make_trace_source`, or any
+    record stream (:func:`repro.isa.make_trace_source`, or any
     stream passed through :func:`repro.isa.annotate`).  A memory system
     with caches reads their outcomes from the records, so its stream
     also passes through :func:`repro.memory.canonical_outcomes`."""

@@ -72,17 +72,13 @@ def measure_datathreads(name: str, scale: int = 1, num_nodes: int = 4,
     icache_access = Cache(MEASUREMENT_ICACHE, name="t2i").commit_access
     dcache_access = Cache(MEASUREMENT_DCACHE, name="t2d").commit_access
     misses = []  # (addr, is_instruction), in stream order
-    # Interpreted, like every trace-level study: generated code has
-    # only the timing runs' record stream (docs/simulator.md).
     for kind, addr in Interpreter(program).mem_refs(limit=limit):
+        record(addr)
         if kind == IFETCH:
-            record(addr, True)
             if not icache_access(addr, False).hit:
                 misses.append((addr, True))
-        else:
-            record(addr, False)
-            if not dcache_access(addr, kind == WRITE).hit:
-                misses.append((addr, False))
+        elif not dcache_access(addr, kind == WRITE).hit:
+            misses.append((addr, False))
     plan = plan_replication(program, profile, num_nodes, budget_pages)
     spec = LayoutSpec(
         num_nodes=num_nodes,

@@ -5,7 +5,7 @@ from .builder import ProgramBuilder
 from .disasm import disassemble, disassemble_instruction
 from .fanout import TraceFanout, fan_out
 from .instruction import Instruction
-from .interpreter import ExecResult, Interpreter, run_program
+from .interpreter import ExecResult, Interpreter, make_trace_source
 from .opcodes import OpClass, Opcode
 from .program import Program
 from .trace import IFETCH, READ, WRITE, DynInstr, annotate
@@ -21,7 +21,7 @@ __all__ = [
     "Instruction",
     "ExecResult",
     "Interpreter",
-    "run_program",
+    "make_trace_source",
     "OpClass",
     "Opcode",
     "Program",

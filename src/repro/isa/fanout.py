@@ -9,7 +9,7 @@ interpretation cost from O(N·I) to O(I).
 
 The views are plain iterators, so they drop into ``Pipeline`` unchanged.
 Records are shared by reference and never looked into here: the source,
-:func:`repro.isa.codegen.make_trace_source` passed through
+:func:`repro.isa.make_trace_source` passed through
 :func:`repro.memory.canonical_outcomes`, annotates each record and sets
 its canonical cache outcomes once before the tee, and the timing models
 treat the records as immutable.

@@ -1,9 +1,10 @@
 """Functional interpreter for the simulated ISA.
 
-This is the execution-driven front end: it runs programs to completion,
-optionally emitting a dynamic-instruction trace (for the timing models) or
-a stream of ``(kind, addr)`` memory references (for the cache-filter
-studies of paper Sections 3.1 and 3.2).
+This is the execution-driven front end, the simulator's one executable
+semantics of the ISA: it runs programs to completion, optionally
+emitting a dynamic-instruction trace (for the timing models, through
+:func:`make_trace_source`) or a stream of ``(kind, addr)`` memory
+references (for the cache-filter studies of paper Sections 3.1 and 3.2).
 
 Dispatch is predecoded: construction compiles every static instruction
 into a zero-argument closure with its operand fields, fall-through
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 
 from ..errors import ExecutionError
 from ..memory.address import INSTRUCTION_BYTES, STACK_TOP, TEXT_BASE
+from ..obs.spans import timed_frontend
 from .opcodes import CONDITIONAL_BRANCHES, OP_CLASS, Opcode
 from .program import Program
 from .registers import NUM_REGS, SP, ZERO
-from .trace import IFETCH, READ, WRITE, DynInstr
+from .trace import IFETCH, READ, WRITE, DynInstr, annotate
 
 _U64 = (1 << 64) - 1
 _S63 = 1 << 63
@@ -520,15 +522,10 @@ class Interpreter:
             stores=self.stores,
         )
 
-    def read_word(self, address: int) -> int:
-        """Read a word from simulated memory (post-run inspection)."""
-        return self.memory.get(address, 0)
 
-    def read_double(self, address: int) -> float:
-        """Read a double from simulated memory (post-run inspection)."""
-        return self.memory.get(address, 0.0)
-
-
-def run_program(program: Program, limit=None) -> ExecResult:
-    """Convenience: run ``program`` functionally and return the result."""
-    return Interpreter(program).run(limit)
+def make_trace_source(program: Program, limit=None):
+    """The record stream every timing model consumes:
+    ``annotate(Interpreter(program).trace(limit=limit))``, its lazy
+    consumption charged to ``timing-loop/frontend`` while a span
+    recorder is active."""
+    return timed_frontend(annotate(Interpreter(program).trace(limit=limit)))

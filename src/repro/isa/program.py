@@ -59,14 +59,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def pc_of(self, index: int) -> int:
-        """Text-segment address of the instruction at ``index``."""
-        return TEXT_BASE + index * INSTRUCTION_BYTES
-
-    def index_of_pc(self, pc: int) -> int:
-        """Instruction index for a text-segment address."""
-        return (pc - TEXT_BASE) // INSTRUCTION_BYTES
-
     @property
     def text_bytes(self) -> int:
         """Size of the text segment in bytes."""

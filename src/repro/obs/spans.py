@@ -1,8 +1,8 @@
 """Hierarchical wall/CPU phase spans for sweep telemetry.
 
 A :class:`SpanRecorder` measures *where the wall-clock time of one
-sweep point goes*: program build, codegen compile, functional front
-end, timing loop, analysis.  Instrumentation sites call
+sweep point goes*: program build, functional front end, timing loop,
+analysis.  Instrumentation sites call
 the module-level :func:`span` context manager::
 
     with span("timing-loop"):

@@ -12,18 +12,6 @@ code, run on this exact configuration, produced this result".
 ``REPRO_CODE_VERSION`` overrides the computed stamp (useful for
 pinning a cache across cosmetic edits, and for tests that exercise
 invalidation).
-
-The *generated-code template version*
-(:data:`repro.isa.codegen.CODEGEN_VERSION`) is folded into every point
-digest unconditionally.  The computed code-version stamp already hashes
-the emitter's source like any other ``repro`` file, but a pinned
-``REPRO_CODE_VERSION`` would bypass that — the explicit stamp means
-codegen template changes invalidate cached results even under a pinned
-code version.  The front end itself is not a point input: a timing
-run's stream comes from generated code or the interpreter by the
-program alone (:func:`repro.isa.codegen.make_trace_source`), the
-trace-level studies always interpret, and both front ends are
-bit-identical.
 """
 
 from __future__ import annotations
@@ -126,12 +114,8 @@ def point_payload(point: SweepPoint) -> dict:
 
 
 def point_digest(point: SweepPoint, code_version: str = "") -> str:
-    """Stable hex digest of a point under one code version (plus the
-    generated-code template stamp — see the module docstring)."""
-    from ..isa.codegen import CODEGEN_VERSION
-
-    payload = {"code": code_version, "codegen": CODEGEN_VERSION,
-               "point": point_payload(point)}
+    """Stable hex digest of a point under one code version."""
+    payload = {"code": code_version, "point": point_payload(point)}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

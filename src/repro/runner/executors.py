@@ -37,9 +37,9 @@ def execute_point(point: SweepPoint) -> object:
 
     When a :class:`repro.obs.spans.SpanRecorder` is active (sweep
     telemetry), the whole execution runs under a root ``point`` span so
-    the per-point phase breakdown — program build, codegen compile,
-    functional front end, timing loop, analysis — hangs off one
-    well-known root.  Disabled, the span is a shared no-op.
+    the per-point phase breakdown — program build, functional front
+    end, timing loop, analysis — hangs off one well-known root.
+    Disabled, the span is a shared no-op.
     """
     fn = EXECUTORS.get(point.kind)
     if fn is None:

@@ -1,8 +1,8 @@
 """Unit tests for the replication policy."""
 
 from repro.core import plan_replication, select_hot_pages
-from repro.isa import ProgramBuilder
-from repro.memory import GLOBAL_BASE, profile_program
+from repro.isa import Interpreter, ProgramBuilder
+from repro.memory import GLOBAL_BASE, PageProfile, profile_program
 
 PAGE = 4096
 
@@ -26,9 +26,17 @@ def _skewed_program():
     return b.build()
 
 
+def _data_profile(program):
+    """A page profile of ``program``'s data references only."""
+    profile = PageProfile(PAGE)
+    for _kind, addr in Interpreter(program).mem_refs(include_ifetch=False):
+        profile.record(addr)
+    return profile
+
+
 def test_select_hot_pages_prefers_hammered_page():
     program = _skewed_program()
-    profile = profile_program(program, PAGE, include_ifetch=False)
+    profile = _data_profile(program)
     hot_page = GLOBAL_BASE // PAGE
     chosen = select_hot_pages(profile, budget_pages=1)
     assert chosen == frozenset({hot_page})
@@ -36,7 +44,7 @@ def test_select_hot_pages_prefers_hammered_page():
 
 def test_select_hot_pages_budget_zero():
     program = _skewed_program()
-    profile = profile_program(program, PAGE, include_ifetch=False)
+    profile = _data_profile(program)
     assert select_hot_pages(profile, 0) == frozenset()
 
 

@@ -205,7 +205,7 @@ def test_cache_work_is_one_access_per_record(num_nodes, monkeypatch):
     a run makes one ``Cache.commit_access`` per load and store plus one
     per change of instruction line in the stream, at any node count."""
     from repro.experiments.config import datascalar_config
-    from repro.isa.codegen import make_trace_source
+    from repro.isa import make_trace_source
     from repro.memory import Cache
     from repro.workloads import build_program
 

@@ -7,8 +7,7 @@ change a single reported number: these tests run the same workload with
 ``fast_forward`` on and off — the off runs also forced back onto
 per-node interpreters, reproducing the original dense scheduler exactly
 — across every interconnect medium and node count, and compare full
-result snapshots.  The same holds for the generated-code front end
-against the interpreter.  Tracing and hangs must be just as invisible:
+result snapshots.  Tracing and hangs must be just as invisible:
 the stall events of a traced run add up to its stall counters, and a
 wedged machine raises the dense run's error.  Finally, the scheduler's
 work on five benchmark-shaped runs (calls of ``Pipeline.tick``, and
@@ -21,8 +20,6 @@ import pytest
 
 from repro.core import DataScalarSystem
 from repro.experiments.config import datascalar_config
-from repro.isa.codegen import engine as codegen_engine
-from repro.isa.codegen import supports
 from repro.isa.interpreter import Interpreter
 from repro.isa.trace import annotate
 from repro.memory import canonical_outcomes
@@ -37,7 +34,7 @@ LIMIT = 2_500
 class _DenseSystem(DataScalarSystem):
     """The pre-optimization scheduler: one interpreter per node, each
     with its own pair of canonical caches (this ``_make_traces``
-    override replaces the shared, generated-code fan-out and its one
+    override replaces the shared fan-out and its one
     ``canonical_outcomes`` stage) and, via ``fast_forward=False`` in its
     config, dense per-cycle ticking.  ``calls`` counts the override's
     runs, so a test can assert that its reference really was the
@@ -234,75 +231,6 @@ def test_fast_forward_flag_disables_skipping():
         dataclasses.replace(config, fast_forward=False)).run(
             program, limit=LIMIT)
     assert _snapshot(fast) == _snapshot(dense)
-
-
-# ----------------------------------------------------------------------
-# The codegen rows: the generated-code front end (repro.isa.codegen),
-# which every run of these workloads uses, must be exactly as invisible
-# as fast-forward — against the interpreter, the dense scheduler,
-# faults, and tracing.  The interpreter-fed side is forced by making
-# ``supports`` reject every program.
-# ----------------------------------------------------------------------
-def _generated(program, config, **kwargs):
-    assert supports(program)  # the default front end is generated code
-    return DataScalarSystem(config).run(program, limit=LIMIT, **kwargs)
-
-
-def _interpreted(monkeypatch, program, config):
-    with monkeypatch.context() as patch:
-        patch.setattr(codegen_engine, "supports", lambda program: False)
-        return DataScalarSystem(config).run(program, limit=LIMIT)
-
-
-@pytest.mark.parametrize("num_nodes", NODE_COUNTS)
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_codegen_matches_interpreter(workload, num_nodes, monkeypatch):
-    """Same fast-forwarded system, only the front end differs."""
-    program = build_program(workload)
-    config = _config(num_nodes, "bus")
-    generated = _generated(program, config)
-    interpreted = _interpreted(monkeypatch, program, config)
-    assert _snapshot(generated) == _snapshot(interpreted)
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_codegen_matches_dense(workload):
-    """codegen + fast-forward vs the original dense per-node
-    interpreters: the two optimization layers compose invisibly."""
-    program = build_program(workload)
-    config = _config(2, "bus")
-    generated = _generated(program, config)
-    dense = _dense(config, program)
-    assert _snapshot(generated) == _snapshot(dense)
-
-
-def test_codegen_matches_interpreter_under_faults(monkeypatch):
-    """The faulty row: the front end must not perturb the seeded fault
-    schedule or the recovery ledger."""
-    from repro.params import FaultConfig
-
-    program = build_program("compress")
-    faults = FaultConfig(seed=17, receiver_drop_prob=1e-2,
-                         corrupt_prob=5e-3, jitter_prob=2e-2,
-                         stall_prob=5e-3)
-    config = dataclasses.replace(_config(4, "bus"), faults=faults)
-    generated = _generated(program, config)
-    interpreted = _interpreted(monkeypatch, program, config)
-    assert _snapshot(generated) == _snapshot(interpreted)
-    assert generated.extra["faults"] == interpreted.extra["faults"]
-    assert generated.extra["faults"]["recovery"]["recovered"] > 0
-
-
-def test_codegen_tracing_is_bit_identical(monkeypatch):
-    """The traced row: tracing a codegen-fed run reports exactly the
-    untraced interpreter-fed numbers."""
-    from repro.obs import EventTracer
-
-    program = build_program("mgrid")
-    config = _config(2, "bus")
-    traced = _generated(program, config, tracer=EventTracer())
-    plain = _interpreted(monkeypatch, program, config)
-    assert _snapshot(traced) == _snapshot(plain)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ExecutionError
-from repro.isa import Interpreter, OpClass, ProgramBuilder, run_program
+from repro.isa import Interpreter, OpClass, ProgramBuilder
 from repro.memory.address import STACK_TOP, TEXT_BASE
+from repro.workloads import build_program
 
 
 def _run_regs(build_body):
@@ -43,13 +44,17 @@ def test_division_truncates_toward_zero():
 
 
 def test_divide_by_zero_raises():
-    b = ProgramBuilder()
-    b.li("r1", 1)
-    b.li("r2", 0)
-    b.div("r3", "r1", "r2")
-    b.halt()
-    with pytest.raises(ExecutionError):
-        Interpreter(b.build()).run()
+    for op, operands, message in (
+            ("div", ("r3", "r1", "r2"), "divide by zero"),
+            ("rem", ("r3", "r1", "r2"), "remainder by zero"),
+            ("fdiv", ("f3", "f1", "f2"), "fp divide by zero")):
+        b = ProgramBuilder()
+        b.li("r1", 1)
+        b.li("r2", 0)
+        getattr(b, op)(*operands)
+        b.halt()
+        with pytest.raises(ExecutionError, match=message):
+            Interpreter(b.build()).run()
 
 
 def test_logical_and_shift_operations():
@@ -130,13 +135,15 @@ def test_byte_store_masks_to_eight_bits():
 
 
 def test_unaligned_access_raises():
-    b = ProgramBuilder()
-    base = b.alloc_global("buf", 16)
-    b.li("r1", base + 2)
-    b.lw("r2", "r1", 0)
-    b.halt()
-    with pytest.raises(ExecutionError):
-        Interpreter(b.build()).run()
+    for op, reg, offset, message in (("lw", "r2", 2, "unaligned load"),
+                                     ("sd", "f1", 4, "unaligned store")):
+        b = ProgramBuilder()
+        base = b.alloc_global("buf", 16)
+        b.li("r1", base + offset)
+        getattr(b, op)(reg, "r1", 0)
+        b.halt()
+        with pytest.raises(ExecutionError, match=message):
+            Interpreter(b.build()).run()
 
 
 def test_floating_point_operations():
@@ -166,7 +173,7 @@ def test_floating_point_operations():
     assert fp[32 + 6] == pytest.approx(2.5 / 1.5)
     assert fp[32 + 7] == -1.5
     assert fp[2] == 1
-    assert interp.read_double(stored["base"] + 16) == 4.0
+    assert interp.memory[stored["base"] + 16] == 4.0
 
 
 def test_cvt_between_int_and_float():
@@ -214,6 +221,14 @@ def test_jr_to_garbage_raises():
     b.halt()
     with pytest.raises(ExecutionError):
         Interpreter(b.build()).run()
+    # A jump past the last instruction leaves the program too.
+    b = ProgramBuilder()
+    past = b.fresh_label("past")
+    b.j(past)
+    b.halt()  # satisfies validate(); jumped over, never reached
+    b.label(past)
+    with pytest.raises(ExecutionError, match="fell off program"):
+        list(Interpreter(b.build()).trace())
 
 
 def test_stack_pointer_initialized_below_stack_top():
@@ -232,6 +247,20 @@ def test_run_limit_stops_infinite_loop():
     result = interp.run(limit=1000)
     assert not result.halted
     assert result.instructions == 1000
+    # trace() stops at its limit too; only a run to HALT sets halted.
+    b = ProgramBuilder()
+    with b.repeat(10, "r1"):
+        b.addi("r2", "r2", 1)
+    b.halt()
+    program = b.build()
+    full = Interpreter(program).run().instructions
+    assert full > 7
+    for limit in (0, 1, 7, None):
+        interp = Interpreter(program)
+        records = list(interp.trace(limit=limit))
+        count = full if limit is None else limit
+        assert [r.seq for r in records] == list(range(count))
+        assert interp.halted == (limit is None)
 
 
 def test_load_store_counters():
@@ -288,10 +317,22 @@ def test_mem_refs_can_exclude_ifetch():
     assert refs == [("W", base)]
 
 
-def test_run_program_helper():
-    b = ProgramBuilder()
-    b.li("r1", 3)
-    b.halt()
-    result = run_program(b.build())
-    assert result.halted
-    assert result.registers[1] == 3
+def test_trace_level_studies_walk_the_stream_once(monkeypatch):
+    """Table 2 profiles pages and filters its measurement caches in one
+    walk of the interpreter's reference stream, as Table 1 does."""
+    from repro.analysis.traffic import measure_esp_traffic
+    from repro.experiments.table2 import measure_datathreads
+
+    walks = []
+    mem_refs = Interpreter.mem_refs
+
+    def counting(self, *args, **kwargs):
+        walks.append(self.program.name)
+        return mem_refs(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpreter, "mem_refs", counting)
+    measure_datathreads("compress", limit=2000)
+    assert walks == ["compress"]
+    walks.clear()
+    measure_esp_traffic(build_program("compress"), limit=2000)
+    assert walks == ["compress"]

@@ -8,7 +8,6 @@ from repro.memory.address import (
     GLOBAL_BASE,
     HEAP_BASE,
     INSTRUCTION_BYTES,
-    TEXT_BASE,
     Segment,
 )
 
@@ -20,14 +19,6 @@ def _tiny_program():
     b.li("r1", 1)
     b.halt()
     return b.build()
-
-
-def test_pc_mapping_roundtrip():
-    program = _tiny_program()
-    for index in range(len(program)):
-        pc = program.pc_of(index)
-        assert program.index_of_pc(pc) == index
-    assert program.pc_of(0) == TEXT_BASE
 
 
 def test_segment_sizes_reflect_allocations():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, MemoryError_
-from repro.isa import ProgramBuilder
+from repro.isa import Interpreter, ProgramBuilder
 from repro.memory import (
     GLOBAL_BASE,
     HEAP_BASE,
@@ -97,8 +97,10 @@ def test_page_table_validation():
 def test_profile_counts_pages_and_kinds():
     program = _program()
     profile = profile_program(program, PAGE)
-    assert profile.instruction_refs > 0
-    assert profile.data_refs > 0
+    run = Interpreter(program).run()
+    # One count per instruction fetch and one per data reference.
+    assert sum(profile.counts.values()) == (
+        run.instructions + run.loads + run.stores)
     text_page = TEXT_BASE // PAGE
     assert profile.counts[text_page] > 0
     hottest = profile.pages_by_count()[0][0]
@@ -110,13 +112,6 @@ def test_profile_segment_helpers():
     profile = profile_program(program, PAGE)
     assert {Segment.TEXT, Segment.GLOBAL} <= {
         profile.segment_of_page(p) for p in profile.counts}
-
-
-def test_profile_without_ifetch():
-    program = _program()
-    profile = profile_program(program, PAGE, include_ifetch=False)
-    assert profile.instruction_refs == 0
-    assert profile.data_refs > 0
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_memory_preserves_stored_values(values):
     interp = Interpreter(builder.build())
     interp.run()
     for index, value in enumerate(values):
-        assert interp.read_word(base + 4 * index) == value
+        assert interp.memory[base + 4 * index] == value
 
 
 @given(st.lists(small_ints, min_size=1, max_size=20))
