@@ -1,42 +1,73 @@
 #!/usr/bin/env python
-"""Diagnosing a DataScalar run: timelines and skew.
+"""Diagnosing a DataScalar run: commit skew and buffer occupancy.
 
-Records a cycle-sampled timeline of a 2-node run (per-node commit
-progress, BSHR/DCUB occupancy, broadcast counts) and reports the commit
-skew between nodes — how far the datathreading leader runs ahead.
+Traces a 2-node run and samples, every 250 cycles, each node's committed
+count, the lines staged in its DCUB and the loads it has waiting on an
+owner's broadcast, all from the traced events' cycles; then reports the
+commit skew between nodes — how far the datathreading leader runs
+ahead.  The tracer is passive, so the run skips idle cycles like an
+untraced one.
 
 Run:  python examples/run_diagnostics.py [workload]
 """
 
 import sys
+from bisect import bisect_right
 
-from repro.analysis import TimelineRecorder
 from repro.core import DataScalarSystem
 from repro.experiments import datascalar_config, timing_node_config
+from repro.obs import EventKind, EventTracer
 from repro.workloads import build_program
 
 LIMIT = 20_000
+SAMPLE_EVERY = 250
 
 
 def main(workload: str = "gcc") -> None:
     program = build_program(workload)
     config = datascalar_config(2, node=timing_node_config())
 
-    recorder = TimelineRecorder(sample_every=250)
+    tracer = EventTracer(kinds={
+        EventKind.COMMIT, EventKind.DCUB_STAGE, EventKind.DCUB_APPLY,
+        EventKind.BSHR_ALLOC, EventKind.BCAST_CONSUME})
     result = DataScalarSystem(config).run(program, limit=LIMIT,
-                                          observer=recorder)
-    timeline = recorder.timeline
-    skew = timeline.commit_skew()
+                                          tracer=tracer)
+    # Sorted event cycles per (kind, node).  A load waits from its
+    # bshr-alloc until the arrival that wakes it: an unsquashed
+    # bcast-consume, which carries the arrival cycle.
+    cycles: dict = {}
+    for event in tracer.events:
+        if event.kind is EventKind.BCAST_CONSUME and event.args["squashed"]:
+            continue
+        cycles.setdefault((event.kind, event.node), []).append(event.cycle)
+    for times in cycles.values():
+        times.sort()
+    nodes = range(len(result.nodes))
+    samples = range(0, result.cycles, SAMPLE_EVERY)
+
+    def count(kind, node, cycle):
+        """Events of ``kind`` on ``node`` at or before ``cycle``."""
+        return bisect_right(cycles.get((kind, node), []), cycle)
+
+    def peak(enter, leave):
+        """Most entries any node held at a sample: ``enter`` events
+        minus ``leave`` events so far."""
+        return max(count(enter, node, cycle) - count(leave, node, cycle)
+                   for cycle in samples for node in nodes)
+
+    committed = [[count(EventKind.COMMIT, node, cycle) for node in nodes]
+                 for cycle in samples]
+    skew = [max(row) - min(row) for row in committed]
     print(f"workload {workload}: {result.cycles:,} cycles, "
           f"IPC {result.ipc:.2f}")
-    print(f"samples: {len(timeline.samples)} "
-          f"(every 250 cycles)")
+    print(f"samples: {len(samples)} "
+          f"(every {SAMPLE_EVERY} cycles)")
     print(f"commit skew between nodes: max {max(skew)}, "
           f"mean {sum(skew) / len(skew):.1f} instructions")
-    print(f"peak BSHR occupancy: "
-          f"{max(max(s.bshr_occupancy) for s in timeline.samples)}")
+    print(f"peak loads waiting on a broadcast: "
+          f"{peak(EventKind.BSHR_ALLOC, EventKind.BCAST_CONSUME)}")
     print(f"peak DCUB occupancy: "
-          f"{max(max(s.dcub_occupancy) for s in timeline.samples)}")
+          f"{peak(EventKind.DCUB_STAGE, EventKind.DCUB_APPLY)}")
 
 
 if __name__ == "__main__":

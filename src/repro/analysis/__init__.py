@@ -1,20 +1,14 @@
-"""Analyses: ESP traffic accounting, cost model, timelines, reports."""
+"""Analyses: ESP traffic accounting, cost model, reports."""
 
 from .cost import CostModel
-from .export import rows_to_csv, rows_to_json, write_csv, write_json
+from .export import rows_to_csv, write_csv
 from .report import format_ipc, format_percent, format_table
-from .timeline import Timeline, TimelineRecorder, TimelineSample
 from .traffic import TABLE1_CACHE, TrafficReport, measure_esp_traffic
 
 __all__ = [
     "CostModel",
     "rows_to_csv",
-    "rows_to_json",
     "write_csv",
-    "write_json",
-    "Timeline",
-    "TimelineRecorder",
-    "TimelineSample",
     "format_ipc",
     "format_percent",
     "format_table",

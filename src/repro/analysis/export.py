@@ -1,4 +1,4 @@
-"""Export experiment rows to CSV/JSON for downstream plotting.
+"""Export experiment rows to CSV for downstream plotting.
 
 Every ``run_*`` driver returns dataclass rows; these helpers flatten
 them generically so new experiments export without bespoke code.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 
 
 def _flatten(row) -> dict:
@@ -29,12 +28,9 @@ def _flatten(row) -> dict:
     return flat
 
 
-def rows_to_csv(rows, extra_columns=None) -> str:
+def rows_to_csv(rows) -> str:
     """Render dataclass rows as CSV text (header + one line per row)."""
     flats = [_flatten(row) for row in rows]
-    if extra_columns:
-        for flat, extras in zip(flats, extra_columns):
-            flat.update(extras)
     if not flats:
         return ""
     fieldnames = list(flats[0])
@@ -46,18 +42,7 @@ def rows_to_csv(rows, extra_columns=None) -> str:
     return buffer.getvalue()
 
 
-def rows_to_json(rows, indent: int = 2) -> str:
-    """Render dataclass rows as a JSON array."""
-    return json.dumps([_flatten(row) for row in rows], indent=indent)
-
-
 def write_csv(path, rows) -> None:
     """Write rows to a CSV file."""
     with open(path, "w", newline="") as handle:
         handle.write(rows_to_csv(rows))
-
-
-def write_json(path, rows) -> None:
-    """Write rows to a JSON file."""
-    with open(path, "w") as handle:
-        handle.write(rows_to_json(rows))

@@ -42,7 +42,7 @@ class PerfectMemory(MemoryInterface):
 class PerfectSystem:
     """A single core in front of a perfect memory."""
 
-    def __init__(self, cpu_config: CPUConfig = None):
+    def __init__(self, cpu_config: CPUConfig | None = None):
         self.cpu_config = cpu_config or CPUConfig()
         self.memory = PerfectMemory()
 

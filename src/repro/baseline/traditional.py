@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.dcub import DCUB
+from ..core.node import _PrimaryHandle
+from ..core.system import drive
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..interconnect.medium import Bus, LatencyQueue
@@ -24,9 +27,6 @@ from ..memory.cache import apply_outcome, canonical_outcomes
 from ..memory.layout import traditional_page_table
 from ..memory.mainmem import BankedMemory
 from ..params import TraditionalConfig
-from ..core.dcub import DCUB
-from ..core.node import _PrimaryHandle
-from ..core.system import drive
 
 _STORE = int(OpClass.STORE)
 
@@ -41,7 +41,7 @@ class TraditionalMemory(MemoryInterface):
         node = config.node
         #: Line addresses the D-cache holds (the issue-time view),
         #: advanced at each memory commit by ``apply_outcome``.
-        self.resident = set()
+        self.resident: set[int] = set()
         self._line_mask = ~(node.dcache.line_size - 1)
         self.onchip_mem = BankedMemory(
             node.memory.onchip_latency,
@@ -173,7 +173,7 @@ class TraditionalResult:
 class TraditionalSystem:
     """Single core, 1/N memory on-chip, request/response off-chip."""
 
-    def __init__(self, config: TraditionalConfig = None):
+    def __init__(self, config: TraditionalConfig | None = None):
         self.config = config or TraditionalConfig()
 
     def run(self, program, replicated_pages=frozenset(), limit=None,

@@ -34,10 +34,6 @@ class BSHRStats:
         self.squashes = 0
         self.arrivals = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.waits + self.found_in_bshr
-
 
 class BSHRFile:
     """Per-node broadcast receive structures.
@@ -100,10 +96,13 @@ class BSHRFile:
         ``line`` must be consumed without waking any load."""
         arrived = self._arrived.get(line)
         if arrived:
-            arrived.popleft()
+            arrival_time = arrived.popleft()
             if not arrived:
                 del self._arrived[line]
             self.stats.squashes += 1
+            if self._tracer is not None:
+                self._tracer.emit(EventKind.BCAST_CONSUME, arrival_time,
+                                  self._trace_node, line=line, squashed=True)
             return
         self._discards[line] = self._discards.get(line, 0) + 1
 

@@ -132,15 +132,12 @@ class DataScalarSystem:
             self.config.num_nodes)
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
-            stack_bytes: int = 64 * 1024,
-            observer=None, tracer=None) -> DataScalarResult:
+            stack_bytes: int = 64 * 1024, tracer=None) -> DataScalarResult:
         """Simulate ``program`` across all nodes to completion.
 
         ``replicated_pages`` are page numbers to replicate statically in
         addition to the text segment; ``limit`` bounds the dynamic
         instruction count per node (all nodes see the same prefix);
-        ``observer(cycle, pipelines, nodes, medium)`` is called every
-        simulated cycle (see :class:`repro.analysis.timeline`);
         ``tracer`` (a :class:`repro.obs.Tracer`) receives structured
         events from every subsystem — tracing is purely observational,
         so results are bit-identical with it on or off, and a traced run
@@ -203,15 +200,9 @@ class DataScalarSystem:
             if tracer is not None and hasattr(medium, "attach_tracer"):
                 medium.attach_tracer(tracer)
 
-        def observe(cycle: int) -> None:
-            observer(cycle, pipelines, nodes, medium)
-
         with spans.span("timing-loop"):
-            # An observer wants to see every cycle: dense ticking.
-            cycles = drive(
-                pipelines, config.max_cycles,
-                dense=not config.fast_forward or observer is not None,
-                wake=wake, after_round=None if observer is None else observe)
+            cycles = drive(pipelines, config.max_cycles,
+                           dense=not config.fast_forward, wake=wake)
         with spans.span("analysis"):
             return self._collect(cycles, pipelines, nodes, medium,
                                  page_table, layout_summary)
@@ -264,7 +255,7 @@ class DataScalarSystem:
 
 
 def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
-          after_round=None, what: str = "DataScalar") -> int:
+          what: str = "DataScalar") -> int:
     """Tick ``pipelines`` from cycle 0 until all are done; return the
     cycle count (one past the finishing tick).
 
@@ -286,9 +277,8 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
     dense ticking would raise them.
 
     ``dense`` sets every wake to ``cycle + 1`` instead, which ticks
-    every pipeline every cycle (observers, ``fast_forward=False``).
-    ``after_round(cycle)`` runs after every tick of a simulated cycle
-    (the observer hook).
+    every pipeline every cycle: ``fast_forward=False``, the reference
+    the equivalence suite compares skipping runs against.
     """
     num = len(pipelines)
     if wake is None:
@@ -311,8 +301,6 @@ def drive(pipelines, max_cycles: int, *, dense: bool = False, wake=None,
                 wake[i] = nxt
             else:
                 wake[i] = bound
-        if after_round is not None:
-            after_round(cycle)
         if not running:
             return nxt
         target = max_cycles

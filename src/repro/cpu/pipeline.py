@@ -495,20 +495,6 @@ class Pipeline:
                 self._trace_done = True
         return self._fetch_buffer
 
-    # ------------------------------------------------------------------
-    # Dense reference loop.
-    # ------------------------------------------------------------------
-    def run(self, max_cycles: int) -> PipelineStats:
-        """Tick every cycle until done; returns the stats.  Systems run
-        through :func:`repro.core.system.drive` instead; this plain loop
-        is the dense reference tests compare against."""
-        tick = self.tick
-        for cycle in range(max_cycles):
-            tick(cycle)
-            if self.done:
-                return self.stats
-        raise SimulationError(f"program did not finish in {max_cycles} cycles")
-
 
 class _ForwardedHandle:
     """Handle for a load serviced by an in-queue store (1-cycle)."""

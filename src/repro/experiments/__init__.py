@@ -19,7 +19,7 @@ from .figure3 import (
     run_figure3,
     traditional_crossings,
 )
-from .figure7 import Figure7Row, format_figure7, run_benchmark, run_figure7
+from .figure7 import Figure7Row, format_figure7, run_figure7
 from .figure8 import (
     FIGURE8_BENCHMARKS,
     PARAMETERS,
@@ -27,7 +27,6 @@ from .figure8 import (
     Figure8Point,
     format_figure8,
     run_figure8,
-    run_panel,
 )
 from .scaling import NODE_COUNTS, ScalingPoint, format_scaling, \
     run_scaling
@@ -51,7 +50,6 @@ __all__ = [
     "traditional_crossings",
     "Figure7Row",
     "format_figure7",
-    "run_benchmark",
     "run_figure7",
     "FIGURE8_BENCHMARKS",
     "PARAMETERS",
@@ -59,7 +57,6 @@ __all__ = [
     "Figure8Point",
     "format_figure8",
     "run_figure8",
-    "run_panel",
     "NODE_COUNTS",
     "ScalingPoint",
     "format_scaling",

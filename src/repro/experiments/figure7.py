@@ -48,15 +48,15 @@ class Figure7Row:
 
 
 def benchmark_points(name: str, scale: int = 1, limit=None,
-                     node=None, bus=None, node_counts=(2, 4)):
+                     node=None, bus=None):
     """The five sweep points of one Figure 7 benchmark, in the fixed
-    chunk order [perfect, ds(a), trad(a), ds(b), trad(b)]."""
+    chunk order [perfect, ds2, trad2, ds4, trad4]."""
     from ..runner import SweepPoint
 
     node = node or timing_node_config()
     points = [SweepPoint.make("perfect", name, scale=scale, limit=limit,
                               config=node.cpu, label=f"{name}/perfect")]
-    for count in node_counts:
+    for count in (2, 4):
         points.append(SweepPoint.make(
             "datascalar", name, scale=scale, limit=limit,
             config=datascalar_config(count, node=node, bus=bus),
@@ -84,19 +84,6 @@ def row_from_chunk(name: str, chunk) -> Figure7Row:
         datascalar2_result=ds2,
         datascalar4_result=ds4,
     )
-
-
-def run_benchmark(name: str, scale: int = 1, limit=None,
-                  node=None, bus=None, node_counts=(2, 4), runner=None):
-    """Simulate one benchmark on all five systems; returns a
-    :class:`Figure7Row`."""
-    from ..runner import get_default_runner
-
-    runner = runner or get_default_runner()
-    results = runner.run(benchmark_points(name, scale=scale, limit=limit,
-                                          node=node, bus=bus,
-                                          node_counts=node_counts))
-    return row_from_chunk(name, results)
 
 
 def run_figure7(benchmarks=None, scale: int = 1, limit=None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.report import format_ipc, format_table
 from .config import timing_bus_config, timing_node_config
-from .figure7 import benchmark_points, row_from_chunk
+from .figure7 import _CHUNK, benchmark_points, row_from_chunk
 
 #: The sweepable parameters and their default value grids.
 PARAMETERS = {
@@ -95,22 +95,11 @@ def _sweep(cells, scale, limit, runner):
         node, bus = _configure(parameter, value)
         points.extend(benchmark_points(benchmark, scale=scale, limit=limit,
                                        node=node, bus=bus))
-    chunk = len(points) // len(cells) if cells else 1
     results = runner.run(points)
     for index, (benchmark, parameter, value) in enumerate(cells):
         row = row_from_chunk(benchmark,
-                             results[index * chunk:(index + 1) * chunk])
+                             results[index * _CHUNK:(index + 1) * _CHUNK])
         yield _point_from_row(benchmark, parameter, value, row)
-
-
-def run_panel(benchmark: str, parameter: str, values=None, scale: int = 1,
-              limit=None, runner=None) -> Figure8Panel:
-    """Sweep one parameter for one benchmark."""
-    cells = [(benchmark, parameter, value)
-             for value in values or PARAMETERS[parameter]]
-    panel = Figure8Panel(benchmark=benchmark, parameter=parameter)
-    panel.points.extend(_sweep(cells, scale, limit, runner))
-    return panel
 
 
 def run_figure8(benchmarks=FIGURE8_BENCHMARKS, parameters=None,

@@ -66,19 +66,6 @@ class CacheStats:
         #: Write misses that went around the cache (write-noallocate).
         self.writethroughs = 0
 
-    @property
-    def accesses(self) -> int:
-        return (self.read_hits + self.read_misses
-                + self.write_hits + self.write_misses)
-
-    @property
-    def misses(self) -> int:
-        return self.read_misses + self.write_misses
-
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
 
 class Cache:
     """One cache level.  Lines are tracked by line-aligned address."""
@@ -94,17 +81,10 @@ class Cache:
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    # Address helpers.
-    # ------------------------------------------------------------------
-    def line_addr(self, addr: int) -> int:
-        """Line-aligned address containing ``addr``."""
-        return (addr >> self._line_shift) << self._line_shift
-
-    # ------------------------------------------------------------------
-    # Snapshots (correspondence checks, tests).
+    # Snapshots (tests compare them against reference models).
     # ------------------------------------------------------------------
     def resident_lines(self) -> "frozenset[int]":
-        """Snapshot of every resident line address (correspondence checks)."""
+        """Snapshot of every resident line address."""
         return frozenset(
             entry[0] for ways in self._sets for entry in ways
         )

@@ -35,10 +35,12 @@ class EventKind(str, Enum):
     #: ``line``).
     BCAST_ARRIVE = "bcast-arrive"
     #: An arrival woke a waiting load, or was consumed by a scheduled
-    #: discard (``line``, ``squashed``).
+    #: discard (``line``, ``squashed``).  The cycle is the arrival
+    #: cycle: arrivals are materialized eagerly, so the event is emitted
+    #: at broadcast time (or at the discard, for a buffered arrival).
     BCAST_CONSUME = "bcast-consume"
-    #: A BSHR entry was allocated: a load now waits (``buffered`` False)
-    #: or an arrival was buffered (``buffered`` True).
+    #: A load found no arrival buffered and now waits for the owner's
+    #: broadcast (``line``).
     BSHR_ALLOC = "bshr-alloc"
     #: A load found its data already waiting in the BSHR (``line``) —
     #: the datathreading hit.

@@ -13,7 +13,7 @@ Naming scheme (see ``docs/observability.md``):
   (``pipeline``, ``bshr``, ``dcub``, ``cache``, ``broadcast``);
 * ``faults.injected.*`` / ``faults.recovery.*`` — the fault ledger;
 * ``trace.events.<kind>`` — events emitted per :class:`EventKind`;
-* ``timeline.*`` — sampled series (cycle-indexed).
+* ``runner.*`` — the sweep runner's counters and series.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class Histogram:
 
 
 class Series:
-    """An append-only sequence of sampled values (cycle-aligned with the
-    registry's ``timeline.cycle`` series by convention)."""
+    """An append-only sequence of sampled values (e.g. the sweep
+    runner's ``runner.completed_at``)."""
 
     __slots__ = ("values",)
 
@@ -164,15 +164,6 @@ class MetricsRegistry:
 
     def names(self) -> "list[str]":
         return sorted(self._metrics)
-
-    def subtree(self, prefix: str) -> "dict[str, object]":
-        """Every metric under ``prefix.`` (hierarchical selection)."""
-        dotted = prefix + "."
-        return {
-            name: metric
-            for name, metric in self._metrics.items()
-            if name.startswith(dotted) or name == prefix
-        }
 
     def as_dict(self) -> dict:
         """Flat JSON-serializable snapshot (histograms as digests,

@@ -15,7 +15,6 @@ neither is a parameter.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -81,12 +80,6 @@ class CPUConfig:
         _require(
             self.lsq_entries <= self.ruu_entries,
             "lsq_entries may not exceed ruu_entries",
-        )
-
-    def scaled(self, ruu_entries: int) -> "CPUConfig":
-        """Return a copy with a different window size (LSQ stays RUU/2)."""
-        return dataclasses.replace(
-            self, ruu_entries=ruu_entries, lsq_entries=max(1, ruu_entries // 2)
         )
 
 
@@ -280,8 +273,8 @@ class SystemConfig:
     #: Maximum dynamically-simulated instructions before giving up.
     max_cycles: int = 200_000_000
     #: Skip provably idle cycle ranges (identical results, less wall
-    #: clock).  Dense per-cycle ticking is used regardless whenever an
-    #: ``observer`` is installed.  Disable to force dense ticking.
+    #: clock).  Disable to force dense ticking, the reference the
+    #: equivalence suite compares skipping runs against.
     fast_forward: bool = True
     #: Broadcast transport: ``"bus"`` (the paper's evaluated transport)
     #: or ``"ring"`` (SCI-style), two of Section 4.4's candidates.

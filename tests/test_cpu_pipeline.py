@@ -5,6 +5,7 @@ from heapq import heappop
 import pytest
 
 from repro.baseline.perfect import PerfectMemory, PerfectSystem
+from repro.core.system import drive
 from repro.cpu.func_units import FUPool
 from repro.cpu.interface import LoadHandle
 from repro.cpu.pipeline import Pipeline
@@ -19,6 +20,13 @@ from repro.params import CPUConfig
 def _pipeline(program, cpu=None, mem=None):
     trace = annotate(Interpreter(program).trace())
     return Pipeline(cpu or CPUConfig(), mem or PerfectMemory(), trace)
+
+
+def _run(pipeline, max_cycles=100_000):
+    """Drive ``pipeline`` to completion on the one cycle scheduler;
+    return its stats."""
+    drive([pipeline], max_cycles, what="pipeline")
+    return pipeline.stats
 
 
 def _linear_program(n_adds=32):
@@ -348,16 +356,15 @@ def test_fu_pool_latencies_match_config():
 # Whole-pipeline behaviour.
 # ----------------------------------------------------------------------
 def test_serial_chain_commits_in_order_with_low_ipc():
-    pipeline = _pipeline(_linear_program(64))
-    stats = pipeline.run(max_cycles=100_000)
+    stats = _run(_pipeline(_linear_program(64)))
     assert stats.committed == 66  # li + 64 addi + halt
     # A fully serial chain cannot exceed 1 IPC by much.
     assert stats.ipc <= 1.5
 
 
 def test_independent_instructions_reach_high_ipc():
-    stats = _pipeline(_independent_program(256)).run(100_000)
-    serial = _pipeline(_linear_program(256)).run(100_000)
+    stats = _run(_pipeline(_independent_program(256)))
+    serial = _run(_pipeline(_linear_program(256)))
     assert stats.ipc > 2.0
     assert stats.ipc > serial.ipc
 
@@ -365,7 +372,7 @@ def test_independent_instructions_reach_high_ipc():
 def test_issue_width_bounds_ipc():
     narrow = CPUConfig(fetch_width=1, issue_width=1, commit_width=1,
                        ruu_entries=32, lsq_entries=16)
-    stats = _pipeline(_independent_program(128), cpu=narrow).run(100_000)
+    stats = _run(_pipeline(_independent_program(128), cpu=narrow))
     assert stats.ipc <= 1.0
 
 
@@ -382,8 +389,8 @@ def test_load_dependent_chain_waits_for_memory():
     b.lw("r2", "r1", 0)
     b.add("r3", "r2", "r1")
     b.halt()
-    stats = Pipeline(CPUConfig(), Slow(),
-                     annotate(Interpreter(b.build()).trace())).run(100_000)
+    stats = _run(Pipeline(CPUConfig(), Slow(),
+                          annotate(Interpreter(b.build()).trace())))
     assert stats.cycles >= 50
 
 
@@ -400,8 +407,8 @@ def test_store_then_load_forwards_quickly():
         def load_issue(self, now, addr, size):
             raise AssertionError("load should have been forwarded")
 
-    stats = Pipeline(CPUConfig(), NeverLoad(),
-                     annotate(Interpreter(b.build()).trace())).run(100_000)
+    stats = _run(Pipeline(CPUConfig(), NeverLoad(),
+                          annotate(Interpreter(b.build()).trace())))
     assert stats.loads == 1
 
 
@@ -413,7 +420,7 @@ def test_pipeline_counts_loads_and_stores():
     b.lw("r2", "r1", 4)
     b.lw("r3", "r1", 0)
     b.halt()
-    stats = _pipeline(b.build()).run(100_000)
+    stats = _run(_pipeline(b.build()))
     assert stats.stores == 1
     assert stats.loads == 2
 
@@ -515,8 +522,8 @@ def test_older_load_starved_by_early_entries_retries_next_cycle(dense):
 
 
 def test_run_raises_if_out_of_cycles():
-    with pytest.raises(SimulationError):
-        _pipeline(_linear_program(64)).run(max_cycles=3)
+    with pytest.raises(SimulationError, match="exceeded 3 cycles"):
+        _run(_pipeline(_linear_program(64)), max_cycles=3)
 
 
 def test_perfect_system_end_to_end():

@@ -17,10 +17,10 @@ from repro.experiments import (
     format_table1,
     format_table2,
     format_table3,
-    run_benchmark,
     run_figure1,
     run_figure3,
-    run_panel,
+    run_figure7,
+    run_figure8,
     run_table1,
     run_table2,
     run_table3,
@@ -143,7 +143,8 @@ def test_figure3_formatting():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def figure7_compress():
-    return run_benchmark("compress", limit=8000)
+    (row,) = run_figure7(benchmarks=["compress"], limit=8000)
+    return row
 
 
 def test_figure7_perfect_cache_is_upper_bound(figure7_compress):
@@ -176,13 +177,20 @@ def test_figure7_formatting(figure7_compress):
 # ----------------------------------------------------------------------
 # Figure 8.
 # ----------------------------------------------------------------------
+def _panel(benchmark, parameter, values, limit=None):
+    """One Figure 8 panel: ``parameter`` swept over ``values``."""
+    (panel,) = run_figure8(benchmarks=[benchmark], parameters=[parameter],
+                           values_per_parameter={parameter: values},
+                           limit=limit)
+    return panel
+
+
 def test_figure8_datascalar_wins_across_bus_sweep():
     """Paper: 'the DataScalar runs consistently outperform the
     traditional runs over a wide range of parameters' — at four nodes
     the win holds at every bus speed (see EXPERIMENTS.md for the
     two-node tag-overhead discussion)."""
-    panel = run_panel("compress", "bus_clock", values=[2, 8, 16],
-                      limit=5000)
+    panel = _panel("compress", "bus_clock", [2, 8, 16], limit=5000)
     for point in panel.points:
         assert (point.datascalar4_ipc
                 > point.traditional_quarter_ipc * 1.15), point.value
@@ -191,7 +199,7 @@ def test_figure8_datascalar_wins_across_bus_sweep():
 def test_figure8_memory_latency_sweep_converges():
     """Systems converge as bank time dominates (DataScalar reduces the
     overhead of transmitting the data, not accessing them)."""
-    panel = run_panel("go", "memory_latency", values=[4, 64], limit=8000)
+    panel = _panel("go", "memory_latency", [4, 64], limit=8000)
     fast, slow = panel.points
     gap_fast = fast.datascalar2_ipc / fast.traditional_half_ipc
     gap_slow = slow.datascalar2_ipc / slow.traditional_half_ipc
@@ -200,7 +208,7 @@ def test_figure8_memory_latency_sweep_converges():
 
 def test_figure8_unknown_parameter_rejected():
     with pytest.raises(ValueError):
-        run_panel("go", "voltage", values=[1])
+        _panel("go", "voltage", [1])
 
 
 def test_figure8_parameter_grid_is_complete():
@@ -209,6 +217,6 @@ def test_figure8_parameter_grid_is_complete():
 
 
 def test_figure8_formatting():
-    panel = run_panel("go", "cache_size", values=[4096], limit=3000)
+    panel = _panel("go", "cache_size", [4096], limit=3000)
     text = format_figure8([panel])
     assert "Figure 8" in text and "cache_size" in text

@@ -37,7 +37,7 @@ GOLDEN = {
     "table3":
         "a2c36e64ab58a553904dc45a5b732bd54c0e2872bcef1fc6fe6db442124260ad",
     "traced-run":
-        "9ab03cace46d22d672e0ac8a5cc8f995c0200f54de73f2c523fed6cc672a22b0",
+        "6be71f7b35744ada5ccb9b1e7a6ca50cbe975cc4de519ff3f063415bd789508d",
 }
 
 

@@ -8,8 +8,9 @@ change a single reported number: these tests run the same workload with
 per-node interpreters, reproducing the original dense scheduler exactly
 — across every interconnect medium and node count, and compare full
 result snapshots.  Tracing and hangs must be just as invisible:
-the stall events of a traced run add up to its stall counters, and a
-wedged machine raises the dense run's error.  Finally, the scheduler's
+the stall events of a traced run add up to its stall counters, its
+commit, DCUB and BSHR events to the matching counters, and a wedged
+machine raises the dense run's error.  Finally, the scheduler's
 work on five benchmark-shaped runs (calls of ``Pipeline.tick``, and
 those that follow a skipped range) is pinned exactly.
 """
@@ -99,20 +100,6 @@ def test_fast_forward_matches_dense(workload, num_nodes, interconnect):
     assert _snapshot(fast) == _snapshot(dense)
 
 
-def test_observer_forces_dense_and_sees_every_cycle():
-    """An installed observer disables skipping: it must be called for
-    cycles 0..N-1 with no gaps, and the result still matches."""
-    program = build_program("compress")
-    config = _config(2, "bus")
-    seen = []
-    observed = DataScalarSystem(config).run(
-        program, limit=LIMIT,
-        observer=lambda cycle, pipelines, nodes, medium: seen.append(cycle))
-    assert seen == list(range(observed.cycles))
-    plain = DataScalarSystem(config).run(program, limit=LIMIT)
-    assert _snapshot(observed) == _snapshot(plain)
-
-
 @pytest.mark.parametrize("interconnect", ["bus", "ring"])
 def test_fast_forward_matches_dense_under_faults(interconnect):
     """The faulty medium adds pending recovery timers and BSHR wait
@@ -197,6 +184,44 @@ def test_stall_events_add_up_to_the_stall_counters(row, fast_forward):
     assert not sums, f"stall events of no node or cause: {sums}"
     for cause in causes:
         assert getattr(result.nodes[0].pipeline, f"{cause}_stalls") > 0
+
+
+@pytest.mark.parametrize("num_nodes", [2, 4])
+@pytest.mark.parametrize("kernel", ["compress", "applu"])
+def test_traced_events_balance_the_counters(kernel, num_nodes):
+    """Per node, the protocol events add up to the counters they
+    narrate: a ``commit`` per committed instruction, a ``dcub-apply``
+    per ``dcub-stage``, an unsquashed ``bcast-consume`` per
+    ``bshr-alloc`` (every waiting load is woken), a ``bshr-alloc`` or
+    ``bshr-fill`` per load that reached the BSHR, and a squashed
+    ``bcast-consume`` per squash, an arrival that was already buffered
+    when its discard was scheduled included."""
+    from repro.experiments.config import timing_node_config
+    from repro.obs import EventKind, EventTracer
+
+    config = datascalar_config(num_nodes, node=timing_node_config())
+    tracer = EventTracer(kinds={
+        EventKind.COMMIT, EventKind.DCUB_STAGE, EventKind.DCUB_APPLY,
+        EventKind.BSHR_ALLOC, EventKind.BSHR_FILL, EventKind.BCAST_CONSUME})
+    result = DataScalarSystem(config).run(build_program(kernel),
+                                          limit=STALL_LIMIT, tracer=tracer)
+    counts: dict = {}
+    for event in tracer.events:
+        kind = event.kind.value
+        if event.kind is EventKind.BCAST_CONSUME and event.args["squashed"]:
+            kind = "squash"
+        counts[event.node, kind] = counts.get((event.node, kind), 0) + 1
+    for node in result.nodes:
+        def count(kind):
+            return counts.get((node.node_id, kind), 0)
+
+        assert count("commit") == node.pipeline.committed
+        assert count("dcub-stage") == count("dcub-apply")
+        assert count("bshr-alloc") == count("bcast-consume")
+        assert (count("bshr-alloc") + count("bshr-fill")
+                == node.bshr_waits + node.bshr_found)
+        assert count("squash") == node.bshr_squashes, node.node_id
+    assert sum(node.bshr_squashes for node in result.nodes) > 0
 
 
 def test_tracing_is_bit_identical_under_faults():

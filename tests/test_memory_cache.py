@@ -12,12 +12,6 @@ def _cache(size=1024, assoc=2, line=32, **kw):
                              **kw))
 
 
-def test_line_addr_alignment():
-    cache = _cache(line=64)
-    assert cache.line_addr(0x1234) == 0x1200
-    assert cache.line_addr(0x1200) == 0x1200
-
-
 def test_read_miss_then_hit():
     cache = _cache()
     first = cache.commit_access(0x100, is_write=False)
@@ -55,7 +49,7 @@ def test_write_noallocate_miss_bypasses_cache():
     cache = Cache(cfg)
     result = cache.commit_access(0x100, is_write=True)
     assert not result.hit and not result.filled
-    assert cache.line_addr(0x100) not in cache.resident_lines()
+    assert 0x100 not in cache.resident_lines()
     assert cache.stats.writethroughs == 1  # went around the cache
 
 
@@ -65,7 +59,7 @@ def test_write_hit_marks_dirty_under_writeback():
     cache = Cache(cfg)
     cache.commit_access(0x100, is_write=False)
     cache.commit_access(0x104, is_write=True)
-    assert cache.line_addr(0x100) in cache.dirty_lines()
+    assert 0x100 in cache.dirty_lines()
 
 
 def test_resident_lines_snapshot():
@@ -95,14 +89,6 @@ def test_config_validation():
         CacheConfig(size_bytes=100, assoc=1, line_size=32)
     with pytest.raises(ConfigError):
         CacheConfig(hit_latency=0)
-
-
-def test_miss_rate():
-    cache = _cache()
-    assert cache.stats.miss_rate() == 0.0
-    cache.commit_access(0x0, False)
-    cache.commit_access(0x0, False)
-    assert cache.stats.miss_rate() == 0.5
 
 
 def test_canonical_outcomes_replay_private_caches():
@@ -137,4 +123,5 @@ def test_canonical_outcomes_replay_private_caches():
             assert dyn.dcache_result == result
         else:
             assert dyn.dcache_result is None
-    assert misses and dref.stats.misses and dref.stats.writebacks
+    assert misses and dref.stats.writebacks
+    assert dref.stats.read_misses + dref.stats.write_misses

@@ -43,15 +43,6 @@ def test_contains_and_names_sorted():
     assert registry.names() == ["a", "b"]
 
 
-def test_subtree_selects_prefix():
-    registry = MetricsRegistry()
-    registry.counter("node.0.bshr.waits")
-    registry.counter("node.0.cache.false_hits")
-    registry.counter("node.1.bshr.waits")
-    subtree = registry.subtree("node.0")
-    assert set(subtree) == {"node.0.bshr.waits", "node.0.cache.false_hits"}
-
-
 def test_as_dict_digests():
     registry = MetricsRegistry()
     registry.counter("c").inc(2)

@@ -40,12 +40,6 @@ def test_cpu_validation(kwargs):
         CPUConfig(**kwargs)
 
 
-def test_cpu_scaled_keeps_lsq_ratio():
-    scaled = CPUConfig().scaled(64)
-    assert scaled.ruu_entries == 64
-    assert scaled.lsq_entries == 32
-
-
 def test_cpu_missing_fu_latency_rejected_by_pool():
     from repro.cpu import FUPool
     cpu = dataclasses.replace(CPUConfig(), fu_latencies={"IALU": 1})
@@ -210,9 +204,8 @@ def test_public_surface():
     assert {package.__name__: set(package.__all__)
             for package in packages} == {
         "repro.analysis": {
-            "CostModel", "rows_to_csv", "rows_to_json", "write_csv",
-            "write_json", "Timeline", "TimelineRecorder", "TimelineSample",
-            "format_ipc", "format_percent", "format_table", "TABLE1_CACHE",
+            "CostModel", "rows_to_csv", "write_csv", "format_ipc",
+            "format_percent", "format_table", "TABLE1_CACHE",
             "TrafficReport", "measure_esp_traffic"},
         "repro.core": {
             "BSHRFile", "BSHRStats", "Broadcaster", "BroadcastStats",
@@ -228,9 +221,9 @@ def test_public_surface():
             "Figure1Result", "format_figure1", "run_figure1",
             "Figure3Result", "datascalar_crossings", "format_figure3",
             "run_figure3", "traditional_crossings",
-            "Figure7Row", "format_figure7", "run_benchmark", "run_figure7",
+            "Figure7Row", "format_figure7", "run_figure7",
             "FIGURE8_BENCHMARKS", "PARAMETERS", "Figure8Panel",
-            "Figure8Point", "format_figure8", "run_figure8", "run_panel",
+            "Figure8Point", "format_figure8", "run_figure8",
             "NODE_COUNTS", "ScalingPoint", "format_scaling", "run_scaling",
             "Table1Row", "format_table1", "run_table1",
             "Table2Row", "format_table2", "run_table2",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baseline.perfect import PerfectMemory
+from repro.core.system import drive
 from repro.cpu.pipeline import Pipeline
 from repro.isa import Interpreter, ProgramBuilder, annotate
 from repro.params import CPUConfig
@@ -44,8 +45,8 @@ def _run(op_list, cpu=None):
     program = _build(op_list)
     pipeline = Pipeline(cpu or CPUConfig(), PerfectMemory(),
                         annotate(Interpreter(program).trace()))
-    stats = pipeline.run(1_000_000)
-    return program, stats
+    drive([pipeline], 1_000_000, what="pipeline")
+    return program, pipeline.stats
 
 
 @given(ops)
