@@ -12,8 +12,6 @@ Run:  python examples/quickstart.py
 from repro import (
     DataScalarSystem,
     PerfectSystem,
-    SystemConfig,
-    TraditionalConfig,
     TraditionalSystem,
 )
 from repro.experiments import (

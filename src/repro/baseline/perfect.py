@@ -2,9 +2,11 @@
 
 Figures 7 and 8 compare every system against "an identical processor with
 a perfect data cache (single-cycle access to any operand)".  Instruction
-fetch is likewise single-cycle: the stream skips
-:func:`repro.memory.canonical_outcomes`, so no record names an
-instruction miss.
+fetch is likewise single-cycle: :meth:`PerfectMemory.ifetch_miss`
+returns the cycle it is asked at, so a record naming an instruction
+miss (a stream a sweep shares with cached systems, whose canonical
+outcomes it carries) never stalls fetch, and no outcome is read.  A run
+of its own reads a stream without outcomes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ class PerfectMemory(MemoryInterface):
         if dyn.op_class == _STORE:
             self.stores += 1
 
+    def ifetch_miss(self, now: int, line: int) -> int:
+        return now
+
 
 class PerfectSystem:
     """A single core in front of a perfect memory."""
@@ -47,12 +52,15 @@ class PerfectSystem:
         self.memory = PerfectMemory()
 
     def run(self, program, max_cycles: int = 200_000_000,
-            limit=None) -> PipelineStats:
-        """Simulate ``program`` to completion; returns pipeline stats."""
+            limit=None, records=None) -> PipelineStats:
+        """Simulate ``program`` to completion; returns pipeline stats.
+        ``records``, when given, is the record stream already
+        materialized, with or without canonical outcomes."""
         from ..obs import spans
 
-        pipeline = Pipeline(self.cpu_config, self.memory,
-                            make_trace_source(program, limit=limit))
+        if records is None:
+            records = make_trace_source(program, limit=limit)
+        pipeline = Pipeline(self.cpu_config, self.memory, records)
         with spans.span("timing-loop"):
             drive([pipeline], max_cycles, what="perfect")
         return pipeline.stats

@@ -177,13 +177,20 @@ class TraditionalSystem:
         self.config = config or TraditionalConfig()
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
-            stack_bytes: int = 64 * 1024) -> TraditionalResult:
-        """Simulate to completion."""
+            stack_bytes: int = 64 * 1024,
+            records=None) -> TraditionalResult:
+        """Simulate to completion.  ``records``, when given, is the
+        record stream already materialized, with this config's canonical
+        cache outcomes (see :meth:`DataScalarSystem.run
+        <repro.core.system.DataScalarSystem.run>`)."""
         from ..obs import spans
 
         config = self.config
-        trace = canonical_outcomes(make_trace_source(program, limit=limit),
-                                   config.node.icache, config.node.dcache)
+        trace = records
+        if trace is None:
+            trace = canonical_outcomes(
+                make_trace_source(program, limit=limit),
+                config.node.icache, config.node.dcache)
         with spans.span("layout"):
             page_table = traditional_page_table(
                 program,

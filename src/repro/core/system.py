@@ -132,7 +132,8 @@ class DataScalarSystem:
             self.config.num_nodes)
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
-            stack_bytes: int = 64 * 1024, tracer=None) -> DataScalarResult:
+            stack_bytes: int = 64 * 1024, tracer=None,
+            records=None) -> DataScalarResult:
         """Simulate ``program`` across all nodes to completion.
 
         ``replicated_pages`` are page numbers to replicate statically in
@@ -144,7 +145,11 @@ class DataScalarSystem:
         ticks and skips exactly the cycles of the untraced one.
 
         Every node consumes the same record stream (:meth:`_make_traces`)
-        and must commit the same number of instructions.
+        and must commit the same number of instructions.  ``records``,
+        when given, is that stream already materialized: ``program``'s
+        annotated records up to ``limit``, carrying the canonical
+        outcomes of this config's caches (how a sweep's points share
+        one stream, see :mod:`repro.runner.executors`).
         """
         from .node import DataScalarNode  # local import to avoid cycles
 
@@ -184,7 +189,8 @@ class DataScalarSystem:
         # Trace sources are built *outside* the setup span so the
         # timing-loop/frontend accumulator stays a direct child of the
         # point span rather than nesting under setup.
-        traces = self._make_traces(program, limit)
+        traces = (self._make_traces(program, limit) if records is None
+                  else fan_out(records, num))
         pipelines = []
         with spans.span("setup"):
             for node_id in range(num):

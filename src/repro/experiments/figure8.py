@@ -52,6 +52,10 @@ class Figure8Panel:
     points: "list[Figure8Point]" = field(default_factory=list)
 
 
+def _unknown(parameter: str) -> ValueError:
+    return ValueError(f"unknown Figure 8 parameter {parameter!r}")
+
+
 def _configure(parameter: str, value: int):
     """Build (node, bus) configs with ``parameter`` set to ``value``."""
     node_kwargs = {}
@@ -67,7 +71,7 @@ def _configure(parameter: str, value: int):
     elif parameter == "ruu_entries":
         node_kwargs["ruu_entries"] = value
     else:
-        raise ValueError(f"unknown Figure 8 parameter {parameter!r}")
+        raise _unknown(parameter)
     return timing_node_config(**node_kwargs), timing_bus_config(**bus_kwargs)
 
 
@@ -110,6 +114,8 @@ def run_figure8(benchmarks=FIGURE8_BENCHMARKS, parameters=None,
     cells = []
     for benchmark in benchmarks:
         for parameter in parameters or PARAMETERS:
+            if parameter not in PARAMETERS:
+                raise _unknown(parameter)
             values = None
             if values_per_parameter:
                 values = values_per_parameter.get(parameter)

@@ -41,6 +41,7 @@ from ..errors import PointTimeoutError, RunnerError
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
 from .digest import point_digest
+from .executors import release_records
 from .point import SweepPoint
 from .telemetry import PointTelemetry, ProgressLine, execute_point_task
 
@@ -140,6 +141,10 @@ class SweepRunner:
 
         progress = ProgressLine(len(points), enabled=self.progress)
         payloads: "dict[str, dict]" = {}
+        # Points with one key share a held record stream
+        # (:mod:`repro.runner.executors`); none outlives a batch, and
+        # pool workers fork holding none.
+        release_records()
         try:
             if pending:
                 _prebuild_programs([points[slots[0]]
@@ -158,6 +163,7 @@ class SweepRunner:
             elif points:
                 progress.update(len(points), len(cached_indices), 0)
         finally:
+            release_records()
             progress.finish()
             # Collected even when the sweep raises (interruption,
             # timeout, failure): every payload gathered so far becomes

@@ -7,12 +7,27 @@ process at ``jobs=1``, and in ``ProcessPoolExecutor`` workers at
 same result, whichever process runs it — the property the bit-identity
 tests pin down and the content cache relies on.
 
+The ``datascalar``, ``traditional`` and ``perfect`` points of one key
+— (workload, scale, limit) — commit one dynamic instruction stream, so
+they share its records as a run's nodes do: each process holds at most
+one materialized stream (:func:`_records`), tagged with the
+(I-cache, D-cache) pair whose canonical outcomes it carries, and hands
+it to every point with that key through the systems' ``records=``.
+Only :func:`~repro.isa.annotate` and
+:func:`~repro.memory.canonical_outcomes` write to a record, and each
+list has its outcomes written at most once, so a point's result does
+not depend on which point built its stream.
+:class:`~repro.runner.engine.SweepRunner` empties the holder at the
+start and end of every batch (:func:`release_records`).
+
 Experiment modules are imported lazily inside each executor so the
 runner package stays importable on its own (``repro.experiments``
 imports ``repro.runner``, not the other way around at module scope).
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from ..errors import ReproError
 from ..obs.spans import span
@@ -57,6 +72,62 @@ def _program(point: SweepPoint):
     return build_program(point.workload, point.scale)
 
 
+#: The one materialized record stream this process holds:
+#: ``(key, caches, records)``, where ``key`` is the building point's
+#: (workload, scale, limit) and ``caches`` the (I-cache, D-cache) pair
+#: whose canonical outcomes the records carry (``None``: none yet).
+#: Module state because a pool worker keeps it between the tasks of a
+#: batch, and each task receives only its point.
+_held: "tuple | None" = None
+
+
+def release_records() -> None:
+    """Drop the held record stream (the sweep engine's batch edges)."""
+    global _held
+    _held = None
+
+
+def _records(point: SweepPoint, program, caches=None) -> list:
+    """The materialized record stream of ``point``'s key, with the
+    canonical outcomes of ``caches`` (an (I-cache, D-cache) pair) set,
+    or with whatever outcomes it holds when ``caches`` is ``None`` (a
+    perfect point reads none).
+
+    The held list is reused when its key matches and its outcomes
+    either match ``caches`` or are absent, in which case they are
+    applied in place (under an ``outcomes`` span).  Any other request
+    builds a new list under a ``stream`` span: outcomes are never
+    overwritten, since :func:`~repro.memory.canonical_outcomes` only
+    sets ``imiss_line`` on a miss.  The holder is emptied first and
+    assigned only once the work completes, so a build that raises
+    leaves nothing held.
+    """
+    global _held
+    from ..isa import Interpreter, annotate
+    from ..memory.cache import canonical_outcomes
+
+    key = (point.workload, point.scale, point.limit)
+    if _held is not None and _held[0] == key:
+        _, held_caches, records = _held
+        if caches is None or held_caches == caches:
+            return records
+        if held_caches is None:
+            _held = None
+            with span("outcomes"):
+                deque(canonical_outcomes(records, *caches), maxlen=0)
+            _held = (key, caches, records)
+            return records
+        del records  # the held list is replaced, not kept alongside
+    _held = None
+    with span("stream"):
+        stream = annotate(Interpreter(program).trace(limit=point.limit))
+        if caches is not None:
+            stream = canonical_outcomes(stream, *caches)
+        records = list(stream)
+    _held = (key, caches, records)
+    return records
+
+
 @executor("datascalar")
 def _run_datascalar(point: SweepPoint):
     """A full DataScalar timing run (``config``:
@@ -64,8 +135,11 @@ def _run_datascalar(point: SweepPoint):
     the config carries a :class:`~repro.params.FaultConfig`)."""
     from ..core.system import DataScalarSystem
 
-    return DataScalarSystem(point.config).run(_program(point),
-                                              limit=point.limit)
+    program = _program(point)
+    node = point.config.node
+    records = _records(point, program, (node.icache, node.dcache))
+    return DataScalarSystem(point.config).run(program, limit=point.limit,
+                                              records=records)
 
 
 @executor("traditional")
@@ -74,8 +148,11 @@ def _run_traditional(point: SweepPoint):
     :class:`~repro.params.TraditionalConfig`)."""
     from ..baseline.traditional import TraditionalSystem
 
-    return TraditionalSystem(point.config).run(_program(point),
-                                               limit=point.limit)
+    program = _program(point)
+    node = point.config.node
+    records = _records(point, program, (node.icache, node.dcache))
+    return TraditionalSystem(point.config).run(program, limit=point.limit,
+                                               records=records)
 
 
 @executor("perfect")
@@ -84,8 +161,9 @@ def _run_perfect(point: SweepPoint):
     :class:`~repro.params.CPUConfig`)."""
     from ..baseline.perfect import PerfectSystem
 
-    return PerfectSystem(point.config).run(_program(point),
-                                           limit=point.limit)
+    program = _program(point)
+    return PerfectSystem(point.config).run(program, limit=point.limit,
+                                           records=_records(point, program))
 
 
 @executor("esp-traffic")

@@ -11,7 +11,6 @@ from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInstr
 from repro.memory import PageTable, canonical_outcomes
 from repro.params import (
-    BusConfig,
     CacheConfig,
     MemoryConfig,
     NodeConfig,

@@ -207,8 +207,10 @@ def test_figure8_memory_latency_sweep_converges():
 
 
 def test_figure8_unknown_parameter_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="voltage"):
         _panel("go", "voltage", [1])
+    with pytest.raises(ValueError, match="voltage"):
+        run_figure8(benchmarks=["go"], parameters=["voltage"], limit=100)
 
 
 def test_figure8_parameter_grid_is_complete():

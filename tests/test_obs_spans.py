@@ -171,11 +171,17 @@ def test_simulation_results_identical_with_spans_on():
     from repro.experiments.config import timing_node_config, \
         traditional_config
     from repro.runner import SweepPoint, execute_point, result_fingerprint
+    from repro.runner.executors import release_records
 
     node = timing_node_config()
     point = SweepPoint.make("traditional", "compress", limit=1200,
                             config=traditional_config(2, node=node))
+    # Each call builds its own record stream, not the one held after
+    # the other.
+    release_records()
     plain = execute_point(point)
+    release_records()
     with recording(SpanRecorder()):
         instrumented = execute_point(point)
+    release_records()
     assert result_fingerprint(plain) == result_fingerprint(instrumented)

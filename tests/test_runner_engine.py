@@ -19,8 +19,7 @@ from repro.experiments.config import datascalar_config, timing_node_config, \
     traditional_config
 from repro.runner import (ResultCache, SweepPoint, SweepRunner,
                           execute_point, get_default_runner,
-                          result_fingerprint, set_default_runner,
-                          using_runner)
+                          result_fingerprint, using_runner)
 from repro.runner.executors import executor
 
 LIMIT = 1500

@@ -6,13 +6,19 @@ import dataclasses
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.experiments.__main__ import main
-from repro.experiments.config import datascalar_config
-from repro.experiments.figure7 import run_figure7
+from repro.experiments.config import datascalar_config, timing_node_config
+from repro.experiments.figure7 import benchmark_points, run_figure7
 from repro.experiments.table1 import run_table1
+from repro.baseline.perfect import PerfectSystem
+from repro.isa import Interpreter
+from repro.obs.spans import (SpanRecorder, phase_totals, records_as_dicts,
+                             recording)
 from repro.params import FaultConfig
-from repro.runner import (ResultCache, SweepPoint, SweepRunner,
-                          result_fingerprint)
+from repro.runner import (ResultCache, RunManifest, SweepPoint, SweepRunner,
+                          execute_point, executors, result_fingerprint)
+from repro.workloads import build_program
 
 LIMIT = 1500
 
@@ -148,3 +154,128 @@ def test_memoized_programs_simulate_identically():
     warm = _figure7_rows(SweepRunner(jobs=1))  # memoized program path
     assert [result_fingerprint(r) for r in cold] == \
         [result_fingerprint(r) for r in warm]
+
+
+# ----------------------------------------------------------------------
+# Shared record streams: the points of one (workload, scale, limit) key
+# read one materialized stream, and reuse never changes a result.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def nothing_held():
+    executors.release_records()
+    yield
+    executors.release_records()
+
+
+@pytest.fixture
+def trace_calls(monkeypatch):
+    """Counts ``Interpreter.trace`` calls: one per stream built."""
+    calls = []
+    trace = Interpreter.trace
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.program.name)
+        return trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpreter, "trace", counting)
+    return calls
+
+
+def _unshared(point):
+    """``point`` run by :func:`execute_point` with nothing held."""
+    executors.release_records()
+    try:
+        return execute_point(point)
+    finally:
+        executors.release_records()
+
+
+def _assert_unshared_equal(points, results):
+    for point, result in zip(points, results):
+        assert result_fingerprint(result) == \
+            result_fingerprint(_unshared(point)), point.label
+
+
+def test_figure7_batch_builds_one_stream(nothing_held, trace_calls):
+    points = benchmark_points("compress", limit=LIMIT)
+    assert [p.kind for p in points] == ["perfect", "datascalar",
+                                        "traditional", "datascalar",
+                                        "traditional"]
+    results = SweepRunner(jobs=1).run(points)
+    assert trace_calls == ["compress"]
+    assert executors._held is None  # emptied at the end of the batch
+    _assert_unshared_equal(points, results)
+
+
+def test_perfect_point_reads_a_stream_with_outcomes(nothing_held,
+                                                    trace_calls):
+    """A perfect point after a DataScalar point reads the DataScalar
+    point's outcome-bearing records at single-cycle fetch."""
+    perfect, ds2 = benchmark_points("go", limit=LIMIT)[:2]
+    results = SweepRunner(jobs=1).run([ds2, perfect])
+    assert len(trace_calls) == 1
+    _assert_unshared_equal([ds2, perfect], results)
+
+
+def test_another_cache_pair_builds_a_new_stream(nothing_held, trace_calls):
+    """Outcomes are written onto a list once: a DataScalar point with
+    another D-cache size on the same kernel builds its own list, and a
+    traditional point with the first size after it builds again."""
+    _, small, small_trad = benchmark_points(
+        "compress", limit=LIMIT,
+        node=timing_node_config(dcache_bytes=2 * 1024))[:3]
+    default = benchmark_points("compress", limit=LIMIT)[1]
+    points = [small, default, small_trad]
+    results = SweepRunner(jobs=1).run(points)
+    assert len(trace_calls) == 3
+    assert result_fingerprint(results[0]) != result_fingerprint(results[1])
+    _assert_unshared_equal(points, results)
+
+
+def test_stream_build_has_its_own_phase(nothing_held):
+    points = benchmark_points("compress", limit=LIMIT)
+    runner = SweepRunner(jobs=1, telemetry=True)
+    runner.run(points)
+    rows = RunManifest.from_runner(runner).points
+    assert len(rows) == 5
+    assert [row["label"] for row in rows if "stream" in row["phases"]] == \
+        ["compress/perfect"]
+    for row in rows:
+        assert "timing-loop" in row["phases"]
+        assert sum(row["phases"].values()) == \
+            pytest.approx(row["wall_seconds"], rel=1e-6)
+        assert "frontend" not in row.get("timing_phases", {})
+    # A direct run keeps its lazy stream, charged to the loop's frontend.
+    recorder = SpanRecorder()
+    with recording(recorder):
+        PerfectSystem(points[0].config).run(build_program("compress"),
+                                            limit=LIMIT)
+    assert "timing-loop/frontend" in \
+        phase_totals(records_as_dicts(recorder))
+
+
+def test_nothing_held_after_a_batch_raises(nothing_held):
+    perfect, ds2 = benchmark_points("compress", limit=LIMIT)[:2]
+    wedged = dataclasses.replace(
+        ds2, config=dataclasses.replace(ds2.config, max_cycles=10))
+    with pytest.raises(SimulationError, match="exceeded 10 cycles"):
+        SweepRunner(jobs=1).run([perfect, wedged])
+    assert executors._held is None
+
+
+def test_nothing_held_after_a_build_raises(nothing_held, monkeypatch):
+    perfect = benchmark_points("go", limit=LIMIT)[0]
+    execute_point(perfect)
+    assert executors._held is not None
+    trace = Interpreter.trace
+
+    def broken(self, *args, **kwargs):
+        for count, record in enumerate(trace(self, *args, **kwargs)):
+            if count == 100:
+                raise SimulationError("injected mid-stream")
+            yield record
+
+    monkeypatch.setattr(Interpreter, "trace", broken)
+    with pytest.raises(SimulationError, match="injected"):
+        execute_point(benchmark_points("compress", limit=LIMIT)[0])
+    assert executors._held is None
