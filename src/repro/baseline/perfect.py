@@ -15,10 +15,7 @@ from ..core.system import drive
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..isa import make_trace_source
-from ..isa.opcodes import OpClass
 from ..params import CPUConfig
-
-_STORE = int(OpClass.STORE)
 
 
 class PerfectMemory(MemoryInterface):
@@ -26,19 +23,15 @@ class PerfectMemory(MemoryInterface):
 
     def __init__(self, hit_latency: int = 1):
         self.hit_latency = hit_latency
-        self.loads = 0
-        self.stores = 0
 
     def load_issue(self, now: int, addr: int, size: int) -> LoadHandle:
         handle = LoadHandle(addr, size, now)
         handle.issue_hit = True
         handle.complete(now + self.hit_latency)
-        self.loads += 1
         return handle
 
     def commit_mem(self, now, dyn, handle) -> None:
-        if dyn.op_class == _STORE:
-            self.stores += 1
+        """Nothing to commit: a perfect memory keeps no state."""
 
     def ifetch_miss(self, now: int, line: int) -> int:
         return now

@@ -15,12 +15,11 @@ from ..obs.events import EventKind
 class BroadcastStats:
     """Counters behind Table 3's broadcast columns."""
 
-    __slots__ = ("sent", "late", "payload_bytes")
+    __slots__ = ("sent", "late")
 
     def __init__(self):
         self.sent = 0
         self.late = 0
-        self.payload_bytes = 0
 
 
 class Broadcaster:
@@ -55,7 +54,6 @@ class Broadcaster:
         arrivals = self.medium.broadcast(queued, self.node_id, line,
                                          self.line_size)
         self.stats.sent += 1
-        self.stats.payload_bytes += self.line_size
         if late:
             self.stats.late += 1
         if self._tracer is not None:

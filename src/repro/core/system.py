@@ -186,9 +186,6 @@ class DataScalarSystem:
         with spans.span("layout"):
             page_table, layout_summary = build_page_table(program, spec)
         medium = self._make_medium()
-        # Trace sources are built *outside* the setup span so the
-        # timing-loop/frontend accumulator stays a direct child of the
-        # point span rather than nesting under setup.
         traces = (self._make_traces(program, limit) if records is None
                   else fan_out(records, num))
         pipelines = []

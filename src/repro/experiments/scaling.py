@@ -41,22 +41,18 @@ class ScalingPoint:
 
 def run_scaling(benchmark: str = "compress", node_counts=NODE_COUNTS,
                 scale: int = 1, limit=None, node=None, bus=None,
-                interconnect: str = "bus", runner=None):
+                runner=None):
     """Sweep ``node_counts`` for one benchmark."""
-    import dataclasses
-
     from ..runner import SweepPoint, get_default_runner
 
     runner = runner or get_default_runner()
     node = node or timing_node_config()
     sweep = []
     for count in node_counts:
-        ds_config = dataclasses.replace(
-            datascalar_config(count, node=node, bus=bus),
-            interconnect=interconnect)
         sweep.append(SweepPoint.make(
             "datascalar", benchmark, scale=scale, limit=limit,
-            config=ds_config, label=f"scaling/{benchmark}/ds{count}"))
+            config=datascalar_config(count, node=node, bus=bus),
+            label=f"scaling/{benchmark}/ds{count}"))
         sweep.append(SweepPoint.make(
             "traditional", benchmark, scale=scale, limit=limit,
             config=traditional_config(count, node=node, bus=bus),

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..errors import ExecutionError
 from ..memory.address import INSTRUCTION_BYTES, STACK_TOP, TEXT_BASE
-from ..obs.spans import timed_frontend
 from .opcodes import CONDITIONAL_BRANCHES, OP_CLASS, Opcode
 from .program import Program
 from .registers import NUM_REGS, SP, ZERO
@@ -451,26 +450,11 @@ class Interpreter:
     # Public run modes.
     # ------------------------------------------------------------------
     def run(self, limit=None) -> ExecResult:
-        """Execute functionally with no per-instruction records."""
-        for _ in self._indices(limit):
+        """Execute functionally with no per-instruction records: drains
+        :meth:`mem_refs` without its instruction fetches."""
+        for _ in self.mem_refs(limit, include_ifetch=False):
             pass
         return self.result()
-
-    def _indices(self, limit=None):
-        """Drive execution, yielding the index of each retired instruction."""
-        limit = self.max_instructions if limit is None else limit
-        index = 0
-        code = self._code
-        code_len = len(code)
-        while not self.halted:
-            if self.instructions_executed >= limit:
-                break
-            if not 0 <= index < code_len:
-                raise ExecutionError(f"fell off program at index {index}")
-            current = index
-            index = code[current]()[0]
-            self.instructions_executed += 1
-            yield current
 
     def trace(self, limit=None):
         """Generate :class:`DynInstr` records for the timing models."""
@@ -525,7 +509,5 @@ class Interpreter:
 
 def make_trace_source(program: Program, limit=None):
     """The record stream every timing model consumes:
-    ``annotate(Interpreter(program).trace(limit=limit))``, its lazy
-    consumption charged to ``timing-loop/frontend`` while a span
-    recorder is active."""
-    return timed_frontend(annotate(Interpreter(program).trace(limit=limit)))
+    ``annotate(Interpreter(program).trace(limit=limit))``."""
+    return annotate(Interpreter(program).trace(limit=limit))

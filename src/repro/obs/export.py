@@ -190,10 +190,8 @@ def spans_to_chrome_trace(
     ``start``.  Every track becomes its own process (one per sweep
     worker), timestamps are microseconds relative to the earliest span
     anywhere, so a whole multi-process sweep reads as one flamegraph in
-    ``chrome://tracing`` / Perfetto.  Plain spans land on ``tid 0``
-    (properly nested in time, so they stack); accumulator records
-    (``count != 1`` — summed non-contiguous intervals) land on ``tid
-    1`` where their duration reads as a *total*, not an extent.
+    ``chrome://tracing`` / Perfetto.  Every span lands on ``tid 0``;
+    spans are properly nested in time, so they stack.
     """
     rows: "list[dict]" = []
     starts = [
@@ -212,31 +210,28 @@ def spans_to_chrome_trace(
                 "args": {"name": name},
             }
         )
-        for tid, thread in ((0, "spans"), (1, "accumulated")):
-            rows.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": thread},
-                }
-            )
+        rows.append(
+            {
+                "ph": "M",
+                "name": "thread_name",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": "spans"},
+            }
+        )
         for record in records:
-            accumulated = int(record.get("count", 1)) != 1
             rows.append(
                 {
                     "ph": "X",
                     "name": str(record["name"]),
                     "cat": "span",
                     "pid": pid,
-                    "tid": 1 if accumulated else 0,
+                    "tid": 0,
                     "ts": (float(record["start"]) - base) * 1e6,
                     "dur": max(1.0, float(record["wall"]) * 1e6),
                     "args": {
                         "path": record["path"],
                         "cpu_seconds": record["cpu"],
-                        "count": record["count"],
                     },
                 }
             )

@@ -14,15 +14,9 @@ no-op singleton, so the disabled path allocates nothing and costs one
 global read plus one ``is None`` test; results are bit-identical with
 spans on or off because spans only read clocks.
 
-Two record shapes share one type:
-
-* a plain **span** (``count == 1``) measures one contiguous interval,
-  wall (``time.perf_counter``) and CPU (``time.process_time``);
-* an **accumulator** sums many tiny intervals into one record — how the
-  per-record functional front end is charged without a span per dynamic
-  instruction.
-
-Records serialize to plain dicts (:func:`records_as_dicts`) with their
+Each record measures one contiguous interval, wall
+(``time.perf_counter``) and CPU (``time.process_time``).  Records
+serialize to plain dicts (:func:`records_as_dicts`) with their
 start times rebased from the monotonic clock to the epoch, so spans
 recorded in different worker processes merge onto one timeline
 (:func:`repro.obs.export.spans_to_chrome_trace`).  Phase breakdowns
@@ -33,10 +27,9 @@ come from :func:`phase_totals` (per-path totals) and :func:`breakdown`
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Iterator, TypeVar
+from typing import Any, Iterable
 
 __all__ = [
-    "SpanAccumulator",
     "SpanRecord",
     "SpanRecorder",
     "breakdown",
@@ -44,25 +37,21 @@ __all__ = [
     "recording",
     "records_as_dicts",
     "span",
-    "timed_iter",
 ]
-
-_T = TypeVar("_T")
 
 
 class SpanRecord:
-    """One completed (or accumulating) phase measurement."""
+    """One completed phase measurement."""
 
-    __slots__ = ("path", "name", "start", "wall", "cpu", "count")
+    __slots__ = ("path", "name", "start", "wall", "cpu")
 
     def __init__(
         self,
         path: str,
         name: str,
         start: float,
-        wall: float = 0.0,
-        cpu: float = 0.0,
-        count: int = 1,
+        wall: float,
+        cpu: float,
     ) -> None:
         #: Slash-separated nesting path, e.g. ``point/timing-loop``.
         self.path = path
@@ -71,22 +60,17 @@ class SpanRecord:
         #: ``time.perf_counter()`` at entry (monotonic; rebase to the
         #: epoch with the recorder's ``epoch_offset`` when exporting).
         self.start = start
-        #: Total wall seconds inside the span.
+        #: Wall seconds inside the span.
         self.wall = wall
-        #: Total process-CPU seconds inside the span.
+        #: Process-CPU seconds inside the span.
         self.cpu = cpu
-        #: Number of merged intervals (1 for a plain span).
-        self.count = count
 
     @property
     def depth(self) -> int:
         return self.path.count("/")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SpanRecord({self.path!r}, wall={self.wall:.6f}, "
-            f"cpu={self.cpu:.6f}, count={self.count})"
-        )
+        return f"SpanRecord({self.path!r}, wall={self.wall:.6f}, cpu={self.cpu:.6f})"
 
 
 class _OpenSpan:
@@ -130,21 +114,6 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class SpanAccumulator:
-    """Sums many tiny intervals into one :class:`SpanRecord`."""
-
-    __slots__ = ("_record",)
-
-    def __init__(self, record: SpanRecord) -> None:
-        self._record = record
-
-    def add(self, wall: float, cpu: float = 0.0) -> None:
-        record = self._record
-        record.wall += wall
-        record.cpu += cpu
-        record.count += 1
-
-
 class SpanRecorder:
     """Collects :class:`SpanRecord` for one point / one process.
 
@@ -163,22 +132,6 @@ class SpanRecorder:
     def span(self, name: str) -> _OpenSpan:
         """A context manager timing one nested phase."""
         return _OpenSpan(self, name)
-
-    def accumulator(self, name: str, under: str = "") -> SpanAccumulator:
-        """An accumulator record under the current path.
-
-        ``under`` appends one extra path segment, for call sites that
-        create the accumulator *before* entering the span whose time it
-        belongs to (e.g. the functional front end is consumed inside
-        the timing loop but wrapped during setup).
-        """
-        parts = list(self._stack)
-        if under:
-            parts.append(under)
-        parts.append(name)
-        record = SpanRecord("/".join(parts), name, time.perf_counter(), count=0)
-        self.records.append(record)
-        return SpanAccumulator(record)
 
 
 # ----------------------------------------------------------------------
@@ -226,37 +179,6 @@ class recording:
             _active = self._previous
 
 
-def timed_iter(source: Iterable[_T], accumulator: SpanAccumulator) -> Iterator[_T]:
-    """Wrap an iterator, charging each ``next()`` to ``accumulator``.
-
-    This is how the functional front end — a generator consumed lazily
-    *inside* the timing loop — gets its own wall-clock phase without a
-    span per dynamic instruction.  Only installed when a recorder is
-    active, so the disabled path never pays the per-record clock reads.
-    """
-    iterator = iter(source)
-    add = accumulator.add
-    clock = time.perf_counter
-    while True:
-        t0 = clock()
-        try:
-            item = next(iterator)
-        except StopIteration:
-            add(clock() - t0)
-            return
-        add(clock() - t0)
-        yield item
-
-
-def timed_frontend(source: Iterable[_T]) -> Iterable[_T]:
-    """``source`` charged to the ``timing-loop/frontend`` accumulator
-    while a recorder is active; ``source`` itself otherwise."""
-    recorder = _active
-    if recorder is None:
-        return source
-    return timed_iter(source, recorder.accumulator("frontend", under="timing-loop"))
-
-
 # ----------------------------------------------------------------------
 # Aggregation and serialization.
 # ----------------------------------------------------------------------
@@ -273,7 +195,6 @@ def records_as_dicts(recorder: SpanRecorder | None) -> list[dict[str, Any]]:
             "start": record.start + offset,
             "wall": record.wall,
             "cpu": record.cpu,
-            "count": record.count,
         }
         for record in recorder.records
     ]
@@ -282,7 +203,7 @@ def records_as_dicts(recorder: SpanRecorder | None) -> list[dict[str, Any]]:
 
 
 def phase_totals(records: Iterable[dict[str, Any]]) -> dict[str, dict[str, Any]]:
-    """Per-path totals: ``{path: {"wall", "cpu", "count"}}``.
+    """Per-path totals: ``{path: {"wall", "cpu"}}``.
 
     Multiple records with one path (e.g. a phase entered once per
     retry) merge by summation.
@@ -295,12 +216,10 @@ def phase_totals(records: Iterable[dict[str, Any]]) -> dict[str, dict[str, Any]]
             totals[path] = {
                 "wall": float(record["wall"]),
                 "cpu": float(record["cpu"]),
-                "count": int(record["count"]),
             }
         else:
             entry["wall"] += float(record["wall"])
             entry["cpu"] += float(record["cpu"])
-            entry["count"] += int(record["count"])
     return totals
 
 

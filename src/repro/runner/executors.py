@@ -7,12 +7,13 @@ process at ``jobs=1``, and in ``ProcessPoolExecutor`` workers at
 same result, whichever process runs it — the property the bit-identity
 tests pin down and the content cache relies on.
 
-The ``datascalar``, ``traditional`` and ``perfect`` points of one key
-— (workload, scale, limit) — commit one dynamic instruction stream, so
-they share its records as a run's nodes do: each process holds at most
-one materialized stream (:func:`_records`), tagged with the
-(I-cache, D-cache) pair whose canonical outcomes it carries, and hands
-it to every point with that key through the systems' ``records=``.
+The timing points (``datascalar``, ``traditional``, ``perfect`` and
+``figure3``) of one key — (workload, scale, limit, knobs) — commit one
+dynamic instruction stream, so they share its records as a run's nodes
+do: each process holds at most one materialized stream
+(:func:`_records`), tagged with the (I-cache, D-cache) pair whose
+canonical outcomes it carries, and hands it to every point with that
+key through the systems' ``records=``.
 Only :func:`~repro.isa.annotate` and
 :func:`~repro.memory.canonical_outcomes` write to a record, and each
 list has its outcomes written at most once, so a point's result does
@@ -74,8 +75,9 @@ def _program(point: SweepPoint):
 
 #: The one materialized record stream this process holds:
 #: ``(key, caches, records)``, where ``key`` is the building point's
-#: (workload, scale, limit) and ``caches`` the (I-cache, D-cache) pair
-#: whose canonical outcomes the records carry (``None``: none yet).
+#: (workload, scale, limit, knobs), whose knobs pick a synthetic
+#: program (Figure 3's ``hops``), and ``caches`` the (I-cache, D-cache)
+#: pair whose canonical outcomes the records carry (``None``: none yet).
 #: Module state because a pool worker keeps it between the tasks of a
 #: batch, and each task receives only its point.
 _held: "tuple | None" = None
@@ -103,10 +105,10 @@ def _records(point: SweepPoint, program, caches=None) -> list:
     leaves nothing held.
     """
     global _held
-    from ..isa import Interpreter, annotate
+    from ..isa import make_trace_source
     from ..memory.cache import canonical_outcomes
 
-    key = (point.workload, point.scale, point.limit)
+    key = (point.workload, point.scale, point.limit, point.knobs)
     if _held is not None and _held[0] == key:
         _, held_caches, records = _held
         if caches is None or held_caches == caches:
@@ -120,7 +122,7 @@ def _records(point: SweepPoint, program, caches=None) -> list:
         del records  # the held list is replaced, not kept alongside
     _held = None
     with span("stream"):
-        stream = annotate(Interpreter(program).trace(limit=point.limit))
+        stream = make_trace_source(program, limit=point.limit)
         if caches is not None:
             stream = canonical_outcomes(stream, *caches)
         records = list(stream)
@@ -206,7 +208,9 @@ def _run_figure3(point: SweepPoint):
         system = TraditionalSystem(point.config)
     else:
         system = DataScalarSystem(point.config)
-    return system.run(program, limit=point.limit)
+    node = point.config.node
+    records = _records(point, program, (node.icache, node.dcache))
+    return system.run(program, limit=point.limit, records=records)
 
 
 @executor("esp-schedule")

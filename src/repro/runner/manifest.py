@@ -111,16 +111,6 @@ class RunManifest:
             if untracked > 0:
                 phases["<untracked>"] = untracked
         row["phases"] = phases
-        # Second-level breakdown of the timing loop itself (the
-        # frontend accumulator plus the untimed remainder as <self>).
-        # Additive: consumers that predate it simply ignore the key.
-        timing = {
-            name: entry["wall"]
-            for name, entry in breakdown(
-                spans, root="point/timing-loop").items()
-        }
-        if timing:
-            row["timing_phases"] = timing
         return row
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..experiments.__main__ import _positive
 from ..isa import Interpreter, disassemble
 from . import WORKLOADS, get_workload
 
@@ -25,11 +26,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list every registered kernel")
     run = sub.add_parser("run", help="execute a kernel functionally")
     run.add_argument("name")
-    run.add_argument("--scale", type=int, default=1)
-    run.add_argument("--limit", type=int, default=None)
+    run.add_argument("--scale", type=_positive(int), default=1)
+    run.add_argument("--limit", type=_positive(int), default=None)
     dis = sub.add_parser("disasm", help="print a kernel's assembly")
     dis.add_argument("name")
-    dis.add_argument("--scale", type=int, default=1)
+    dis.add_argument("--scale", type=_positive(int), default=1)
     return parser
 
 

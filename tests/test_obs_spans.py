@@ -1,4 +1,4 @@
-"""Hierarchical spans: nesting, disabled path, accumulators, breakdown."""
+"""Hierarchical spans: nesting, disabled path, breakdown, export."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs.export import spans_to_chrome_trace, write_spans_chrome_trace
 from repro.obs.spans import (SpanRecorder, breakdown, phase_totals,
-                             recording, records_as_dicts, span, timed_iter)
+                             recording, records_as_dicts, span)
 
 
 def test_nesting_builds_slash_paths():
@@ -74,34 +74,10 @@ def test_span_measures_wall_and_cpu():
     with recording(recorder):
         with span("sleepy"):
             time.sleep(0.02)
-    record = recorder.records[0]
+    (record,) = recorder.records
+    assert record.path == "sleepy"
     assert record.wall >= 0.015
-    assert record.count == 1
     assert record.cpu < record.wall  # sleeping burns no CPU
-
-
-def test_accumulator_sums_intervals_under_path():
-    recorder = SpanRecorder()
-    with recording(recorder):
-        with span("point"):
-            acc = recorder.accumulator("frontend", under="timing-loop")
-            acc.add(0.25)
-            acc.add(0.5, cpu=0.1)
-    totals = phase_totals(records_as_dicts(recorder))
-    entry = totals["point/timing-loop/frontend"]
-    assert entry["wall"] == pytest.approx(0.75)
-    assert entry["cpu"] == pytest.approx(0.1)
-    assert entry["count"] == 2
-
-
-def test_timed_iter_charges_iteration_and_preserves_items():
-    recorder = SpanRecorder()
-    acc = recorder.accumulator("frontend")
-    items = list(timed_iter(iter([1, 2, 3]), acc))
-    assert items == [1, 2, 3]
-    record = recorder.records[0]
-    assert record.count == 4  # three items + final StopIteration
-    assert record.wall >= 0.0
 
 
 def test_records_round_trip_through_json():
@@ -142,9 +118,8 @@ def test_chrome_trace_has_per_worker_tracks(tmp_path):
         recorder = SpanRecorder()
         with recording(recorder):
             with span("point"):
-                acc = recorder.accumulator("frontend", under="timing-loop")
-                acc.add(0.001)
-                acc.add(0.002)
+                with span("timing-loop"):
+                    pass
         out = records_as_dicts(recorder)
         for row in out:
             row["start"] += offset
@@ -157,10 +132,13 @@ def test_chrome_trace_has_per_worker_tracks(tmp_path):
              if event.get("ph") == "M" and event["name"] == "process_name"}
     assert names == {"worker-100", "worker-200"}
     xs = [event for event in events if event["ph"] == "X"]
+    assert len(xs) == 4
     assert all(event["ts"] >= 0 for event in xs)
     assert all(event["dur"] >= 1.0 for event in xs)
-    # Accumulators (count != 1) land on the dedicated thread track.
-    assert any(event["tid"] == 1 for event in xs)
+    # Every span lands on the one thread track of its worker.
+    assert all(event["tid"] == 0 for event in xs)
+    assert sorted(event["args"]["path"] for event in xs) == \
+        ["point", "point", "point/timing-loop", "point/timing-loop"]
 
     path = tmp_path / "trace.json"
     write_spans_chrome_trace(str(path), tracks)

@@ -9,16 +9,13 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments.__main__ import main
 from repro.experiments.config import datascalar_config, timing_node_config
+from repro.experiments.figure3 import run_figure3
 from repro.experiments.figure7 import benchmark_points, run_figure7
 from repro.experiments.table1 import run_table1
-from repro.baseline.perfect import PerfectSystem
 from repro.isa import Interpreter
-from repro.obs.spans import (SpanRecorder, phase_totals, records_as_dicts,
-                             recording)
 from repro.params import FaultConfig
 from repro.runner import (ResultCache, RunManifest, SweepPoint, SweepRunner,
                           execute_point, executors, result_fingerprint)
-from repro.workloads import build_program
 
 LIMIT = 1500
 
@@ -157,8 +154,9 @@ def test_memoized_programs_simulate_identically():
 
 
 # ----------------------------------------------------------------------
-# Shared record streams: the points of one (workload, scale, limit) key
-# read one materialized stream, and reuse never changes a result.
+# Shared record streams: the timing points of one (workload, scale,
+# limit, knobs) key read one materialized stream, and reuse never
+# changes a result.
 # ----------------------------------------------------------------------
 @pytest.fixture
 def nothing_held():
@@ -244,14 +242,60 @@ def test_stream_build_has_its_own_phase(nothing_held):
         assert "timing-loop" in row["phases"]
         assert sum(row["phases"].values()) == \
             pytest.approx(row["wall_seconds"], rel=1e-6)
-        assert "frontend" not in row.get("timing_phases", {})
-    # A direct run keeps its lazy stream, charged to the loop's frontend.
-    recorder = SpanRecorder()
-    with recording(recorder):
-        PerfectSystem(points[0].config).run(build_program("compress"),
-                                            limit=LIMIT)
-    assert "timing-loop/frontend" in \
-        phase_totals(records_as_dicts(recorder))
+
+
+def _figure3_batch(runner, monkeypatch):
+    """Run Figure 3 on ``runner``; returns its result and the one batch
+    of points and results it ran."""
+    batches = []
+    run = runner.run
+
+    def recording_run(points):
+        results = run(points)
+        batches.append((points, results))
+        return results
+
+    monkeypatch.setattr(runner, "run", recording_run)
+    result = run_figure3(limit=LIMIT, runner=runner)
+    (batch,) = batches
+    return result, batch
+
+
+def test_figure3_batch_builds_one_stream(nothing_held, trace_calls,
+                                         monkeypatch):
+    result, (points, results) = _figure3_batch(SweepRunner(jobs=1),
+                                               monkeypatch)
+    assert [p.kind for p in points] == ["figure3", "figure3"]
+    assert trace_calls == ["figure3"]
+    assert [r.cycles for r in results] == [result.datascalar_cycles,
+                                           result.traditional_cycles]
+    _assert_unshared_equal(points, results)
+
+
+def test_figure3_stream_build_has_its_own_phase(nothing_held, monkeypatch):
+    runner = SweepRunner(jobs=1, telemetry=True)
+    _, (points, _) = _figure3_batch(runner, monkeypatch)
+    rows = RunManifest.from_runner(runner).points
+    assert [row["label"] for row in rows] == [p.label for p in points]
+    assert [row["label"] for row in rows if "stream" in row["phases"]] == \
+        [points[0].label]
+    for row in rows:
+        assert "timing-loop" in row["phases"]
+        assert sum(row["phases"].values()) == \
+            pytest.approx(row["wall_seconds"], rel=1e-6)
+
+
+def test_figure3_hops_select_the_stream(nothing_held, trace_calls):
+    """The key's knobs pick the chase program: two ``hops`` values in
+    one batch build two streams."""
+    config = datascalar_config(4, node=timing_node_config(dcache_bytes=1024))
+    points = [SweepPoint.make("figure3", limit=LIMIT, hops=hops,
+                              config=config, label=f"figure3/hops{hops}")
+              for hops in (64, 32)]
+    results = SweepRunner(jobs=1).run(points)
+    assert trace_calls == ["figure3", "figure3"]
+    assert results[0].instructions != results[1].instructions
+    _assert_unshared_equal(points, results)
 
 
 def test_nothing_held_after_a_batch_raises(nothing_held):

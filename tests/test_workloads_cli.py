@@ -28,3 +28,18 @@ def test_cli_disasm(capsys):
 def test_cli_unknown_workload():
     with pytest.raises(ReproError):
         workloads_main(["run", "crysis"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "go", "--limit", "-5"],
+    ["run", "go", "--limit", "0"],
+    ["run", "go", "--scale", "0"],
+    ["run", "go", "--scale", "-1"],
+    ["disasm", "go", "--scale", "0"],
+])
+def test_cli_rejects_limit_and_scale_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        workloads_main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be > 0" in err
