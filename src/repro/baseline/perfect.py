@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..core.system import drive
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
-from ..isa import make_trace_source
+from ..isa import Interpreter
 from ..params import CPUConfig
 
 
@@ -52,7 +52,7 @@ class PerfectSystem:
         from ..obs import spans
 
         if records is None:
-            records = make_trace_source(program, limit=limit)
+            records = Interpreter(program).trace(limit=limit)
         pipeline = Pipeline(self.cpu_config, self.memory, records)
         with spans.span("timing-loop"):
             drive([pipeline], max_cycles, what="perfect")

@@ -21,7 +21,7 @@ from ..core.system import drive
 from ..cpu.interface import LoadHandle, MemoryInterface
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..interconnect.medium import Bus, LatencyQueue
-from ..isa import make_trace_source
+from ..isa import Interpreter
 from ..isa.opcodes import OpClass
 from ..memory.cache import apply_outcome, canonical_outcomes
 from ..memory.layout import traditional_page_table
@@ -177,7 +177,6 @@ class TraditionalSystem:
         self.config = config or TraditionalConfig()
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
-            stack_bytes: int = 64 * 1024,
             records=None) -> TraditionalResult:
         """Simulate to completion.  ``records``, when given, is the
         record stream already materialized, with this config's canonical
@@ -189,7 +188,7 @@ class TraditionalSystem:
         trace = records
         if trace is None:
             trace = canonical_outcomes(
-                make_trace_source(program, limit=limit),
+                Interpreter(program).trace(limit=limit),
                 config.node.icache, config.node.dcache)
         with spans.span("layout"):
             page_table = traditional_page_table(
@@ -197,9 +196,7 @@ class TraditionalSystem:
                 denom=config.onchip_fraction_denom,
                 page_size=config.node.memory.page_size,
                 distribution_block_pages=config.distribution_block_pages,
-                replicate_text=config.replicate_text,
                 replicated_pages=replicated_pages,
-                stack_bytes=stack_bytes,
             )
         with spans.span("setup"):
             memory = TraditionalMemory(config, page_table, Bus(config.bus))

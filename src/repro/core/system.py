@@ -5,10 +5,11 @@ Mirrors the paper's simulation platform: a multi-context simulator that
 for all contexts before simulating cycle n+1 for any context)".  All
 nodes fetch, execute, and commit the identical dynamic stream (SPSD) at
 their own pace — asynchronous ESP; one shared functional front end
-feeds every node through :mod:`repro.isa.fanout`, and each node's
-provably idle cycle ranges are skipped (see :func:`drive`, the one cycle
-scheduler every system runs through) without altering any reported
-cycle count or statistic.
+(:meth:`repro.isa.Interpreter.trace`, whose records name their
+producers and a load's forwarding store) feeds every node through
+:mod:`repro.isa.fanout`, and each node's provably idle cycle ranges
+are skipped (see :func:`drive`, the one cycle scheduler every system
+runs through) without altering any reported cycle count or statistic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from ..cpu.pipeline import Pipeline, PipelineStats
 from ..errors import ProtocolError, SimulationError
 from ..interconnect.medium import make_medium
-from ..isa import make_trace_source
+from ..isa import Interpreter
 from ..isa.fanout import fan_out
 from ..memory.cache import canonical_outcomes
 from ..memory.layout import LayoutSpec, build_page_table
@@ -119,21 +120,20 @@ class DataScalarSystem:
                             config.bus)
 
     def _make_traces(self, program, limit) -> list:
-        """One annotated record stream per node: SPSD nodes consume the
-        identical stream, so one :func:`~repro.isa.make_trace_source`,
-        with its canonical cache outcomes computed once
+        """One record stream per node: SPSD nodes consume the identical
+        stream, so one :meth:`~repro.isa.Interpreter.trace`, with its
+        canonical cache outcomes computed once
         (:func:`~repro.memory.canonical_outcomes`), is fanned out to all
         of them (O(I) work instead of O(N·I)).  Tests override this
         method to substitute a per-node reference."""
         node = self.config.node
         return fan_out(
-            canonical_outcomes(make_trace_source(program, limit=limit),
+            canonical_outcomes(Interpreter(program).trace(limit=limit),
                                node.icache, node.dcache),
             self.config.num_nodes)
 
     def run(self, program, replicated_pages=frozenset(), limit=None,
-            stack_bytes: int = 64 * 1024, tracer=None,
-            records=None) -> DataScalarResult:
+            tracer=None, records=None) -> DataScalarResult:
         """Simulate ``program`` across all nodes to completion.
 
         ``replicated_pages`` are page numbers to replicate statically in
@@ -147,7 +147,7 @@ class DataScalarSystem:
         Every node consumes the same record stream (:meth:`_make_traces`)
         and must commit the same number of instructions.  ``records``,
         when given, is that stream already materialized: ``program``'s
-        annotated records up to ``limit``, carrying the canonical
+        records up to ``limit``, carrying the canonical
         outcomes of this config's caches (how a sweep's points share
         one stream, see :mod:`repro.runner.executors`).
         """
@@ -158,9 +158,7 @@ class DataScalarSystem:
             num_nodes=config.num_nodes,
             page_size=config.node.memory.page_size,
             distribution_block_pages=config.distribution_block_pages,
-            replicate_text=config.replicate_text,
             replicated_pages=frozenset(replicated_pages),
-            stack_bytes=stack_bytes,
         )
         num = config.num_nodes
         nodes: "list[DataScalarNode]" = []

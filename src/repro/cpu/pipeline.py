@@ -6,6 +6,9 @@ prediction (paper Section 4.2).  The pipeline consumes the functional
 front end's dynamic trace — under perfect prediction the committed path
 is the functional path, and no mis-speculated instructions exist (the
 paper's correspondence protocol likewise excludes speculative broadcasts).
+Each record arrives ready for dispatch from
+:meth:`repro.isa.Interpreter.trace`, naming the seqs of its producers
+and, for a load, of its forwarding store.
 
 Per simulated cycle the pipeline commits (in order), issues (oldest-ready
 first), and fetches/dispatches — each up to its configured width.  The
@@ -42,7 +45,7 @@ from ..obs.events import EventKind
 from ..obs.tracer import Tracer
 from ..params import CPUConfig
 from .func_units import FUPool
-from .interface import MemoryInterface
+from .interface import LoadHandle, MemoryInterface
 from .lsq import LSQ
 from .ruu import RUU, RUUEntry
 
@@ -84,9 +87,9 @@ class PipelineStats:
 
 
 class Pipeline:
-    """One out-of-order core bound to a memory system and an annotated
-    record stream (:func:`repro.isa.make_trace_source`, or any
-    stream passed through :func:`repro.isa.annotate`).  A memory system
+    """One out-of-order core bound to a memory system and a record
+    stream (:meth:`repro.isa.Interpreter.trace`, whose records name
+    their producers and a load's forwarding store).  A memory system
     with caches reads their outcomes from the records, so its stream
     also passes through :func:`repro.memory.canonical_outcomes`."""
 
@@ -457,8 +460,9 @@ class Pipeline:
         entry.issued_at = now
         dyn = entry.dyn
         if store is not None:
-            self.lsq.forwards += 1
-            entry.handle = _ForwardedHandle(dyn.addr, dyn.size, now)
+            handle = entry.handle = LoadHandle(dyn.addr, dyn.size, now)
+            handle.forwarded = True
+            handle.ready = now + 1
             when = store.issued_at + 1
             if when <= now:
                 when = now + 1
@@ -494,20 +498,3 @@ class Pipeline:
             except StopIteration:
                 self._trace_done = True
         return self._fetch_buffer
-
-
-class _ForwardedHandle:
-    """Handle for a load serviced by an in-queue store (1-cycle)."""
-
-    __slots__ = ("addr", "size", "issued_at", "ready", "issue_hit",
-                 "found_in_bshr", "forwarded", "dcub_line")
-
-    def __init__(self, addr, size, now):
-        self.addr = addr
-        self.size = size
-        self.issued_at = now
-        self.ready = now + 1
-        self.issue_hit = None
-        self.found_in_bshr = False
-        self.forwarded = True
-        self.dcub_line = None

@@ -7,8 +7,8 @@ Entries wake dependents when their result-ready cycle becomes known
 the handle for loads).
 
 Entries live in a ring of ``2**k >= capacity`` slots indexed by
-``seq & mask``.  Records arrive annotated (:func:`repro.isa.annotate`)
-with the seqs of their producers and, for a load, of its forwarding
+``seq & mask``.  Records arrive from :meth:`repro.isa.Interpreter.trace`
+naming the seqs of their producers and, for a load, of its forwarding
 store, and a stream's seqs run 0, 1, 2, ...; so a named instruction is
 in flight exactly when its seq is at least the window head's, and then
 it is the entry in its slot.  One older than the head has committed,
@@ -95,7 +95,7 @@ class RUU:
         return self.window[0] if self.window else None
 
     def dispatch(self, dyn, now: int) -> RUUEntry:
-        """Insert an annotated record, wiring its register dependences."""
+        """Insert a record, wiring its register dependences."""
         seq = dyn.seq
         ring = self.ring
         slot = seq & self.mask

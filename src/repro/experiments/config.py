@@ -96,7 +96,6 @@ def datascalar_config(num_nodes: int, node: NodeConfig = None,
         node=node or timing_node_config(),
         bus=bus or timing_bus_config(),
         distribution_block_pages=distribution_block_pages,
-        replicate_text=True,
         faults=faults,
     )
 
@@ -112,5 +111,4 @@ def traditional_config(denom: int, node: NodeConfig = None,
         bus=bus or timing_bus_config(),
         onchip_fraction_denom=denom,
         distribution_block_pages=distribution_block_pages,
-        replicate_text=True,
     )

@@ -16,11 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.report import format_table
+from ..errors import ConfigError
 from ..isa.builder import ProgramBuilder
 from ..workloads.common import checksum_slot, store_checksum
 from .config import datascalar_config, timing_node_config, traditional_config
 
 PAGE = 4096
+#: The longest chain :func:`_chain_program` builds: hop 960 would reuse
+#: hop 0's (page, slot) pair.
+MAX_HOPS = 960
 
 
 def datascalar_crossings(chain_owners) -> int:
@@ -56,23 +60,24 @@ class Figure3Result:
         return self.traditional_crossings / self.datascalar_crossings
 
 
-def _chain_program(hops: int = 64, words_per_page: int = PAGE // 4):
+def _chain_program(hops: int = 64):
     """A pointer chase whose chain walks within a page before hopping to
     the next page — x1..x3 local, x4 remote, repeated."""
+    if not 1 <= hops <= MAX_HOPS:
+        raise ConfigError(f"hops must be in 1..{MAX_HOPS}, got {hops}")
     b = ProgramBuilder("figure3")
     pages = 4
     chain = b.alloc_global("chain", pages * PAGE)
     csum = checksum_slot(b)
     # Chain layout: 3 sequential elements per page, then jump pages.
     # The slot stride is chosen so (page, slot) pairs never repeat within
-    # the chain — a collision would short-circuit the chase.
+    # a chain of up to MAX_HOPS hops — a collision would short-circuit
+    # the chase.
     addresses = []
     for hop in range(hops):
         page = (hop // 3) % pages
         slot = (hop * 148) % (PAGE - 256)
         addresses.append(chain + page * PAGE + (slot & ~3))
-    if len(set(addresses)) != hops:
-        raise ValueError(f"chain of {hops} hops has address collisions")
     for here, there in zip(addresses, addresses[1:]):
         b.init_word(here, there)
     b.init_word(addresses[-1], 0)

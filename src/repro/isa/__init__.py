@@ -5,10 +5,10 @@ from .builder import ProgramBuilder
 from .disasm import disassemble, disassemble_instruction
 from .fanout import TraceFanout, fan_out
 from .instruction import Instruction
-from .interpreter import ExecResult, Interpreter, make_trace_source
+from .interpreter import ExecResult, Interpreter
 from .opcodes import OpClass, Opcode
 from .program import Program
-from .trace import IFETCH, READ, WRITE, DynInstr, annotate
+from .trace import IFETCH, READ, WRITE, DynInstr
 
 __all__ = [
     "Assembler",
@@ -21,12 +21,10 @@ __all__ = [
     "Instruction",
     "ExecResult",
     "Interpreter",
-    "make_trace_source",
     "OpClass",
     "Opcode",
     "Program",
     "DynInstr",
-    "annotate",
     "IFETCH",
     "READ",
     "WRITE",

@@ -9,10 +9,10 @@ interpretation cost from O(N·I) to O(I).
 
 The views are plain iterators, so they drop into ``Pipeline`` unchanged.
 Records are shared by reference and never looked into here: the source,
-:func:`repro.isa.make_trace_source` passed through
-:func:`repro.memory.canonical_outcomes`, annotates each record and sets
-its canonical cache outcomes once before the tee, and the timing models
-treat the records as immutable.
+:meth:`repro.isa.Interpreter.trace` passed through
+:func:`repro.memory.canonical_outcomes`, resolves each record's
+producers and sets its canonical cache outcomes once before the tee,
+and the timing models treat the records as immutable.
 
 Each view owns a private pending queue (the ``itertools.tee`` shape):
 the view that runs ahead pulls a record from the source and appends it

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .opcodes import OP_CLASS
 from . import registers
+from .opcodes import OP_CLASS
 
 
 class Instruction:

@@ -2,9 +2,10 @@
 
 This is the execution-driven front end, the simulator's one executable
 semantics of the ISA: it runs programs to completion, optionally
-emitting a dynamic-instruction trace (for the timing models, through
-:func:`make_trace_source`) or a stream of ``(kind, addr)`` memory
-references (for the cache-filter studies of paper Sections 3.1 and 3.2).
+emitting a dynamic-instruction trace of dispatch-ready records (for the
+timing models, :meth:`Interpreter.trace`) or a stream of ``(kind,
+addr)`` memory references (for the cache-filter studies of paper
+Sections 3.1 and 3.2).
 
 Dispatch is predecoded: construction compiles every static instruction
 into a zero-argument closure with its operand fields, fall-through
@@ -22,7 +23,7 @@ from ..memory.address import INSTRUCTION_BYTES, STACK_TOP, TEXT_BASE
 from .opcodes import CONDITIONAL_BRANCHES, OP_CLASS, Opcode
 from .program import Program
 from .registers import NUM_REGS, SP, ZERO
-from .trace import IFETCH, READ, WRITE, DynInstr, annotate
+from .trace import IFETCH, READ, WRITE, DynInstr
 
 _U64 = (1 << 64) - 1
 _S63 = 1 << 63
@@ -457,12 +458,25 @@ class Interpreter:
         return self.result()
 
     def trace(self, limit=None):
-        """Generate :class:`DynInstr` records for the timing models."""
+        """Generate dispatch-ready :class:`DynInstr` records for the
+        timing models, seqs 0, 1, 2, ...
+
+        Each record's ``deps`` names the youngest earlier writer of each
+        source register that has one; a load's ``fwd`` names the
+        youngest earlier store overlapping any of its bytes, else -1.
+        Accesses are aligned 1-, 4- or 8-byte, so stores are kept per
+        4-byte word: a byte store splits its word into per-byte
+        entries, and a wider store joins it again.
+        """
         limit = self.max_instructions if limit is None else limit
         index = 0
         code = self._code
         code_len = len(code)
         meta = self._meta
+        writer = {}  # register -> seq of its youngest writer
+        words = {}  # word -> seq of the youngest store touching it
+        bytes_ = {}  # byte of a split word -> its youngest store's seq
+        split = set()  # words whose bytes were last stored apart
         seq = 0
 
         while not self.halted and seq < limit:
@@ -471,8 +485,33 @@ class Interpreter:
             pc, op_class, dest, srcs = meta[index]
             index, kind, addr, size = code[index]()
             self.instructions_executed += 1
-            yield DynInstr(seq, pc, op_class, dest, srcs,
-                           addr if kind else None, size)
+            deps = [writer[src] for src in srcs if src in writer]
+            if kind is None:
+                dyn = DynInstr(seq, pc, op_class, None, 0, deps)
+            else:
+                word = addr >> 2
+                fwd = -1
+                if kind == READ:
+                    if size == 1 and word in split:
+                        fwd = bytes_[addr]
+                    else:
+                        fwd = max(words.get(word, -1),
+                                  words.get(word + (size >> 3), -1))
+                elif size == 1:
+                    if word not in split:
+                        split.add(word)
+                        old = words.get(word, -1)
+                        for byte in range(word << 2, (word + 1) << 2):
+                            bytes_[byte] = old
+                    bytes_[addr] = words[word] = seq
+                else:
+                    for covered in range(word, word + (size >> 2)):
+                        words[covered] = seq
+                        split.discard(covered)
+                dyn = DynInstr(seq, pc, op_class, addr, size, deps, fwd)
+            if dest is not None:
+                writer[dest] = seq
+            yield dyn
             seq += 1
 
     def mem_refs(self, limit=None, include_ifetch=True):
@@ -505,9 +544,3 @@ class Interpreter:
             loads=self.loads,
             stores=self.stores,
         )
-
-
-def make_trace_source(program: Program, limit=None):
-    """The record stream every timing model consumes:
-    ``annotate(Interpreter(program).trace(limit=limit))``."""
-    return annotate(Interpreter(program).trace(limit=limit))

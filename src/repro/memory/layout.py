@@ -114,9 +114,7 @@ def choose_block_size(program, page_size: int, num_nodes: int,
 
 def traditional_page_table(program, denom: int, page_size: int,
                            distribution_block_pages: int = 4,
-                           replicate_text: bool = True,
-                           replicated_pages=frozenset(),
-                           stack_bytes: int = 64 * 1024) -> PageTable:
+                           replicated_pages=frozenset()) -> PageTable:
     """Page table for the traditional system of Figure 6(a).
 
     The traditional machine has ``1/denom`` of memory on-chip.  We reuse
@@ -130,9 +128,7 @@ def traditional_page_table(program, denom: int, page_size: int,
         num_nodes=denom,
         page_size=page_size,
         distribution_block_pages=distribution_block_pages,
-        replicate_text=replicate_text,
         replicated_pages=frozenset(replicated_pages),
-        stack_bytes=stack_bytes,
     )
     table, _ = build_page_table(program, spec)
     return table

@@ -267,9 +267,6 @@ class SystemConfig:
     #: Communicated pages are distributed round-robin in blocks of this many
     #: pages (Table 2 varies this per benchmark).
     distribution_block_pages: int = 4
-    #: Replicate the program text at every node (the paper's simulated
-    #: implementation does, obviating an instruction correspondence protocol).
-    replicate_text: bool = True
     #: Maximum dynamically-simulated instructions before giving up.
     max_cycles: int = 200_000_000
     #: Skip provably idle cycle ranges (identical results, less wall
@@ -311,7 +308,6 @@ class TraditionalConfig:
     #: Fraction of main memory that is on-chip, expressed as 1/denominator.
     onchip_fraction_denom: int = 2
     distribution_block_pages: int = 4
-    replicate_text: bool = True
     max_cycles: int = 200_000_000
 
     def __post_init__(self) -> None:

@@ -14,10 +14,10 @@ do: each process holds at most one materialized stream
 (:func:`_records`), tagged with the (I-cache, D-cache) pair whose
 canonical outcomes it carries, and hands it to every point with that
 key through the systems' ``records=``.
-Only :func:`~repro.isa.annotate` and
-:func:`~repro.memory.canonical_outcomes` write to a record, and each
-list has its outcomes written at most once, so a point's result does
-not depend on which point built its stream.
+Only :meth:`~repro.isa.Interpreter.trace`, which builds each record,
+and :func:`~repro.memory.canonical_outcomes` write to a record, and
+each list has its outcomes written at most once, so a point's result
+does not depend on which point built its stream.
 :class:`~repro.runner.engine.SweepRunner` empties the holder at the
 start and end of every batch (:func:`release_records`).
 
@@ -105,7 +105,7 @@ def _records(point: SweepPoint, program, caches=None) -> list:
     leaves nothing held.
     """
     global _held
-    from ..isa import make_trace_source
+    from ..isa import Interpreter
     from ..memory.cache import canonical_outcomes
 
     key = (point.workload, point.scale, point.limit, point.knobs)
@@ -122,7 +122,7 @@ def _records(point: SweepPoint, program, caches=None) -> list:
         del records  # the held list is replaced, not kept alongside
     _held = None
     with span("stream"):
-        stream = make_trace_source(program, limit=point.limit)
+        stream = Interpreter(program).trace(limit=point.limit)
         if caches is not None:
             stream = canonical_outcomes(stream, *caches)
         records = list(stream)

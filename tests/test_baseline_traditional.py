@@ -54,8 +54,7 @@ def _committer(memory):
 
     def commit(now, addr, is_store=False, handle=None):
         op_class = OpClass.STORE if is_store else OpClass.LOAD
-        pending.append(DynInstr(0, 0x400000, int(op_class), None, [], addr,
-                                4))
+        pending.append(DynInstr(0, 0x400000, int(op_class), addr, 4))
         memory.commit_mem(now, next(records), handle)
 
     return commit

@@ -58,7 +58,7 @@ def _line(addr):
 
 def _record(addr, is_store=False):
     op_class = OpClass.STORE if is_store else OpClass.LOAD
-    return DynInstr(0, TEXT, int(op_class), None, [], addr, 4)
+    return DynInstr(0, TEXT, int(op_class), addr, 4)
 
 
 def _committer(node):
@@ -213,7 +213,7 @@ def test_ifetch_hits_after_first_line_fill():
     other = TEXT + LINE
     pcs = [pc_line, pc_line + 4, other, pc_line]
     records = list(canonical_outcomes(
-        (DynInstr(seq, pc, int(OpClass.IALU), None, [])
+        (DynInstr(seq, pc, int(OpClass.IALU))
          for seq, pc in enumerate(pcs)),
         node.config.icache, node.config.dcache))
     assert [dyn.imiss_line for dyn in records] == [pc_line, None, other,

@@ -205,7 +205,7 @@ def test_cache_work_is_one_access_per_record(num_nodes, monkeypatch):
     a run makes one ``Cache.commit_access`` per load and store plus one
     per change of instruction line in the stream, at any node count."""
     from repro.experiments.config import datascalar_config
-    from repro.isa import make_trace_source
+    from repro.isa import Interpreter
     from repro.memory import Cache
     from repro.workloads import build_program
 
@@ -213,7 +213,7 @@ def test_cache_work_is_one_access_per_record(num_nodes, monkeypatch):
     config = datascalar_config(num_nodes)
     line_mask = ~(config.node.icache.line_size - 1)
     lines = [dyn.pc & line_mask
-             for dyn in make_trace_source(program, limit=4000)]
+             for dyn in Interpreter(program).trace(limit=4000)]
     line_changes = sum(1 for i, line in enumerate(lines)
                        if i == 0 or line != lines[i - 1])
     calls = []

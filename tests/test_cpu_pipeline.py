@@ -13,13 +13,13 @@ from repro.cpu.ruu import RUU
 from repro.errors import SimulationError
 from repro.isa import Interpreter, ProgramBuilder
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import DynInstr, annotate
+from repro.isa.trace import DynInstr
 from repro.params import CPUConfig
 
 
 def _pipeline(program, cpu=None, mem=None):
-    trace = annotate(Interpreter(program).trace())
-    return Pipeline(cpu or CPUConfig(), mem or PerfectMemory(), trace)
+    return Pipeline(cpu or CPUConfig(), mem or PerfectMemory(),
+                    Interpreter(program).trace())
 
 
 def _run(pipeline, max_cycles=100_000):
@@ -49,23 +49,11 @@ def _independent_program(n=32):
 # ----------------------------------------------------------------------
 # RUU mechanics.
 # ----------------------------------------------------------------------
-def _dyn(seq, op_class=OpClass.IALU, dest=None, srcs=(), addr=None, size=0):
-    return DynInstr(seq, 0x400000 + 4 * seq, int(op_class), dest, srcs,
-                    addr, size)
-
-
-def _annotated(*records):
-    """``records`` as dispatch sees them: annotated in stream order."""
-    return list(annotate(records))
-
-
-def _unwired(seq):
-    """A record with no producers, annotated by hand so that tests can
-    dispatch seqs out of stream order."""
-    dyn = _dyn(seq)
-    dyn.deps = ()
-    dyn.fwd = -1
-    return dyn
+def _dyn(seq, op_class=OpClass.IALU, addr=None, deps=(), fwd=-1):
+    """A record built by hand: its producers are ``deps`` and, for a
+    load, its forwarding store is ``fwd``."""
+    return DynInstr(seq, 0x400000 + 4 * seq, int(op_class), addr,
+                    0 if addr is None else 4, deps, fwd)
 
 
 def _take(ruu, now):
@@ -82,10 +70,8 @@ def _take(ruu, now):
 
 def test_ruu_dependency_wakeup():
     ruu = RUU(capacity=8)
-    first, second = _annotated(_dyn(0, dest=1), _dyn(1, srcs=(1,)))
-    assert second.deps == [0]
-    producer = ruu.dispatch(first, now=0)
-    consumer = ruu.dispatch(second, now=0)
+    producer = ruu.dispatch(_dyn(0), now=0)
+    consumer = ruu.dispatch(_dyn(1, deps=[0]), now=0)
     assert consumer.unresolved == 1
     assert _take(ruu, 0) == ([0], True)
     ruu.resolve(producer, result_time=5)
@@ -98,37 +84,26 @@ def test_ruu_dependency_wakeup():
 
 def test_ruu_known_producer_time_used_at_dispatch():
     ruu = RUU(capacity=8)
-    first, second = _annotated(_dyn(0, dest=1), _dyn(1, srcs=(1,)))
-    producer = ruu.dispatch(first, now=0)
+    producer = ruu.dispatch(_dyn(0), now=0)
     ruu.resolve(producer, result_time=7)
-    consumer = ruu.dispatch(second, now=1)
+    consumer = ruu.dispatch(_dyn(1, deps=[0]), now=1)
     assert consumer.unresolved == 0
     assert consumer.operand_time == 7
 
 
 def test_ruu_capacity():
     ruu = RUU(capacity=2)
-    first, second = _annotated(_dyn(0), _dyn(1))
-    ruu.dispatch(first, 0)
+    ruu.dispatch(_dyn(0), 0)
     assert len(ruu) < ruu.capacity
-    ruu.dispatch(second, 0)
+    ruu.dispatch(_dyn(1), 0)
     assert len(ruu) == ruu.capacity
 
 
 def test_ruu_schedulable_is_oldest_first():
     ruu = RUU(capacity=8)
-    for dyn in _annotated(_dyn(0), _dyn(1), _dyn(2)):
-        ruu.dispatch(dyn, 0)
+    for seq in range(3):
+        ruu.dispatch(_dyn(seq), 0)
     assert _take(ruu, 0) == ([0, 1, 2], True)
-
-
-def _hand_record(seq, op_class, addr, fwd=-1):
-    """A memory record with no producers, annotated by hand (see
-    :func:`_unwired`); a load's forwarding store is ``fwd``."""
-    dyn = _dyn(seq, op_class, addr=addr, size=4)
-    dyn.deps = ()
-    dyn.fwd = fwd
-    return dyn
 
 
 def _load_issue_order(agen):
@@ -147,13 +122,13 @@ def _load_issue_order(agen):
 
     pipe._issue_load = recording
     ruu = pipe.ruu
-    ruu.dispatch(_hand_record(0, OpClass.STORE, 0x1000), now=5)
+    ruu.dispatch(_dyn(0, OpClass.STORE, 0x1000), now=5)
     for seq in (1, 6):
-        ruu.dispatch(_hand_record(seq, OpClass.LOAD, 0x1000, fwd=0), now=4)
+        ruu.dispatch(_dyn(seq, OpClass.LOAD, 0x1000, fwd=0), now=4)
     pipe.tick(4)  # both loads wait: the store has not issued
     assert [entry.seq for entry in ruu._waiting_loads] == [1, 6]
     for seq, ready in ((2, 5), (4, 5), (5, 2), (7, 3)):
-        ruu.dispatch(_hand_record(seq, OpClass.LOAD, 0x2000 + 8 * seq),
+        ruu.dispatch(_dyn(seq, OpClass.LOAD, 0x2000 + 8 * seq),
                      now=ready)
     for now in range(5, 9):
         pipe.tick(now)
@@ -240,7 +215,7 @@ def _store_then_load(store, load, data_held=False, cpu=None):
     b.halt()
     mem = _HeldMemory({buf + 64} if data_held else ())
     pipe = Pipeline(cpu or CPUConfig(), mem,
-                    annotate(Interpreter(b.build()).trace()))
+                    Interpreter(b.build()).trace())
     pipe.tick(0)
     entries = pipe.ruu.window
     store_entry = next(e for e in entries if e.op_class == OpClass.STORE)
@@ -266,7 +241,6 @@ def test_lsq_forwarding_from_issued_store():
     assert load.handle.forwarded
     assert load.result_time == max(store.issued_at, load.issued_at) + 1
     assert buf not in mem.issued
-    assert pipe.lsq.forwards == 1
 
 
 def test_lsq_blocks_on_unissued_same_address_store():
@@ -294,7 +268,7 @@ def test_lsq_different_address_does_not_forward():
     assert mem.issued[buf][0] == load.issued_at
     mem.issued[buf + 64][1].complete(30)
     _finish(pipe, 30)
-    assert pipe.lsq.forwards == 0
+    assert not load.handle.forwarded
 
 
 def test_lsq_partial_overlap_detected():
@@ -318,7 +292,7 @@ def test_lsq_overflow_is_a_simulation_error():
     b.halt()
     mem = _HeldMemory({buf + 4 * i for i in range(8)})
     cpu = CPUConfig(ruu_entries=16, lsq_entries=4)
-    pipe = Pipeline(cpu, mem, annotate(Interpreter(b.build()).trace()))
+    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
     pipe.tick(0)
     assert len(pipe.lsq) == pipe.lsq.capacity
     pipe.lsq.capacity = 2
@@ -390,7 +364,7 @@ def test_load_dependent_chain_waits_for_memory():
     b.add("r3", "r2", "r1")
     b.halt()
     stats = _run(Pipeline(CPUConfig(), Slow(),
-                          annotate(Interpreter(b.build()).trace())))
+                          Interpreter(b.build()).trace()))
     assert stats.cycles >= 50
 
 
@@ -408,7 +382,7 @@ def test_store_then_load_forwards_quickly():
             raise AssertionError("load should have been forwarded")
 
     stats = _run(Pipeline(CPUConfig(), NeverLoad(),
-                          annotate(Interpreter(b.build()).trace())))
+                          Interpreter(b.build()).trace()))
     assert stats.loads == 1
 
 
@@ -448,7 +422,7 @@ def test_load_drops_a_cached_blocker_whose_entry_was_recycled():
     b.halt()
     mem = _HeldMemory({buf + 8, buf + 12})
     cpu = CPUConfig(issue_width=1, ruu_entries=7, lsq_entries=4)
-    pipe = Pipeline(cpu, mem, annotate(Interpreter(b.build()).trace()))
+    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
     pipe.tick(0)
     store = next(e for e in pipe.ruu.window if e.op_class == OpClass.STORE)
     load = next(e for e in pipe.ruu.window
@@ -492,7 +466,7 @@ def test_older_load_starved_by_early_entries_retries_next_cycle(dense):
     b.halt()
     mem = _HeldMemory({buf, buf + 4, buf + 8})
     cpu = CPUConfig(fu_counts=dict(CPUConfig().fu_counts, AGEN=1))
-    pipe = Pipeline(cpu, mem, annotate(Interpreter(b.build()).trace()))
+    pipe = Pipeline(cpu, mem, Interpreter(b.build()).trace())
 
     def deliver(now):
         """Complete held loads after cycle ``now``'s tick, as a peer's

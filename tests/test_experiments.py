@@ -7,6 +7,7 @@ to for the corresponding table or figure.
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments import (
     PARAMETERS,
     datascalar_crossings,
@@ -26,6 +27,9 @@ from repro.experiments import (
     run_table3,
     traditional_crossings,
 )
+from repro.experiments.figure3 import MAX_HOPS, _chain_program
+from repro.isa import Interpreter
+from repro.runner import SweepRunner
 
 FAST = dict(limit=6000)
 QUICK_BENCHMARKS = ["compress", "go"]
@@ -136,6 +140,19 @@ def test_figure3_crossings_edge_cases():
 def test_figure3_formatting():
     text = format_figure3(run_figure3(hops=24))
     assert "2 vs 8" in text
+
+
+@pytest.mark.parametrize("hops", [0, 961])
+def test_figure3_hops_out_of_range_is_a_config_error(hops):
+    with pytest.raises(ConfigError, match=r"hops must be in 1\.\.960"):
+        run_figure3(hops=hops, limit=500, runner=SweepRunner(jobs=1))
+
+
+def test_figure3_longest_chain_is_walked_to_its_end():
+    """Every hop of the longest chain has its own (page, slot) pair, so
+    the chase loads each one once and halts."""
+    result = Interpreter(_chain_program(hops=MAX_HOPS)).run()
+    assert result.halted and result.loads == MAX_HOPS
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ import pytest
 from repro.core import DataScalarSystem
 from repro.experiments.config import datascalar_config
 from repro.isa.interpreter import Interpreter
-from repro.isa.trace import annotate
 from repro.memory import canonical_outcomes
 from repro.workloads import build_program
 
@@ -47,7 +46,7 @@ class _DenseSystem(DataScalarSystem):
         self.calls += 1
         node = self.config.node
         return [canonical_outcomes(
-                    annotate(Interpreter(program).trace(limit=limit)),
+                    Interpreter(program).trace(limit=limit),
                     node.icache, node.dcache)
                 for _ in range(self.config.num_nodes)]
 

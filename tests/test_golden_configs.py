@@ -6,8 +6,8 @@ and 4 nodes; neither reaches a 1-node machine, a window small enough
 to wrap the RUU ring on every few instructions, or a 3-node fan-out.
 Each case here runs ``DataScalarSystem.run`` at :data:`LIMIT` and
 compares the sha256 of its ``result_fingerprint`` with a digest
-recorded before the dependence wiring moved into
-:func:`repro.isa.annotate`.  The ``1node`` digests were re-recorded
+recorded before the dependence wiring moved onto the records (now
+:meth:`repro.isa.Interpreter.trace`).  The ``1node`` digests were re-recorded
 when a node with no peers stopped reading memory for a reparative
 broadcast it never sends, and the ``tiny-window`` digests when branch
 prediction stopped being configurable (recorded with the perfect

@@ -1,45 +1,54 @@
-"""Tests for the dependence annotator (`repro.isa.annotate`).
+"""Tests for the producer and forwarding-store seqs that
+`Interpreter.trace` puts on each record.
 
-The annotator replaces two per-node scans of the timing model — the
-last writer of each source register and the youngest earlier store a
-load overlaps — with seqs computed once per record.  These tests hold
-it to both scans, kept here as brute-force references.
+Those seqs replace two per-node scans of the timing model — the last
+writer of each source register and the youngest earlier store a load
+overlaps — with seqs computed once per record.  These tests hold them
+to both scans, kept here as brute-force references, reading each
+record's destination and source registers from the static
+instruction it executed.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
-from repro.isa import Interpreter, annotate
+from repro.isa import Interpreter, ProgramBuilder
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import DynInstr
+from repro.memory.address import INSTRUCTION_BYTES, TEXT_BASE
 from repro.workloads import build_program
 
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
-_IALU = int(OpClass.IALU)
 
-#: Address range of the generated accesses: small enough that stores
+#: Bytes of the generated programs' buffer: small enough that stores
 #: and loads of different sizes overlap partially and alias bytes
 #: within a word.
 SPAN = 64
+#: The buffer's base register, written only by the program's first
+#: instruction.
+BASE = "r7"
+_INT = tuple(f"r{n}" for n in range(1, 7))
+_FP = ("f1", "f2", "f3")
+_ALU = ("add", "sub", "and_", "xor", "slt", "mul")
+#: Memory builder method -> access size.
+_MEM = {"lb": 1, "lw": 4, "sb": 1, "sw": 4, "ld": 8, "sd": 8}
 
 
-def _record(seq, kind, dest=None, srcs=(), addr=None, size=0):
-    op_class = {"alu": _IALU, "load": _LOAD, "store": _STORE}[kind]
-    return DynInstr(seq, 0x400000 + 4 * seq, op_class, dest, srcs,
-                    addr, size)
+def _static(program, dyn):
+    """The static instruction ``dyn`` executed."""
+    return program.instructions[(dyn.pc - TEXT_BASE) // INSTRUCTION_BYTES]
 
 
-def _last_writer_deps(records):
+def _last_writer_deps(records, program):
     """Per record, the seqs of its sources' last writers."""
     writer = {}
     expected = []
     for dyn in records:
-        expected.append([writer[src] for src in dyn.srcs if src in writer])
-        if dyn.dest is not None:
-            writer[dyn.dest] = dyn.seq
+        instr = _static(program, dyn)
+        expected.append([writer[src] for src in instr.sources()
+                         if src in writer])
+        if instr.destination() is not None:
+            writer[instr.destination()] = dyn.seq
     return expected
 
 
@@ -56,34 +65,9 @@ def _scanned_fwd(records, index):
     return -1
 
 
-def _access(draw):
-    size = draw(st.sampled_from((1, 4, 8)))
-    addr = draw(st.integers(0, SPAN // size - 1)) * size
-    return addr, size
-
-
-@st.composite
-def _streams(draw):
-    """Aligned 1-, 4- and 8-byte loads and stores over :data:`SPAN`
-    bytes, mixed with register operations."""
-    records = []
-    for seq in range(draw(st.integers(1, 60))):
-        kind = draw(st.sampled_from(("alu", "load", "store")))
-        regs = st.integers(1, 6)
-        srcs = tuple(draw(st.lists(regs, max_size=3)))
-        dest = None if kind == "store" else draw(st.one_of(st.none(), regs))
-        addr, size = _access(draw) if kind != "alu" else (None, 0)
-        records.append(_record(seq, kind, dest, srcs, addr, size))
-    return records
-
-
-@given(_streams())
-@settings(max_examples=400, deadline=None)
-def test_annotations_match_brute_force_scans(records):
-    annotated = list(annotate(records))
-    assert annotated == records  # annotated in place, in order
+def _assert_matches_scans(records, program):
     for index, (dyn, deps) in enumerate(
-            zip(annotated, _last_writer_deps(records))):
+            zip(records, _last_writer_deps(records, program))):
         assert list(dyn.deps) == deps
         if dyn.op_class == _LOAD:
             assert dyn.fwd == _scanned_fwd(records, index)
@@ -91,47 +75,82 @@ def test_annotations_match_brute_force_scans(records):
             assert dyn.fwd == -1
 
 
+def _buffer_program(body):
+    """A program whose ``body(b)`` addresses a :data:`SPAN`-byte global
+    buffer of int words through :data:`BASE`."""
+    b = ProgramBuilder()
+    buf = b.alloc_global_words("buf", SPAN // 4, init=range(SPAN // 4))
+    b.li(BASE, buf)
+    body(b)
+    b.halt()
+    return b.build()
+
+
+@st.composite
+def _programs(draw):
+    """Straight-line programs: ALU operations on r1–r6 (a repeated
+    source included), LB/LW/SB/SW on r1–r6 and LD/SD on f1–f3 at
+    aligned offsets of the buffer."""
+    ops = []
+    for _ in range(draw(st.integers(1, 60))):
+        op = draw(st.sampled_from(_ALU + tuple(_MEM)))
+        if op in _MEM:
+            size = _MEM[op]
+            reg = draw(st.sampled_from(_FP if size == 8 else _INT))
+            offset = draw(st.integers(0, SPAN // size - 1)) * size
+            ops.append((op, reg, BASE, offset))
+        else:
+            ops.append((op,) + tuple(draw(st.sampled_from(_INT))
+                                     for _ in range(3)))
+
+    def body(b):
+        # f1–f3 start as int words, so whatever a byte or word load
+        # reads back is an int.
+        for reg, offset in zip(_FP, (0, 8, 16)):
+            b.ld(reg, BASE, offset)
+        for op, *operands in ops:
+            getattr(b, op)(*operands)
+
+    return _buffer_program(body)
+
+
+@given(_programs())
+@settings(max_examples=400, deadline=None)
+def test_annotations_match_brute_force_scans(program):
+    records = list(Interpreter(program).trace())
+    assert [dyn.seq for dyn in records] == list(range(len(records)))
+    _assert_matches_scans(records, program)
+
+
 def test_byte_stores_split_a_word_and_word_stores_join_it():
-    stream = [
-        _record(0, "store", addr=0x100, size=4),
-        _record(1, "store", addr=0x102, size=1),
-        _record(2, "load", addr=0x101, size=1),   # the word store
-        _record(3, "load", addr=0x102, size=1),   # the byte store
-        _record(4, "load", addr=0x100, size=4),   # youngest toucher
-        _record(5, "load", addr=0x100, size=8),
-        _record(6, "store", addr=0x100, size=8),
-        _record(7, "load", addr=0x102, size=1),   # joined again
-        _record(8, "load", addr=0x104, size=4),
-    ]
-    fwd = [dyn.fwd for dyn in annotate(stream) if dyn.op_class == _LOAD]
-    assert fwd == [0, 1, 1, 1, 6, 6]
+    def body(b):
+        b.sw("r1", BASE, 0)   # seq 1
+        b.sb("r1", BASE, 2)   # seq 2
+        b.lb("r2", BASE, 1)   # the word store
+        b.lb("r2", BASE, 2)   # the byte store
+        b.lw("r2", BASE, 0)   # youngest toucher
+        b.ld("f1", BASE, 0)
+        b.sd("f1", BASE, 0)   # seq 7
+        b.lb("r2", BASE, 2)   # joined again
+        b.lw("r2", BASE, 4)
+
+    fwd = [dyn.fwd for dyn in Interpreter(_buffer_program(body)).trace()
+           if dyn.op_class == _LOAD]
+    assert fwd == [1, 2, 2, 2, 7, 7]
 
 
 def test_duplicate_sources_keep_duplicate_producers():
-    stream = [_record(0, "alu", dest=3),
-              _record(1, "alu", dest=3, srcs=(3, 3, 4)),
-              _record(2, "alu", srcs=(3,))]
-    assert [dyn.deps for dyn in annotate(stream)] == [[], [0, 0], [1]]
+    b = ProgramBuilder()
+    b.li("r3", 1)
+    b.add("r3", "r3", "r3")
+    b.add("r5", "r3", "r4")   # r4 has no writer
+    b.halt()
+    assert [list(dyn.deps) for dyn in Interpreter(b.build()).trace()] \
+        == [[], [0, 0], [1], []]
 
 
 def test_interpreter_trace_matches_brute_force_scans():
-    records = list(annotate(Interpreter(build_program("compress")).trace(
-        limit=3000)))
-    assert [list(dyn.deps) for dyn in records] == _last_writer_deps(records)
-    loads = [i for i, dyn in enumerate(records) if dyn.op_class == _LOAD]
-    assert loads
-    for index in loads:
-        assert records[index].fwd == _scanned_fwd(records, index)
-
-
-@pytest.mark.parametrize("seqs", [(0, 1, 3), (0, 1, 1), (1, 2)],
-                         ids=["gap", "repeat", "late-start"])
-def test_broken_seq_order_is_a_simulation_error(seqs):
-    stream = annotate(_record(seq, "alu") for seq in seqs)
-    with pytest.raises(SimulationError, match="without gaps or repeats"):
-        list(stream)
-
-
-def test_unsupported_access_size_is_a_simulation_error():
-    with pytest.raises(SimulationError, match="access size 2"):
-        list(annotate([_record(0, "load", addr=0x100, size=2)]))
+    program = build_program("compress")
+    records = list(Interpreter(program).trace(limit=3000))
+    assert any(dyn.op_class == _LOAD for dyn in records)
+    _assert_matches_scans(records, program)

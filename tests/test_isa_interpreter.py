@@ -290,9 +290,9 @@ def test_trace_records_memory_and_dependencies():
     ]
     load = records[1]
     assert load.addr == base and load.size == 4
-    assert load.dest == 2
+    assert load.deps == [0] and load.fwd == -1
     add = records[2]
-    assert set(add.srcs) == {1, 2}
+    assert add.deps == [1, 0]  # r2 from the load, r1 from the li
     assert [r.seq for r in records] == [0, 1, 2, 3]
 
 

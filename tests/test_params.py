@@ -175,12 +175,10 @@ def test_option_surface():
         "NodeConfig": ("cpu", "icache", "dcache", "memory", "bshr",
                        "broadcast_queue_latency"),
         "SystemConfig": ("num_nodes", "node", "bus",
-                         "distribution_block_pages", "replicate_text",
-                         "max_cycles", "fast_forward", "interconnect",
-                         "faults"),
+                         "distribution_block_pages", "max_cycles",
+                         "fast_forward", "interconnect", "faults"),
         "TraditionalConfig": ("node", "bus", "onchip_fraction_denom",
-                              "distribution_block_pages", "replicate_text",
-                              "max_cycles"),
+                              "distribution_block_pages", "max_cycles"),
     }
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.baseline.perfect import PerfectMemory
 from repro.core.system import drive
 from repro.cpu.pipeline import Pipeline
-from repro.isa import Interpreter, ProgramBuilder, annotate
+from repro.isa import Interpreter, ProgramBuilder
 from repro.params import CPUConfig
 
 # Random straight-line programs mixing ALU ops and memory accesses.
@@ -44,7 +44,7 @@ def _build(op_list):
 def _run(op_list, cpu=None):
     program = _build(op_list)
     pipeline = Pipeline(cpu or CPUConfig(), PerfectMemory(),
-                        annotate(Interpreter(program).trace()))
+                        Interpreter(program).trace())
     drive([pipeline], 1_000_000, what="pipeline")
     return program, pipeline.stats
 

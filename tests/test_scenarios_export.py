@@ -10,7 +10,7 @@ from repro.baseline.perfect import PerfectMemory
 from repro.core.system import drive
 from repro.cpu.pipeline import Pipeline
 from repro.experiments import run_table1
-from repro.isa import Interpreter, ProgramBuilder, annotate
+from repro.isa import Interpreter, ProgramBuilder
 from repro.params import CPUConfig
 
 
@@ -62,6 +62,6 @@ def test_load_forwards_from_same_address_store():
             raise AssertionError("should forward from the LSQ")
 
     pipeline = Pipeline(CPUConfig(), NeverLoad(),
-                        annotate(Interpreter(b.build()).trace()))
+                        Interpreter(b.build()).trace())
     drive([pipeline], 100_000, what="pipeline")
     assert pipeline.stats.loads == 1

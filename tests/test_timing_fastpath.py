@@ -32,7 +32,7 @@ from repro.experiments.config import datascalar_config, timing_bus_config
 from repro.faults.medium import FaultyMedium
 from repro.faults.plan import BroadcastFault
 from repro.interconnect.medium import make_medium
-from repro.isa import Interpreter, ProgramBuilder, annotate
+from repro.isa import Interpreter, ProgramBuilder
 from repro.isa.opcodes import OpClass
 from repro.memory import canonical_outcomes
 from repro.params import BusConfig, CPUConfig, FaultConfig
@@ -106,7 +106,7 @@ def _store_load_program(rounds=16):
 
 def _pipeline(program, cpu):
     return Pipeline(cpu, PerfectMemory(),
-                    annotate(Interpreter(program).trace()))
+                    Interpreter(program).trace())
 
 
 def _tick_to_done(pipeline, after_tick=None, max_cycles=50_000):
@@ -381,15 +381,15 @@ def test_tick_bound_matches_dense_ticking(seed_block):
         latency = rng.choice([1, 4, 16])
 
         checked = Pipeline(cpu, PerfectMemory(latency),
-                           annotate(Interpreter(program).trace()))
+                           Interpreter(program).trace())
         cycles = _drive_checking_bounds(checked)
 
         driven = Pipeline(cpu, PerfectMemory(latency),
-                          annotate(Interpreter(program).trace()))
+                          Interpreter(program).trace())
         driven_cycles = drive([driven], 50_000)
 
         dense = Pipeline(cpu, PerfectMemory(latency),
-                         annotate(Interpreter(program).trace()))
+                         Interpreter(program).trace())
         now = 0
         while not dense.done:
             dense.tick(now)
@@ -516,7 +516,7 @@ def test_fault_recovery_is_invisible_to_idle_skip():
             calls.append(limit)
             node = self.config.node
             return [canonical_outcomes(
-                        annotate(Interpreter(program).trace(limit=limit)),
+                        Interpreter(program).trace(limit=limit),
                         node.icache, node.dcache)
                     for _ in range(self.config.num_nodes)]
 
